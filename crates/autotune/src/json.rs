@@ -7,7 +7,7 @@
 //! simulator, the noise model, or the sweep schedule shows up as a textual
 //! diff of a committed fixture.
 
-use crate::driver::{ConfigResult, RunRecord, TuningReport};
+use crate::records::{ConfigResult, RunRecord, TuningReport};
 use critter_core::{CritterError, PathMetrics, Result};
 use serde_json::Value;
 

@@ -16,16 +16,20 @@
 
 #![deny(missing_docs)]
 
-pub mod driver;
+pub mod engine;
 pub mod json;
 pub mod metrics;
+pub mod options;
+pub mod records;
+mod references;
 pub mod search;
 pub mod spaces;
 
 pub use critter_session::{SessionConfig, StalenessPolicy};
-pub use driver::{
-    Autotuner, ConfigResult, ProgressHook, ProgressVerdict, RunRecord, SweepProgress,
-    TuningOptions, TuningReport,
+pub use engine::Autotuner;
+pub use options::TuningOptions;
+pub use records::{
+    ConfigResult, ProgressHook, ProgressVerdict, RunRecord, SweepProgress, TuningReport,
 };
 pub use search::{search, SearchOutcome, SearchStrategy};
 pub use spaces::TuningSpace;

@@ -2,7 +2,7 @@
 
 use critter_stats::summary::{mean, relative_error};
 
-use crate::driver::TuningReport;
+use crate::records::TuningReport;
 
 impl TuningReport {
     /// Total simulated time the selective tuning sweep paid (selective runs
@@ -151,7 +151,7 @@ impl TuningReport {
 }
 
 /// Argmin over configurations that actually completed (not quarantined).
-fn argmin_live(xs: &[f64], configs: &[crate::driver::ConfigResult]) -> usize {
+fn argmin_live(xs: &[f64], configs: &[crate::records::ConfigResult]) -> usize {
     xs.iter()
         .enumerate()
         .filter(|&(i, _)| !configs[i].quarantined)
@@ -162,7 +162,7 @@ fn argmin_live(xs: &[f64], configs: &[crate::driver::ConfigResult]) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use crate::driver::{ConfigResult, RunRecord, TuningReport};
+    use crate::records::{ConfigResult, RunRecord, TuningReport};
     use critter_core::ExecutionPolicy;
 
     fn record(elapsed: f64, predicted: f64) -> RunRecord {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use critter_algs::Workload;
 use critter_machine::rng::CounterRng;
 
-use crate::driver::{Autotuner, ConfigResult, TuningOptions};
+use crate::{Autotuner, ConfigResult, TuningOptions};
 
 /// A search strategy over a configuration space.
 #[derive(Debug, Clone)]

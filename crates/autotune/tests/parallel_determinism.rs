@@ -1,14 +1,26 @@
-//! Property tests of the sweep scheduler's determinism guarantee: a tuning
+//! Property tests of the sweep engine's determinism guarantee: a tuning
 //! sweep produces a bit-identical [`TuningReport`] no matter how many worker
-//! threads pipeline the reference runs. Every `f64` in the report — elapsed
+//! threads prefetch the reference runs. Every `f64` in the report — elapsed
 //! makespans, predicted times, path metrics — must match exactly, because
 //! noise streams are keyed by run identity, never by dispatch order.
+//!
+//! The second half runs the engine's other features — checkpoint/resume,
+//! fault retry/quarantine, the progress hook — at `workers` ∈ {1, 4} and
+//! demands the same bytes (report, Chrome trace, every `checkpoint.json`),
+//! including across a kill or a preemption resumed at the *other* count.
 
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use critter_algs::Workload;
-use critter_autotune::{Autotuner, TuningOptions, TuningSpace};
-use critter_core::ExecutionPolicy;
+use critter_algs::{Workload, WorkloadOutput};
+use critter_autotune::{
+    Autotuner, ProgressVerdict, SessionConfig, TuningOptions, TuningReport, TuningSpace,
+};
+use critter_core::{CritterEnv, ExecutionPolicy};
+use critter_obs::EventKind;
+use critter_sim::FaultPlan;
 use proptest::prelude::*;
 
 fn policy_from(index: usize) -> ExecutionPolicy {
@@ -100,4 +112,289 @@ fn repeated_parallel_sweeps_are_reproducible() {
     let a = tune_with_workers(&workloads, ExecutionPolicy::OnlinePropagation, 0.5, 1, true, 0, 4);
     let b = tune_with_workers(&workloads, ExecutionPolicy::OnlinePropagation, 0.5, 1, true, 0, 4);
     assert_eq!(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoints, faults and the progress hook at every worker count
+// ---------------------------------------------------------------------------
+
+/// Scratch checkpoint directory for one test input, cleaned before use.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join("critter-autotune-parallel-determinism")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn smoke() -> Vec<Arc<dyn Workload>> {
+    TuningSpace::SlateCholesky.smoke()
+}
+
+/// An observed 4-configuration × 2-repetition sweep: 8 units, and with the
+/// a-priori policy all three run kinds per unit.
+fn session_options(policy: ExecutionPolicy, workers: usize) -> TuningOptions {
+    TuningOptions::new(policy, 0.25)
+        .with_test_machine()
+        .with_reps(2)
+        .with_observe()
+        .with_workers(workers)
+}
+
+/// The strongest observable surface of a finished session: report JSON,
+/// Chrome trace of the obs timeline, and the final `checkpoint.json`.
+fn session_bytes(report: &TuningReport, dir: &Path) -> (String, String, String) {
+    (
+        report.to_json_string(),
+        report.obs.as_ref().expect("observed sweep").timeline.to_chrome_string(),
+        std::fs::read_to_string(dir.join("checkpoint.json")).expect("checkpoint exists"),
+    )
+}
+
+/// Run a checkpoint-every-unit session to completion, recording the
+/// `checkpoint.json` bytes the hook finds at every unit boundary.
+fn checkpointed_sweep(opts: TuningOptions, tag: &str) -> ((String, String, String), Vec<String>) {
+    let dir = scratch(tag);
+    let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1);
+    let trail: Arc<Mutex<Vec<String>>> = Arc::default();
+    let (sink, ckpt) = (Arc::clone(&trail), dir.join("checkpoint.json"));
+    let report = Autotuner::new(opts)
+        .with_progress(move |p| {
+            if p.units_done > 0 {
+                sink.lock().unwrap().push(std::fs::read_to_string(&ckpt).expect("unit is durable"));
+            }
+            ProgressVerdict::Continue
+        })
+        .tune_session(&smoke(), &session)
+        .expect("sweep completes");
+    let bytes = session_bytes(&report, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    let trail = std::mem::take(&mut *trail.lock().unwrap());
+    (bytes, trail)
+}
+
+/// `kind:run-kind` of every session event in a `checkpoint.json`, e.g.
+/// `fault:full`, `retry:tuned`, `quarantine:<config name>`.
+fn session_events(checkpoint: &str) -> Vec<String> {
+    let doc: serde_json::Value = serde_json::from_str(checkpoint).expect("checkpoint parses");
+    let events = doc.get("payload").and_then(|p| p.get("session_events")?.as_array());
+    events
+        .expect("checkpoint payload lists session_events")
+        .iter()
+        .map(|e| {
+            let text = |key: &str| e.get(key).and_then(|v| v.as_str()).expect("event field");
+            format!("{}:{}", text("kind"), text("label").rsplit('/').next().unwrap())
+        })
+        .collect()
+}
+
+/// Report, trace and *every* checkpoint a sweep writes are the same bytes at
+/// workers = 1 and workers = 4 — fault-free and under two pinned fault plans
+/// (deterministic, so they cannot flake). The first quarantines a
+/// configuration on its *reference* run, which at workers = 4 dies on a
+/// worker while the chain has already run ahead; the second quarantines on
+/// a chain run and retries a later reference.
+#[test]
+fn checkpointed_and_faulted_sweeps_write_the_same_bytes_at_every_worker_count() {
+    /// One input: a tag, the armed plan with its retry budget, and the
+    /// session events the plan is pinned for.
+    type Input = (&'static str, Option<(FaultPlan, usize)>, &'static [&'static str]);
+    let inputs: [Input; 3] = [
+        ("clean", None, &[]),
+        (
+            "reference-quarantine",
+            Some((FaultPlan::new(28).with_rank_panics(2e-3), 2)),
+            &["fault:full", "retry:full", "quarantine:", "retry:offline", "retry:tuned"],
+        ),
+        (
+            "chain-quarantine",
+            Some((FaultPlan::new(23).with_rank_panics(1e-3), 1)),
+            &["fault:offline", "quarantine:", "retry:full"],
+        ),
+    ];
+    for (tag, faults, must_see) in inputs {
+        let sweep = |workers: usize| {
+            let mut opts = session_options(ExecutionPolicy::APrioriPropagation, workers);
+            if let Some((plan, retries)) = faults {
+                opts = opts.with_faults(plan).with_retries(retries);
+            }
+            checkpointed_sweep(opts, &format!("bytes-{tag}-w{workers}"))
+        };
+        let (serial, serial_trail) = sweep(1);
+        let (parallel, parallel_trail) = sweep(4);
+        assert_eq!(serial.0, parallel.0, "{tag}: report bytes");
+        assert_eq!(serial.1, parallel.1, "{tag}: chrome trace bytes");
+        assert_eq!(serial.2, parallel.2, "{tag}: final checkpoint.json bytes");
+        assert_eq!(serial_trail.len(), parallel_trail.len(), "{tag}: checkpoints written");
+        for (boundary, (a, b)) in serial_trail.iter().zip(&parallel_trail).enumerate() {
+            assert_eq!(a, b, "{tag}: checkpoint.json at boundary {boundary}");
+        }
+        // The plan must exercise what it is pinned for.
+        let events = session_events(&serial.2);
+        for needle in must_see {
+            assert!(
+                events.iter().any(|e| e.starts_with(needle)),
+                "{tag}: no `{needle}` among {events:?}"
+            );
+        }
+    }
+}
+
+/// Panics on rank 0 once the shared run counter reaches `kill_after` — and
+/// on every run after it, on whichever thread runs it. `name()` delegates,
+/// so the checkpoint resumes with the pristine workloads.
+struct KillSwitch {
+    inner: Arc<dyn Workload>,
+    runs: Arc<AtomicUsize>,
+    kill_after: usize,
+}
+
+impl Workload for KillSwitch {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn ranks(&self) -> usize {
+        self.inner.ranks()
+    }
+
+    fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
+        if env.rank() == 0 && self.runs.fetch_add(1, Ordering::SeqCst) >= self.kill_after {
+            panic!("parallel determinism: injected kill");
+        }
+        self.inner.run(env, verify)
+    }
+}
+
+/// Kill a session after `kill_after` simulated runs at `killed_workers`,
+/// resume it at `resumed_workers`, and return the finished session's bytes.
+fn kill_and_resume(
+    kill_after: usize,
+    killed_workers: usize,
+    resumed_workers: usize,
+) -> (String, String, String) {
+    let dir = scratch(&format!("kill-{kill_after}-w{killed_workers}"));
+    let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1);
+    let runs = Arc::new(AtomicUsize::new(0));
+    let killers: Vec<Arc<dyn Workload>> = smoke()
+        .into_iter()
+        .map(|inner| {
+            Arc::new(KillSwitch { inner, runs: Arc::clone(&runs), kill_after }) as Arc<dyn Workload>
+        })
+        .collect();
+    let prior = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // the kill is expected; keep stderr quiet
+    let killed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        Autotuner::new(session_options(ExecutionPolicy::LocalPropagation, killed_workers))
+            .tune_session(&killers, &session)
+    }));
+    std::panic::set_hook(prior);
+    assert!(killed.is_err(), "the kill switch must fire (kill_after {kill_after})");
+
+    let resumed =
+        Autotuner::new(session_options(ExecutionPolicy::LocalPropagation, resumed_workers))
+            .tune_session(&smoke(), &session)
+            .expect("resume succeeds");
+    let bytes = session_bytes(&resumed, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A checkpoint is a fact about the sweep, not about the schedule that
+    /// wrote it: killed at a sampled run at workers = 4 and resumed at
+    /// workers = 1 — and the reverse — the session finishes to the bytes of
+    /// the uninterrupted serial sweep. (8 units × 2 runs = 16 runs.)
+    #[test]
+    fn a_killed_sweep_resumes_at_the_other_worker_count(
+        kill_after in 1usize..16,
+        kill_parallel in any::<bool>(),
+    ) {
+        let (baseline, _) = checkpointed_sweep(
+            session_options(ExecutionPolicy::LocalPropagation, 1),
+            &format!("kill-baseline-{kill_after}-{kill_parallel}"),
+        );
+        let (killed, resumed) = if kill_parallel { (4, 1) } else { (1, 4) };
+        prop_assert_eq!(kill_and_resume(kill_after, killed, resumed), baseline);
+    }
+}
+
+/// A progress hook that preempts mid-sweep at workers = 4: the session
+/// resumes byte-identically, and across both sessions the hook sees every
+/// unit boundary exactly once, in order, on the calling thread's schedule.
+#[test]
+fn preempted_parallel_sweep_resumes_byte_identically_and_reports_units_in_order() {
+    let opts = session_options(ExecutionPolicy::APrioriPropagation, 4);
+    let total = smoke().len() * 2;
+    let (baseline, _) =
+        checkpointed_sweep(session_options(ExecutionPolicy::APrioriPropagation, 1), "preempt-base");
+
+    let dir = scratch("preempt-w4");
+    // A cadence beyond the sweep: mid-configuration boundaries are durable
+    // only through checkpoint-on-stop.
+    let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1000);
+    let seen: Arc<Mutex<Vec<usize>>> = Arc::default();
+    let preempted_once = Arc::new(AtomicBool::new(false));
+    let tuner = {
+        let (seen, once) = (Arc::clone(&seen), Arc::clone(&preempted_once));
+        Autotuner::new(opts).with_progress(move |p| {
+            assert_eq!(p.units_total, total);
+            seen.lock().unwrap().push(p.units_done);
+            if p.units_done == 3 && !once.swap(true, Ordering::SeqCst) {
+                ProgressVerdict::Preempt
+            } else {
+                ProgressVerdict::Continue
+            }
+        })
+    };
+    let err = tuner.tune_session(&smoke(), &session).expect_err("the hook preempts at unit 3");
+    assert!(err.is_preempted(), "expected Preempted, got {err}");
+    let resumed = tuner.tune_session(&smoke(), &session).expect("resume succeeds");
+
+    // First session: the up-front call, then units 1..=3. Second session:
+    // the restored count up front, then every remaining unit.
+    let expected: Vec<usize> = (0..=3).chain(3..=total).collect();
+    assert_eq!(*seen.lock().unwrap(), expected);
+    let (json, trace, _) = session_bytes(&resumed, &dir);
+    assert_eq!((json, trace), (baseline.0, baseline.1));
+    let log = std::fs::read_to_string(dir.join("session.log")).expect("session log exists");
+    for kind in [EventKind::Preempt, EventKind::Restore] {
+        assert!(log.contains(&format!("\"{}\"", kind.name())), "session.log lacks {kind:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checkpoint format is owned by one codec now; a checkpoint written by
+/// the commit before that refactor (PR 11, preempted at unit 3 of 8) must
+/// still restore — at either worker count — and finish to the bytes of an
+/// uninterrupted sweep.
+#[test]
+fn checkpoint_written_by_the_parent_commit_restores() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint-pr11.json");
+    let options = |workers: usize| {
+        TuningOptions::new(ExecutionPolicy::LocalPropagation, 0.25)
+            .with_test_machine()
+            .with_reps(2)
+            .with_workers(workers)
+    };
+    let clean = Autotuner::new(options(1)).tune(&smoke()).to_json_string();
+    for workers in [1, 4] {
+        let dir = scratch(&format!("parent-ckpt-w{workers}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(&fixture, dir.join("checkpoint.json")).unwrap();
+        let first: Arc<Mutex<Option<usize>>> = Arc::default();
+        let sink = Arc::clone(&first);
+        let report = Autotuner::new(options(workers))
+            .with_progress(move |p| {
+                sink.lock().unwrap().get_or_insert(p.units_done);
+                ProgressVerdict::Continue
+            })
+            .tune_session(&smoke(), &SessionConfig::new().with_checkpoint_dir(&dir))
+            .expect("the parent commit's checkpoint restores");
+        assert_eq!(*first.lock().unwrap(), Some(3), "resume must start at the stored boundary");
+        assert_eq!(report.to_json_string(), clean, "workers = {workers}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

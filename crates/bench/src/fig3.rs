@@ -13,7 +13,7 @@ use critter_autotune::TuningSpace;
 use critter_core::ExecutionPolicy;
 use critter_obs::ObsReport;
 
-use crate::{emit_obs, f, parallel_map, sweep_with, write_json, FigOpts, Table};
+use crate::{emit_obs, f, parallel_map, sweep, write_json, FigOpts, Table};
 
 /// Regenerate Figure 3 over the paper's four tuning spaces.
 pub fn run(opts: &FigOpts) {
@@ -33,17 +33,7 @@ pub fn run_with(opts: &FigOpts, spaces: &[TuningSpace], smoke: bool) {
     // pipeline.
     let workers = 1 + opts.jobs / spaces.len().max(1);
     let reports = parallel_map(spaces, opts.jobs, |&space| {
-        sweep_with(
-            space,
-            ExecutionPolicy::Full,
-            0.0,
-            opts.reps,
-            0,
-            workers,
-            opts.backend,
-            observe,
-            smoke,
-        )
+        sweep(opts, space, ExecutionPolicy::Full, 0.0, 0, workers, observe, smoke)
     });
     for (&space, report) in spaces.iter().zip(&reports) {
         let mut table = Table::new(

@@ -69,8 +69,7 @@ pub struct FigOpts {
     /// warm-starts from and publishes back into (`--store`).
     pub store: Option<PathBuf>,
     /// Rank-panic probability per fault point (`--faults P`): arms
-    /// deterministic fault injection, routing sweeps through the
-    /// fault-tolerant session engine.
+    /// deterministic fault injection with retry and quarantine.
     pub faults: Option<f64>,
     /// Seed of the fault stream (`--fault-seed N`).
     pub fault_seed: u64,
@@ -219,18 +218,6 @@ impl FigOpts {
     pub fn observe(&self) -> bool {
         self.trace_out.is_some() || self.folded_out.is_some() || self.metrics_out.is_some()
     }
-
-    /// Whether any session feature (checkpoints, warm-start, profile
-    /// persistence, fault injection) was requested: such sweeps route
-    /// through the fault-tolerant session engine instead of the plain
-    /// in-memory driver.
-    pub fn session(&self) -> bool {
-        self.checkpoint_dir.is_some()
-            || self.warm_start.is_some()
-            || self.profile_out.is_some()
-            || self.store.is_some()
-            || self.faults.is_some()
-    }
 }
 
 /// Write the requested observability artifacts (Chrome trace, folded stacks,
@@ -258,49 +245,6 @@ pub fn emit_obs(opts: &FigOpts, obs: &ObsReport) {
     }
 }
 
-/// Run one `(space, policy, ε, allocation)` tuning sweep with the paper's
-/// per-space statistics-reset protocol. `workers` > 1 pipelines the sweep's
-/// reference full executions (bit-identical result either way), and
-/// `backend` selects the communicator backend hosting the simulated ranks
-/// (also bit-identical either way).
-#[allow(clippy::too_many_arguments)] // a flat sweep-spec
-pub fn sweep(
-    space: TuningSpace,
-    policy: ExecutionPolicy,
-    epsilon: f64,
-    reps: usize,
-    allocation: u64,
-    workers: usize,
-    backend: critter_sim::BackendKind,
-) -> TuningReport {
-    sweep_with(space, policy, epsilon, reps, allocation, workers, backend, false, false)
-}
-
-/// [`sweep`] with the observability and configuration-space knobs exposed:
-/// `observe` records the sweep's trace/metrics timeline into
-/// [`TuningReport::obs`]; `smoke` tunes over the space's reduced smoke-test
-/// configurations instead of the full benchmark grid.
-#[allow(clippy::too_many_arguments)] // a flat sweep-spec, mirroring `sweep`
-pub fn sweep_with(
-    space: TuningSpace,
-    policy: ExecutionPolicy,
-    epsilon: f64,
-    reps: usize,
-    allocation: u64,
-    workers: usize,
-    backend: critter_sim::BackendKind,
-    observe: bool,
-    smoke: bool,
-) -> TuningReport {
-    let mut opts = TuningOptions::new(policy, epsilon).with_workers(workers).with_backend(backend);
-    opts.reset_between_configs = space.resets_between_configs();
-    opts.reps = reps;
-    opts.allocation = allocation;
-    opts.observe = observe;
-    let workloads = if smoke { space.smoke() } else { space.bench() };
-    Autotuner::new(opts).tune(&workloads)
-}
-
 /// Filesystem-safe slug identifying one sweep (used to key per-sweep
 /// checkpoint directories and profile files).
 pub fn sweep_slug(
@@ -312,21 +256,34 @@ pub fn sweep_slug(
     format!("{}-{}-eps{epsilon}-a{allocation}", space.name(), policy.name().replace(' ', "-"))
 }
 
-/// One `(space, policy, ε, allocation)` sweep through the session engine,
-/// honoring the session flags: per-sweep checkpoint directory (cleared
-/// unless `--resume`), warm-start profile, per-sweep profile output, and
-/// fault injection with the configured retry budget.
-pub fn session_sweep(
+/// Run one `(space, policy, ε, allocation)` tuning sweep with the paper's
+/// per-space statistics-reset protocol, honoring the session flags in
+/// `opts`: per-sweep checkpoint directory (cleared unless `--resume`),
+/// warm-start profile, per-sweep profile output, profile store, and fault
+/// injection with the configured retry budget. With none of them set this
+/// is a plain in-memory sweep.
+///
+/// `workers` > 1 prefetches the sweep's reference full executions
+/// (bit-identical result either way); `observe` records the trace/metrics
+/// timeline into [`TuningReport::obs`]; `smoke` tunes over the space's
+/// reduced smoke-test configurations instead of the full benchmark grid.
+#[allow(clippy::too_many_arguments)] // a flat sweep-spec
+pub fn sweep(
     opts: &FigOpts,
     space: TuningSpace,
     policy: ExecutionPolicy,
     epsilon: f64,
     allocation: u64,
+    workers: usize,
+    observe: bool,
+    smoke: bool,
 ) -> TuningReport {
-    let mut topts = TuningOptions::new(policy, epsilon).with_backend(opts.backend);
+    let mut topts =
+        TuningOptions::new(policy, epsilon).with_workers(workers).with_backend(opts.backend);
     topts.reset_between_configs = space.resets_between_configs();
     topts.reps = opts.reps;
     topts.allocation = allocation;
+    topts.observe = observe;
     if let Some(p) = opts.faults {
         topts = topts
             .with_faults(critter_sim::FaultPlan::new(opts.fault_seed).with_rank_panics(p))
@@ -363,9 +320,10 @@ pub fn session_sweep(
             session = session.with_store(dir);
         }
     }
+    let workloads = if smoke { space.smoke() } else { space.bench() };
     Autotuner::new(topts)
-        .tune_session(&space.bench(), &session)
-        .unwrap_or_else(|e| panic!("session sweep {slug} failed: {e}"))
+        .tune_session(&workloads, &session)
+        .unwrap_or_else(|e| panic!("sweep {slug} failed: {e}"))
 }
 
 /// Map `f` over `items` on up to `jobs` threads, preserving input order in
@@ -531,11 +489,7 @@ pub fn run_figure(opts: &FigOpts, space_a: TuningSpace, space_b: TuningSpace, fi
             }
         }
         let reports = parallel_map(&specs, opts.jobs, |&(allocation, policy, _, eps)| {
-            if opts.session() {
-                session_sweep(opts, space, policy, eps, allocation)
-            } else {
-                sweep(space, policy, eps, opts.reps, allocation, 1, opts.backend)
-            }
+            sweep(opts, space, policy, eps, allocation, 1, false, false)
         });
         for (&(allocation, policy, label, eps), report) in specs.iter().zip(&reports) {
             sweep_table.row(vec![
@@ -631,13 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn session_flags_route_through_the_session_engine() {
-        let plain = FigOpts::defaults();
-        assert!(!plain.session());
-        let faulted = FigOpts { faults: Some(1e-4), ..FigOpts::defaults() };
-        assert!(faulted.session());
-        let ckpt = FigOpts { checkpoint_dir: Some("ck".into()), ..FigOpts::defaults() };
-        assert!(ckpt.session());
+    fn sweep_slug_names_space_policy_epsilon_and_allocation() {
         assert_eq!(
             sweep_slug(TuningSpace::SlateCholesky, ExecutionPolicy::LocalPropagation, 0.25, 1),
             format!("{}-local-propagation-eps0.25-a1", TuningSpace::SlateCholesky.name())

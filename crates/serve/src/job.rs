@@ -501,19 +501,10 @@ fn render_status(id: &str, entry: &JobEntry) -> String {
     s
 }
 
-/// Atomically write a terminal artifact: write to a temp name in the same
-/// directory, then rename over the target. A daemon killed mid-write can
-/// never leave a truncated `report.json` that would misclassify the job
-/// as done on restart.
-pub fn write_artifact(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, dir.join(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use critter_session::durable::write_atomic;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -539,7 +530,7 @@ mod tests {
         assert_eq!((a.as_str(), b.as_str()), ("job-000001", "job-000002"));
 
         // Finish `a` with a report artifact, leave `b` unfinished.
-        write_artifact(&registry.job_dir(&a), "report.json", b"{}\n").unwrap();
+        write_atomic(&registry.job_dir(&a).join("report.json"), b"{}\n").unwrap();
         drop(registry);
 
         let (reopened, pending) = Registry::open(&dir).unwrap();
@@ -636,7 +627,7 @@ mod tests {
         let (registry, _) = Registry::open(&dir).unwrap();
         let id = registry.create(spec()).unwrap();
         let body = ServeError::Internal("disk full".into()).to_body();
-        write_artifact(&registry.job_dir(&id), "error.json", body.as_bytes()).unwrap();
+        write_atomic(&registry.job_dir(&id).join("error.json"), body.as_bytes()).unwrap();
         drop(registry);
         let (reopened, pending) = Registry::open(&dir).unwrap();
         assert!(pending.is_empty());

@@ -34,10 +34,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use critter_autotune::{Autotuner, ProgressVerdict, SessionConfig};
+use critter_session::durable::write_atomic;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::ServeError;
-use crate::job::{write_artifact, JobState, Registry};
+use crate::job::{JobState, Registry};
 
 /// Per-tenant admission limits; `0` means unlimited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -518,11 +519,11 @@ fn run_job(
     let workloads = spec.workloads();
     match tuner.tune_session(&workloads, &session) {
         Ok(report) => {
-            let write = || -> std::io::Result<()> {
-                write_artifact(&dir, "report.json", report.to_json_string().as_bytes())?;
+            let write = || -> critter_core::Result<()> {
+                write_atomic(&dir.join("report.json"), report.to_json_string().as_bytes())?;
                 if spec.observe {
                     let obs = report.obs.as_ref().expect("observed sweeps carry a trace");
-                    write_artifact(&dir, "metrics.txt", obs.metrics_string().as_bytes())?;
+                    write_atomic(&dir.join("metrics.txt"), obs.metrics_string().as_bytes())?;
                 }
                 Ok(())
             };
@@ -559,12 +560,12 @@ fn finish(registry: &Arc<Registry>, id: &str, state: JobState, error: Option<Str
     let write_result = match state {
         JobState::Cancelled => {
             let body = "{\n  \"cancelled\": true\n}\n";
-            write_artifact(&dir, "cancelled.json", body.as_bytes())
+            write_atomic(&dir.join("cancelled.json"), body.as_bytes())
         }
         JobState::Failed => {
             let detail = error.clone().unwrap_or_else(|| "unknown failure".into());
             let body = ServeError::Internal(detail).to_body();
-            write_artifact(&dir, "error.json", body.as_bytes())
+            write_atomic(&dir.join("error.json"), body.as_bytes())
         }
         _ => Ok(()),
     };

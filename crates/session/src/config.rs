@@ -96,8 +96,7 @@ impl StalenessPolicy {
 /// session's.
 ///
 /// The default configuration is fully ephemeral — nothing touches disk —
-/// so `tune_session` with `SessionConfig::new()` behaves exactly like a
-/// plain `tune`.
+/// which is what `Autotuner::tune` runs `tune_session` with.
 ///
 /// # Examples
 ///
@@ -108,7 +107,6 @@ impl StalenessPolicy {
 ///     .with_checkpoint_dir("/tmp/sweep-ckpt")
 ///     .with_checkpoint_every(4)
 ///     .with_staleness(StalenessPolicy::fresh().with_decay(0.5));
-/// assert!(cfg.is_persistent());
 /// assert_eq!(cfg.checkpoint_every, 4);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -177,14 +175,6 @@ impl SessionConfig {
         self
     }
 
-    /// True when any part of the session touches disk.
-    pub fn is_persistent(&self) -> bool {
-        self.checkpoint_dir.is_some()
-            || self.warm_start.is_some()
-            || self.profile_out.is_some()
-            || self.store.is_some()
-    }
-
     /// Path of the checkpoint file, when checkpointing is enabled.
     pub fn checkpoint_path(&self) -> Option<PathBuf> {
         self.checkpoint_dir.as_ref().map(|d| d.join("checkpoint.json"))
@@ -213,14 +203,12 @@ mod tests {
             .with_checkpoint_every(3)
             .with_warm_start("profile.json")
             .with_profile_out("out.json");
-        assert!(cfg.is_persistent());
         assert_eq!(cfg.checkpoint_path().unwrap(), PathBuf::from("ck/checkpoint.json"));
         assert_eq!(cfg.log_path().unwrap(), PathBuf::from("ck/session.log"));
         assert_eq!(cfg.cadence(), 3);
         assert_eq!(SessionConfig::new().cadence(), 1);
-        assert!(!SessionConfig::new().is_persistent());
+        assert_eq!(SessionConfig::new().checkpoint_path(), None);
         let store_only = SessionConfig::new().with_store("store-dir");
-        assert!(store_only.is_persistent());
         assert_eq!(store_only.store.as_deref(), Some(std::path::Path::new("store-dir")));
     }
 

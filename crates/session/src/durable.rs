@@ -1,0 +1,163 @@
+//! The durable-write primitive: atomic on-disk persistence of canonical
+//! JSON documents and raw artifacts.
+//!
+//! Checkpoints are overwritten in place many times per sweep; a kill in
+//! the middle of a write must never leave a half-written file where the
+//! resume path expects a valid one. Every write therefore goes to a
+//! sibling temp file first and is published with an atomic `rename`. The
+//! temp name is unique per write (pid + process-wide counter), so two
+//! writers of one path never share — and truncate — each other's temp file.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use critter_core::{CritterError, Result};
+use serde_json::Value;
+
+/// Distinguishes the temp files of concurrent writers within one process;
+/// the pid distinguishes processes.
+static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// A sibling of `path` no other write (in this or any live process) uses.
+fn unique_sibling(path: &Path) -> PathBuf {
+    let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}-{n}.tmp", std::process::id()));
+    PathBuf::from(tmp)
+}
+
+/// `fs::write`, removing the partial file when the write fails.
+fn write_or_remove(path: &Path, bytes: &[u8]) -> Result<()> {
+    fs::write(path, bytes).map_err(|e| {
+        let _ = fs::remove_file(path);
+        CritterError::io(path, e)
+    })
+}
+
+/// Write `bytes` to `path` atomically (unique sibling temp file + rename).
+/// Concurrent writers of one path each publish a complete file; the last
+/// rename wins.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+    let tmp = unique_sibling(path);
+    write_or_remove(&tmp, bytes)?;
+    fs::rename(&tmp, path).map_err(|e| {
+        let _ = fs::remove_file(&tmp);
+        CritterError::io(path, e)
+    })
+}
+
+/// Canonical pretty-printed JSON text of `doc` (trailing newline included).
+fn render(doc: &Value) -> String {
+    let mut text = serde_json::to_string_pretty(doc).expect("json writer is total");
+    text.push('\n');
+    text
+}
+
+/// Serialize `doc` as canonical pretty-printed JSON (trailing newline
+/// included) and write it atomically.
+pub fn write_value(path: &Path, doc: &Value) -> Result<()> {
+    write_atomic(path, render(doc).as_bytes())
+}
+
+/// Write `doc` to a staging path the caller already made unique and will
+/// publish itself (`rename`/`hard_link`): one plain write, no second temp
+/// file. The staging file is removed when the write fails.
+pub fn stage_value(staging: &Path, doc: &Value) -> Result<()> {
+    write_or_remove(staging, render(doc).as_bytes())
+}
+
+/// Read and parse a canonical JSON document.
+pub fn read_value(path: &Path) -> Result<Value> {
+    let text = fs::read_to_string(path).map_err(|e| CritterError::io(path, e))?;
+    serde_json::from_str(&text)
+        .map_err(|e| CritterError::parse(path.display().to_string(), e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("critter-session-durable-tests");
+        fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    #[test]
+    fn write_read_round_trip() {
+        let path = scratch("roundtrip.json");
+        let doc = serde_json::json!({"a": 0.1, "b": [1.0, 2.0, 3.0]});
+        write_value(&path, &doc).unwrap();
+        let back = read_value(&path).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&doc).unwrap());
+        // Overwrite goes through the same atomic path.
+        write_value(&path, &serde_json::json!({"a": 2})).unwrap();
+        let back = read_value(&path).unwrap();
+        assert_eq!(back.get("a").and_then(|x| x.as_u64()), Some(2));
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Regression: the temp file used to be the fixed sibling `<path>.tmp`,
+    /// so a second writer of the same path truncated the file the first was
+    /// about to rename — publishing a torn document and failing the loser's
+    /// rename with `NotFound`.
+    #[test]
+    fn concurrent_writers_of_one_path_never_publish_a_torn_file() {
+        let path = scratch("contended.json");
+        let docs: Vec<Value> = (0..4u32)
+            .map(|w| serde_json::json!({ "writer": w, "pad": vec![f64::from(w); 20_000] }))
+            .collect();
+        write_value(&path, &docs[0]).unwrap();
+        let start = std::sync::Barrier::new(docs.len() + 1);
+        std::thread::scope(|s| {
+            for doc in &docs {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        write_value(&path, doc).expect("every writer publishes");
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..200 {
+                let seen = read_value(&path).expect("readers only ever see complete documents");
+                assert!(docs.contains(&seen), "published file matches no writer's document");
+            }
+        });
+        // No temp file outlives its write.
+        let strays: Vec<_> = fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("contended.json."))
+            .collect();
+        assert!(strays.is_empty(), "stray temp files: {strays:?}");
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_temp_file_behind() {
+        let dir = scratch("no-such-dir");
+        let _ = fs::remove_dir_all(&dir);
+        let err = write_atomic(&dir.join("doc.json"), b"{}").unwrap_err();
+        assert!(matches!(err, CritterError::Io { .. }), "got: {err}");
+        assert!(!dir.exists());
+        // The staging form cleans up after itself too.
+        assert!(stage_value(&dir.join("stage.json"), &serde_json::json!({})).is_err());
+    }
+
+    #[test]
+    fn missing_file_is_an_io_error() {
+        let err = read_value(Path::new("/definitely/not/here.json")).unwrap_err();
+        assert!(matches!(err, CritterError::Io { .. }), "got: {err}");
+    }
+
+    #[test]
+    fn malformed_file_is_a_parse_error() {
+        let path = scratch("malformed.json");
+        fs::write(&path, "{not json").unwrap();
+        let err = read_value(&path).unwrap_err();
+        assert!(matches!(err, CritterError::Parse { .. }), "got: {err}");
+        fs::remove_file(&path).unwrap();
+    }
+}

@@ -8,12 +8,14 @@
 //! The crate is deliberately below `critter-autotune` in the dependency
 //! graph: it owns the on-disk formats and policies (what a checkpoint *is*),
 //! while the driver owns the resume state machine (when one is taken).
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`SessionConfig`] — the `with_*` builder describing where checkpoints
 //!   and profiles live and how often the driver writes them;
 //! * [`envelope`] — the versioned, content-hashed JSON envelope every
 //!   session artifact is sealed in ([`envelope::seal`]/[`envelope::open`]);
+//! * [`durable`] — the durable-write primitive every on-disk artifact of the
+//!   workspace goes through (unique temp file + atomic rename);
 //! * [`profile`] — persistent kernel-model profiles: save a sweep's
 //!   [`critter_core::KernelStore`]s, reload them later, and apply a
 //!   [`StalenessPolicy`] before seeding a new sweep.
@@ -28,10 +30,10 @@
 #![deny(missing_docs)]
 
 pub mod config;
+pub mod durable;
 pub mod envelope;
 pub mod log;
 pub mod profile;
-pub mod store;
 
 pub use config::{SessionConfig, StalenessPolicy};
 pub use log::SessionLog;

@@ -12,12 +12,12 @@ use std::path::Path;
 use critter_core::{snapshot, CritterError, KernelStore, Result};
 
 use crate::config::StalenessPolicy;
-use crate::{envelope, store};
+use crate::{durable, envelope};
 
 /// Persist `stores` as a profile at `path` (atomic write).
 pub fn save(path: &Path, fingerprint: u64, stores: &[KernelStore]) -> Result<()> {
     let doc = envelope::seal("profile", fingerprint, snapshot::stores_to_json(stores));
-    store::write_value(path, &doc)
+    durable::write_value(path, &doc)
 }
 
 /// Load a profile. `fingerprint` is optional: profiles are deliberately
@@ -25,7 +25,7 @@ pub fn save(path: &Path, fingerprint: u64, stores: &[KernelStore]) -> Result<()>
 /// of warm-starting), so most callers pass `None` and rely on the content
 /// hash plus the rank-count check in [`warm_start`].
 pub fn load(path: &Path, fingerprint: Option<u64>) -> Result<Vec<KernelStore>> {
-    let doc = store::read_value(path)?;
+    let doc = durable::read_value(path)?;
     let payload = envelope::open(&doc, "profile", fingerprint)?;
     snapshot::stores_from_json(payload)
 }

@@ -186,7 +186,7 @@ impl Store {
         }
         let doc = envelope::seal(BLOB_KIND, hash, payload);
         let tmp = self.tmp_path();
-        critter_session::store::write_value(&tmp, &doc)?;
+        critter_session::durable::stage_value(&tmp, &doc)?;
         fs::rename(&tmp, &dst).map_err(|e| CritterError::io(&dst, e))?;
         Ok(hash)
     }
@@ -195,7 +195,7 @@ impl Store {
     /// envelope and the name binding on the way.
     pub fn load_blob(&self, hash: u64) -> Result<Vec<KernelStore>> {
         let path = self.blob_path(hash);
-        let doc = critter_session::store::read_value(&path)?;
+        let doc = critter_session::durable::read_value(&path)?;
         let payload = envelope::open(&doc, BLOB_KIND, Some(hash))?;
         snapshot::stores_from_json(payload)
     }
@@ -229,7 +229,7 @@ impl Store {
     /// Read one index generation, validating the envelope against the
     /// generation number its file name claims.
     fn read_index(&self, generation: u64, path: &Path) -> Result<Index> {
-        let doc = critter_session::store::read_value(path)?;
+        let doc = critter_session::durable::read_value(path)?;
         let payload = envelope::open(&doc, INDEX_KIND, Some(generation))?;
         Index::from_json(payload, generation)
     }
@@ -280,7 +280,7 @@ impl Store {
             let doc =
                 envelope::seal(INDEX_KIND, next, Index { generation: next, entries }.to_json());
             let tmp = self.tmp_path();
-            critter_session::store::write_value(&tmp, &doc)?;
+            critter_session::durable::stage_value(&tmp, &doc)?;
             let dst = self.index_dir().join(format!("gen-{next:020}.json"));
             let linked = fs::hard_link(&tmp, &dst);
             let _ = fs::remove_file(&tmp);
@@ -384,7 +384,7 @@ impl Store {
             }
         }
         for (hash, path) in &blobs {
-            match critter_session::store::read_value(path)
+            match critter_session::durable::read_value(path)
                 .and_then(|doc| envelope::open(&doc, BLOB_KIND, Some(*hash)).cloned())
             {
                 Ok(payload) => {

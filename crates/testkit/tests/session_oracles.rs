@@ -97,10 +97,16 @@ fn baseline() -> &'static (String, String) {
 
 /// Kill the sweep after `kill_after` simulated runs, then resume it from
 /// the checkpoint with pristine workloads; returns the finished report's
-/// bytes plus the session-log event kinds.
-fn kill_and_resume(dir: &std::path::Path, kill_after: usize) -> ((String, String), Vec<EventKind>) {
+/// bytes plus the session-log event kinds. With `workers` > 1 the kill may
+/// land on a reference run a worker thread prefetched; it must surface (not
+/// hang) all the same.
+fn kill_and_resume(
+    dir: &std::path::Path,
+    kill_after: usize,
+    workers: usize,
+) -> ((String, String), Vec<EventKind>) {
     let session = SessionConfig::new().with_checkpoint_dir(dir).with_checkpoint_every(1);
-    let tuner = Autotuner::new(options());
+    let tuner = Autotuner::new(options().with_workers(workers));
     let runs = Arc::new(AtomicUsize::new(0));
     let killers: Vec<Arc<dyn Workload>> = workloads()
         .into_iter()
@@ -139,16 +145,20 @@ proptest! {
     /// kill inside that range must leave a resumable checkpoint trail.
     #[test]
     fn killed_sweep_resumes_to_a_byte_identical_report(kill_after in 1usize..8) {
-        let dir = scratch(&format!("kill-{kill_after}"));
-        let ((json, trace), log) = kill_and_resume(&dir, kill_after);
-        let (base_json, base_trace) = baseline();
-        prop_assert_eq!(&json, base_json);
-        prop_assert_eq!(&trace, base_trace);
-        // Lifecycle facts live in the session log, never the report.
-        prop_assert!(log.contains(&EventKind::Checkpoint));
-        prop_assert!(log.contains(&EventKind::Restore));
-        prop_assert!(!json.contains("\"restore\""));
-        let _ = std::fs::remove_dir_all(&dir);
+        for workers in [1, 4] {
+            let dir = scratch(&format!("kill-{kill_after}-w{workers}"));
+            let ((json, trace), log) = kill_and_resume(&dir, kill_after, workers);
+            let (base_json, base_trace) = baseline();
+            prop_assert_eq!(&json, base_json);
+            prop_assert_eq!(&trace, base_trace);
+            // Lifecycle facts live in the session log, never the report.
+            // (A parallel sweep killed on an early prefetched reference may
+            // die before its first checkpoint and restart from scratch.)
+            prop_assert!(log.contains(&EventKind::Checkpoint));
+            prop_assert!(workers > 1 || log.contains(&EventKind::Restore));
+            prop_assert!(!json.contains("\"restore\""));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
@@ -178,7 +188,14 @@ fn checkpoint_refuses_a_different_sweep() {
 fn fault_injected_sweep_recovers_to_the_fault_free_results() {
     let clean = Autotuner::new(options()).tune(&workloads());
     let plan = FaultPlan::new(17).with_rank_panics(3e-4);
-    let faulty = Autotuner::new(options().with_faults(plan).with_retries(6)).tune(&workloads());
+    let sweep = |workers: usize| {
+        Autotuner::new(options().with_faults(plan).with_retries(6).with_workers(workers))
+            .tune(&workloads())
+    };
+    let faulty = sweep(1);
+    // Reference-run faults fire on worker threads at workers = 4, yet land
+    // in the report exactly where the serial sweep puts them.
+    assert_eq!(report_bytes(&sweep(4)), report_bytes(&faulty), "workers must not move a fault");
 
     assert_eq!(faulty.configs.len(), clean.configs.len());
     let mut survived = 0;

@@ -256,14 +256,10 @@ fn main() {
         args.epsilon
     );
     let t0 = std::time::Instant::now();
-    let report = if session.is_persistent() || args.faults.is_some() {
-        Autotuner::new(opts).tune_session(&workloads, &session).unwrap_or_else(|e| {
-            eprintln!("session failed: {e}");
-            std::process::exit(1)
-        })
-    } else {
-        Autotuner::new(opts).tune(&workloads)
-    };
+    let report = Autotuner::new(opts).tune_session(&workloads, &session).unwrap_or_else(|e| {
+        eprintln!("session failed: {e}");
+        std::process::exit(1)
+    });
     eprintln!("done in {:.1?} host time\n", t0.elapsed());
 
     // Canonical artifacts: the same bytes `critter-serve` serves for an
