@@ -17,6 +17,7 @@
 #![deny(missing_docs)]
 
 pub mod engine;
+pub mod flags;
 pub mod json;
 pub mod metrics;
 pub mod options;

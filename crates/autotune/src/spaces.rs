@@ -191,6 +191,18 @@ impl TuningSpace {
     }
 }
 
+/// Parses a [`TuningSpace::name`]; the error lists the known names.
+impl std::str::FromStr for TuningSpace {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::ALL.iter().copied().find(|space| space.name() == s).ok_or_else(|| {
+            let known: Vec<&str> = Self::ALL.iter().map(|space| space.name()).collect();
+            format!("unknown space `{s}` (one of: {})", known.join(", "))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,6 +215,18 @@ mod tests {
         assert_eq!(TuningSpace::SlateQr.bench().len(), 63);
         assert_eq!(TuningSpace::Summa25D.bench().len(), 12);
         assert_eq!(TuningSpace::PAPER.len(), 4);
+    }
+
+    #[test]
+    fn names_parse_back_and_unknown_ones_list_the_table() {
+        for space in TuningSpace::ALL {
+            assert_eq!(space.name().parse(), Ok(space));
+        }
+        assert_eq!(
+            "lu".parse::<TuningSpace>().unwrap_err(),
+            "unknown space `lu` (one of: capital-cholesky, slate-cholesky, candmc-qr, slate-qr, \
+             summa25d)"
+        );
     }
 
     #[test]

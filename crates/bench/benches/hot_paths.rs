@@ -7,11 +7,8 @@
 //! `OnlineStats`/Welford updates along path propagation, and canonical-JSON
 //! report serialization.
 //!
-//! Flags:
-//!
-//! * `--quick` — reduced sizes and iteration counts (CI smoke mode);
-//! * `--emit FILE` — write the machine-fingerprinted trajectory JSON to
-//!   `FILE` (compare runs with `bench-compare`).
+//! Flags: `--quick` for CI smoke sizes, `--emit FILE` for the trajectory
+//! (`--help` lists them).
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -19,39 +16,26 @@ use std::time::Instant;
 use critter_autotune::{Autotuner, TuningOptions, TuningSpace};
 use critter_bench::harness::{bench, black_box, summarize};
 use critter_bench::trajectory::Trajectory;
+use critter_bench::CARGO_BENCH;
 use critter_core::{ComputeOp, CritterConfig, CritterEnv, ExecutionPolicy, KernelStore};
 use critter_machine::{KernelClass, MachineModel};
+use critter_session::cli::{Cli, Flag};
 use critter_sim::{run_simulation, BackendKind, ReduceOp, SimConfig};
 use critter_stats::OnlineStats;
 
-struct Opts {
-    quick: bool,
-    emit: Option<PathBuf>,
-}
+const FLAGS: &[Flag] = &[
+    Flag("--quick", "reduced sizes and iteration counts (CI smoke mode)"),
+    Flag("--emit FILE", "write the machine-fingerprinted trajectory JSON (see `bench-compare`)"),
+    CARGO_BENCH,
+];
 
-fn parse_args() -> Opts {
-    let mut opts = Opts { quick: false, emit: None };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            // `cargo bench` appends `--bench` to the binary's arguments.
-            "--bench" => {}
-            "--quick" => opts.quick = true,
-            "--emit" => {
-                i += 1;
-                opts.emit = Some(PathBuf::from(args.get(i).expect("--emit FILE")));
-            }
-            other => panic!("unknown flag {other}"),
-        }
-        i += 1;
-    }
-    opts
-}
+const CLI: Cli = Cli {
+    about: "Hot-path micro-benchmarks feeding the perf trajectory (`BENCH_<n>.json`).",
+    ..Cli::new("hot_paths", &[FLAGS])
+};
 
 fn main() {
-    let opts = parse_args();
-    let q = opts.quick;
+    let (q, emit) = CLI.parse_env(|p| Ok((p.switch("--quick"), p.get::<PathBuf>("--emit")?)));
     // (size divisor, iteration count) per mode: quick mode shrinks both so
     // the CI smoke job stays in seconds.
     let div = if q { 4 } else { 1 };
@@ -286,7 +270,7 @@ fn main() {
         traj.record("json", "report_canonical", t);
     }
 
-    if let Some(path) = &opts.emit {
+    if let Some(path) = &emit {
         traj.write(path).expect("write trajectory");
         eprintln!("wrote {}", path.display());
     }

@@ -11,26 +11,20 @@ use std::sync::Arc;
 
 use critter_algs::slate_chol::SlateCholesky;
 use critter_algs::Workload;
+use critter_autotune::flags::SIM;
 use critter_autotune::{Autotuner, TuningOptions, TuningSpace};
 use critter_bench::harness::{bench, black_box, speedup};
-use critter_bench::parallel_map;
+use critter_bench::{emit_obs, parallel_map, FigOpts, CARGO_BENCH, METRICS_OUT, TRACE_OUT};
 use critter_core::ExecutionPolicy;
+use critter_session::cli::Cli;
 use critter_sim::BackendKind;
 
-/// `--backend threads|tasks` selects the communicator backend every sweep in
-/// this bench runs on (results are bit-identical; only host time changes).
-fn backend_of_args() -> BackendKind {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--backend")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--backend threads|tasks")
-                .parse()
-                .unwrap_or_else(|e| panic!("--backend threads|tasks: {e}"))
-        })
-        .unwrap_or_default()
-}
+const CLI: Cli = Cli {
+    about: "End-to-end tuning-sweep cost in host time, serial vs parallel schedules. With\n\
+            --trace-out/--metrics-out the schedule-agreement check also runs observed and\n\
+            exports the sweep's timeline.",
+    ..Cli::new("tuning_sweep", &[SIM, &[TRACE_OUT, METRICS_OUT, CARGO_BENCH]])
+};
 
 fn bench_policies(backend: BackendKind) {
     let space = TuningSpace::SlateCholesky;
@@ -94,7 +88,7 @@ fn eight_config_space() -> Vec<Arc<dyn Workload>> {
 /// One sweep, serial schedule vs pipelined reference runs. With
 /// `--trace-out`/`--metrics-out`, the schedule-agreement check additionally
 /// runs observed and exports the sweep's timeline artifacts.
-fn bench_pipelined_tune() {
+fn bench_pipelined_tune(opts: &FigOpts) {
     let workloads = eight_config_space();
     let tune = |workers: usize| {
         let opts = TuningOptions::new(ExecutionPolicy::OnlinePropagation, 1.0)
@@ -105,7 +99,7 @@ fn bench_pipelined_tune() {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let workers = threads.max(2);
     assert_eq!(tune(1), tune(workers), "schedules must agree bit for bit");
-    export_observed_sweep(&workloads, workers);
+    export_observed_sweep(opts, &workloads, workers);
     let serial = bench("tune_8cfg_slate_chol", "workers=1", 5, || {
         black_box(tune(1).speedup());
     });
@@ -150,15 +144,8 @@ fn bench_sweep_level_parallelism() {
 /// Honor `--trace-out FILE` / `--metrics-out FILE` (as in the figure
 /// binaries): rerun the 8-configuration sweep observed, serial and pipelined,
 /// assert the timelines agree byte for byte, and write the artifacts.
-fn export_observed_sweep(workloads: &[Arc<dyn Workload>], workers: usize) {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{name} FILE")).clone())
-    };
-    let (trace_out, metrics_out) = (flag("--trace-out"), flag("--metrics-out"));
-    if trace_out.is_none() && metrics_out.is_none() {
+fn export_observed_sweep(opts: &FigOpts, workloads: &[Arc<dyn Workload>], workers: usize) {
+    if !opts.observe() {
         return;
     }
     let tune = |workers: usize| {
@@ -166,31 +153,29 @@ fn export_observed_sweep(workloads: &[Arc<dyn Workload>], workers: usize) {
             .with_test_machine()
             .with_workers(workers)
             .with_observe();
-        Autotuner::new(opts).tune(workloads)
+        Autotuner::new(opts).tune(workloads).obs.expect("observed sweep")
     };
-    let obs = tune(workers).obs.expect("observed sweep");
-    let chrome = obs.timeline.to_chrome_string();
-    let serial = tune(1).obs.expect("observed sweep");
+    let obs = tune(workers);
     assert_eq!(
-        chrome,
-        serial.timeline.to_chrome_string(),
+        obs.timeline.to_chrome_string(),
+        tune(1).timeline.to_chrome_string(),
         "observed timelines must agree byte for byte across schedules"
     );
-    if let Some(path) = trace_out {
-        std::fs::write(&path, chrome).expect("write trace");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = metrics_out {
-        std::fs::write(&path, obs.metrics_string()).expect("write metrics");
-        eprintln!("wrote {path}");
-    }
+    emit_obs(opts, &obs);
 }
 
 fn main() {
-    let backend = backend_of_args();
-    bench_policies(backend);
-    bench_epsilons(backend);
-    bench_pipelined_tune();
+    let opts = CLI.parse_env(|p| {
+        Ok(FigOpts {
+            backend: p.get("--backend")?.unwrap_or_default(),
+            trace_out: p.get("--trace-out")?,
+            metrics_out: p.get("--metrics-out")?,
+            ..FigOpts::defaults()
+        })
+    });
+    bench_policies(opts.backend);
+    bench_epsilons(opts.backend);
+    bench_pipelined_tune(&opts);
     bench_sweep_level_parallelism();
     bench_backend_agreement();
 }

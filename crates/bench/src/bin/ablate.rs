@@ -18,17 +18,25 @@
 
 use critter_algs::slate_chol::SlateCholesky;
 use critter_algs::Workload;
+use critter_autotune::flags::SIM;
 use critter_autotune::{Autotuner, TuningOptions, TuningSpace};
-use critter_bench::{emit_obs, f, parallel_map, FigOpts, Table};
+use critter_bench::{emit_obs, f, parallel_map, FigOpts, Table, OBS, OUTPUT};
 use critter_core::signature::SizeGranularity;
 use critter_core::ExecutionPolicy;
 use critter_core::{CritterConfig, CritterEnv, KernelStore};
 use critter_machine::{MachineModel, NoiseParams};
 use critter_obs::ObsReport;
+use critter_session::cli::Cli;
 use critter_sim::{run_simulation, SimConfig};
 
+const CLI: Cli = Cli {
+    about: "Ablation studies for the design choices DESIGN.md §4 calls out; every grid, ε\n\
+            and repetition count is fixed by the ablation itself.",
+    ..Cli::new("ablate", &[OUTPUT, OBS, SIM])
+};
+
 fn main() {
-    let opts = FigOpts::from_args();
+    let opts = FigOpts::from_args(&CLI);
     let mut obs = opts.observe().then(ObsReport::new);
     noise_ablation(&opts, &mut obs);
     overhead_ablation(&opts, &mut obs);
@@ -41,9 +49,19 @@ fn main() {
     }
 }
 
-fn base(opts: &FigOpts, policy: ExecutionPolicy, eps: f64, space: TuningSpace) -> TuningOptions {
+/// Options of one of an ablation's `n` concurrent sweeps: the job budget is
+/// split between the sweeps and each sweep's reference-run pipeline.
+fn base(
+    opts: &FigOpts,
+    policy: ExecutionPolicy,
+    eps: f64,
+    space: TuningSpace,
+    n: usize,
+) -> TuningOptions {
     let mut o = TuningOptions::new(policy, eps).with_backend(opts.backend);
     o.reset_between_configs = space.resets_between_configs();
+    o.workers = 1 + opts.jobs / n.max(1);
+    o.observe = opts.observe();
     o
 }
 
@@ -65,12 +83,6 @@ fn absorb_obs(
     }
 }
 
-/// Split the job budget between `n` concurrent sweeps and each sweep's
-/// internal reference-run pipeline.
-fn pipeline_workers(jobs: usize, n: usize) -> usize {
-    1 + jobs / n.max(1)
-}
-
 /// Speedup/error vs noise amplitude: selective execution should skip less (and
 /// err more) on noisier machines for a fixed ε.
 fn noise_ablation(opts: &FigOpts, obs: &mut Option<ObsReport>) {
@@ -79,10 +91,8 @@ fn noise_ablation(opts: &FigOpts, obs: &mut Option<ObsReport>) {
     let mut t = Table::new("ablate-noise", &["noise_scale", "speedup", "mean_err", "skip_frac"]);
     let scales = [0.0, 0.5, 1.0, 2.0, 4.0];
     let reports = parallel_map(&scales, opts.jobs, |&scale| {
-        let mut o = base(opts, ExecutionPolicy::OnlinePropagation, 0.25, space);
+        let mut o = base(opts, ExecutionPolicy::OnlinePropagation, 0.25, space, scales.len());
         o.noise = NoiseParams::cluster().scaled(scale);
-        o.workers = pipeline_workers(opts.jobs, scales.len());
-        o.observe = opts.observe();
         Autotuner::new(o).tune(&ws)
     });
     for (&scale, r) in scales.iter().zip(&reports) {
@@ -101,10 +111,8 @@ fn overhead_ablation(opts: &FigOpts, obs: &mut Option<ObsReport>) {
         .flat_map(|space| [(space, true), (space, false)])
         .collect();
     let reports = parallel_map(&specs, opts.jobs, |&(space, charged)| {
-        let mut o = base(opts, ExecutionPolicy::ConditionalExecution, 0.25, space);
+        let mut o = base(opts, ExecutionPolicy::ConditionalExecution, 0.25, space, specs.len());
         o.charge_internal = charged;
-        o.workers = pipeline_workers(opts.jobs, specs.len());
-        o.observe = opts.observe();
         Autotuner::new(o).tune(&space.bench())
     });
     for (&(space, charged), r) in specs.iter().zip(&reports) {
@@ -135,10 +143,8 @@ fn granularity_ablation(opts: &FigOpts, obs: &mut Option<ObsReport>) {
     );
     let specs = [(SizeGranularity::Exact, "exact"), (SizeGranularity::Log2, "log2")];
     let reports = parallel_map(&specs, opts.jobs, |&(gran, _)| {
-        let mut o = base(opts, ExecutionPolicy::OnlinePropagation, 0.25, space);
+        let mut o = base(opts, ExecutionPolicy::OnlinePropagation, 0.25, space, specs.len());
         o.granularity = gran;
-        o.workers = pipeline_workers(opts.jobs, specs.len());
-        o.observe = opts.observe();
         Autotuner::new(o).tune(&ws)
     });
     for (&(_, label), r) in specs.iter().zip(&reports) {
@@ -176,10 +182,7 @@ fn count_scaling_ablation(opts: &FigOpts, obs: &mut Option<ObsReport>) {
         })
         .collect();
     let reports = parallel_map(&specs, opts.jobs, |&(eps, policy)| {
-        let mut o = base(opts, policy, eps, space);
-        o.workers = pipeline_workers(opts.jobs, specs.len());
-        o.observe = opts.observe();
-        Autotuner::new(o).tune(&ws)
+        Autotuner::new(base(opts, policy, eps, space, specs.len())).tune(&ws)
     });
     for (&(eps, policy), r) in specs.iter().zip(&reports) {
         let execs: u64 = r
@@ -245,10 +248,8 @@ fn extrapolation_ablation(opts: &FigOpts, obs: &mut Option<ObsReport>) {
     let specs: Vec<(f64, bool)> =
         [0.5, 0.125].into_iter().flat_map(|eps| [(eps, false), (eps, true)]).collect();
     let reports = parallel_map(&specs, opts.jobs, |&(eps, extrapolate)| {
-        let mut o = base(opts, ExecutionPolicy::OnlinePropagation, eps, space);
+        let mut o = base(opts, ExecutionPolicy::OnlinePropagation, eps, space, specs.len());
         o.extrapolate = extrapolate;
-        o.workers = pipeline_workers(opts.jobs, specs.len());
-        o.observe = opts.observe();
         Autotuner::new(o).tune(&ws)
     });
     for (&(eps, extrapolate), r) in specs.iter().zip(&reports) {

@@ -20,71 +20,31 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use critter_bench::trajectory::{compare, render_comparison, Trajectory, Verdict};
+use critter_session::cli::{Cli, Error, Flag, Parsed};
 
-struct Opts {
-    tolerance: f64,
-    report_only: bool,
-    validate: Option<PathBuf>,
-    min_speedup: Option<f64>,
-    min_cases: usize,
-    files: Vec<PathBuf>,
-}
+const FLAGS: &[Flag] = &[
+    Flag("--tolerance F", "relative slowdown tolerated per case (default 0.05)"),
+    Flag("--report-only", "print the comparison but always exit 0"),
+    Flag("--validate FILE", "check one file against the trajectory schema and exit"),
+    Flag("--min-speedup R", "additionally require `--min-cases` cases at R× or better"),
+    Flag("--min-cases N", "cases the `--min-speedup` gate needs (default 2)"),
+];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench-compare [--tolerance F] [--report-only] \
-         [--min-speedup R --min-cases N] OLD.json NEW.json\n       \
-         bench-compare --validate FILE.json"
-    );
-    std::process::exit(2)
-}
+const CLI: Cli = Cli {
+    positionals: "[OLD.json NEW.json]",
+    about: "Diffs two perf-trajectory files (`BENCH_<n>.json`) case by case and exits non-zero\n\
+            if any case regressed beyond the tolerance; `--validate FILE` takes no positionals.",
+    ..Cli::new("bench-compare", &[FLAGS])
+};
 
-fn parse_args() -> Opts {
-    let mut opts = Opts {
-        tolerance: 0.05,
-        report_only: false,
-        validate: None,
-        min_speedup: None,
-        min_cases: 2,
-        files: Vec::new(),
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                opts.tolerance =
-                    args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--report-only" => opts.report_only = true,
-            "--validate" => {
-                i += 1;
-                opts.validate = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--min-speedup" => {
-                i += 1;
-                opts.min_speedup =
-                    Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--min-cases" => {
-                i += 1;
-                opts.min_cases =
-                    args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            f if !f.starts_with("--") => opts.files.push(PathBuf::from(f)),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    opts
-}
+/// The program; a rejected flag value is a usage error (see [`Cli::parse_env`]).
+fn run(p: &Parsed) -> Result<ExitCode, Error> {
+    let tolerance = p.get("--tolerance")?.unwrap_or(0.05);
+    let min_speedup: Option<f64> = p.get("--min-speedup")?;
+    let min_cases: usize = p.get("--min-cases")?.unwrap_or(2);
 
-fn main() -> ExitCode {
-    let opts = parse_args();
-
-    if let Some(path) = &opts.validate {
-        return match Trajectory::read(path) {
+    if let Some(path) = p.get::<PathBuf>("--validate")? {
+        return Ok(match Trajectory::read(&path) {
             Ok(t) => {
                 println!(
                     "{} is a valid schema-v{} trajectory: {} cases, rev {}, {} ({}/{}, {} cpus)",
@@ -103,24 +63,17 @@ fn main() -> ExitCode {
                 eprintln!("invalid trajectory: {e}");
                 ExitCode::from(2)
             }
-        };
+        });
     }
 
-    if opts.files.len() != 2 {
-        usage();
-    }
-    let old = match Trajectory::read(&opts.files[0]) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+    let [old, new] = p.positionals() else {
+        return Err("expected two trajectory files, OLD.json NEW.json".into());
     };
-    let new = match Trajectory::read(&opts.files[1]) {
-        Ok(t) => t,
-        Err(e) => {
+    let (old, new) = match (Trajectory::read(old.as_ref()), Trajectory::read(new.as_ref())) {
+        (Ok(old), Ok(new)) => (old, new),
+        (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     if old.fingerprint != new.fingerprint {
@@ -136,19 +89,16 @@ fn main() -> ExitCode {
         );
     }
     println!("old: rev {} ({})   new: rev {} ({})", old.git_rev, old.date, new.git_rev, new.date);
-    let deltas = compare(&old, &new, opts.tolerance);
-    print!("{}", render_comparison(&deltas, opts.tolerance));
+    let deltas = compare(&old, &new, tolerance);
+    print!("{}", render_comparison(&deltas, tolerance));
 
     let mut failed = false;
-    if let Some(r) = opts.min_speedup {
+    if let Some(r) = min_speedup {
         let hits = deltas.iter().filter(|d| d.speedup.is_some_and(|s| s >= r)).count();
-        if hits >= opts.min_cases {
-            println!("speedup gate: {hits} case(s) at ≥ {r:.2}x (needed {})", opts.min_cases);
+        if hits >= min_cases {
+            println!("speedup gate: {hits} case(s) at ≥ {r:.2}x (needed {})", min_cases);
         } else {
-            eprintln!(
-                "speedup gate FAILED: {hits} case(s) at ≥ {r:.2}x, needed {}",
-                opts.min_cases
-            );
+            eprintln!("speedup gate FAILED: {hits} case(s) at ≥ {r:.2}x, needed {}", min_cases);
             failed = true;
         }
     }
@@ -157,8 +107,9 @@ fn main() -> ExitCode {
         eprintln!("{regressions} case(s) regressed beyond tolerance");
         failed = true;
     }
-    if failed && !opts.report_only {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(if failed && !p.switch("--report-only") { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+}
+
+fn main() -> ExitCode {
+    CLI.parse_env(run)
 }

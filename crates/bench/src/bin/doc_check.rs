@@ -1,30 +1,34 @@
-//! Doc-drift gate: the CLI flag tables in `README.md` must match the
-//! binaries' actual `--help` output, and `docs/SERVICE.md` must match the
+//! Doc-drift gate: the CLI flag tables in `README.md` must be exactly what
+//! the binaries' flag tables render to, and `docs/SERVICE.md` must match the
 //! service's compiled wire contract.
 //!
-//! For every block
+//! Every binary's `--help` is generated from its `critter_session::cli` flag
+//! table. For every README block
 //!
 //! ```text
 //! <!-- begin doc-check critter-tune -->
+//! | Flag | Meaning |
+//! | --- | --- |
 //! | `--space NAME` | … |
 //! <!-- end doc-check -->
 //! ```
 //!
-//! this tool runs the named sibling binary with `--help`, extracts the set
-//! of `--flag` tokens from its output, extracts the same from the README
-//! block, and fails (exit 1) on any difference — a flag added to a binary
-//! but not documented, or documented but since removed.
+//! this tool runs the named sibling binary with `--help`, reads the
+//! `(flag, value name, meaning)` rows back out of it, renders them as the
+//! markdown table and compares that with the block, row by row. Any
+//! difference — a flag added or removed, a renamed value, a reworded
+//! meaning — fails (exit 1) and prints the block README should contain.
 //!
 //! For `docs/SERVICE.md` it additionally checks, against the linked
 //! `critter-serve` crate itself:
 //!
-//! * the error-code table rows (`| <status> | `<code>` | … |`) are exactly
-//!   [`ErrorCode::ALL`](critter_serve::ErrorCode::ALL) — every code the
-//!   service can emit is documented with its real status, and no
-//!   documented code has been removed from the enum;
-//! * the document states the current
-//!   [`API_VERSION`](critter_serve::API_VERSION) (the `**API version N**`
-//!   marker), so a version bump cannot ship without its docs.
+//! * the error-code table rows (`| <status> | <code> | … |`) are exactly
+//!   [`ErrorCode::ALL`] — every code the service can emit is documented
+//!   with its real status, and no documented code has been removed from the
+//!   enum;
+//! * the document states the current [`API_VERSION`] (the
+//!   `**API version N**` marker), so a version bump cannot ship without its
+//!   docs.
 //!
 //! CI runs it after `cargo build --release --workspace --bins`, so neither
 //! document can drift from the shipped interfaces.
@@ -38,89 +42,52 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use critter_serve::{ErrorCode, API_VERSION};
+use critter_session::cli::markdown_table;
 
-/// Flags every binary has implicitly; not required in the tables.
-const IGNORED: [&str; 2] = ["--help", "-h"];
-
-fn flag_set(text: &str) -> BTreeSet<String> {
-    let mut flags = BTreeSet::new();
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        // A flag is `--` followed by a lowercase word (not preceded by
-        // another dash) — this skips markdown table rules like `---`.
-        let starts_flag = bytes[i] == b'-'
-            && (i == 0 || bytes[i - 1] != b'-')
-            && i + 2 < bytes.len()
-            && bytes[i + 1] == b'-'
-            && bytes[i + 2].is_ascii_lowercase();
-        if starts_flag {
-            let start = i;
-            i += 2;
-            while i < bytes.len() && (bytes[i].is_ascii_lowercase() || bytes[i] == b'-') {
-                i += 1;
-            }
-            let flag = &text[start..i];
-            if !IGNORED.contains(&flag) {
-                flags.insert(flag.to_string());
-            }
-        } else {
-            i += 1;
-        }
-    }
-    flags
+/// The `(flag synopsis, meaning)` rows of a generated `--help` text: the
+/// lines of its `flags:` section, minus the implicit `-h, --help` row.
+fn help_rows(help: &str) -> Vec<(String, String)> {
+    help.lines()
+        .skip_while(|l| *l != "flags:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .filter_map(|l| l.trim_start().split_once("  "))
+        .filter(|(synopsis, _)| synopsis.starts_with("--"))
+        .map(|(synopsis, meaning)| (synopsis.to_string(), meaning.trim_start().to_string()))
+        .collect()
 }
 
-/// `--help` output (stdout + stderr; exit codes are irrelevant, the
-/// hand-rolled parsers exit 2 after printing usage).
-fn help_output(bin_dir: &Path, name: &str) -> Result<String, String> {
+/// The markdown table `name --help` renders to.
+fn rendered_table(bin_dir: &Path, name: &str) -> Result<String, String> {
     let path = bin_dir.join(name);
-    if !path.is_file() {
-        return Err(format!(
-            "binary `{}` not found; build it first: cargo build --release --workspace --bins",
+    let output = Command::new(&path).arg("--help").output().map_err(|e| {
+        format!(
+            "running {} --help: {e} (build it first: cargo build --release --workspace --bins)",
             path.display()
-        ));
+        )
+    })?;
+    let rows = help_rows(&String::from_utf8_lossy(&output.stdout));
+    if !output.status.success() || rows.is_empty() {
+        return Err(format!("`{name} --help` did not print a flag table"));
     }
-    let output = Command::new(&path)
-        .arg("--help")
-        .output()
-        .map_err(|e| format!("running {} --help: {e}", path.display()))?;
-    Ok(format!(
-        "{}{}",
-        String::from_utf8_lossy(&output.stdout),
-        String::from_utf8_lossy(&output.stderr)
-    ))
+    Ok(markdown_table(rows.into_iter()))
 }
 
 /// Extract `(binary name, block text)` for every doc-check block.
-fn readme_blocks(readme: &str) -> Result<Vec<(String, String)>, String> {
-    let mut blocks = Vec::new();
-    let mut lines = readme.lines();
-    while let Some(line) = lines.next() {
-        let trimmed = line.trim();
-        let Some(rest) = trimmed.strip_prefix("<!-- begin doc-check ") else {
-            continue;
-        };
-        let Some(name) = rest.strip_suffix(" -->") else {
-            return Err(format!("malformed doc-check marker: `{trimmed}`"));
-        };
-        let mut body = String::new();
-        loop {
-            match lines.next() {
-                Some(l) if l.trim() == "<!-- end doc-check -->" => break,
-                Some(l) => {
-                    body.push_str(l);
-                    body.push('\n');
-                }
-                None => return Err(format!("unterminated doc-check block for `{name}`")),
-            }
-        }
-        blocks.push((name.to_string(), body));
+fn readme_blocks(readme: &str) -> Result<Vec<(&str, &str)>, String> {
+    let blocks: Option<Vec<(&str, &str)>> = readme
+        .split("<!-- begin doc-check ")
+        .skip(1)
+        .map(|chunk| {
+            let (name, rest) = chunk.split_once(" -->\n")?;
+            Some((name, rest.split_once("<!-- end doc-check -->")?.0))
+        })
+        .collect();
+    match blocks {
+        Some(blocks) if !blocks.is_empty() => Ok(blocks),
+        Some(_) => Err("README.md contains no doc-check blocks".into()),
+        None => Err("README.md has a malformed or unterminated doc-check block".into()),
     }
-    if blocks.is_empty() {
-        return Err("README.md contains no doc-check blocks".into());
-    }
-    Ok(blocks)
 }
 
 /// Extract `(status, code)` pairs from markdown table rows of the shape
@@ -183,61 +150,84 @@ fn service_doc_drift(service_md: &str) -> bool {
 }
 
 fn main() {
-    let bin_dir = std::env::current_exe()
-        .expect("current_exe")
-        .parent()
-        .expect("binary has a parent dir")
-        .to_path_buf();
-    // CARGO_MANIFEST_DIR is crates/bench; the README lives two levels up.
-    let readme_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
-    let readme = std::fs::read_to_string(&readme_path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", readme_path.display()));
-    let service_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/SERVICE.md");
-    let service_md = std::fs::read_to_string(&service_path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", service_path.display()));
-
-    let blocks = match readme_blocks(&readme) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("doc_check: {e}");
-            std::process::exit(1);
-        }
+    let bin_dir = std::env::current_exe().expect("current_exe");
+    let bin_dir = bin_dir.parent().expect("binary has a parent dir");
+    // CARGO_MANIFEST_DIR is crates/bench; the documents live two levels up.
+    let read = |file: &str| {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
     };
+    let readme = read("README.md");
+    let blocks = readme_blocks(&readme).unwrap_or_else(|e| {
+        eprintln!("doc_check: {e}");
+        std::process::exit(1)
+    });
 
-    let mut drifted = false;
-    for (name, body) in &blocks {
-        let help = match help_output(&bin_dir, name) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("doc_check: {e}");
-                drifted = true;
-                continue;
-            }
-        };
-        let documented = flag_set(body);
-        let actual = flag_set(&help);
-        let missing: Vec<&String> = actual.difference(&documented).collect();
-        let stale: Vec<&String> = documented.difference(&actual).collect();
-        if missing.is_empty() && stale.is_empty() {
-            println!("doc_check: {name}: {} flags in sync", actual.len());
+    let mut drifted = service_doc_drift(&read("docs/SERVICE.md"));
+    for (name, body) in blocks {
+        let expected = rendered_table(bin_dir, name).unwrap_or_else(|e| format!("({e})\n"));
+        if body == expected {
+            println!("doc_check: {name}: {} rows in sync", expected.lines().count() - 2);
             continue;
         }
         drifted = true;
-        for flag in missing {
-            eprintln!("doc_check: {name}: `{flag}` exists in --help but is missing from README.md");
+        if let Some((documented, rendered)) =
+            body.lines().zip(expected.lines()).find(|(d, r)| d != r)
+        {
+            eprintln!(
+                "doc_check: {name}: README.md has\n  {documented}\nbut --help renders\n  {rendered}"
+            );
         }
-        for flag in stale {
-            eprintln!("doc_check: {name}: README.md documents `{flag}` but --help does not");
-        }
-    }
-    if service_doc_drift(&service_md) {
-        drifted = true;
+        eprintln!(
+            "doc_check: {name}: README.md block drifted; it should read\n\
+             <!-- begin doc-check {name} -->\n{expected}<!-- end doc-check -->"
+        );
     }
     if drifted {
         eprintln!(
-            "doc_check: documentation drifted; update the README doc-check blocks to match \
-             --help and docs/SERVICE.md to match the compiled service contract"
+            "doc_check: documentation drifted; paste the blocks printed above into README.md \
+             and update docs/SERVICE.md to match the compiled service contract"
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const HELP: &str = "usage: demo [FLAGS]\n\nflags:\n  --reps N    repetitions (default 1)\n  \
+                        --quick     reduced  grid\n  -h, --help  print this help and exit\n\n\
+                        About --not-a-flag  text.\n";
+
+    #[test]
+    fn help_rows_reads_flag_value_name_and_meaning() {
+        assert_eq!(
+            help_rows(HELP),
+            [
+                ("--reps N".to_string(), "repetitions (default 1)".to_string()),
+                ("--quick".to_string(), "reduced  grid".to_string()),
+            ]
+        );
+        assert!(help_rows("usage: old-style [--reps N]\n").is_empty());
+    }
+
+    #[test]
+    fn readme_block_matches_only_the_exact_rendering() {
+        let table = markdown_table(help_rows(HELP).into_iter());
+        let readme =
+            format!("intro\n<!-- begin doc-check demo -->\n{table}<!-- end doc-check -->\noutro\n");
+        assert_eq!(readme_blocks(&readme).unwrap(), [("demo", table.as_str())]);
+        // A reworded meaning is drift, not only a renamed flag.
+        let reworded = readme.replace("repetitions (default 1)", "repetitions (default 2)");
+        assert_ne!(readme_blocks(&reworded).unwrap()[0].1, table);
+        assert!(readme_blocks("no blocks").is_err());
+        assert!(readme_blocks("<!-- begin doc-check demo -->\n| x |\n").is_err());
+    }
+
+    #[test]
+    fn error_table_rows_reads_status_and_code() {
+        let rows = error_table_rows("| 429 | `quota_exceeded` | over a cap |\n| --- | --- |\n");
+        assert_eq!(rows.into_iter().collect::<Vec<_>>(), [(429, "quota_exceeded".to_string())]);
     }
 }

@@ -7,10 +7,17 @@
 //! * 4e/4f — mean execution-time prediction error vs ε (Capital / SLATE);
 //! * 4g/4h — per-configuration error under online propagation.
 
+use critter_autotune::flags::{SESSION, SIM};
 use critter_autotune::TuningSpace;
-use critter_bench::{run_figure, FigOpts};
+use critter_bench::{run_figure, FigOpts, FAULT_SEED, GRID, OBS, OUTPUT};
+use critter_session::cli::Cli;
+
+const CLI: Cli = Cli {
+    about: "Figure 4 (panels a-h): Cholesky autotuning time and prediction error per policy and ε.",
+    ..Cli::new("fig4", &[GRID, OUTPUT, OBS, SESSION, FAULT_SEED, SIM])
+};
 
 fn main() {
-    let opts = FigOpts::from_args();
+    let opts = FigOpts::from_args(&CLI);
     run_figure(&opts, TuningSpace::CapitalCholesky, TuningSpace::SlateCholesky, "fig4");
 }

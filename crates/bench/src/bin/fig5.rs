@@ -5,10 +5,17 @@
 //! prediction error (e/f), and per-configuration error under online
 //! propagation (g/h).
 
+use critter_autotune::flags::{SESSION, SIM};
 use critter_autotune::TuningSpace;
-use critter_bench::{run_figure, FigOpts};
+use critter_bench::{run_figure, FigOpts, FAULT_SEED, GRID, OBS, OUTPUT};
+use critter_session::cli::Cli;
+
+const CLI: Cli = Cli {
+    about: "Figure 5 (panels a-h): QR autotuning time and prediction error per policy and ε.",
+    ..Cli::new("fig5", &[GRID, OUTPUT, OBS, SESSION, FAULT_SEED, SIM])
+};
 
 fn main() {
-    let opts = FigOpts::from_args();
+    let opts = FigOpts::from_args(&CLI);
     run_figure(&opts, TuningSpace::CandmcQr, TuningSpace::SlateQr, "fig5");
 }

@@ -26,64 +26,70 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use critter_autotune::{Autotuner, SessionConfig, TuningOptions, TuningReport, TuningSpace};
+use critter_autotune::flags::SessionFlags;
+use critter_autotune::{Autotuner, TuningOptions, TuningReport, TuningSpace};
 use critter_core::ExecutionPolicy;
 use critter_obs::ObsReport;
+use critter_session::cli::{Cli, Flag};
 
-/// Command-line options shared by the figure binaries.
+/// Grid flags: how many points the figure sweeps cover.
+pub const GRID: &[Flag] = &[
+    Flag("--quick", "3-point ε grid instead of the full 9-point sweep"),
+    Flag("--allocations N", "repeat on N simulated node allocations (default 1)"),
+];
+
+/// Output flags: where artifacts go and how many sweeps run at once.
+pub const OUTPUT: &[Flag] = &[
+    Flag("--out DIR", "output directory (default `results/`)"),
+    Flag("--jobs N", "fan independent sweeps over N threads (default: cores, at most 8)"),
+];
+
+/// Writes a Chrome/Perfetto trace of every simulated run.
+pub const TRACE_OUT: Flag =
+    Flag("--trace-out FILE", "Chrome/Perfetto trace-event JSON of every run");
+/// Writes the aggregated metrics registry.
+pub const METRICS_OUT: Flag = Flag("--metrics-out FILE", "aggregated counters and histograms");
+
+/// Observability flags; any of them makes the sweeps observed.
+pub const OBS: &[Flag] =
+    &[TRACE_OUT, Flag("--folded-out FILE", "flamegraph folded stacks"), METRICS_OUT];
+
+/// `cargo bench` appends `--bench` to a bench binary's arguments; the
+/// benches declare it and ignore it.
+pub const CARGO_BENCH: Flag = Flag("--bench", "appended by `cargo bench`; ignored");
+
+/// Seed of the fault stream `--faults` arms (figure drivers only).
+pub const FAULT_SEED: &[Flag] =
+    &[Flag("--fault-seed N", "fault-stream seed (default 0xFA17 = 64023)")];
+
+/// Options of the figure binaries; each binary's flag table is the union of
+/// the groups it reads ([`GRID`], [`OUTPUT`], [`OBS`],
+/// [`SESSION`](critter_autotune::flags::SESSION), [`FAULT_SEED`],
+/// [`SIM`](critter_autotune::flags::SIM)), and those tables say what each
+/// option means. Artifacts are byte-identical at any `jobs` level and on
+/// either `backend`.
 #[derive(Debug, Clone)]
 pub struct FigOpts {
-    /// Reduced ε grid and single repetition.
+    /// `--quick`: reduced ε grid.
     pub quick: bool,
-    /// Number of node allocations to repeat the experiment on (paper: 2).
+    /// `--allocations`: node allocations to repeat the experiment on (paper: 2).
     pub allocations: u64,
-    /// Repetitions per configuration within an allocation.
+    /// `--reps`: repetitions per configuration within an allocation.
     pub reps: usize,
-    /// Output directory for CSV/JSON artifacts.
+    /// `--out`: directory for CSV/JSON artifacts.
     pub out_dir: PathBuf,
-    /// Threads used to run independent tuning sweeps concurrently. Sweeps
-    /// are deterministic per (policy, ε, allocation), so the artifacts are
-    /// identical at any job count.
+    /// `--jobs`: threads running independent tuning sweeps concurrently.
     pub jobs: usize,
-    /// Write a Chrome/Perfetto trace-event JSON of every simulated run here
-    /// (`--trace-out`). Byte-identical at any `--jobs` level.
+    /// `--trace-out`: Chrome/Perfetto trace-event JSON of every simulated run.
     pub trace_out: Option<PathBuf>,
-    /// Write a folded-stack flamegraph file here (`--folded-out`).
+    /// `--folded-out`: folded-stack flamegraph file.
     pub folded_out: Option<PathBuf>,
-    /// Write the aggregated metrics registry (canonical JSON) here
-    /// (`--metrics-out`).
+    /// `--metrics-out`: the aggregated metrics registry (canonical JSON).
     pub metrics_out: Option<PathBuf>,
-    /// Base directory for per-sweep checkpoints (`--checkpoint-dir`). Each
-    /// `(space, policy, ε, allocation)` sweep checkpoints into its own
-    /// subdirectory.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume from existing checkpoints (`--resume`). Without it, stale
-    /// per-sweep checkpoint directories are cleared so every sweep starts
-    /// fresh.
-    pub resume: bool,
-    /// Kernel-model profile to warm-start every sweep from (`--warm-start`).
-    pub warm_start: Option<PathBuf>,
-    /// Base directory for per-sweep kernel-model profiles (`--profile-out`).
-    pub profile_out: Option<PathBuf>,
-    /// Shared content-addressed profile store every persist-models sweep
-    /// warm-starts from and publishes back into (`--store`).
-    pub store: Option<PathBuf>,
-    /// Rank-panic probability per fault point (`--faults P`): arms
-    /// deterministic fault injection with retry and quarantine.
-    pub faults: Option<f64>,
-    /// Seed of the fault stream (`--fault-seed N`).
-    pub fault_seed: u64,
-    /// Retry budget per simulated run when faults are armed (`--retries N`).
-    pub retries: usize,
-    /// Communicator backend hosting the simulated ranks (`--backend
-    /// threads|tasks`). Virtual time is backend-independent, so artifacts
-    /// are byte-identical either way.
+    /// The session group, applied per `(space, policy, ε, allocation)` sweep.
+    pub session: SessionFlags,
+    /// `--backend`: communicator backend hosting the simulated ranks.
     pub backend: critter_sim::BackendKind,
-}
-
-/// Default sweep-level job count: the host's cores, capped at 8.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
 impl FigOpts {
@@ -94,114 +100,39 @@ impl FigOpts {
             allocations: 1,
             reps: 1,
             out_dir: PathBuf::from("results"),
-            jobs: default_jobs(),
+            // The host's cores, capped at 8.
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()).min(8),
             trace_out: None,
             folded_out: None,
             metrics_out: None,
-            checkpoint_dir: None,
-            resume: false,
-            warm_start: None,
-            profile_out: None,
-            store: None,
-            faults: None,
-            fault_seed: 0xFA17,
-            retries: 2,
+            session: SessionFlags::default(),
             backend: critter_sim::BackendKind::default(),
         }
     }
 
-    /// Parse from `std::env::args` (flags: `--quick`, `--allocations N`,
-    /// `--reps N`, `--out DIR`, `--jobs N`, `--trace-out FILE`,
-    /// `--folded-out FILE`, `--metrics-out FILE`, `--checkpoint-dir DIR`,
-    /// `--resume`, `--warm-start FILE`, `--profile-out DIR`, `--store DIR`,
-    /// `--faults P`, `--fault-seed N`, `--retries N`,
-    /// `--backend threads|tasks`).
-    pub fn from_args() -> Self {
-        let mut opts = Self::defaults();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => opts.quick = true,
-                "--allocations" => {
-                    i += 1;
-                    opts.allocations = args[i].parse().expect("--allocations N");
-                }
-                "--reps" => {
-                    i += 1;
-                    opts.reps = args[i].parse().expect("--reps N");
-                }
-                "--out" => {
-                    i += 1;
-                    opts.out_dir = PathBuf::from(&args[i]);
-                }
-                "--jobs" => {
-                    i += 1;
-                    opts.jobs = args[i].parse::<usize>().expect("--jobs N").max(1);
-                }
-                "--trace-out" => {
-                    i += 1;
-                    opts.trace_out = Some(PathBuf::from(&args[i]));
-                }
-                "--folded-out" => {
-                    i += 1;
-                    opts.folded_out = Some(PathBuf::from(&args[i]));
-                }
-                "--metrics-out" => {
-                    i += 1;
-                    opts.metrics_out = Some(PathBuf::from(&args[i]));
-                }
-                "--checkpoint-dir" => {
-                    i += 1;
-                    opts.checkpoint_dir = Some(PathBuf::from(&args[i]));
-                }
-                "--resume" => opts.resume = true,
-                "--warm-start" => {
-                    i += 1;
-                    opts.warm_start = Some(PathBuf::from(&args[i]));
-                }
-                "--profile-out" => {
-                    i += 1;
-                    opts.profile_out = Some(PathBuf::from(&args[i]));
-                }
-                "--store" => {
-                    i += 1;
-                    opts.store = Some(PathBuf::from(&args[i]));
-                }
-                "--faults" => {
-                    i += 1;
-                    opts.faults = Some(args[i].parse().expect("--faults PANIC_PROB"));
-                }
-                "--fault-seed" => {
-                    i += 1;
-                    opts.fault_seed = args[i].parse().expect("--fault-seed N");
-                }
-                "--retries" => {
-                    i += 1;
-                    opts.retries = args[i].parse().expect("--retries N");
-                }
-                "--backend" => {
-                    i += 1;
-                    opts.backend =
-                        args[i].parse().unwrap_or_else(|e| panic!("--backend threads|tasks: {e}"));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "figure-driver flags:\n\
-                         \x20 [--quick] [--allocations N=1] [--reps N=1] [--out DIR=results]\n\
-                         \x20 [--jobs N] [--trace-out FILE] [--folded-out FILE] [--metrics-out FILE]\n\
-                         \x20 [--checkpoint-dir DIR] [--resume] [--warm-start FILE]\n\
-                         \x20 [--profile-out DIR] [--store DIR] [--faults PANIC_PROB]\n\
-                         \x20 [--fault-seed N=0xFA17]\n\
-                         \x20 [--retries N=2] [--backend <threads|tasks>]"
-                    );
-                    std::process::exit(2)
-                }
-                other => panic!("unknown flag {other}"),
+    /// Parse the process's command line against `cli` (see
+    /// [`Cli::parse_env`] for `--help` and error behaviour). Every driver
+    /// reads [`OUTPUT`], [`OBS`] and `SIM`; the grid and session fields are
+    /// filled when the binary's table declares those groups.
+    pub fn from_args(cli: &Cli) -> Self {
+        cli.parse_env(|p| {
+            let mut opts = Self::defaults();
+            opts.out_dir = p.get("--out")?.unwrap_or(opts.out_dir);
+            opts.jobs = p.get("--jobs")?.unwrap_or(opts.jobs).max(1);
+            opts.trace_out = p.get("--trace-out")?;
+            opts.folded_out = p.get("--folded-out")?;
+            opts.metrics_out = p.get("--metrics-out")?;
+            opts.backend = p.get("--backend")?.unwrap_or_default();
+            if p.declares("--quick") {
+                opts.quick = p.switch("--quick");
+                opts.allocations = p.get("--allocations")?.unwrap_or(opts.allocations);
             }
-            i += 1;
-        }
-        opts
+            if p.declares("--reps") {
+                opts.reps = p.get("--reps")?.unwrap_or(opts.reps);
+                opts.session = SessionFlags::from_parsed(p)?;
+            }
+            Ok(opts)
+        })
     }
 
     /// The ε grid: the paper sweeps ε = 1 down to 2⁻⁸; quick mode uses three
@@ -258,10 +189,8 @@ pub fn sweep_slug(
 
 /// Run one `(space, policy, ε, allocation)` tuning sweep with the paper's
 /// per-space statistics-reset protocol, honoring the session flags in
-/// `opts`: per-sweep checkpoint directory (cleared unless `--resume`),
-/// warm-start profile, per-sweep profile output, profile store, and fault
-/// injection with the configured retry budget. With none of them set this
-/// is a plain in-memory sweep.
+/// `opts` per sweep (see [`SessionFlags::session`]). With none of them set
+/// this is a plain in-memory sweep.
 ///
 /// `workers` > 1 prefetches the sweep's reference full executions
 /// (bit-identical result either way); `observe` records the trace/metrics
@@ -284,42 +213,8 @@ pub fn sweep(
     topts.reps = opts.reps;
     topts.allocation = allocation;
     topts.observe = observe;
-    if let Some(p) = opts.faults {
-        topts = topts
-            .with_faults(critter_sim::FaultPlan::new(opts.fault_seed).with_rank_panics(p))
-            .with_retries(opts.retries);
-    }
     let slug = sweep_slug(space, policy, epsilon, allocation);
-    let mut session = SessionConfig::new();
-    if let Some(base) = &opts.checkpoint_dir {
-        let dir = base.join(&slug);
-        if !opts.resume {
-            let _ = fs::remove_dir_all(&dir);
-        }
-        session = session.with_checkpoint_dir(dir);
-    }
-    if let Some(profile) = &opts.warm_start {
-        // Warm-start requires the persist-models protocol; sweeps that reset
-        // statistics between configurations (SLATE, CANDMC) would refuse it.
-        if topts.reset_between_configs {
-            eprintln!("note: {slug} resets models per config; ignoring --warm-start");
-        } else {
-            session = session.with_warm_start(profile);
-        }
-    }
-    if let Some(base) = &opts.profile_out {
-        fs::create_dir_all(base).expect("create profile output dir");
-        session = session.with_profile_out(base.join(format!("{slug}.json")));
-    }
-    if let Some(dir) = &opts.store {
-        // The store, like a warm-start file, seeds models before the sweep
-        // and therefore needs the persist-models protocol.
-        if topts.reset_between_configs {
-            eprintln!("note: {slug} resets models per config; ignoring --store");
-        } else {
-            session = session.with_store(dir);
-        }
-    }
+    let (topts, session) = opts.session.session(topts, Some(&slug));
     let workloads = if smoke { space.smoke() } else { space.bench() };
     Autotuner::new(topts)
         .tune_session(&workloads, &session)
@@ -437,11 +332,6 @@ pub fn f(x: f64) -> String {
     }
 }
 
-/// The five selective policies plus labels, in the paper's order.
-pub fn policies() -> Vec<(ExecutionPolicy, &'static str)> {
-    ExecutionPolicy::ALL_SELECTIVE.iter().map(|&p| (p, p.name())).collect()
-}
-
 /// Dump a JSON summary next to the CSVs.
 pub fn write_json(out_dir: &Path, name: &str, value: &serde_json::Value) {
     fs::create_dir_all(out_dir).expect("create results dir");
@@ -480,20 +370,20 @@ pub fn run_figure(opts: &FigOpts, space_a: TuningSpace, space_b: TuningSpace, fi
         // Every (allocation, policy, ε) sweep is independent and
         // deterministic: fan them out over the job pool, then emit rows in
         // the original order so tables and JSON match the serial harness.
-        let mut specs: Vec<(u64, ExecutionPolicy, &'static str, f64)> = Vec::new();
+        let mut specs: Vec<(u64, ExecutionPolicy, f64)> = Vec::new();
         for allocation in 0..opts.allocations {
-            for &(policy, label) in &policies() {
+            for policy in ExecutionPolicy::ALL_SELECTIVE {
                 for &eps in &opts.epsilons() {
-                    specs.push((allocation, policy, label, eps));
+                    specs.push((allocation, policy, eps));
                 }
             }
         }
-        let reports = parallel_map(&specs, opts.jobs, |&(allocation, policy, _, eps)| {
+        let reports = parallel_map(&specs, opts.jobs, |&(allocation, policy, eps)| {
             sweep(opts, space, policy, eps, allocation, 1, false, false)
         });
-        for (&(allocation, policy, label, eps), report) in specs.iter().zip(&reports) {
+        for (&(allocation, policy, eps), report) in specs.iter().zip(&reports) {
             sweep_table.row(vec![
-                label.to_string(),
+                policy.name().to_string(),
                 f(eps),
                 allocation.to_string(),
                 f(report.tuning_time()),
@@ -509,7 +399,7 @@ pub fn run_figure(opts: &FigOpts, space_a: TuningSpace, space_b: TuningSpace, fi
             ]);
             summary.push(serde_json::json!({
                 "space": space.name(),
-                "policy": label,
+                "policy": policy.name(),
                 "epsilon": eps,
                 "allocation": allocation,
                 "tuning_time": report.tuning_time(),

@@ -74,15 +74,25 @@ impl ExecutionPolicy {
     /// Parse a [`name`](Self::name) back to the policy (reports and CLI
     /// flags round-trip through this).
     pub fn from_name(s: &str) -> Option<ExecutionPolicy> {
-        Some(match s {
-            "full execution" => ExecutionPolicy::Full,
-            "conditional execution" => ExecutionPolicy::ConditionalExecution,
-            "local propagation" => ExecutionPolicy::LocalPropagation,
-            "online propagation" => ExecutionPolicy::OnlinePropagation,
-            "a priori propagation" => ExecutionPolicy::APrioriPropagation,
-            "eager propagation" => ExecutionPolicy::EagerPropagation,
-            _ => return None,
-        })
+        Self::SHORT_NAMES.iter().map(|(_, p)| *p).find(|p| p.name() == s)
+    }
+
+    /// Short names — the values of `critter-tune --policy` and of a job
+    /// spec's `policy` field — in the order usage text lists them.
+    pub const SHORT_NAMES: [(&'static str, ExecutionPolicy); 6] = [
+        ("conditional", ExecutionPolicy::ConditionalExecution),
+        ("local", ExecutionPolicy::LocalPropagation),
+        ("online", ExecutionPolicy::OnlinePropagation),
+        ("apriori", ExecutionPolicy::APrioriPropagation),
+        ("eager", ExecutionPolicy::EagerPropagation),
+        ("full", ExecutionPolicy::Full),
+    ];
+
+    /// This policy's [short name](Self::SHORT_NAMES); parses back through
+    /// [`FromStr`](std::str::FromStr).
+    pub fn short_name(self) -> &'static str {
+        let (name, _) = Self::SHORT_NAMES.iter().find(|(_, p)| *p == self).expect("every policy");
+        name
     }
 
     /// Whether this policy adopts the remote winner's `K̃` during the
@@ -106,6 +116,18 @@ impl ExecutionPolicy {
     /// Whether an extra offline full execution is required before tuning.
     pub fn needs_offline_pass(self) -> bool {
         matches!(self, ExecutionPolicy::APrioriPropagation)
+    }
+}
+
+/// Parses a [short name](ExecutionPolicy::SHORT_NAMES); the error lists them.
+impl std::str::FromStr for ExecutionPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::SHORT_NAMES.iter().find(|(n, _)| *n == s).map(|(_, p)| *p).ok_or_else(|| {
+            let known: Vec<&str> = Self::SHORT_NAMES.iter().map(|(n, _)| *n).collect();
+            format!("unknown policy `{s}` (one of: {})", known.join(", "))
+        })
     }
 }
 
@@ -292,6 +314,18 @@ mod tests {
             assert_eq!(ExecutionPolicy::from_name(p.name()), Some(p));
         }
         assert_eq!(ExecutionPolicy::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn short_names_invert_and_unknown_ones_list_the_table() {
+        for (name, p) in ExecutionPolicy::SHORT_NAMES {
+            assert_eq!(p.short_name(), name);
+            assert_eq!(name.parse(), Ok(p));
+        }
+        assert_eq!(
+            "bogus".parse::<ExecutionPolicy>().unwrap_err(),
+            "unknown policy `bogus` (one of: conditional, local, online, apriori, eager, full)"
+        );
     }
 
     #[test]

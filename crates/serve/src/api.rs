@@ -20,17 +20,6 @@ use serde_json::Value;
 
 use crate::error::ServeError;
 
-/// CLI-style short policy names, in the order `critter-tune --help` lists
-/// them.
-pub const POLICY_NAMES: [(&str, ExecutionPolicy); 6] = [
-    ("conditional", ExecutionPolicy::ConditionalExecution),
-    ("local", ExecutionPolicy::LocalPropagation),
-    ("online", ExecutionPolicy::OnlinePropagation),
-    ("apriori", ExecutionPolicy::APrioriPropagation),
-    ("eager", ExecutionPolicy::EagerPropagation),
-    ("full", ExecutionPolicy::Full),
-];
-
 /// Fields accepted in a job spec; anything else is a 400.
 const SPEC_FIELDS: [&str; 23] = [
     "space",
@@ -151,26 +140,12 @@ impl JobSpec {
             .ok_or_else(|| ServeError::BadRequest("job spec must be a JSON object".into()))?;
         check_fields(map, &SPEC_FIELDS, "job spec")?;
 
-        let space_name = require_str(map, "space")?;
-        let space =
-            TuningSpace::ALL.iter().copied().find(|s| s.name() == space_name).ok_or_else(|| {
-                let known: Vec<&str> = TuningSpace::ALL.iter().map(|s| s.name()).collect();
-                ServeError::BadRequest(format!(
-                    "unknown space `{space_name}` (one of: {})",
-                    known.join(", ")
-                ))
-            })?;
-        let policy_name = require_str(map, "policy")?;
-        let policy =
-            POLICY_NAMES.iter().find(|(n, _)| *n == policy_name).map(|(_, p)| *p).ok_or_else(
-                || {
-                    let known: Vec<&str> = POLICY_NAMES.iter().map(|(n, _)| *n).collect();
-                    ServeError::BadRequest(format!(
-                        "unknown policy `{policy_name}` (one of: {})",
-                        known.join(", ")
-                    ))
-                },
-            )?;
+        // Names and their "unknown … (one of: …)" errors live next to the
+        // enums (`FromStr`), shared with `critter-tune`.
+        let space: TuningSpace =
+            require_str(map, "space")?.parse().map_err(ServeError::BadRequest)?;
+        let policy: ExecutionPolicy =
+            require_str(map, "policy")?.parse().map_err(ServeError::BadRequest)?;
 
         let epsilon = opt_f64(map, "epsilon")?.unwrap_or(0.25);
         if !epsilon.is_finite() || epsilon <= 0.0 {
@@ -193,15 +168,10 @@ impl JobSpec {
                 )))
             }
         };
-        let backend = match opt_str(map, "backend")?.unwrap_or("threads") {
-            "threads" => BackendKind::Threads,
-            "tasks" => BackendKind::Tasks,
-            other => {
-                return Err(ServeError::BadRequest(format!(
-                    "unknown backend `{other}` (one of: threads, tasks)"
-                )))
-            }
-        };
+        let backend = opt_str(map, "backend")?
+            .unwrap_or("threads")
+            .parse()
+            .map_err(ServeError::BadRequest)?;
 
         let faults = match map.get("faults") {
             None | Some(Value::Null) => None,
@@ -304,15 +274,6 @@ impl JobSpec {
         }
     }
 
-    /// CLI short name of the policy.
-    pub fn policy_name(&self) -> &'static str {
-        POLICY_NAMES
-            .iter()
-            .find(|(_, p)| *p == self.policy)
-            .map(|(n, _)| *n)
-            .expect("every policy has a short name")
-    }
-
     /// Re-serialize canonically (sorted keys, defaults made explicit,
     /// trailing newline) for persistence as the job directory's
     /// `spec.json`. `from_json(to_json())` round-trips to an identical
@@ -326,7 +287,7 @@ impl JobSpec {
             "extrapolate": self.extrapolate,
             "machine": if self.test_machine { "test" } else { "stampede2-knl" },
             "observe": self.observe,
-            "policy": self.policy_name(),
+            "policy": self.policy.short_name(),
             "priority": self.priority,
             "profile": self.profile,
             "reps": self.reps,

@@ -9,72 +9,60 @@
 use std::path::PathBuf;
 
 use critter_serve::{Server, ServerConfig};
+use critter_session::cli::{Cli, Flag};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: critter-serve [--addr HOST:PORT=127.0.0.1:8787]\n\
-         \x20                    [--data-dir DIR=critter-serve-data]\n\
-         \x20                    [--job-workers N=2] [--http-workers N=4]\n\
-         \x20                    [--queue-capacity N=64] [--store DIR]\n\
-         \x20                    [--tenant-max-queued N=16]\n\
-         \x20                    [--tenant-max-running N=2]\n\
-         \x20                    [--tenant-max-ranks N=0]\n\
-         \n\
-         Tuning-as-a-service daemon over the critter session engine.\n\
-         Binds HOST:PORT (port 0 picks an ephemeral port), writes the bound\n\
-         address to DIR/addr, and keeps one directory per job under DIR.\n\
-         On restart it recovers every job found there and resumes\n\
-         unfinished sweeps from their checkpoints. With --store, jobs\n\
-         whose spec sets \"store\": true share the content-addressed\n\
-         profile store at DIR (see docs/STORE.md).\n\
-         \n\
-         Jobs are scheduled by priority (spec field \"priority\", 0..=9,\n\
-         higher first); a higher-priority submission preempts a running\n\
-         lower-priority sweep at its next checkpointed unit boundary. The\n\
-         tenant-max flags cap each tenant's queued jobs, running jobs,\n\
-         and concurrently leased rank threads (0 = unlimited); submissions\n\
-         over a cap get a typed 429 `quota_exceeded`. API reference:\n\
-         docs/SERVICE.md."
-    );
-    std::process::exit(2)
-}
+const FLAGS: &[Flag] = &[
+    Flag(
+        "--addr HOST:PORT",
+        "bind address (default `127.0.0.1:8787`; port 0 = ephemeral, written to `DIR/addr`)",
+    ),
+    Flag("--data-dir DIR", "job-directory root (default `critter-serve-data`)"),
+    Flag("--job-workers N", "concurrent tuning sweeps (default 2)"),
+    Flag("--http-workers N", "concurrent HTTP connections (default 4)"),
+    Flag(
+        "--queue-capacity N",
+        "bounded job-queue depth; beyond it submissions get 429 (default 64)",
+    ),
+    Flag("--tenant-max-queued N", "per-tenant cap on queued jobs (default 16, 0 = unlimited)"),
+    Flag("--tenant-max-running N", "per-tenant cap on running jobs (default 2, 0 = unlimited)"),
+    Flag(
+        "--tenant-max-ranks N",
+        "per-tenant cap on leased simulated rank threads (default 0 = unlimited)",
+    ),
+    Flag(
+        "--store DIR",
+        "profile store for jobs submitted with `\"store\": true` (`docs/STORE.md`)",
+    ),
+];
+
+const CLI: Cli = Cli {
+    about: "Tuning-as-a-service daemon over the critter session engine. Keeps one directory\n\
+            per job under the data directory; on restart it recovers every job found there\n\
+            and resumes unfinished sweeps from their checkpoints.\n\
+            \n\
+            Jobs are scheduled by priority (spec field \"priority\", 0..=9, higher first); a\n\
+            higher-priority submission preempts a running lower-priority sweep at its next\n\
+            checkpointed unit boundary. Submissions over a tenant cap get a typed 429\n\
+            `quota_exceeded`. API reference: docs/SERVICE.md.",
+    ..Cli::new("critter-serve", &[FLAGS])
+};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = ServerConfig::new(PathBuf::from("critter-serve-data"));
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--addr" => config.addr = take(&mut i),
-            "--data-dir" => config.data_dir = PathBuf::from(take(&mut i)),
-            "--job-workers" => {
-                config.job_workers = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--http-workers" => {
-                config.http_workers = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--queue-capacity" => {
-                config.queue_capacity = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--tenant-max-queued" => {
-                config.tenant_max_queued = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--tenant-max-running" => {
-                config.tenant_max_running = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--tenant-max-ranks" => {
-                config.tenant_max_ranks = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--store" => config.store = Some(PathBuf::from(take(&mut i))),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
+    let config = CLI.parse_env(|p| {
+        let data_dir: Option<PathBuf> = p.get("--data-dir")?;
+        let mut config = ServerConfig::new(data_dir.unwrap_or_else(|| "critter-serve-data".into()));
+        config.addr = p.get("--addr")?.unwrap_or(config.addr);
+        config.job_workers = p.get("--job-workers")?.unwrap_or(config.job_workers);
+        config.http_workers = p.get("--http-workers")?.unwrap_or(config.http_workers);
+        config.queue_capacity = p.get("--queue-capacity")?.unwrap_or(config.queue_capacity);
+        config.tenant_max_queued =
+            p.get("--tenant-max-queued")?.unwrap_or(config.tenant_max_queued);
+        config.tenant_max_running =
+            p.get("--tenant-max-running")?.unwrap_or(config.tenant_max_running);
+        config.tenant_max_ranks = p.get("--tenant-max-ranks")?.unwrap_or(config.tenant_max_ranks);
+        config.store = p.get("--store")?;
+        Ok(config)
+    });
 
     let data_dir = config.data_dir.clone();
     let server = match Server::start(config) {

@@ -48,7 +48,7 @@ pub struct QuotaConfig {
     /// Max jobs a tenant may have running at once.
     pub max_running: usize,
     /// Max simulated rank threads a tenant's running jobs may lease from
-    /// the shared `SimPool` registry at once.
+    /// the shared rank-thread pool registry at once.
     pub max_ranks: usize,
 }
 

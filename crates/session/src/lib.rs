@@ -20,6 +20,10 @@
 //!   [`critter_core::KernelStore`]s, reload them later, and apply a
 //!   [`StalenessPolicy`] before seeding a new sweep.
 //!
+//! It also hosts [`cli`], the flag-table mechanism every binary of the
+//! workspace declares its command line with (this is the one crate they all
+//! link).
+//!
 //! Everything rides on the canonical JSON writer/parser pair (sorted keys,
 //! shortest-round-trip floats, correctly rounded parse), so a value that
 //! goes to disk and back is *bit-identical* — the property the kill/resume
@@ -29,6 +33,7 @@
 
 #![deny(missing_docs)]
 
+pub mod cli;
 pub mod config;
 pub mod durable;
 pub mod envelope;

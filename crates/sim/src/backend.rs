@@ -1,26 +1,27 @@
-//! Pluggable communicator backends: how simulated ranks are mapped onto OS
-//! execution resources.
+//! Communicator backends: how simulated ranks are scheduled onto OS
+//! execution resources, and the single launch path of a simulation run.
 //!
 //! The simulator's determinism contract (see [`crate`] docs) makes the
 //! *virtual* results — clocks, cost draws, reports — a pure function of the
-//! program and the machine model. How rank programs are *hosted* is therefore
-//! a free choice, captured by [`CommBackend`]:
+//! program and the machine model. How rank programs are *scheduled* is
+//! therefore a free choice between two modes, [`BackendKind`]:
 //!
 //! * [`BackendKind::Threads`] — the classic shape: one OS thread per rank,
 //!   all runnable at once, the kernel schedules them preemptively. Best
 //!   latency at small rank counts.
 //! * [`BackendKind::Tasks`] — ranks as cooperatively scheduled coroutines:
 //!   each rank still owns a pooled thread (its coroutine stack), but a
-//!   [`TaskScheduler`] permit semaphore bounds how many are *runnable* to a
-//!   small worker budget. A rank parks on an unmatched recv/collective
+//!   worker-permit semaphore bounds how many are *runnable* to a small
+//!   worker budget. A rank parks on an unmatched recv/collective
 //!   (releasing its permit to the next runnable rank) and resumes on match.
 //!   With the runnable set bounded, 10k+ simulated ranks fit in one process
 //!   without drowning the kernel scheduler in contending threads.
 //!
-//! Both backends draw rank threads from the same [`crate::pool`] registry and
-//! drive the same sharded matching core; the testkit's `backend_equivalence`
-//! oracles assert that reports, traces, and metrics are byte-identical across
-//! backends and shard counts.
+//! The modes differ by that permit count and nothing else: both lease one
+//! pooled thread per rank from the process-wide registry, dispatch one job per
+//! rank, wait on the run's latch and drive the same sharded matching core. The
+//! testkit's `backend_equivalence` oracles assert that reports, traces, and
+//! metrics are byte-identical across backends and shard counts.
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
@@ -33,7 +34,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::core::SimCore;
 use crate::counters::RankCounters;
 use crate::ctx::RankCtx;
-use crate::pool::PoolLease;
+use crate::pool::{PoolLease, RankJob};
 use crate::runner::{SimConfig, SimReport};
 
 /// Which backend hosts the simulated ranks.
@@ -58,11 +59,16 @@ impl BackendKind {
         }
     }
 
-    /// The process-wide backend implementation for this kind.
-    pub fn instance(self) -> &'static dyn CommBackend {
+    /// Worker permits bounding the runnable rank set of one run: `None` for
+    /// preemptive thread-per-rank execution, `Some(n)` for `tasks`
+    /// ([`SimConfig::task_workers`], or the host's parallelism when that is 0).
+    fn permits(self, config: &SimConfig) -> Option<usize> {
         match self {
-            BackendKind::Threads => &ThreadsBackend,
-            BackendKind::Tasks => &TasksBackend,
+            BackendKind::Threads => None,
+            BackendKind::Tasks if config.task_workers > 0 => Some(config.task_workers),
+            BackendKind::Tasks => {
+                Some(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+            }
         }
     }
 }
@@ -77,25 +83,19 @@ impl std::str::FromStr for BackendKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(BackendKind::Threads),
-            "tasks" => Ok(BackendKind::Tasks),
-            other => Err(format!("unknown backend {other:?} (expected \"threads\" or \"tasks\")")),
-        }
+        Self::ALL.into_iter().find(|kind| kind.name() == s).ok_or_else(|| {
+            format!("unknown backend `{s}` (one of: {})", Self::ALL.map(Self::name).join(", "))
+        })
     }
 }
 
-/// A type-erased unit of rank work a backend must run exactly once.
-pub type RankJob = Box<dyn FnOnce() + Send>;
-
 /// Completion latch for one simulation run: counts down as rank jobs finish.
 ///
-/// The latch — not the backend — is what makes dispatching borrowed rank
-/// closures sound: `execute_ranks` waits on it unconditionally before its
-/// stack frame (which the jobs borrow) can unwind, so a backend that forgets
-/// to wait, or even leaks a job, can at worst hang the run — never touch
-/// freed memory.
-pub struct RunLatch {
+/// The latch is what makes dispatching borrowed rank closures sound:
+/// `execute_ranks` waits on it unconditionally before its stack frame (which
+/// the jobs borrow) can unwind, so a dropped or leaked job can at worst hang
+/// the run — never touch freed memory.
+struct RunLatch {
     remaining: Mutex<usize>,
     done: Condvar,
 }
@@ -105,7 +105,7 @@ impl RunLatch {
         RunLatch { remaining: Mutex::new(count), done: Condvar::new() }
     }
 
-    pub(crate) fn count_down(&self) {
+    fn count_down(&self) {
         let mut remaining = self.remaining.lock();
         *remaining -= 1;
         if *remaining == 0 {
@@ -114,7 +114,7 @@ impl RunLatch {
     }
 
     /// Block until every dispatched rank job has reported completion.
-    pub fn wait(&self) {
+    fn wait(&self) {
         let mut remaining = self.remaining.lock();
         while *remaining > 0 {
             self.done.wait(&mut remaining);
@@ -130,7 +130,7 @@ impl RunLatch {
 /// parking on a condvar and reacquire it after waking, so a parked rank
 /// costs only its (idle) stack — the worker budget flows to ranks that can
 /// make progress.
-pub struct TaskScheduler {
+pub(crate) struct TaskScheduler {
     free: Mutex<usize>,
     cv: Condvar,
 }
@@ -174,101 +174,14 @@ impl TaskScheduler {
     }
 }
 
-impl std::fmt::Debug for TaskScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskScheduler").field("free", &*self.free.lock()).finish()
-    }
-}
-
-/// How a backend hosts the per-rank jobs of one simulation run.
-///
-/// Contract:
-///
-/// * `scheduler` is consulted once per run, before the core is built; the
-///   returned [`TaskScheduler`] (if any) is installed into the core's wait
-///   sites and gates every job's execution.
-/// * `execute` must run every job exactly once and must not return before
-///   the latch reaches zero (leases and other per-run resources may be
-///   released when it returns). Dropping or leaking a job hangs the run —
-///   the harness-side latch wait makes that the *worst* possible outcome.
-pub trait CommBackend {
-    /// Which [`BackendKind`] this implementation realizes.
-    fn kind(&self) -> BackendKind;
-
-    /// The cooperative scheduler for this run, or `None` for preemptive
-    /// thread-per-rank execution.
-    fn scheduler(&self, config: &SimConfig) -> Option<Arc<TaskScheduler>>;
-
-    /// Run all rank jobs and wait for the latch to drain.
-    fn execute(&self, config: &SimConfig, jobs: Vec<RankJob>, latch: &RunLatch);
-}
-
-/// Dispatch jobs onto a pooled set of rank threads and hold the lease until
-/// every job has reported (the lease must not return to the registry while
-/// jobs are still in flight on its threads).
-fn run_on_pooled_threads(config: &SimConfig, jobs: Vec<RankJob>, latch: &RunLatch) {
-    let lease = PoolLease::checkout(config.ranks, config.stack_size);
-    lease.pool().dispatch(jobs);
-    latch.wait();
-    lease.pool().note_run();
-}
-
-/// One preemptively scheduled OS thread per rank (see [`BackendKind::Threads`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ThreadsBackend;
-
-impl CommBackend for ThreadsBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Threads
-    }
-
-    fn scheduler(&self, _config: &SimConfig) -> Option<Arc<TaskScheduler>> {
-        None
-    }
-
-    fn execute(&self, config: &SimConfig, jobs: Vec<RankJob>, latch: &RunLatch) {
-        run_on_pooled_threads(config, jobs, latch);
-    }
-}
-
-/// Cooperatively scheduled rank coroutines (see [`BackendKind::Tasks`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TasksBackend;
-
-impl TasksBackend {
-    fn worker_permits(config: &SimConfig) -> usize {
-        if config.task_workers > 0 {
-            config.task_workers
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        }
-    }
-}
-
-impl CommBackend for TasksBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Tasks
-    }
-
-    fn scheduler(&self, config: &SimConfig) -> Option<Arc<TaskScheduler>> {
-        Some(Arc::new(TaskScheduler::new(Self::worker_permits(config))))
-    }
-
-    fn execute(&self, config: &SimConfig, jobs: Vec<RankJob>, latch: &RunLatch) {
-        run_on_pooled_threads(config, jobs, latch);
-    }
-}
-
 /// What one rank produced: its program output, final clock, and counters —
 /// or the panic payload that aborted it.
 type RankResult<R> = Result<(R, f64, RankCounters), Box<dyn Any + Send>>;
 
-/// Build the per-rank jobs for one run, hand them to `backend`, wait for
-/// completion, and collect the report. This is the single launch path shared
-/// by [`crate::run_simulation`] and [`crate::SimPool::run`]; panic-poisoning
-/// semantics are identical everywhere.
+/// The single launch path of [`crate::run_simulation`]: lease a pooled thread
+/// per rank, dispatch one job per rank, wait for the run's latch to drain, and
+/// collect the report.
 pub(crate) fn execute_ranks<R, F>(
-    backend: &dyn CommBackend,
     config: &SimConfig,
     machine: Arc<MachineModel>,
     program: &F,
@@ -284,7 +197,7 @@ where
         "machine model rank count must match the simulation"
     );
     let ranks = config.ranks;
-    let sched = backend.scheduler(config);
+    let sched = config.backend.permits(config).map(|n| Arc::new(TaskScheduler::new(n)));
     let core = Arc::new(SimCore::new(Arc::clone(&machine), config, sched));
     let slots: Vec<Mutex<Option<RankResult<R>>>> = (0..ranks).map(|_| Mutex::new(None)).collect();
     let latch = RunLatch::new(ranks);
@@ -322,20 +235,24 @@ where
         // outlive it because this function waits for the latch to drain
         // below — every dispatched job has fully run (including its final
         // store and count-down) before `execute_ranks` returns or unwinds.
-        // A backend cannot break this: `execute` implementations dispatch to
-        // pool workers whose sends cannot fail (workers catch all panics and
-        // never exit while their sender lives), and a hypothetical backend
-        // that dropped or leaked a job would leave the latch above zero and
-        // hang the wait — a livelock, never a use-after-free.
+        // Dispatch cannot break this: it sends to pool workers whose sends
+        // cannot fail (workers catch all panics and never exit while their
+        // sender lives), and a job that was somehow dropped or leaked would
+        // leave the latch above zero and hang the wait — a livelock, never a
+        // use-after-free.
         let job: RankJob =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, RankJob>(job) };
         jobs.push(job);
     }
 
-    backend.execute(config, jobs, &latch);
-    // Conforming backends have already waited; this wait is the soundness
-    // backstop the SAFETY argument above relies on, so it is unconditional.
+    // The lease must outlive the latch wait (jobs are in flight on its
+    // threads until then); dropping it parks the threads for the next run.
+    let lease = PoolLease::checkout(ranks, config.stack_size);
+    lease.dispatch(jobs);
+    // The soundness backstop the SAFETY argument above relies on, so it is
+    // unconditional.
     latch.wait();
+    drop(lease);
 
     let mut outputs = Vec::with_capacity(ranks);
     let mut rank_times = Vec::with_capacity(ranks);
@@ -351,13 +268,9 @@ where
             Err(payload) => {
                 // Re-raise the root cause: prefer any panic that is not
                 // the secondary "peer rank panicked" cascade.
-                let is_cascade = payload
-                    .downcast_ref::<String>()
-                    .map(|s| s.contains("a peer rank panicked"))
-                    .or_else(|| {
-                        payload.downcast_ref::<&str>().map(|s| s.contains("a peer rank panicked"))
-                    })
-                    .unwrap_or(false);
+                let text = payload.downcast_ref::<String>().map(String::as_str);
+                let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+                let is_cascade = text.is_some_and(|s| s.contains("a peer rank panicked"));
                 let replace = match &panic_payload {
                     None => true,
                     Some((_, prev_is_cascade)) => *prev_is_cascade && !is_cascade,
@@ -383,7 +296,6 @@ mod tests {
         for kind in BackendKind::ALL {
             assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
             assert_eq!(kind.to_string(), kind.name());
-            assert_eq!(kind.instance().kind(), kind);
         }
         assert!("fibers".parse::<BackendKind>().is_err());
     }
@@ -418,13 +330,13 @@ mod tests {
     }
 
     #[test]
-    fn tasks_backend_defaults_to_available_parallelism() {
+    fn only_tasks_bounds_the_runnable_set_defaulting_to_available_parallelism() {
         let cfg = crate::SimConfig::new(1);
-        let sched = TasksBackend.scheduler(&cfg).expect("tasks backend always schedules");
-        assert!(*sched.free.lock() >= 1);
-        let pinned = crate::SimConfig::new(1).with_task_workers(3);
-        let sched = TasksBackend.scheduler(&pinned).unwrap();
-        assert_eq!(*sched.free.lock(), 3);
+        assert_eq!(BackendKind::Threads.permits(&cfg), None);
+        assert!(BackendKind::Tasks.permits(&cfg).expect("tasks always schedules") >= 1);
+        let pinned = cfg.with_task_workers(3);
+        assert_eq!(BackendKind::Tasks.permits(&pinned), Some(3));
+        assert_eq!(BackendKind::Threads.permits(&pinned), None);
     }
 
     #[test]

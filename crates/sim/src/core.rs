@@ -11,7 +11,7 @@
 //! shard counts, which the testkit's `backend_equivalence` oracles pin.
 //!
 //! Blocked operations park on the shard's condvar. Under the `tasks` backend
-//! a parked rank first releases its [`crate::backend::TaskScheduler`] worker
+//! a parked rank first releases its `TaskScheduler` worker
 //! permit and reacquires it after waking, which is what bounds the runnable
 //! set. The deadlock watchdog is progress-based: a wait that exceeds the
 //! timeout only panics ([`crate::SimError::Stuck`]) if *no* operation

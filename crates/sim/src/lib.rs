@@ -6,8 +6,8 @@
 //!
 //! ## Execution model
 //!
-//! Each simulated rank runs the user's program as a unit of work hosted by a
-//! pluggable [`backend`] — thread-per-rank (`threads`, the default) or
+//! Each simulated rank runs the user's program on a pooled OS thread, scheduled
+//! in one of two [`backend`] modes — thread-per-rank (`threads`, the default) or
 //! cooperatively scheduled over a small worker-permit budget (`tasks`, which
 //! lets 10k+ ranks fit in one process) — and carries a **virtual clock**.
 //! Computation advances only the local clock
@@ -51,18 +51,15 @@ pub mod core;
 pub mod counters;
 pub mod ctx;
 pub mod error;
-pub mod pool;
+mod pool;
 pub mod request;
 pub mod runner;
 
-pub use backend::{
-    BackendKind, CommBackend, RankJob, RunLatch, TaskScheduler, TasksBackend, ThreadsBackend,
-};
+pub use backend::BackendKind;
 pub use comm::{ChannelMeta, Communicator};
 pub use counters::RankCounters;
 pub use ctx::{RankCtx, ReduceOp};
 pub use error::{sim_error_of, SimError, StuckOp};
-pub use pool::SimPool;
 pub use request::Request;
 pub use runner::{run_simulation, FaultPlan, PerturbParams, SimConfig, SimReport};
 

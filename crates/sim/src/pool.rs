@@ -3,50 +3,37 @@
 //! A tuning sweep calls [`crate::run_simulation`] hundreds of times; spawning
 //! and joining one OS thread per rank per call costs thousands of
 //! spawn/join cycles per sweep. A [`SimPool`] keeps the rank threads alive
-//! between simulations: each `run` dispatches one job per rank to the
-//! pool's persistent workers and blocks until every rank reports back.
-//!
-//! Panic-poisoning and deadlock-timeout semantics are identical to the old
-//! spawn-per-run runner:
-//!
-//! * a panic on any rank poisons the shared `SimCore` (waking blocked
-//!   peers, which then panic with a "peer rank panicked" cascade) and is
-//!   re-raised on the calling thread, preferring the root-cause payload
-//!   over cascades;
-//! * a rank blocked longer than [`crate::SimConfig::deadlock_timeout`]
-//!   panics with a deadlock diagnostic, which propagates the same way.
+//! between simulations: each run dispatches one job per rank to the pool's
+//! persistent workers and blocks until every rank reports back.
 //!
 //! Workers never unwind across the job boundary (each job catches its
-//! rank's panic), so a pool survives failed simulations and can be reused.
+//! rank's panic), so a pool survives failed simulations and is reused.
 //!
 //! [`crate::run_simulation`] checks pools out of a process-wide registry
-//! keyed by `(ranks, stack_size)`, so callers — including concurrent
-//! tuning-sweep workers, each of which gets its *own* pool — reuse threads
-//! transparently.
+//! keyed by `(ranks, stack_size)` through a [`PoolLease`], so callers —
+//! including concurrent tuning-sweep workers, each of which gets its *own*
+//! pool — reuse threads transparently.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, OnceLock};
 
-use critter_machine::MachineModel;
 use parking_lot::Mutex;
 
-use crate::backend::{execute_ranks, BackendKind, CommBackend, RankJob, RunLatch, TaskScheduler};
-use crate::ctx::RankCtx;
-use crate::runner::{SimConfig, SimReport};
+/// A type-erased unit of rank work, run exactly once on its rank's thread.
+pub(crate) type RankJob = Box<dyn FnOnce() + Send>;
 
 /// A pool of persistent rank threads, one per simulated rank.
-pub struct SimPool {
+struct SimPool {
     ranks: usize,
     stack_size: usize,
     senders: Vec<mpsc::Sender<RankJob>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    runs: AtomicU64,
 }
 
 impl SimPool {
     /// Spawn a pool of `ranks` worker threads with the given stack size.
-    pub fn new(ranks: usize, stack_size: usize) -> Self {
+    fn new(ranks: usize, stack_size: usize) -> Self {
         static POOL_SEQ: AtomicU64 = AtomicU64::new(0);
         let id = POOL_SEQ.fetch_add(1, Ordering::Relaxed);
         assert!(ranks > 0, "a pool needs at least one rank thread");
@@ -68,74 +55,7 @@ impl SimPool {
             senders.push(tx);
             handles.push(handle);
         }
-        SimPool { ranks, stack_size, senders, handles, runs: AtomicU64::new(0) }
-    }
-
-    /// Number of rank threads in the pool.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    /// Stack size the rank threads were spawned with.
-    pub fn stack_size(&self) -> usize {
-        self.stack_size
-    }
-
-    /// How many simulations this pool has completed (reuse observability).
-    pub fn runs_completed(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    /// Run `program` on every rank of a simulated machine, reusing this
-    /// pool's threads. Semantics match [`crate::run_simulation`] on the
-    /// `threads` backend; `config.backend` is ignored (this *is* a backend).
-    pub fn run<R, F>(
-        &self,
-        config: &SimConfig,
-        machine: Arc<MachineModel>,
-        program: &F,
-    ) -> SimReport<R>
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> R + Sync,
-    {
-        assert_eq!(config.ranks, self.ranks, "pool size must match the simulation");
-        execute_ranks(&OnPool(self), config, machine, program)
-    }
-
-    /// Send one job to each rank thread (the backend layer's entry point).
-    pub(crate) fn dispatch(&self, jobs: Vec<RankJob>) {
-        assert_eq!(jobs.len(), self.ranks, "one job per rank thread");
-        for (rank, job) in jobs.into_iter().enumerate() {
-            // `send` only fails if a worker thread died, and workers cannot
-            // die: jobs catch all panics.
-            self.senders[rank].send(job).expect("pool worker alive");
-        }
-    }
-
-    /// Record one completed simulation (reuse observability).
-    pub(crate) fn note_run(&self) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// [`CommBackend`] view of one specific pool, so [`SimPool::run`] shares the
-/// job-building and result-collection path of [`execute_ranks`].
-struct OnPool<'a>(&'a SimPool);
-
-impl CommBackend for OnPool<'_> {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Threads
-    }
-
-    fn scheduler(&self, _config: &SimConfig) -> Option<Arc<TaskScheduler>> {
-        None
-    }
-
-    fn execute(&self, _config: &SimConfig, jobs: Vec<RankJob>, latch: &RunLatch) {
-        self.0.dispatch(jobs);
-        latch.wait();
-        self.0.note_run();
+        SimPool { ranks, stack_size, senders, handles }
     }
 }
 
@@ -150,16 +70,6 @@ impl Drop for SimPool {
     }
 }
 
-impl std::fmt::Debug for SimPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimPool")
-            .field("ranks", &self.ranks)
-            .field("stack_size", &self.stack_size)
-            .field("runs_completed", &self.runs_completed())
-            .finish()
-    }
-}
-
 /// Idle pools parked for reuse, keyed by `(ranks, stack_size)`.
 type PoolRegistry = Mutex<HashMap<(usize, usize), Vec<SimPool>>>;
 
@@ -169,186 +79,92 @@ fn registry() -> &'static PoolRegistry {
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Rank threads currently leased out of the registry, summed across live
-/// [`PoolLease`]s (see [`leased_ranks`]).
-static LEASED_RANKS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// An exclusive lease on a pooled [`SimPool`]; returns the pool to the
-/// registry on drop (including on unwind, so a panicking simulation does
-/// not leak its threads).
-pub struct PoolLease {
+/// An exclusive lease on a pooled set of rank threads; returns the pool to
+/// the registry on drop (including on unwind, so a panicking launch does not
+/// leak its threads).
+pub(crate) struct PoolLease {
     pool: Option<SimPool>,
 }
 
 impl PoolLease {
     /// Check a pool out of the registry, spawning one if none is idle.
-    pub fn checkout(ranks: usize, stack_size: usize) -> Self {
+    pub(crate) fn checkout(ranks: usize, stack_size: usize) -> Self {
         let pooled = registry().lock().get_mut(&(ranks, stack_size)).and_then(Vec::pop);
-        LEASED_RANKS.fetch_add(ranks, Ordering::Relaxed);
         PoolLease { pool: Some(pooled.unwrap_or_else(|| SimPool::new(ranks, stack_size))) }
     }
 
-    /// The leased pool.
-    pub fn pool(&self) -> &SimPool {
-        self.pool.as_ref().expect("pool held until drop")
+    /// Send one job to each rank thread. The lease must be held until every
+    /// job has reported (the pool must not return to the registry while jobs
+    /// are still in flight on its threads).
+    pub(crate) fn dispatch(&self, jobs: Vec<RankJob>) {
+        let pool = self.pool.as_ref().expect("pool held until drop");
+        assert_eq!(jobs.len(), pool.ranks, "one job per rank thread");
+        for (sender, job) in pool.senders.iter().zip(jobs) {
+            // `send` only fails if a worker thread died, and workers cannot
+            // die: jobs catch all panics.
+            sender.send(job).expect("pool worker alive");
+        }
     }
 }
 
 impl Drop for PoolLease {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.take() {
-            LEASED_RANKS.fetch_sub(pool.ranks, Ordering::Relaxed);
             registry().lock().entry((pool.ranks, pool.stack_size)).or_default().push(pool);
         }
     }
 }
 
-/// Number of idle pools currently parked in the registry (test/diagnostic
-/// visibility into reuse behavior).
-pub fn idle_pools() -> usize {
-    registry().lock().values().map(Vec::len).sum()
-}
-
-/// Total rank threads currently checked out via [`PoolLease`] across the
-/// process. This is the live-capacity signal multi-tenant schedulers meter
-/// against: each running sweep worker holds one lease of `ranks` threads,
-/// so the sum tracks concurrent simulated-rank pressure in real time.
-pub fn leased_ranks() -> usize {
-    LEASED_RANKS.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::ReduceOp;
-    use std::panic::AssertUnwindSafe;
+    use std::sync::mpsc::channel;
 
-    fn machine(p: usize) -> Arc<MachineModel> {
-        MachineModel::test_exact(p).shared()
-    }
-
-    #[test]
-    fn pool_runs_count_and_threads_are_stable() {
-        let pool = SimPool::new(3, 1 << 20);
-        assert_eq!(pool.ranks(), 3);
-        assert_eq!(pool.runs_completed(), 0);
-        let cfg = SimConfig::new(3);
-        let ids1 = pool.run(&cfg, machine(3), &|_ctx: &mut RankCtx| std::thread::current().id());
-        let ids2 = pool.run(&cfg, machine(3), &|_ctx: &mut RankCtx| std::thread::current().id());
-        assert_eq!(ids1.outputs, ids2.outputs, "rank threads must persist across runs");
-        assert_eq!(pool.runs_completed(), 2);
-    }
-
-    #[test]
-    fn pool_results_match_rank_order_and_communicate() {
-        let pool = SimPool::new(4, 1 << 20);
-        let cfg = SimConfig::new(4);
-        let report = pool.run(&cfg, machine(4), &|ctx: &mut RankCtx| {
-            let world = ctx.world();
-            let sum = ctx.allreduce(&world, ReduceOp::Sum, &[ctx.rank() as f64]);
-            (ctx.rank(), sum[0])
-        });
-        for (i, &(rank, sum)) in report.outputs.iter().enumerate() {
-            assert_eq!(rank, i, "outputs must be collected in rank order");
-            assert_eq!(sum, 6.0);
-        }
-    }
-
-    #[test]
-    fn pool_survives_panicked_run() {
-        let pool = SimPool::new(2, 1 << 20);
-        let cfg = SimConfig::new(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(&cfg, machine(2), &|ctx: &mut RankCtx| {
-                if ctx.rank() == 1 {
-                    panic!("rank 1 exploded");
-                }
-                let world = ctx.world();
-                ctx.recv(&world, 1, 0);
+    /// Run one thread-id-reporting job per rank on `lease`.
+    fn thread_ids(lease: &PoolLease, ranks: usize) -> Vec<std::thread::ThreadId> {
+        let (tx, rx) = channel();
+        let jobs = (0..ranks)
+            .map(|rank| {
+                let tx = tx.clone();
+                Box::new(move || tx.send((rank, std::thread::current().id())).unwrap()) as RankJob
             })
-        }));
-        let payload = result.expect_err("panic must propagate to the caller");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(
-            msg.contains("rank 1 exploded"),
-            "root cause, not the peer cascade, must be re-raised; got {msg:?}"
-        );
-        // Same pool, fresh core: the next run must succeed.
-        let ok = pool.run(&cfg, machine(2), &|ctx: &mut RankCtx| ctx.rank() * 10);
-        assert_eq!(ok.outputs, vec![0, 10]);
-    }
-
-    #[test]
-    fn lease_returns_pool_to_registry_when_run_panics() {
-        // A panicking simulation unwinds through `SimPool::run` while the
-        // lease is live; the lease's Drop must still park the pool, so the
-        // next checkout of the same shape reuses those threads instead of
-        // leaking them and spawning fresh ones.
-        let (ranks, stack) = (2, (1 << 20) + 0xD509);
-        let result = std::panic::catch_unwind(|| {
-            let lease = PoolLease::checkout(ranks, stack);
-            lease.pool().run(&SimConfig::new(ranks), machine(ranks), &|ctx: &mut RankCtx| {
-                if ctx.rank() == 0 {
-                    panic!("sweep exploded mid-run");
-                }
-                let world = ctx.world();
-                ctx.recv(&world, 0, 0);
-            })
-        });
-        assert!(result.is_err());
-        let lease = PoolLease::checkout(ranks, stack);
-        assert_eq!(
-            lease.pool().runs_completed(),
-            1,
-            "checkout after the panic must return the same (reusable) pool"
-        );
-        let ok = lease
-            .pool()
-            .run(&SimConfig::new(ranks), machine(ranks), &|ctx: &mut RankCtx| ctx.rank());
-        assert_eq!(ok.outputs, vec![0, 1]);
-    }
-
-    #[test]
-    fn leased_ranks_tracks_live_checkouts() {
-        // Sibling tests lease pools concurrently, so assert monotone deltas
-        // around this test's own leases rather than absolute values.
-        let (ranks, stack) = (3, (1 << 20) + 0xACC7);
-        let held = {
-            let _a = PoolLease::checkout(ranks, stack);
-            let one = leased_ranks();
-            assert!(one >= ranks, "a live lease must contribute its ranks");
-            let _b = PoolLease::checkout(ranks, stack);
-            let two = leased_ranks();
-            assert!(two >= 2 * ranks, "leases accumulate while both are live");
-            two
-        };
-        // Both leases dropped: the census gave back this test's 2×ranks
-        // (concurrent churn can only have added or removed other leases,
-        // never ours, so the floor holds).
-        assert!(held >= 2 * ranks);
+            .collect();
+        lease.dispatch(jobs);
+        let mut ids: Vec<_> = rx.iter().take(ranks).collect();
+        ids.sort_by_key(|&(rank, _)| rank);
+        ids.into_iter().map(|(_, id)| id).collect()
     }
 
     #[test]
     fn lease_checkout_spawns_then_reuses() {
         // Unique shape → private registry slot, immune to sibling tests.
         let (ranks, stack) = (2, (1 << 20) + 0x1EA5E);
-        let first_pool_runs;
-        {
+        let first = thread_ids(&PoolLease::checkout(ranks, stack), ranks);
+        assert_eq!(first.len(), 2);
+        assert_ne!(first[0], first[1], "one thread per rank");
+        let second = thread_ids(&PoolLease::checkout(ranks, stack), ranks);
+        assert_eq!(first, second, "second checkout must return the pool the first lease parked");
+    }
+
+    #[test]
+    fn concurrent_leases_of_one_shape_get_distinct_pools() {
+        let (ranks, stack) = (2, (1 << 20) + 0xACC7);
+        let (a, b) = (PoolLease::checkout(ranks, stack), PoolLease::checkout(ranks, stack));
+        let (ids_a, ids_b) = (thread_ids(&a, ranks), thread_ids(&b, ranks));
+        assert!(ids_a.iter().all(|id| !ids_b.contains(id)), "live leases never share threads");
+    }
+
+    #[test]
+    fn lease_returns_pool_to_registry_on_unwind() {
+        let (ranks, stack) = (2, (1 << 20) + 0xD509);
+        let mut seen = Vec::new();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let lease = PoolLease::checkout(ranks, stack);
-            lease.pool().run(&SimConfig::new(ranks), machine(ranks), &|_ctx: &mut RankCtx| ());
-            first_pool_runs = lease.pool().runs_completed();
-        }
-        {
-            let lease = PoolLease::checkout(ranks, stack);
-            assert_eq!(
-                lease.pool().runs_completed(),
-                first_pool_runs,
-                "second checkout must return the pool the first lease parked"
-            );
-        }
+            seen = thread_ids(&lease, ranks);
+            panic!("launch exploded while the lease was live");
+        }));
+        assert!(result.is_err());
+        let again = thread_ids(&PoolLease::checkout(ranks, stack), ranks);
+        assert_eq!(seen, again, "checkout after the unwind must reuse the same threads");
     }
 }

@@ -258,7 +258,7 @@ impl<R> SimReport<R> {
 /// outputs are collected in rank order. A panic on any rank poisons the core
 /// (unblocking peers) and is re-raised on the calling thread.
 ///
-/// Rank threads come from a process-wide pool (see [`crate::pool`]): the
+/// Rank threads come from a process-wide pool registry: the
 /// first simulation of a given `(ranks, stack_size)` shape spawns them, and
 /// subsequent runs — including runs after a panicked simulation — reuse
 /// them. Concurrent calls check out distinct pools, so simulations never
@@ -274,7 +274,7 @@ where
     R: Send,
     F: Fn(&mut RankCtx) -> R + Send + Sync,
 {
-    execute_ranks(config.backend.instance(), &config, machine, &program)
+    execute_ranks(&config, machine, &program)
 }
 
 #[cfg(test)]
@@ -842,19 +842,38 @@ mod tests {
     fn simulation_recovers_after_panicked_run_on_same_pool() {
         let cfg = SimConfig::new(2).with_stack_size((1 << 20) + 0xFA11);
         let m = machine(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let ids = |m: &Arc<MachineModel>| {
+            run_simulation(cfg.clone(), Arc::clone(m), |_ctx| std::thread::current().id()).outputs
+        };
+        let before = ids(&m);
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
             run_simulation(cfg.clone(), Arc::clone(&m), |ctx| {
-                if ctx.rank() == 0 {
-                    panic!("deliberate failure");
+                if ctx.rank() == 1 {
+                    panic!("rank 1 exploded");
                 }
+                // Blocks until the poison wakes it with the peer cascade.
                 let world = ctx.world();
-                ctx.recv(&world, 0, 0);
+                ctx.recv(&world, 1, 0);
             })
-        }));
-        assert!(result.is_err());
-        // The pool the panicked run used must come back clean.
-        let ok = run_simulation(cfg, m, |ctx| ctx.rank());
-        assert_eq!(ok.outputs, vec![0, 1]);
+        }))
+        .expect_err("panic must propagate to the caller");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            msg.contains("rank 1 exploded"),
+            "root cause, not the peer cascade, must be re-raised; got {msg:?}"
+        );
+        // The lease went back to the registry although the run panicked, and
+        // the pool it parked is clean: same threads, fresh core, rank order.
+        assert_eq!(before, ids(&m), "the panicked run's pool must be reused, not leaked");
+        let ok = run_simulation(cfg.clone(), m, |ctx| {
+            let world = ctx.world();
+            (ctx.rank(), ctx.allreduce(&world, ReduceOp::Sum, &[ctx.rank() as f64])[0])
+        });
+        assert_eq!(ok.outputs, vec![(0, 1.0), (1, 1.0)]);
     }
 
     #[test]

@@ -19,97 +19,52 @@
 use critter_core::signature::{ComputeOp, KernelSig};
 use critter_core::KernelStore;
 use critter_machine::{MachineParams, NoiseParams};
+use critter_session::cli::{Cli, Error, Flag, Parsed};
 use critter_store::{MachineSpec, Store};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: critter-store <command> --dir STORE [options]\n\
-         \n\
-         commands:\n\
-         \x20 ls      list the latest generation's entries\n\
-         \x20 show    print one blob by 13-hex-digit content hash\n\
-         \x20 verify  fsck the store (exit 1 on any corruption)\n\
-         \x20 gc      keep the newest generations, drop the rest\n\
-         \x20 stress  hammer the store with concurrent batch commits\n\
-         \n\
-         options:\n\
-         \x20 --dir STORE    store directory (required)\n\
-         \x20 --json         machine-readable output (ls, show, verify, gc)\n\
-         \x20 --keep N       gc: generations to keep (default 4)\n\
-         \x20 --writers N    stress: concurrent writer threads (default 4)\n\
-         \x20 --commits N    stress: commits per writer (default 8)\n\
-         \x20 --seed S       stress: synthetic-sample seed (default 1)"
-    );
-    std::process::exit(2)
-}
+const FLAGS: &[Flag] = &[
+    Flag("--dir STORE", "store directory (required)"),
+    Flag("--json", "machine-readable output (`ls`, `show`, `verify`, `gc`)"),
+    Flag("--keep N", "`gc`: newest generations to keep (default 4)"),
+    Flag("--writers N", "`stress`: concurrent writer threads (default 4)"),
+    Flag("--commits N", "`stress`: commits per writer (default 8)"),
+    Flag("--seed S", "`stress`: synthetic-sample seed (default 1)"),
+];
+
+const CLI: Cli = Cli {
+    positionals: "COMMAND [HASH]",
+    about: "commands:\n\
+            \x20 ls      list the latest generation's entries\n\
+            \x20 show    print one blob by its 13-hex-digit content HASH\n\
+            \x20 verify  fsck the store (exit 1 on any corruption)\n\
+            \x20 gc      keep the newest generations, drop the rest\n\
+            \x20 stress  hammer the store with concurrent batch commits",
+    ..Cli::new("critter-store", &[FLAGS])
+};
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("critter-store: {msg}");
     std::process::exit(1)
 }
 
-struct Args {
-    command: String,
-    dir: Option<String>,
-    hash: Option<String>,
-    json: bool,
-    keep: u64,
-    writers: u64,
-    commits: u64,
-    seed: u64,
+/// A subcommand; a rejected flag value is a usage error (see [`Cli::parse_env`]).
+type Command = fn(&Parsed) -> Result<(), Error>;
+
+const COMMANDS: [(&str, Command); 5] =
+    [("ls", ls), ("show", show), ("verify", verify), ("gc", gc), ("stress", stress)];
+
+/// Open `--dir`; commands read every other flag first, so a rejected command
+/// line never touches the store.
+fn open(p: &Parsed) -> Result<Store, Error> {
+    let dir: String = p.get("--dir")?.ok_or("flag `--dir STORE` is required")?;
+    Ok(Store::open(dir).unwrap_or_else(|e| fail(e)))
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") || argv.is_empty() {
-        usage();
-    }
-    let mut args = Args {
-        command: argv[0].clone(),
-        dir: None,
-        hash: None,
-        json: false,
-        keep: 4,
-        writers: 4,
-        commits: 8,
-        seed: 1,
-    };
-    let mut i = 1;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--dir" => args.dir = Some(take(&mut i)),
-            "--json" => args.json = true,
-            "--keep" => args.keep = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--writers" => args.writers = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--commits" => args.commits = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            other if !other.starts_with('-') && args.hash.is_none() => {
-                args.hash = Some(other.to_string())
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    args
-}
-
-fn open(args: &Args) -> Store {
-    let Some(dir) = &args.dir else {
-        eprintln!("critter-store: --dir is required");
-        usage()
-    };
-    Store::open(dir).unwrap_or_else(|e| fail(e))
-}
-
-fn ls(args: &Args) {
-    let store = open(args);
+fn ls(p: &Parsed) -> Result<(), Error> {
+    let store = open(p)?;
     let census = store.census().unwrap_or_else(|e| fail(e));
     let index = store.latest().unwrap_or_else(|e| fail(e));
-    if args.json {
+    if p.switch("--json") {
         let entries: Vec<serde_json::Value> =
             index.iter().flat_map(|i| i.entries.iter().map(|e| e.to_json())).collect();
         let doc = serde_json::json!({
@@ -118,7 +73,7 @@ fn ls(args: &Args) {
             "generation": census.generation,
         });
         println!("{}", serde_json::to_string_pretty(&doc).expect("json writer is total"));
-        return;
+        return Ok(());
     }
     println!(
         "generation {} ({} entries, {} blobs)",
@@ -132,21 +87,19 @@ fn ls(args: &Args) {
             );
         }
     }
+    Ok(())
 }
 
-fn show(args: &Args) {
-    let store = open(args);
-    let Some(hex) = &args.hash else {
-        eprintln!("critter-store: show needs a blob hash");
-        usage()
-    };
+fn show(p: &Parsed) -> Result<(), Error> {
+    let hex = p.positionals().get(1).ok_or("`show` needs a blob HASH")?;
+    let store = open(p)?;
     let hash = u64::from_str_radix(hex, 16)
         .unwrap_or_else(|_| fail(format!("`{hex}` is not a hex content hash")));
     let stores = store.load_blob(hash).unwrap_or_else(|e| fail(e));
-    if args.json {
+    if p.switch("--json") {
         let doc = critter_core::snapshot::stores_to_json(&stores);
         println!("{}", serde_json::to_string_pretty(&doc).expect("json writer is total"));
-        return;
+        return Ok(());
     }
     println!("blob {hash:013x}: {} rank stores", stores.len());
     for (rank, s) in stores.iter().enumerate() {
@@ -157,12 +110,13 @@ fn show(args: &Args) {
             s.total_sampled_time()
         );
     }
+    Ok(())
 }
 
-fn verify(args: &Args) {
-    let store = open(args);
+fn verify(p: &Parsed) -> Result<(), Error> {
+    let store = open(p)?;
     let report = store.verify().unwrap_or_else(|e| fail(e));
-    if args.json {
+    if p.switch("--json") {
         let problems: Vec<serde_json::Value> =
             report.problems.iter().map(|p| serde_json::Value::String(p.clone())).collect();
         let doc = serde_json::json!({
@@ -192,12 +146,14 @@ fn verify(args: &Args) {
     if !report.ok() {
         std::process::exit(1);
     }
+    Ok(())
 }
 
-fn gc(args: &Args) {
-    let store = open(args);
-    let report = store.gc(args.keep).unwrap_or_else(|e| fail(e));
-    if args.json {
+fn gc(p: &Parsed) -> Result<(), Error> {
+    let keep = p.get("--keep")?.unwrap_or(4);
+    let store = open(p)?;
+    let report = store.gc(keep).unwrap_or_else(|e| fail(e));
+    if p.switch("--json") {
         let doc = serde_json::json!({
             "kept_generations": report.kept_generations,
             "removed_blobs": report.removed_blobs,
@@ -214,6 +170,7 @@ fn gc(args: &Args) {
             report.removed_tmp
         );
     }
+    Ok(())
 }
 
 /// Deterministic synthetic profile for writer `w`, commit `c`: distinct
@@ -231,14 +188,16 @@ fn synthetic_stores(seed: u64, writer: u64, commit: u64) -> Vec<KernelStore> {
     vec![s]
 }
 
-fn stress(args: &Args) {
-    let store = open(args);
+fn stress(p: &Parsed) -> Result<(), Error> {
+    let writers: u64 = p.get("--writers")?.unwrap_or(4);
+    let (commits, seed): (u64, u64) =
+        (p.get("--commits")?.unwrap_or(8), p.get("--seed")?.unwrap_or(1));
+    let store = open(p)?;
     let machine = MachineSpec::from_models(&MachineParams::test_machine(), &NoiseParams::cluster());
-    let handles: Vec<_> = (0..args.writers.max(1))
+    let handles: Vec<_> = (0..writers.max(1))
         .map(|w| {
             let store = store.clone();
             let machine = machine.clone();
-            let (commits, seed) = (args.commits, args.seed);
             std::thread::spawn(move || {
                 for c in 0..commits {
                     let stores = synthetic_stores(seed, w, c);
@@ -254,16 +213,14 @@ fn stress(args: &Args) {
     }
     let census = store.census().unwrap_or_else(|e| fail(e));
     println!("stress done: generation {}, {} entries", census.generation, census.entries);
+    Ok(())
 }
 
 fn main() {
-    let args = parse_args();
-    match args.command.as_str() {
-        "ls" => ls(&args),
-        "show" => show(&args),
-        "verify" => verify(&args),
-        "gc" => gc(&args),
-        "stress" => stress(&args),
-        _ => usage(),
-    }
+    CLI.parse_env(|p| {
+        let name = p.positionals().first().ok_or("a COMMAND is required")?;
+        let (_, run) =
+            COMMANDS.iter().find(|(n, _)| n == name).ok_or(format!("unknown command `{name}`"))?;
+        run(p)
+    })
 }

@@ -1,0 +1,76 @@
+//! `critter-tune`'s command line at the process boundary: the generated
+//! `--help`, the one failure behaviour for invalid input, and the
+//! `--checkpoint-dir` fresh-run contract.
+
+#[path = "support/cli.rs"]
+mod support;
+use support::{assert_usage_error, help_flags, run};
+
+const TUNE: &str = env!("CARGO_BIN_EXE_critter-tune");
+
+#[test]
+fn help_lists_exactly_the_flag_table() {
+    assert_eq!(
+        help_flags(TUNE),
+        [
+            "--space",
+            "--policy",
+            "--epsilon",
+            "--smoke",
+            "--allocation",
+            "--seed",
+            "--extrapolate",
+            "--no-overhead",
+            "--profile",
+            "--json",
+            "--observe",
+            "--report-out",
+            "--metrics-out",
+            "--reps",
+            "--checkpoint-dir",
+            "--resume",
+            "--warm-start",
+            "--profile-out",
+            "--store",
+            "--faults",
+            "--retries",
+            "--backend",
+        ]
+    );
+}
+
+#[test]
+fn invalid_input_is_a_usage_error_naming_the_flag() {
+    assert_usage_error(TUNE, "critter-tune", &["--bogus"], "`--bogus`");
+    assert_usage_error(TUNE, "critter-tune", &["--smoke", "--reps"], "`--reps`");
+    assert_usage_error(TUNE, "critter-tune", &["--epsilon", "tight"], "`--epsilon`");
+    assert_usage_error(TUNE, "critter-tune", &["--space", "lu"], "one of: capital-cholesky");
+    assert_usage_error(TUNE, "critter-tune", &["--policy", "greedy"], "one of: conditional");
+    assert_usage_error(TUNE, "critter-tune", &["--backend", "fibers"], "`--backend`");
+    assert_usage_error(TUNE, "critter-tune", &["--json", "--json"], "more than once");
+    assert_usage_error(TUNE, "critter-tune", &["stray"], "`stray`");
+}
+
+#[test]
+fn fresh_checkpointed_run_spares_foreign_files_and_ignores_a_stale_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("critter-tune-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("thesis.tex"), "precious").unwrap();
+    // Not a checkpoint at all: resuming it would fail the session.
+    std::fs::write(dir.join("checkpoint.json"), "stale").unwrap();
+    let sweep = ["--space", "slate-cholesky", "--policy", "local", "--smoke", "--json"];
+    let ck = ["--checkpoint-dir", dir.to_str().unwrap()];
+
+    let (code, plain, _) = run(TUNE, &sweep);
+    assert_eq!(code, 0);
+    let (code, fresh, stderr) = run(TUNE, &[&sweep[..], &ck[..]].concat());
+    assert_eq!(code, 0, "a fresh run must not pick up the stale checkpoint: {stderr}");
+    assert_eq!(fresh, plain, "checkpointing never changes the report");
+    assert_eq!(std::fs::read_to_string(dir.join("thesis.tex")).unwrap(), "precious");
+    assert!(dir.join("session.log").is_file());
+
+    let (code, resumed, _) = run(TUNE, &[&sweep[..], &ck[..], &["--resume"]].concat());
+    assert_eq!((code, resumed), (0, plain), "the finished checkpoint resumes byte-identically");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
