@@ -21,12 +21,16 @@
 //! techniques extend beyond the paper's case studies: 2.5D matrix
 //! multiplication with a tunable replication depth.
 //!
+//! [`bsp`] holds the closed-form BSP cost models of the four factorization
+//! schedules, next to the code whose critical path they describe.
+//!
 //! Every algorithm operates on real `f64` matrix data (`critter-dla`
 //! kernels), so full-execution runs are verified numerically; under selective
 //! execution the numerics are knowingly corrupted, exactly as in the paper.
 
 #![deny(missing_docs)]
 
+pub mod bsp;
 pub mod candmc_qr;
 pub mod capital;
 pub mod grid;

@@ -45,7 +45,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use critter_algs::Workload;
-use critter_core::{CritterConfig, CritterEnv, CritterError, KernelStore};
+use critter_core::json::{JsonError, Reader};
+use critter_core::{snapshot, CritterConfig, CritterEnv, CritterError, KernelStore};
 use critter_machine::MachineModel;
 use critter_obs::{Event, EventKind, ObsReport, RankTrace, TimelineRun};
 use critter_session::{durable, envelope, SessionConfig, SessionLog};
@@ -69,8 +70,8 @@ fn session_event(kind: EventKind, label: &str, arg: f64) -> Event {
 }
 
 /// Everything a sweep carries from one committed unit to the next — and
-/// therefore exactly what a checkpoint persists. `to_json`/`from_json` are
-/// the checkpoint payload format.
+/// therefore exactly what a checkpoint persists. `to_json`/`read` are the
+/// checkpoint payload format.
 pub(crate) struct SweepState {
     /// Completed `(config, rep)` units, counting a quarantined
     /// configuration's abandoned repetitions as done.
@@ -108,36 +109,24 @@ impl SweepState {
         let runs: Vec<Value> = self.obs_runs.iter().map(TimelineRun::to_json).collect();
         serde_json::json!({
             "configs": configs,
-            "entry_stores": critter_core::snapshot::stores_to_json(&self.entry_state),
+            "entry_stores": snapshot::stores_to_json(&self.entry_state),
             "obs_runs": runs,
             "session_events": events,
-            "stores": critter_core::snapshot::stores_to_json(&self.stores),
+            "stores": snapshot::stores_to_json(&self.stores),
             "units_done": self.units_done as u64,
         })
     }
 
-    /// Inverse of [`SweepState::to_json`].
-    fn from_json(payload: &Value) -> critter_core::Result<Self> {
-        let schema = |what: String| CritterError::schema("checkpoint", what);
-        let bad = |key: &str| schema(format!("bad key `{key}`"));
-        let field = |key: &str| payload.get(key).ok_or_else(|| bad(key));
-        let array = |key: &str| field(key)?.as_array().ok_or_else(|| bad(key));
+    /// Inverse of [`SweepState::to_json`]: decode the checkpoint payload
+    /// at `r`.
+    fn read(r: Reader<'_, '_>) -> Result<Self, JsonError> {
         Ok(SweepState {
-            units_done: field("units_done")?.as_u64().ok_or_else(|| bad("units_done"))? as usize,
-            configs: array("configs")?
-                .iter()
-                .map(ConfigResult::from_json)
-                .collect::<critter_core::Result<_>>()?,
-            stores: critter_core::snapshot::stores_from_json(field("stores")?)?,
-            entry_state: critter_core::snapshot::stores_from_json(field("entry_stores")?)?,
-            obs_runs: array("obs_runs")?
-                .iter()
-                .map(|v| TimelineRun::from_json(v).map_err(schema))
-                .collect::<critter_core::Result<_>>()?,
-            session_events: array("session_events")?
-                .iter()
-                .map(|v| Event::from_json(v).map_err(schema))
-                .collect::<critter_core::Result<_>>()?,
+            units_done: r.at("units_done").int()?,
+            configs: r.at("configs").list(ConfigResult::read)?,
+            stores: snapshot::read_stores(r.at("stores"))?,
+            entry_state: snapshot::read_stores(r.at("entry_stores"))?,
+            obs_runs: r.at("obs_runs").list(TimelineRun::read)?,
+            session_events: r.at("session_events").list(Event::read)?,
         })
     }
 }
@@ -453,7 +442,8 @@ impl Autotuner {
         let mut state = SweepState::fresh(fresh());
         if let Some(path) = ckpt_path.as_deref().filter(|p| p.exists()) {
             let doc = durable::read_value(path)?;
-            state = SweepState::from_json(envelope::open(&doc, "checkpoint", Some(fingerprint))?)?;
+            let payload = envelope::open(&doc, "checkpoint", Some(fingerprint))?;
+            state = SweepState::read(Reader::root("checkpoint", payload))?;
             if state.stores.len() != ranks || state.entry_state.len() != ranks {
                 return Err(CritterError::mismatch(format!(
                     "checkpoint holds {} rank stores but the sweep uses {ranks} ranks",
@@ -864,23 +854,26 @@ mod tests {
         let doc = durable::read_value(&session.checkpoint_path().unwrap()).unwrap();
         let payload = envelope::open(&doc, "checkpoint", Some(tuner.fingerprint(&w))).unwrap();
 
-        let state = SweepState::from_json(payload).unwrap();
+        let read = |v: &Value| SweepState::read(Reader::root("checkpoint", v));
+        let state = read(payload).unwrap();
         assert!(state.units_done >= 5 && !state.obs_runs.is_empty());
         assert!(state.configs.iter().any(|c| !c.offline.is_empty()));
         assert!(!state.session_events.is_empty(), "the pinned fault plan must fire");
         let text = |v: &Value| serde_json::to_string(v).unwrap();
         assert_eq!(text(&state.to_json()), text(payload), "decode → encode must be the identity");
 
-        // Every key is required; a missing or wrong-typed one is a typed
-        // schema error naming it, never a panic.
+        // Every key is required; a missing or wrong-typed one is an error
+        // located at it, never a panic. (Every deeper path is covered by
+        // the corruption oracle in `critter-testkit`.)
         for key in ["configs", "entry_stores", "obs_runs", "session_events", "stores", "units_done"]
         {
-            let mut broken = payload.clone();
-            broken.as_object_mut().unwrap().remove(key);
-            let err = SweepState::from_json(&broken).err().expect("missing key").to_string();
-            assert!(err.contains(key), "error must name `{key}`, got: {err}");
-            broken.as_object_mut().unwrap().insert(key.into(), serde_json::json!("nope"));
-            assert!(SweepState::from_json(&broken).is_err(), "wrong-typed `{key}`");
+            let Value::Object(mut broken) = payload.clone() else { panic!("payload is an object") };
+            broken.remove(key);
+            let err = read(&Value::Object(broken.clone())).err().expect("missing key");
+            assert_eq!(err.path, key, "got: {err}");
+            broken.insert(key.into(), serde_json::json!("nope"));
+            let err = read(&Value::Object(broken)).err().expect("wrong-typed key");
+            assert_eq!(err.path, key, "got: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

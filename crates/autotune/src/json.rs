@@ -8,7 +8,8 @@
 //! diff of a committed fixture.
 
 use crate::records::{ConfigResult, RunRecord, TuningReport};
-use critter_core::{CritterError, PathMetrics, Result};
+use critter_core::json::{canonical_text, JsonError, Reader};
+use critter_core::{ExecutionPolicy, PathMetrics};
 use serde_json::Value;
 
 impl RunRecord {
@@ -26,68 +27,19 @@ impl RunRecord {
         })
     }
 
-    /// Restore a record bit-exactly from [`RunRecord::to_json`] output.
-    ///
-    /// Errors name the offending field by its full JSON path (e.g.
-    /// ``bad key `elapsed`: expected a number, got string`` — and, reached
-    /// through [`TuningReport::from_json`], prefixed like
-    /// ``configs[2].pairs[0].full.elapsed``).
-    pub fn from_json(v: &Value) -> Result<RunRecord> {
-        Self::from_json_at(v, "")
-    }
-
-    /// [`RunRecord::from_json`] with every error path prefixed by `at`.
-    pub(crate) fn from_json_at(v: &Value, at: &str) -> Result<RunRecord> {
-        let bad = |key: &str| bad_key("run record", at, key, v.get(key));
-        let f64_field = |key: &str| v.get(key).and_then(Value::as_f64).ok_or_else(|| bad(key));
-        let u64_field = |key: &str| v.get(key).and_then(Value::as_u64).ok_or_else(|| bad(key));
+    /// Restore a record bit-exactly from [`RunRecord::to_json`] output at `r`.
+    pub fn read(r: Reader<'_, '_>) -> Result<RunRecord, JsonError> {
         Ok(RunRecord {
-            elapsed: f64_field("elapsed")?,
-            predicted: f64_field("predicted")?,
-            path: PathMetrics::from_json(v.get("path").ok_or_else(|| bad("path"))?)
-                .map_err(|e| at_path("run record", at, "path", e))?,
-            max_kernel_time: f64_field("max_kernel_time")?,
-            max_kernel_predicted: f64_field("max_kernel_predicted")?,
-            kernels_executed: u64_field("kernels_executed")?,
-            kernels_skipped: u64_field("kernels_skipped")?,
-            internal_words: u64_field("internal_words")?,
+            elapsed: r.at("elapsed").f64()?,
+            predicted: r.at("predicted").f64()?,
+            path: PathMetrics::read(r.at("path"))?,
+            max_kernel_time: r.at("max_kernel_time").f64()?,
+            max_kernel_predicted: r.at("max_kernel_predicted").f64()?,
+            kernels_executed: r.at("kernels_executed").u64()?,
+            kernels_skipped: r.at("kernels_skipped").u64()?,
+            internal_words: r.at("internal_words").u64()?,
         })
     }
-}
-
-/// Join a path prefix and a key: `("configs[2]", "name")` →
-/// `"configs[2].name"`, and `("", "name")` → `"name"`.
-fn join_path(at: &str, key: &str) -> String {
-    if at.is_empty() {
-        key.to_string()
-    } else {
-        format!("{at}.{key}")
-    }
-}
-
-/// A schema error naming the full JSON path of a missing or wrong-typed
-/// key, including what was found there (`missing` or the JSON type).
-fn bad_key(context: &str, at: &str, key: &str, found: Option<&Value>) -> CritterError {
-    let what = match found {
-        None => "missing",
-        Some(Value::Null) => "got null",
-        Some(Value::Bool(_)) => "got a bool",
-        Some(Value::Number(_)) => "got the wrong kind of number",
-        Some(Value::String(_)) => "got a string",
-        Some(Value::Array(_)) => "got an array",
-        Some(Value::Object(_)) => "got an object",
-    };
-    CritterError::schema(context, format!("bad key `{}`: {what}", join_path(at, key)))
-}
-
-/// Re-contextualize a nested decoder's error with the path it was reached
-/// through, preserving its own detail text.
-fn at_path(context: &str, at: &str, key: &str, e: CritterError) -> CritterError {
-    let detail = match &e {
-        CritterError::Schema { detail, .. } => detail.clone(),
-        other => other.to_string(),
-    };
-    CritterError::schema(context, format!("at `{}`: {detail}", join_path(at, key)))
 }
 
 impl ConfigResult {
@@ -115,49 +67,19 @@ impl ConfigResult {
     }
 
     /// Restore a configuration result bit-exactly from
-    /// [`ConfigResult::to_json`] output (an absent `quarantined` key reads
-    /// back as `false`). Errors name the offending field by its full JSON
-    /// path, down to the individual run-record field.
-    pub fn from_json(v: &Value) -> Result<ConfigResult> {
-        Self::from_json_at(v, "")
-    }
-
-    /// [`ConfigResult::from_json`] with every error path prefixed by `at`.
-    pub(crate) fn from_json_at(v: &Value, at: &str) -> Result<ConfigResult> {
-        let bad = |key: &str| bad_key("config result", at, key, v.get(key));
-        let arr = |key: &str| v.get(key).and_then(Value::as_array).ok_or_else(|| bad(key));
-        let name = v.get("name").and_then(Value::as_str).ok_or_else(|| bad("name"))?.to_string();
-        let pairs = arr("pairs")?
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let slot = |side: &str| join_path(at, &format!("pairs[{i}].{side}"));
-                let full = RunRecord::from_json_at(
-                    p.get("full").ok_or_else(|| {
-                        bad_key("config result", at, &format!("pairs[{i}].full"), None)
-                    })?,
-                    &slot("full"),
-                )?;
-                let tuned = RunRecord::from_json_at(
-                    p.get("tuned").ok_or_else(|| {
-                        bad_key("config result", at, &format!("pairs[{i}].tuned"), None)
-                    })?,
-                    &slot("tuned"),
-                )?;
-                Ok((full, tuned))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let offline = arr("offline")?
-            .iter()
-            .enumerate()
-            .map(|(i, r)| RunRecord::from_json_at(r, &join_path(at, &format!("offline[{i}]"))))
-            .collect::<Result<Vec<_>>>()?;
-        let quarantined = match v.get("quarantined") {
-            None => false,
-            Some(Value::Bool(b)) => *b,
-            Some(_) => return Err(bad("quarantined")),
+    /// [`ConfigResult::to_json`] output at `r` (an absent `quarantined` key
+    /// reads back as `false`).
+    pub fn read(r: Reader<'_, '_>) -> Result<ConfigResult, JsonError> {
+        let pair = |p: Reader<'_, '_>| {
+            Ok((RunRecord::read(p.at("full"))?, RunRecord::read(p.at("tuned"))?))
         };
-        Ok(ConfigResult { name, pairs, offline, quarantined })
+        let quarantined = r.at("quarantined");
+        Ok(ConfigResult {
+            name: r.at("name").str()?.to_string(),
+            pairs: r.at("pairs").list(pair)?,
+            offline: r.at("offline").list(RunRecord::read)?,
+            quarantined: quarantined.exists() && quarantined.bool()?,
+        })
     }
 }
 
@@ -185,9 +107,7 @@ impl TuningReport {
 
     /// The canonical pretty-printed snapshot text (trailing newline included).
     pub fn to_json_string(&self) -> String {
-        let mut s = serde_json::to_string_pretty(&self.to_json()).expect("json writer is total");
-        s.push('\n');
-        s
+        canonical_text(&self.to_json())
     }
 
     /// Restore the scalar surface of a report from [`TuningReport::to_json`]
@@ -198,31 +118,22 @@ impl TuningReport {
     ///
     /// Errors name the failing field by its full JSON path — a truncated or
     /// hand-edited document fails with e.g.
-    /// ``bad key `configs[2].pairs[0].full.elapsed`: got a string`` rather
-    /// than a bare field name.
-    pub fn from_json(v: &Value) -> Result<TuningReport> {
-        let bad = |key: &str| bad_key("tuning report", "", key, v.get(key));
-        let policy_name = v.get("policy").and_then(Value::as_str).ok_or_else(|| bad("policy"))?;
-        let policy = critter_core::ExecutionPolicy::from_name(policy_name).ok_or_else(|| {
-            CritterError::schema("tuning report", format!("unknown policy `{policy_name}`"))
-        })?;
-        let epsilon = v.get("epsilon").and_then(Value::as_f64).ok_or_else(|| bad("epsilon"))?;
-        let configs = v
-            .get("configs")
-            .and_then(Value::as_array)
-            .ok_or_else(|| bad("configs"))?
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ConfigResult::from_json_at(c, &format!("configs[{i}]")))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(TuningReport { policy, epsilon, configs, obs: None })
+    /// `configs[2].pairs[0].full.elapsed: expected a number, got a string`
+    /// rather than a bare field name.
+    pub fn from_json(v: &Value) -> critter_core::Result<TuningReport> {
+        let r = Reader::root("tuning report", v);
+        Ok(TuningReport {
+            policy: r.at("policy").named("policy", ExecutionPolicy::from_name)?,
+            epsilon: r.at("epsilon").f64()?,
+            configs: r.at("configs").list(ConfigResult::read)?,
+            obs: None,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use critter_core::ExecutionPolicy;
 
     #[test]
     fn equal_reports_serialize_identically() {
@@ -274,103 +185,7 @@ mod tests {
         assert_eq!(back, report);
         assert_eq!(back.to_json_string(), report.to_json_string());
         assert!(report.to_json_string().contains("\"quarantined\": true"));
-        assert!(TuningReport::from_json(&serde_json::json!({"policy": "nope"})).is_err());
-    }
-
-    fn sample_report() -> TuningReport {
-        let rec = RunRecord { elapsed: 1.5, kernels_executed: 7, ..Default::default() };
-        TuningReport {
-            policy: ExecutionPolicy::LocalPropagation,
-            epsilon: 0.1,
-            configs: vec![
-                ConfigResult {
-                    name: "pr2pc2".into(),
-                    pairs: vec![(rec.clone(), rec.clone())],
-                    offline: vec![rec.clone()],
-                    quarantined: false,
-                },
-                ConfigResult {
-                    name: "pr4pc1".into(),
-                    pairs: vec![(rec.clone(), rec.clone()), (rec.clone(), rec)],
-                    offline: vec![],
-                    quarantined: false,
-                },
-            ],
-            obs: None,
-        }
-    }
-
-    /// Walk `path` (the same `key[i].key` syntax the errors print) to a
-    /// mutable node, so the tests corrupt exactly the spot they expect the
-    /// error to name.
-    fn nav<'a>(v: &'a mut Value, path: &str) -> &'a mut Value {
-        let mut cur = v;
-        for part in path.split('.') {
-            let (key, idx) = match part.split_once('[') {
-                Some((k, rest)) => (k, Some(rest.trim_end_matches(']').parse::<usize>().unwrap())),
-                None => (part, None),
-            };
-            cur = cur.get_mut(key).expect("nav key");
-            if let Some(i) = idx {
-                cur = &mut cur.as_array_mut().expect("nav array")[i];
-            }
-        }
-        cur
-    }
-
-    #[test]
-    fn truncated_document_errors_name_the_json_path() {
-        // Drop a deep field: the error must spell out the full path to it.
-        let mut v = sample_report().to_json();
-        nav(&mut v, "configs[1].pairs[1].tuned").as_object_mut().unwrap().remove("elapsed");
-        let err = TuningReport::from_json(&v).unwrap_err().to_string();
-        assert!(
-            err.contains("`configs[1].pairs[1].tuned.elapsed`") && err.contains("missing"),
-            "unhelpful error: {err}"
-        );
-
-        // Truncate a whole pair slot.
-        let mut v = sample_report().to_json();
-        nav(&mut v, "configs[0].pairs[0]").as_object_mut().unwrap().remove("full");
-        let err = TuningReport::from_json(&v).unwrap_err().to_string();
-        assert!(err.contains("`configs[0].pairs[0].full`"), "unhelpful error: {err}");
-
-        // Top-level truncation still reads plainly.
-        let err = TuningReport::from_json(&serde_json::json!({"policy": "local propagation"}))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("`epsilon`") && err.contains("missing"), "unhelpful error: {err}");
-    }
-
-    #[test]
-    fn wrong_typed_document_errors_say_what_was_found() {
-        // A string where a number belongs, deep in an offline record.
-        let mut v = sample_report().to_json();
-        *nav(&mut v, "configs[0].offline[0].kernels_executed") = serde_json::json!("seven");
-        let err = TuningReport::from_json(&v).unwrap_err().to_string();
-        assert!(
-            err.contains("`configs[0].offline[0].kernels_executed`")
-                && err.contains("got a string"),
-            "unhelpful error: {err}"
-        );
-
-        // A negative count is the wrong *kind* of number for a u64 field.
-        let mut v = sample_report().to_json();
-        *nav(&mut v, "configs[1].pairs[0].full.kernels_skipped") = serde_json::json!(-3);
-        let err = TuningReport::from_json(&v).unwrap_err().to_string();
-        assert!(
-            err.contains("`configs[1].pairs[0].full.kernels_skipped`")
-                && err.contains("wrong kind of number"),
-            "unhelpful error: {err}"
-        );
-
-        // An object where the configs array belongs.
-        let mut v = sample_report().to_json();
-        *nav(&mut v, "configs") = serde_json::json!({});
-        let err = TuningReport::from_json(&v).unwrap_err().to_string();
-        assert!(
-            err.contains("`configs`") && err.contains("got an object"),
-            "unhelpful error: {err}"
-        );
+        let err = TuningReport::from_json(&serde_json::json!({"policy": "nope"})).unwrap_err();
+        assert_eq!(err.to_string(), "schema error in tuning report: policy: unknown policy `nope`");
     }
 }

@@ -1,14 +1,15 @@
 //! Figure 3 (panels a–l): per-configuration critical-path costs for the four
 //! workloads — BSP communication vs synchronization (a–d), BSP computation vs
 //! synchronization (e–h), and critical-path execution time (i–l) — measured
-//! on full executions, with the analytic BSP models of `critter-bsp` printed
-//! alongside for the two algorithms the paper gives closed forms for.
+//! on full executions, with the analytic BSP models of `critter_algs::bsp`
+//! printed alongside for the two algorithms the paper gives closed forms for.
 //!
 //! Lives in the library (rather than only in the `fig3` binary) so the
 //! testkit can drive the full pipeline — including `--trace-out` exports —
 //! through [`run_with`] and assert byte-identical artifacts across `--jobs`
 //! levels.
 
+use critter_algs::bsp;
 use critter_autotune::TuningSpace;
 use critter_core::ExecutionPolicy;
 use critter_obs::ObsReport;
@@ -101,9 +102,9 @@ pub fn run_with(opts: &FigOpts, spaces: &[TuningSpace], smoke: bool) {
 /// Analytic BSP cost of configuration `v`, where the paper provides a model.
 /// The `v` decoding mirrors each space's `bench()` grid, so it only applies
 /// to the full (non-smoke) configuration spaces.
-fn analytic(space: TuningSpace, v: usize) -> Option<critter_bsp::BspCost> {
+fn analytic(space: TuningSpace, v: usize) -> Option<bsp::BspCost> {
     match space {
-        TuningSpace::CapitalCholesky => Some(critter_bsp::capital_cholesky(512, 64, 16 << (v % 5))),
+        TuningSpace::CapitalCholesky => Some(bsp::capital_cholesky(512, 64, 16 << (v % 5))),
         TuningSpace::CandmcQr => {
             let pr = 4 << (v / 5);
             let pc = 16 / pr;
@@ -112,17 +113,15 @@ fn analytic(space: TuningSpace, v: usize) -> Option<critter_bsp::BspCost> {
             while b > 1 && (m % (b * pr) != 0 || n % (b * pc) != 0) {
                 b /= 2;
             }
-            Some(critter_bsp::candmc_qr(m, n, pr, pc, b))
+            Some(bsp::candmc_qr(m, n, pr, pc, b))
         }
-        TuningSpace::SlateCholesky => {
-            Some(critter_bsp::slate_cholesky(384, 4, 4, 16 + 8 * (v / 2), v % 2))
-        }
+        TuningSpace::SlateCholesky => Some(bsp::slate_cholesky(384, 4, 4, 16 + 8 * (v / 2), v % 2)),
         TuningSpace::SlateQr => {
             let nb = 8 + 4 * ((v / 3) % 7);
             let w = (2 << (v % 3)).min(nb);
             let pr: usize = (4 / (1 << (v / 21))).max(1);
             let pc = 16 / pr;
-            Some(critter_bsp::slate_qr(512, 64, pr, pc, nb, w))
+            Some(bsp::slate_qr(512, 64, pr, pc, nb, w))
         }
         _ => None, // extension spaces have no paper-provided closed form
     }

@@ -20,6 +20,7 @@
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use critter_core::json::{canonical_text, JsonError, Reader};
 use serde_json::{json, Value};
 
 use crate::harness::Timing;
@@ -54,12 +55,11 @@ impl Fingerprint {
         json!({ "os": self.os, "arch": self.arch, "cpus": self.cpus })
     }
 
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let bad = |key: &str| format!("trajectory fingerprint: bad key `{key}`");
+    fn read(r: Reader<'_, '_>) -> Result<Self, JsonError> {
         Ok(Fingerprint {
-            os: v.get("os").and_then(Value::as_str).ok_or_else(|| bad("os"))?.to_string(),
-            arch: v.get("arch").and_then(Value::as_str).ok_or_else(|| bad("arch"))?.to_string(),
-            cpus: v.get("cpus").and_then(Value::as_u64).ok_or_else(|| bad("cpus"))?,
+            os: r.at("os").str()?.to_string(),
+            arch: r.at("arch").str()?.to_string(),
+            cpus: r.at("cpus").u64()?,
         })
     }
 }
@@ -90,17 +90,13 @@ impl CaseResult {
         })
     }
 
-    fn from_json(v: &Value, idx: usize) -> Result<Self, String> {
-        let bad = |key: &str| format!("trajectory: bad key `cases[{idx}].{key}`");
+    fn read(r: Reader<'_, '_>) -> Result<Self, JsonError> {
         Ok(CaseResult {
-            group: v.get("group").and_then(Value::as_str).ok_or_else(|| bad("group"))?.into(),
-            case: v.get("case").and_then(Value::as_str).ok_or_else(|| bad("case"))?.into(),
-            min_ns: v.get("min_ns").and_then(Value::as_u64).ok_or_else(|| bad("min_ns"))?,
-            median_ns: v
-                .get("median_ns")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| bad("median_ns"))?,
-            iters: v.get("iters").and_then(Value::as_u64).ok_or_else(|| bad("iters"))?,
+            group: r.at("group").str()?.to_string(),
+            case: r.at("case").str()?.to_string(),
+            min_ns: r.at("min_ns").u64()?,
+            median_ns: r.at("median_ns").u64()?,
+            iters: r.at("iters").u64()?,
         })
     }
 }
@@ -166,42 +162,28 @@ impl Trajectory {
 
     /// Pretty canonical JSON with a trailing newline (the committed form).
     pub fn to_json_string(&self) -> String {
-        let mut s = serde_json::to_string_pretty(&self.to_json()).expect("serialize trajectory");
-        s.push('\n');
-        s
+        canonical_text(&self.to_json())
     }
 
-    /// Parse a trajectory, rejecting unknown schema versions.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let bad = |key: &str| format!("trajectory: bad key `{key}`");
-        let version =
-            v.get("schema_version").and_then(Value::as_u64).ok_or_else(|| bad("schema_version"))?;
-        if version != TRAJECTORY_SCHEMA_VERSION {
-            return Err(format!(
-                "trajectory schema version {version} unsupported (this harness reads {TRAJECTORY_SCHEMA_VERSION})"
-            ));
+    /// Parse a trajectory document, rejecting unknown schema versions.
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Self::decode(Reader::root("trajectory", v))
+    }
+
+    fn decode(r: Reader<'_, '_>) -> Result<Self, JsonError> {
+        let schema_version = r.at("schema_version").u64()?;
+        if schema_version != TRAJECTORY_SCHEMA_VERSION {
+            return Err(r.at("schema_version").error(format!(
+                "schema version {schema_version} unsupported (this harness reads {TRAJECTORY_SCHEMA_VERSION})"
+            )));
         }
-        let cases = v
-            .get("cases")
-            .and_then(Value::as_array)
-            .ok_or_else(|| bad("cases"))?
-            .iter()
-            .enumerate()
-            .map(|(i, c)| CaseResult::from_json(c, i))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Trajectory {
-            schema_version: version,
-            harness_version: v
-                .get("harness_version")
-                .and_then(Value::as_str)
-                .ok_or_else(|| bad("harness_version"))?
-                .to_string(),
-            git_rev: v.get("git_rev").and_then(Value::as_str).ok_or_else(|| bad("git_rev"))?.into(),
-            date: v.get("date").and_then(Value::as_str).ok_or_else(|| bad("date"))?.into(),
-            fingerprint: Fingerprint::from_json(
-                v.get("fingerprint").ok_or_else(|| bad("fingerprint"))?,
-            )?,
-            cases,
+            schema_version,
+            harness_version: r.at("harness_version").str()?.to_string(),
+            git_rev: r.at("git_rev").str()?.to_string(),
+            date: r.at("date").str()?.to_string(),
+            fingerprint: Fingerprint::read(r.at("fingerprint"))?,
+            cases: r.at("cases").list(CaseResult::read)?,
         })
     }
 
@@ -215,13 +197,10 @@ impl Trajectory {
         std::fs::write(path, self.to_json_string())
     }
 
-    /// Read and parse a trajectory file.
-    pub fn read(path: &Path) -> Result<Self, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let v: Value =
-            serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-        Self::from_json(&v).map_err(|e| format!("{}: {e}", path.display()))
+    /// Read and parse a trajectory file; errors name the file.
+    pub fn read(path: &Path) -> critter_core::Result<Self> {
+        let doc = critter_session::durable::read_value(path)?;
+        Ok(Self::decode(Reader::root(&path.display().to_string(), &doc))?)
     }
 }
 

@@ -28,7 +28,8 @@ pub type Result<T> = std::result::Result<T, CritterError>;
 /// fn load(text: &str) -> Result<f64> {
 ///     let v = serde_json::from_str(text)
 ///         .map_err(|e| CritterError::parse("profile", e.to_string()))?;
-///     v.as_f64().ok_or_else(|| CritterError::schema("profile", "expected a number"))
+///     // A decode failure (`critter_core::json::JsonError`) converts to `Schema`.
+///     Ok(critter_core::json::Reader::root("profile", &v).f64()?)
 /// }
 ///
 /// assert_eq!(load("2.5").unwrap(), 2.5);
@@ -126,6 +127,15 @@ impl CritterError {
     /// now, resume later" — as opposed to cancellation or a real failure.
     pub fn is_preempted(&self) -> bool {
         matches!(self, CritterError::Preempted { .. })
+    }
+}
+
+/// A located decode failure is a [`Schema`](CritterError::Schema) error of
+/// the document it names; the detail keeps the path and expected/found text.
+impl From<critter_obs::json::JsonError> for CritterError {
+    fn from(e: critter_obs::json::JsonError) -> Self {
+        let detail = e.to_string();
+        CritterError::Schema { context: e.document, detail }
     }
 }
 

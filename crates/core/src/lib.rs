@@ -42,6 +42,9 @@ pub mod signature;
 pub mod snapshot;
 pub mod trace;
 
+/// The workspace's one JSON reader (`critter_obs::json`), re-exported so
+/// crates that decode persisted documents need not link `critter-obs`.
+pub use critter_obs::json;
 pub use env::CritterEnv;
 pub use error::{CritterError, Result};
 pub use extrapolate::{ExtrapolationConfig, ExtrapolationTable};

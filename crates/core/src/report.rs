@@ -1,6 +1,6 @@
 //! Path metrics and per-run reports.
 
-use crate::error::{CritterError, Result};
+use critter_obs::json::{JsonError, Reader};
 
 /// Cost metrics accumulated along a rank's current sub-critical path and
 /// propagated by elementwise maximum at every intercepted communication —
@@ -44,18 +44,13 @@ impl PathMetrics {
     }
 
     /// Restore metrics bit-exactly from [`PathMetrics::to_json`] output.
-    pub fn from_json(v: &serde_json::Value) -> Result<PathMetrics> {
-        let get = |key: &str| {
-            v.get(key)
-                .and_then(serde_json::Value::as_f64)
-                .ok_or_else(|| CritterError::schema("path metrics", format!("bad key `{key}`")))
-        };
+    pub fn read(r: Reader<'_, '_>) -> Result<PathMetrics, JsonError> {
         Ok(PathMetrics {
-            comm_words: get("comm_words")?,
-            syncs: get("syncs")?,
-            flops: get("flops")?,
-            comp_time: get("comp_time")?,
-            comm_time: get("comm_time")?,
+            comm_words: r.at("comm_words").f64()?,
+            syncs: r.at("syncs").f64()?,
+            flops: r.at("flops").f64()?,
+            comp_time: r.at("comp_time").f64()?,
+            comm_time: r.at("comm_time").f64()?,
         })
     }
 
@@ -195,9 +190,10 @@ mod tests {
             comm_time: 1.0 / 3.0,
         };
         let text = serde_json::to_string(&m.to_json()).unwrap();
-        let back = PathMetrics::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, m);
-        assert!(PathMetrics::from_json(&serde_json::json!({ "syncs": 1.0 })).is_err());
+        let doc = serde_json::from_str(&text).unwrap();
+        assert_eq!(PathMetrics::read(Reader::root("path", &doc)).unwrap(), m);
+        let err = PathMetrics::read(Reader::root("path", &serde_json::json!({ "syncs": 1.0 })));
+        assert_eq!(err.unwrap_err().to_string(), "comm_words: missing (expected a number)");
     }
 
     #[test]
@@ -217,8 +213,8 @@ mod tests {
             top_kernels: vec![("gemm[8x8x8]".into(), 4, 0.5)],
             ..Default::default()
         };
-        let a = serde_json::to_string_pretty(&r.to_json()).unwrap();
-        let b = serde_json::to_string_pretty(&r.clone().to_json()).unwrap();
+        let a = critter_obs::json::canonical_text(&r.to_json());
+        let b = critter_obs::json::canonical_text(&r.clone().to_json());
         assert_eq!(a, b);
         // Keys emerge sorted, so the serialization is canonical.
         let i_pred = a.find("\"predicted_time\"").unwrap();

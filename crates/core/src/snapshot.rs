@@ -23,60 +23,13 @@
 //! [`OnlineStats::new`].
 
 use critter_machine::CommOp;
+use critter_obs::json::{JsonError, Reader};
 use critter_stats::OnlineStats;
 use serde_json::{json, Map, Value};
 
-use crate::error::{CritterError, Result};
 use crate::extrapolate::{ExtrapolationTable, LineFit};
 use crate::profile::{KernelModel, KernelStore};
 use crate::signature::{ComputeOp, KernelSig};
-
-// ---------------------------------------------------------------------------
-// Field-access helpers. Every decoder goes through these so a malformed
-// document yields a Schema error naming the missing/ill-typed key instead of
-// a panic.
-
-fn req<'a>(v: &'a Value, ctx: &str, key: &str) -> Result<&'a Value> {
-    v.get(key).ok_or_else(|| CritterError::schema(ctx, format!("missing key `{key}`")))
-}
-
-fn req_f64(v: &Value, ctx: &str, key: &str) -> Result<f64> {
-    req(v, ctx, key)?
-        .as_f64()
-        .ok_or_else(|| CritterError::schema(ctx, format!("key `{key}` is not a number")))
-}
-
-fn req_u64(v: &Value, ctx: &str, key: &str) -> Result<u64> {
-    req(v, ctx, key)?
-        .as_u64()
-        .ok_or_else(|| CritterError::schema(ctx, format!("key `{key}` is not a u64")))
-}
-
-fn req_bool(v: &Value, ctx: &str, key: &str) -> Result<bool> {
-    req(v, ctx, key)?
-        .as_bool()
-        .ok_or_else(|| CritterError::schema(ctx, format!("key `{key}` is not a bool")))
-}
-
-fn req_str<'a>(v: &'a Value, ctx: &str, key: &str) -> Result<&'a str> {
-    req(v, ctx, key)?
-        .as_str()
-        .ok_or_else(|| CritterError::schema(ctx, format!("key `{key}` is not a string")))
-}
-
-fn req_array<'a>(v: &'a Value, ctx: &str, key: &str) -> Result<&'a Vec<Value>> {
-    req(v, ctx, key)?
-        .as_array()
-        .ok_or_else(|| CritterError::schema(ctx, format!("key `{key}` is not an array")))
-}
-
-fn elem_f64(v: &Value, ctx: &str) -> Result<f64> {
-    v.as_f64().ok_or_else(|| CritterError::schema(ctx, "array element is not a number"))
-}
-
-fn elem_u64(v: &Value, ctx: &str) -> Result<u64> {
-    v.as_u64().ok_or_else(|| CritterError::schema(ctx, "array element is not a u64"))
-}
 
 // ---------------------------------------------------------------------------
 // OnlineStats
@@ -98,19 +51,18 @@ pub fn stats_to_json(s: &OnlineStats) -> Value {
 }
 
 /// Restore a Welford accumulator bit-exactly from [`stats_to_json`] output.
-pub fn stats_from_json(v: &Value) -> Result<OnlineStats> {
-    let ctx = "stats";
-    let count = req_u64(v, ctx, "count")?;
+pub fn read_stats(r: Reader<'_, '_>) -> Result<OnlineStats, JsonError> {
+    let count = r.at("count").u64()?;
     if count == 0 {
         return Ok(OnlineStats::new());
     }
     Ok(OnlineStats::from_parts(
         count,
-        req_f64(v, ctx, "mean")?,
-        req_f64(v, ctx, "m2")?,
-        req_f64(v, ctx, "min")?,
-        req_f64(v, ctx, "max")?,
-        req_f64(v, ctx, "total")?,
+        r.at("mean").f64()?,
+        r.at("m2").f64()?,
+        r.at("min").f64()?,
+        r.at("max").f64()?,
+        r.at("total").f64()?,
     ))
 }
 
@@ -139,21 +91,20 @@ pub fn fit_to_json(f: &LineFit) -> Value {
 }
 
 /// Restore a fit bit-exactly from [`fit_to_json`] output.
-pub fn fit_from_json(v: &Value) -> Result<LineFit> {
-    let ctx = "line fit";
-    let n = req_u64(v, ctx, "n")?;
+pub fn read_fit(r: Reader<'_, '_>) -> Result<LineFit, JsonError> {
+    let n = r.at("n").u64()?;
     if n == 0 {
         return Ok(LineFit::new());
     }
     Ok(LineFit::from_parts(
         n,
-        req_f64(v, ctx, "sx")?,
-        req_f64(v, ctx, "sy")?,
-        req_f64(v, ctx, "sxx")?,
-        req_f64(v, ctx, "sxy")?,
-        req_f64(v, ctx, "syy")?,
-        req_f64(v, ctx, "min_x")?,
-        req_f64(v, ctx, "max_x")?,
+        r.at("sx").f64()?,
+        r.at("sy").f64()?,
+        r.at("sxx").f64()?,
+        r.at("sxy").f64()?,
+        r.at("syy").f64()?,
+        r.at("min_x").f64()?,
+        r.at("max_x").f64()?,
     ))
 }
 
@@ -179,39 +130,26 @@ pub fn sig_to_json(sig: &KernelSig) -> Value {
     }
 }
 
-/// Restore a kernel signature from [`sig_to_json`] output.
-pub fn sig_from_json(v: &Value) -> Result<KernelSig> {
-    let ctx = "kernel signature";
-    match req_str(v, ctx, "kind")? {
+/// Restore a kernel signature from [`sig_to_json`] output; an unknown
+/// signature kind or routine name is an error at its key.
+pub fn read_sig(r: Reader<'_, '_>) -> Result<KernelSig, JsonError> {
+    let kind = r.at("kind");
+    match kind.str()? {
         "compute" => {
-            let name = req_str(v, ctx, "op")?;
-            let op = ComputeOp::from_name(name)
-                .ok_or_else(|| CritterError::schema(ctx, format!("unknown routine `{name}`")))?;
-            let dims = req_array(v, ctx, "dims")?;
-            if dims.len() != 3 {
-                return Err(CritterError::schema(ctx, "`dims` must have three entries"));
-            }
+            let dims = r.at("dims");
+            let [m, n, k] = dims.fixed()?;
             Ok(KernelSig::Compute {
-                op,
-                dims: (
-                    elem_u64(&dims[0], ctx)?,
-                    elem_u64(&dims[1], ctx)?,
-                    elem_u64(&dims[2], ctx)?,
-                ),
+                op: r.at("op").named("routine", ComputeOp::from_name)?,
+                dims: (m.u64()?, n.u64()?, k.u64()?),
             })
         }
-        "comm" => {
-            let name = req_str(v, ctx, "op")?;
-            let op = CommOp::from_name(name)
-                .ok_or_else(|| CritterError::schema(ctx, format!("unknown routine `{name}`")))?;
-            Ok(KernelSig::Comm {
-                op,
-                words: req_u64(v, ctx, "words")?,
-                comm_size: req_u64(v, ctx, "comm_size")?,
-                stride: req_u64(v, ctx, "stride")?,
-            })
-        }
-        other => Err(CritterError::schema(ctx, format!("unknown signature kind `{other}`"))),
+        "comm" => Ok(KernelSig::Comm {
+            op: r.at("op").named("routine", CommOp::from_name)?,
+            words: r.at("words").u64()?,
+            comm_size: r.at("comm_size").u64()?,
+            stride: r.at("stride").u64()?,
+        }),
+        other => Err(kind.error(format!("unknown signature kind `{other}`"))),
     }
 }
 
@@ -230,19 +168,14 @@ fn model_to_json(m: &KernelModel) -> Value {
     })
 }
 
-fn model_from_json(v: &Value) -> Result<KernelModel> {
-    let ctx = "kernel model";
-    let sig = sig_from_json(req(v, ctx, "sig")?)?;
-    let mut m = KernelModel::from_sig(sig);
-    m.stats = stats_from_json(req(v, ctx, "stats")?)?;
-    m.scheduled_this_config = req_u64(v, ctx, "scheduled")?;
-    m.executed_this_config = req_u64(v, ctx, "executed")?;
-    m.eager_coverage = req_u64(v, ctx, "eager_coverage")?;
-    m.eager_off = req_bool(v, ctx, "eager_off")?;
-    m.eager_strides = req_array(v, ctx, "eager_strides")?
-        .iter()
-        .map(|s| elem_u64(s, ctx))
-        .collect::<Result<Vec<u64>>>()?;
+fn read_model(r: Reader<'_, '_>) -> Result<KernelModel, JsonError> {
+    let mut m = KernelModel::from_sig(read_sig(r.at("sig"))?);
+    m.stats = read_stats(r.at("stats"))?;
+    m.scheduled_this_config = r.at("scheduled").u64()?;
+    m.executed_this_config = r.at("executed").u64()?;
+    m.eager_coverage = r.at("eager_coverage").u64()?;
+    m.eager_off = r.at("eager_off").bool()?;
+    m.eager_strides = r.at("eager_strides").list(|s| s.u64())?;
     Ok(m)
 }
 
@@ -269,22 +202,16 @@ pub fn table_to_json(t: &ExtrapolationTable) -> Value {
 }
 
 /// Restore an extrapolation table from [`table_to_json`] output.
-pub fn table_from_json(v: &Value) -> Result<ExtrapolationTable> {
-    let ctx = "extrapolation table";
+pub fn read_table(r: Reader<'_, '_>) -> Result<ExtrapolationTable, JsonError> {
     let mut t = ExtrapolationTable::new();
-    for entry in req_array(v, ctx, "compute")? {
-        let name = req_str(entry, ctx, "op")?;
-        let op = ComputeOp::from_name(name)
-            .ok_or_else(|| CritterError::schema(ctx, format!("unknown routine `{name}`")))?;
-        t.insert_fit(op, fit_from_json(req(entry, ctx, "fit")?)?);
+    for entry in r.at("compute").items()? {
+        let op = entry.at("op").named("routine", ComputeOp::from_name)?;
+        t.insert_fit(op, read_fit(entry.at("fit"))?);
     }
-    for entry in req_array(v, ctx, "comm")? {
-        let name = req_str(entry, ctx, "op")?;
-        let op = CommOp::from_name(name)
-            .ok_or_else(|| CritterError::schema(ctx, format!("unknown routine `{name}`")))?;
-        let p = req_u64(entry, ctx, "p")?;
-        let s = req_u64(entry, ctx, "s")?;
-        t.insert_comm_fit(op, p, s, fit_from_json(req(entry, ctx, "fit")?)?);
+    for entry in r.at("comm").items()? {
+        let op = entry.at("op").named("routine", CommOp::from_name)?;
+        let (p, s) = (entry.at("p").u64()?, entry.at("s").u64()?);
+        t.insert_comm_fit(op, p, s, read_fit(entry.at("fit"))?);
     }
     Ok(t)
 }
@@ -324,34 +251,21 @@ pub fn store_to_json(store: &KernelStore) -> Value {
 }
 
 /// Restore a kernel store bit-exactly from [`store_to_json`] output.
-pub fn store_from_json(v: &Value) -> Result<KernelStore> {
-    let ctx = "kernel store";
+pub fn read_store(r: Reader<'_, '_>) -> Result<KernelStore, JsonError> {
     let mut store = KernelStore::new();
-    for entry in req_array(v, ctx, "local")? {
-        let m = model_from_json(entry)?;
+    for entry in r.at("local").items()? {
+        let m = read_model(entry)?;
         store.local.insert(m.sig.key(), m);
     }
-    for entry in req_array(v, ctx, "path")? {
-        let row = entry
-            .as_array()
-            .ok_or_else(|| CritterError::schema(ctx, "`path` entries must be arrays"))?;
-        if row.len() != 3 {
-            return Err(CritterError::schema(ctx, "`path` entries must be [key, count, time]"));
-        }
-        store
-            .path_counts
-            .insert(elem_u64(&row[0], ctx)?, (elem_u64(&row[1], ctx)?, elem_f64(&row[2], ctx)?));
+    for row in r.at("path").items()? {
+        let [key, count, time] = row.fixed()?;
+        store.path_counts.insert(key.u64()?, (count.u64()?, time.f64()?));
     }
-    for entry in req_array(v, ctx, "apriori")? {
-        let row = entry
-            .as_array()
-            .ok_or_else(|| CritterError::schema(ctx, "`apriori` entries must be arrays"))?;
-        if row.len() != 2 {
-            return Err(CritterError::schema(ctx, "`apriori` entries must be [key, count]"));
-        }
-        store.apriori_counts.insert(elem_u64(&row[0], ctx)?, elem_u64(&row[1], ctx)?);
+    for row in r.at("apriori").items()? {
+        let [key, count] = row.fixed()?;
+        store.apriori_counts.insert(key.u64()?, count.u64()?);
     }
-    store.extrapolation = table_from_json(req(v, ctx, "extrapolation")?)?;
+    store.extrapolation = read_table(r.at("extrapolation"))?;
     Ok(store)
 }
 
@@ -360,13 +274,16 @@ pub fn stores_to_json(stores: &[KernelStore]) -> Value {
     Value::Array(stores.iter().map(store_to_json).collect())
 }
 
-/// Restore a fleet of per-rank stores from [`stores_to_json`] output.
-pub fn stores_from_json(v: &Value) -> Result<Vec<KernelStore>> {
-    v.as_array()
-        .ok_or_else(|| CritterError::schema("kernel stores", "expected an array of stores"))?
-        .iter()
-        .map(store_from_json)
-        .collect()
+/// Restore a fleet of per-rank stores from [`stores_to_json`] output found
+/// at `r` (inside a larger document, e.g. a checkpoint).
+pub fn read_stores(r: Reader<'_, '_>) -> Result<Vec<KernelStore>, JsonError> {
+    r.list(read_store)
+}
+
+/// Restore a fleet of per-rank stores from a whole [`stores_to_json`]
+/// document (a profile or store-blob payload).
+pub fn stores_from_json(v: &Value) -> crate::Result<Vec<KernelStore>> {
+    Ok(read_stores(Reader::root("kernel stores", v))?)
 }
 
 #[cfg(test)]
@@ -398,6 +315,14 @@ mod tests {
         s
     }
 
+    fn store_from_json(v: &Value) -> Result<KernelStore, JsonError> {
+        read_store(Reader::root("kernel store", v))
+    }
+
+    fn sig_from_json(v: &Value) -> Result<KernelSig, JsonError> {
+        read_sig(Reader::root("kernel signature", v))
+    }
+
     fn store_eq(a: &KernelStore, b: &KernelStore) -> bool {
         // The store has no PartialEq (hash maps + fits); canonical JSON is
         // its equality surface.
@@ -408,7 +333,7 @@ mod tests {
     #[test]
     fn store_round_trips_bit_exactly() {
         let s = busy_store();
-        let text = serde_json::to_string_pretty(&store_to_json(&s)).unwrap();
+        let text = critter_obs::json::canonical_text(&store_to_json(&s));
         let back = store_from_json(&serde_json::from_str(&text).unwrap()).unwrap();
         assert!(store_eq(&s, &back));
         // Restored state behaves identically, not just prints identically.
@@ -460,18 +385,33 @@ mod tests {
         let s = OnlineStats::new();
         let v = stats_to_json(&s);
         assert_eq!(serde_json::to_string(&v).unwrap(), r#"{"count":0}"#);
-        assert_eq!(stats_from_json(&v).unwrap(), s);
+        assert_eq!(read_stats(Reader::root("stats", &v)).unwrap(), s);
     }
 
     #[test]
-    fn malformed_documents_yield_schema_errors() {
-        for bad in [
-            json!({}),
-            json!({ "kind": "compute", "op": "nosuch", "dims": [1.0, 2.0, 3.0] }),
-            json!({ "kind": "warp", "op": "gemm" }),
+    fn malformed_documents_yield_located_errors() {
+        for (bad, expect) in [
+            (json!({}), "kind: missing (expected a string)"),
+            (
+                json!({ "kind": "compute", "op": "nosuch", "dims": [1.0, 2.0, 3.0] }),
+                "op: unknown routine `nosuch`",
+            ),
+            (json!({ "kind": "warp", "op": "gemm" }), "kind: unknown signature kind `warp`"),
+            (
+                json!({ "kind": "compute", "op": "gemm", "dims": [1.0, 2.0] }),
+                "dims: expected 3 elements, got 2",
+            ),
         ] {
-            assert!(matches!(sig_from_json(&bad), Err(CritterError::Schema { .. })));
+            assert_eq!(sig_from_json(&bad).unwrap_err().to_string(), expect);
         }
-        assert!(store_from_json(&json!({ "local": 3.0 })).is_err());
+        let err = store_from_json(&json!({ "local": 3.0 })).unwrap_err();
+        assert_eq!(err.to_string(), "local: expected an array, got the number 3");
+        // The root wrapper turns it into a `Schema` error naming the document.
+        let err = stores_from_json(&json!({})).unwrap_err();
+        assert!(matches!(err, crate::CritterError::Schema { .. }), "got: {err}");
+        assert_eq!(
+            err.to_string(),
+            "schema error in kernel stores: expected an array, got an object"
+        );
     }
 }

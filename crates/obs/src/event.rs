@@ -1,6 +1,8 @@
 //! The event taxonomy: one variant per interception point of the Critter
 //! layer (`critter-core`'s `CritterEnv`, the paper's Fig. 2 PMPI shim).
 
+use crate::json::{JsonError, Reader};
+
 /// What kind of interception produced an event.
 ///
 /// The taxonomy mirrors the decision structure of selective execution
@@ -152,23 +154,21 @@ impl Event {
         })
     }
 
-    /// Inverse of [`Event::to_json`]. Errors describe the offending key.
-    pub fn from_json(v: &serde_json::Value) -> Result<Event, String> {
-        let f = |key: &str| {
-            v.get(key).and_then(|x| x.as_f64()).ok_or_else(|| format!("event: bad key `{key}`"))
-        };
-        let kind_name = v
-            .get("kind")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| "event: bad key `kind`".to_string())?;
-        let kind = EventKind::from_name(kind_name)
-            .ok_or_else(|| format!("event: unknown kind `{kind_name}`"))?;
-        let label: std::sync::Arc<str> = v
-            .get("label")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| "event: bad key `label`".to_string())?
-            .into();
-        Ok(Event { kind, label, start: f("start")?, dur: f("dur")?, arg: f("arg")? })
+    /// Inverse of [`Event::to_json`] for a bare value (one `session.log`
+    /// line).
+    pub fn from_json(v: &serde_json::Value) -> Result<Event, JsonError> {
+        Event::read(Reader::root("event", v))
+    }
+
+    /// Decode the event at `r`.
+    pub fn read(r: Reader<'_, '_>) -> Result<Event, JsonError> {
+        Ok(Event {
+            kind: r.at("kind").named("event kind", EventKind::from_name)?,
+            label: r.at("label").str()?.into(),
+            start: r.at("start").f64()?,
+            dur: r.at("dur").f64()?,
+            arg: r.at("arg").f64()?,
+        })
     }
 }
 

@@ -33,10 +33,18 @@
 //!
 //! See `docs/OBSERVABILITY.md` for the event taxonomy and the ordering
 //! guarantee in detail.
+//!
+//! ## The JSON reader
+//!
+//! This is the lowest crate that links `serde_json`, so it also hosts
+//! [`json`]: the path-tracking [`json::Reader`] every persisted-document
+//! decoder of the workspace is written on, its one error type, and
+//! [`json::canonical_text`], the one way a document becomes text.
 
 #![deny(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod timeline;

@@ -12,6 +12,8 @@ use std::collections::BTreeMap;
 
 use serde_json::Value;
 
+use crate::json::{JsonError, Reader};
+
 /// A histogram over power-of-two buckets: a finite sample `x > 0` lands in
 /// bucket `⌊log2 x⌋`; non-positive or non-finite samples are counted
 /// separately (CI widths, for instance, are `+∞` until a model has two
@@ -88,33 +90,16 @@ impl Histogram {
         })
     }
 
-    /// Inverse of [`Histogram::to_json`]; `total` restores bit-exactly.
-    pub fn from_json(v: &Value) -> Result<Histogram, String> {
-        let u = |key: &str| {
-            v.get(key).and_then(|x| x.as_u64()).ok_or_else(|| format!("histogram: bad key `{key}`"))
-        };
-        let total = v
-            .get("total")
-            .and_then(|x| x.as_f64())
-            .ok_or_else(|| "histogram: bad key `total`".to_string())?;
-        let rows = v
-            .get("buckets")
-            .and_then(|x| x.as_array())
-            .ok_or_else(|| "histogram: bad key `buckets`".to_string())?;
-        let mut buckets = BTreeMap::new();
-        for row in rows {
-            let exp = row
-                .get("exp")
-                .and_then(|x| x.as_i64())
-                .ok_or_else(|| "histogram: bad bucket `exp`".to_string())?
-                as i32;
-            let count = row
-                .get("count")
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| "histogram: bad bucket `count`".to_string())?;
-            buckets.insert(exp, count);
-        }
-        Ok(Histogram { count: u("count")?, out_of_range: u("out_of_range")?, total, buckets })
+    /// Inverse of [`Histogram::to_json`]; `total` restores bit-exactly, and
+    /// an exponent outside `i32` is an error, never a wrapped bucket.
+    pub fn read(r: Reader<'_, '_>) -> Result<Histogram, JsonError> {
+        let bucket = |row: Reader<'_, '_>| Ok((row.at("exp").int()?, row.at("count").u64()?));
+        Ok(Histogram {
+            count: r.at("count").u64()?,
+            out_of_range: r.at("out_of_range").u64()?,
+            total: r.at("total").f64()?,
+            buckets: r.at("buckets").items()?.map(bucket).collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -241,27 +226,18 @@ impl MetricsRegistry {
     }
 
     /// Inverse of [`MetricsRegistry::to_json`]; sums restore bit-exactly.
-    pub fn from_json(v: &Value) -> Result<MetricsRegistry, String> {
-        let obj = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_object())
-                .ok_or_else(|| format!("metrics: bad key `{key}`"))
-        };
-        let mut counters = BTreeMap::new();
-        for (k, x) in obj("counters")?.iter() {
-            let c = x.as_u64().ok_or_else(|| format!("metrics: bad counter `{k}`"))?;
-            counters.insert(k.clone(), c);
+    pub fn read(r: Reader<'_, '_>) -> Result<MetricsRegistry, JsonError> {
+        fn table<T>(
+            r: Reader<'_, '_>,
+            read: impl Fn(Reader<'_, '_>) -> Result<T, JsonError>,
+        ) -> Result<BTreeMap<String, T>, JsonError> {
+            r.members()?.map(|(k, x)| Ok((k.to_string(), read(x)?))).collect()
         }
-        let mut sums = BTreeMap::new();
-        for (k, x) in obj("sums")?.iter() {
-            let s = x.as_f64().ok_or_else(|| format!("metrics: bad sum `{k}`"))?;
-            sums.insert(k.clone(), s);
-        }
-        let mut histograms = BTreeMap::new();
-        for (k, x) in obj("histograms")?.iter() {
-            histograms.insert(k.clone(), Histogram::from_json(x)?);
-        }
-        Ok(MetricsRegistry { counters, sums, histograms })
+        Ok(MetricsRegistry {
+            counters: table(r.at("counters"), |x| x.u64())?,
+            sums: table(r.at("sums"), |x| x.f64())?,
+            histograms: table(r.at("histograms"), Histogram::read)?,
+        })
     }
 }
 
@@ -318,13 +294,31 @@ mod tests {
         r.incr("alpha", 2);
         r.add_sum("time", 1.25);
         r.observe("widths", 0.5);
-        let a = serde_json::to_string_pretty(&r.to_json()).unwrap();
-        let b = serde_json::to_string_pretty(&r.clone().to_json()).unwrap();
+        let a = crate::json::canonical_text(&r.to_json());
+        let b = crate::json::canonical_text(&r.clone().to_json());
         assert_eq!(a, b);
         let i_alpha = a.find("\"alpha\"").unwrap();
         let i_zeta = a.find("\"zeta\"").unwrap();
         assert!(i_alpha < i_zeta);
         assert!(a.contains("\"out_of_range\": 0"));
+    }
+
+    /// Regression: the decoder used to narrow with `as i32`, so this
+    /// exponent (2^40) silently wrapped into bucket 0.
+    #[test]
+    fn registry_round_trips_and_refuses_an_out_of_range_exponent() {
+        let mut r = MetricsRegistry::new();
+        r.incr("n", 3);
+        r.add_sum("t", 0.1 + 0.2);
+        r.observe("w", 1.5);
+        let text = crate::json::canonical_text(&r.to_json());
+        let read = |text: &str| {
+            MetricsRegistry::read(Reader::root("metrics", &serde_json::from_str(text).unwrap()))
+        };
+        assert_eq!(read(&text).unwrap(), r);
+        let err = read(&text.replace("\"exp\": 0", "\"exp\": 1099511627776")).unwrap_err();
+        assert_eq!(err.path, "histograms.w.buckets[0].exp");
+        assert_eq!(err.detail, "expected an integer (i32), got the number 1099511627776");
     }
 
     #[test]

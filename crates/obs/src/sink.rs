@@ -2,6 +2,7 @@
 //! buffer/registry pair each simulated rank records into.
 
 use crate::event::Event;
+use crate::json::{JsonError, Reader};
 use crate::metrics::MetricsRegistry;
 
 /// Anything events can be recorded into.
@@ -106,7 +107,7 @@ pub struct RankTrace {
 
 impl RankTrace {
     /// Canonical JSON form: `{"events", "metrics", "rank"}`. A trace
-    /// restored via [`RankTrace::from_json`] compares equal (bit-exact)
+    /// restored via [`RankTrace::read`] compares equal (bit-exact)
     /// to the original, which is what lets checkpointed observability
     /// state survive a kill/resume without perturbing the export.
     pub fn to_json(&self) -> serde_json::Value {
@@ -119,21 +120,13 @@ impl RankTrace {
         })
     }
 
-    /// Inverse of [`RankTrace::to_json`]. Errors describe the bad key.
-    pub fn from_json(v: &serde_json::Value) -> Result<RankTrace, String> {
-        let rank = v
-            .get("rank")
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| "rank trace: bad key `rank`".to_string())? as usize;
-        let rows = v
-            .get("events")
-            .and_then(|x| x.as_array())
-            .ok_or_else(|| "rank trace: bad key `events`".to_string())?;
-        let events = rows.iter().map(Event::from_json).collect::<Result<Vec<_>, _>>()?;
-        let metrics = MetricsRegistry::from_json(
-            v.get("metrics").ok_or_else(|| "rank trace: bad key `metrics`".to_string())?,
-        )?;
-        Ok(RankTrace { rank, events, metrics })
+    /// Inverse of [`RankTrace::to_json`]: decode the trace at `r`.
+    pub fn read(r: Reader<'_, '_>) -> Result<RankTrace, JsonError> {
+        Ok(RankTrace {
+            rank: r.at("rank").int()?,
+            events: r.at("events").list(Event::read)?,
+            metrics: MetricsRegistry::read(r.at("metrics"))?,
+        })
     }
 }
 

@@ -6,6 +6,7 @@
 //! serialized output is a pure function of the recorded virtual events —
 //! never of the schedule that produced them.
 
+use crate::json::{canonical_text, JsonError, Reader};
 use crate::metrics::MetricsRegistry;
 use crate::sink::RankTrace;
 use serde_json::Value;
@@ -35,21 +36,13 @@ impl TimelineRun {
         })
     }
 
-    /// Inverse of [`TimelineRun::to_json`]. Errors describe the bad key.
-    pub fn from_json(v: &Value) -> Result<TimelineRun, String> {
-        let id =
-            v.get("id").and_then(|x| x.as_u64()).ok_or_else(|| "run: bad key `id`".to_string())?;
-        let label = v
-            .get("label")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| "run: bad key `label`".to_string())?
-            .to_string();
-        let rows = v
-            .get("ranks")
-            .and_then(|x| x.as_array())
-            .ok_or_else(|| "run: bad key `ranks`".to_string())?;
-        let ranks = rows.iter().map(RankTrace::from_json).collect::<Result<Vec<_>, _>>()?;
-        Ok(TimelineRun { id, label, ranks })
+    /// Inverse of [`TimelineRun::to_json`]: decode the run at `r`.
+    pub fn read(r: Reader<'_, '_>) -> Result<TimelineRun, JsonError> {
+        Ok(TimelineRun {
+            id: r.at("id").u64()?,
+            label: r.at("label").str()?.to_string(),
+            ranks: r.at("ranks").list(RankTrace::read)?,
+        })
     }
 }
 
@@ -150,9 +143,7 @@ impl Timeline {
     /// newline included) — the byte surface the determinism oracles and
     /// the golden trace fixture compare.
     pub fn to_chrome_string(&self) -> String {
-        let mut s = serde_json::to_string_pretty(&self.to_chrome()).expect("json writer is total");
-        s.push('\n');
-        s
+        canonical_text(&self.to_chrome())
     }
 
     /// Folded-stack output for flamegraph tools: one line per distinct
@@ -238,10 +229,7 @@ impl ObsReport {
 
     /// Canonical pretty-printed metrics JSON (trailing newline included).
     pub fn metrics_string(&self) -> String {
-        let mut s =
-            serde_json::to_string_pretty(&self.metrics.to_json()).expect("json writer is total");
-        s.push('\n');
-        s
+        canonical_text(&self.metrics.to_json())
     }
 }
 
@@ -324,8 +312,8 @@ mod tests {
             label: "pr4pc4nb16/rep0/full".into(),
             ranks: vec![trace(0, "gemm", 0.1 + 0.2, 1.0 / 3.0), trace(1, "trsm", 0.5, 0.25)],
         };
-        let text = serde_json::to_string_pretty(&run.to_json()).unwrap();
-        let back = TimelineRun::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
+        let doc = serde_json::from_str(&canonical_text(&run.to_json())).unwrap();
+        let back = TimelineRun::read(Reader::root("run", &doc)).unwrap();
         assert_eq!(back, run);
         // Bit-exactness carries through to the export surface.
         let mut a = Timeline::new();
@@ -333,7 +321,9 @@ mod tests {
         let mut b = Timeline::new();
         b.add_run(back.id, back.label.clone(), back.ranks.clone());
         assert_eq!(a.to_chrome_string(), b.to_chrome_string());
-        assert!(TimelineRun::from_json(&serde_json::json!({"id": 1})).is_err());
+        let err =
+            TimelineRun::read(Reader::root("run", &serde_json::json!({"id": 1}))).unwrap_err();
+        assert_eq!(err.to_string(), "label: missing (expected a string)");
     }
 
     #[test]

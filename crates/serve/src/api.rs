@@ -13,6 +13,7 @@
 //! job directory and reload it verbatim after a restart.
 
 use critter_autotune::{TuningOptions, TuningSpace};
+use critter_core::json::canonical_text;
 use critter_core::ExecutionPolicy;
 use critter_session::StalenessPolicy;
 use critter_sim::{BackendKind, FaultPlan};
@@ -331,9 +332,7 @@ impl JobSpec {
         if let Some(w) = &self.warm_start {
             map.insert("warm_start".into(), w.clone());
         }
-        let mut s = serde_json::to_string_pretty(&doc).expect("json writer is total");
-        s.push('\n');
-        s
+        canonical_text(&doc)
     }
 
     /// The [`TuningOptions`] this spec maps onto — the same builder chain

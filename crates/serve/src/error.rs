@@ -13,6 +13,8 @@
 
 use std::fmt;
 
+use critter_core::json::canonical_text;
+
 /// Every machine-readable error code the service can put in an error body.
 ///
 /// The wire contract: `error.code` in a response body is always the
@@ -164,9 +166,7 @@ impl ServeError {
     pub fn to_body(&self) -> String {
         let inner = serde_json::json!({ "code": self.code().as_str(), "detail": self.detail() });
         let v = serde_json::json!({ "error": inner });
-        let mut s = serde_json::to_string_pretty(&v).expect("json writer is total");
-        s.push('\n');
-        s
+        canonical_text(&v)
     }
 }
 

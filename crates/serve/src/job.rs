@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use critter_core::json::canonical_text;
 use parking_lot::{Condvar, Mutex};
 use serde_json::Value;
 
@@ -316,9 +317,7 @@ impl Registry {
         std::fs::create_dir_all(&dir)
             .map_err(|e| ServeError::Internal(format!("creating job dir for {id}: {e}")))?;
         if let Some(w) = &spec.warm_start {
-            let mut text = serde_json::to_string_pretty(w).expect("json writer is total");
-            text.push('\n');
-            write("warm-start.json", &text)?;
+            write("warm-start.json", &canonical_text(w))?;
         }
         write("spec.json", &spec.to_json())?;
         let units_total = spec.units_total();
@@ -388,18 +387,22 @@ impl Registry {
     }
 
     /// Transition `id` to `state` (with an error detail for failures) and
-    /// append the matching `state` event to the job's log. The event lands
-    /// before the state becomes visible, so a client that has observed the
-    /// transition via a status poll always finds the matching event.
+    /// append the matching `state` event to the job's log, as one step under
+    /// the registry lock. Readers therefore see both or neither: a client
+    /// that observed the transition via a status poll always finds the
+    /// matching event, and one woken by the event (`/events` long-poll)
+    /// always finds the state — `done` means `/report` answers 200. The
+    /// `events.jsonl` append happens under the lock; a job makes only a
+    /// handful of transitions, so status polls wait for it at most briefly.
     pub fn set_state(&self, id: &str, state: JobState, error: Option<String>) {
-        self.emit_state(id, state);
-        if let Some(entry) = self.jobs.lock().get_mut(id) {
-            entry.state = state;
-            if state == JobState::Done {
-                entry.units_done = entry.units_total;
-            }
-            entry.error = error;
+        let mut jobs = self.jobs.lock();
+        let Some(entry) = jobs.get_mut(id) else { return };
+        entry.state = state;
+        if state == JobState::Done {
+            entry.units_done = entry.units_total;
         }
+        entry.error = error;
+        self.append_state(id, entry, state);
     }
 
     /// Record committed progress for `id` and append a `progress` event.
@@ -420,9 +423,17 @@ impl Registry {
 
     /// Append a `state` event to `id`'s log (no state mutation).
     fn emit_state(&self, id: &str, state: JobState) {
-        let Some(events) = self.jobs.lock().get(id).map(|e| e.events.clone()) else { return };
+        if let Some(entry) = self.jobs.lock().get(id) {
+            self.append_state(id, entry, state);
+        }
+    }
+
+    /// The one writer of `state` events. Callers hold the registry lock
+    /// (`entry` borrows from it); the event log's own lock nests inside it
+    /// and is never held while taking the registry lock.
+    fn append_state(&self, id: &str, entry: &JobEntry, state: JobState) {
         let mut doc = serde_json::json!({ "kind": "state", "state": state.name() });
-        events.append(Some(&self.job_dir(id).join("events.jsonl")), &mut doc);
+        entry.events.append(Some(&self.job_dir(id).join("events.jsonl")), &mut doc);
     }
 
     /// Request cancellation of a queued or running job. The flag is
@@ -469,10 +480,7 @@ impl Registry {
             })
             .collect();
         let items = Value::Array(items);
-        let mut s = serde_json::to_string_pretty(&serde_json::json!({ "jobs": items }))
-            .expect("json writer is total");
-        s.push('\n');
-        s
+        canonical_text(&serde_json::json!({ "jobs": items }))
     }
 }
 
@@ -496,9 +504,7 @@ fn render_status(id: &str, entry: &JobEntry) -> String {
             serde_json::json!({ "code": "sweep_failed", "detail": detail.as_str() }),
         );
     }
-    let mut s = serde_json::to_string_pretty(&doc).expect("json writer is total");
-    s.push('\n');
-    s
+    canonical_text(&doc)
 }
 
 #[cfg(test)]

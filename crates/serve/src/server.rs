@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use critter_core::json::canonical_text;
 use parking_lot::Mutex;
 
 use critter_store::Store;
@@ -326,9 +327,7 @@ fn healthz(registry: &Registry, store: &Option<Store>) -> Response {
             Err(e) => map.insert("store".into(), serde_json::json!({"error": e.to_string()})),
         };
     }
-    let mut body = serde_json::to_string_pretty(&doc).expect("json writer is total");
-    body.push('\n');
-    Response::json(200, body)
+    Response::json(200, canonical_text(&doc))
 }
 
 /// `GET /v1/tenants`: the quotas in force plus, per tenant, the total job
@@ -356,9 +355,7 @@ fn tenants(registry: &Registry, scheduler: &Scheduler) -> Response {
         }),
         "tenants": serde_json::Value::Object(tenants),
     });
-    let mut body = serde_json::to_string_pretty(&doc).expect("json writer is total");
-    body.push('\n');
-    Response::json(200, body)
+    Response::json(200, canonical_text(&doc))
 }
 
 /// `GET /v1/jobs/{id}/events?since=N&wait_ms=T`: the ordered event log
@@ -379,9 +376,7 @@ fn events(registry: &Arc<Registry>, id: &str, request: &Request) -> Result<Respo
         "events": serde_json::Value::Array(events),
         "next": next,
     });
-    let mut body = serde_json::to_string_pretty(&doc).expect("json writer is total");
-    body.push('\n');
-    Ok(Response::json(200, body))
+    Ok(Response::json(200, canonical_text(&doc)))
 }
 
 fn store_census(store: &Option<Store>) -> Result<Response, ServeError> {
@@ -395,9 +390,7 @@ fn store_census(store: &Option<Store>) -> Result<Response, ServeError> {
         "entries": entries,
         "generation": census.generation,
     });
-    let mut body = serde_json::to_string_pretty(&doc).expect("json writer is total");
-    body.push('\n');
-    Ok(Response::json(200, body))
+    Ok(Response::json(200, canonical_text(&doc)))
 }
 
 fn store_blob(store: &Option<Store>, hash: &str) -> Result<Response, ServeError> {
@@ -407,10 +400,7 @@ fn store_blob(store: &Option<Store>, hash: &str) -> Result<Response, ServeError>
     let stores = store
         .load_blob(hash)
         .map_err(|e| ServeError::NotFound(format!("blob {hash:013x}: {e}")))?;
-    let mut body = serde_json::to_string_pretty(&critter_core::snapshot::stores_to_json(&stores))
-        .expect("json writer is total");
-    body.push('\n');
-    Ok(Response::json(200, body))
+    Ok(Response::json(200, canonical_text(&critter_core::snapshot::stores_to_json(&stores))))
 }
 
 fn require_store(store: &Option<Store>) -> Result<&Store, ServeError> {

@@ -186,3 +186,59 @@ fn cancelling_a_queued_job_frees_its_tenant_quota_slot() {
     server.shutdown();
     std::fs::remove_dir_all(&data_dir).unwrap();
 }
+
+/// Regression: `Registry::set_state` used to append the `done` event —
+/// waking every `/events` long-poll — before it flipped the job's state, so
+/// a client that read `done` and fetched `/report` at once was told
+/// `409 … is running; artifacts exist once it is done`. Two closed-loop
+/// clients on two job workers (the `serve-small-jobs` benchmark shape) keep
+/// the cores busy enough that the old window was hit on 1–7 of these 20
+/// jobs in every one of 24 runs.
+#[test]
+fn report_answers_200_the_moment_the_done_event_is_visible() {
+    const SMOKE_JOB: &str =
+        r#"{"space": "slate-cholesky", "policy": "local", "smoke": true, "machine": "test"}"#;
+    let data_dir = temp_dir("done-race");
+    let mut config = ServerConfig::new(&data_dir);
+    config.addr = "127.0.0.1:0".into();
+    config.job_workers = 2;
+    let server = Server::start(config).expect("server starts");
+    let addr = server.addr();
+
+    let one_client = || {
+        let mut refused = Vec::new();
+        for _ in 0..10 {
+            let (s, doc) = client::request_json(addr, "POST", "/v1/jobs", Some(SMOKE_JOB)).unwrap();
+            assert_eq!(s, 202);
+            let id = doc.get("id").unwrap().as_str().unwrap().to_string();
+            let mut since = 0;
+            'follow: loop {
+                let path = format!("/v1/jobs/{id}/events?since={since}&wait_ms=5000");
+                let (s, doc) = client::request_json(addr, "GET", &path, None).unwrap();
+                assert_eq!(s, 200);
+                for event in doc.get("events").unwrap().as_array().unwrap() {
+                    match event.get("state").and_then(|s| s.as_str()) {
+                        Some("done") => break 'follow,
+                        Some(state) => assert_ne!(state, "failed", "{id} failed"),
+                        None => {}
+                    }
+                }
+                since = doc.get("next").unwrap().as_u64().unwrap();
+            }
+            let report = format!("/v1/jobs/{id}/report");
+            let (s, body) = client::request(addr, "GET", &report, None).unwrap();
+            if s != 200 {
+                refused.push(format!("{id}: {s} {body}"));
+            }
+        }
+        refused
+    };
+    let refused: Vec<String> = std::thread::scope(|scope| {
+        let clients = [scope.spawn(one_client), scope.spawn(one_client)];
+        clients.into_iter().flat_map(|c| c.join().expect("client thread")).collect()
+    });
+    assert!(refused.is_empty(), "`done` was visible before the report was: {refused:#?}");
+
+    server.shutdown();
+    std::fs::remove_dir_all(&data_dir).unwrap();
+}

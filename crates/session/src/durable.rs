@@ -12,6 +12,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use critter_core::json::canonical_text;
 use critter_core::{CritterError, Result};
 use serde_json::Value;
 
@@ -47,24 +48,17 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     })
 }
 
-/// Canonical pretty-printed JSON text of `doc` (trailing newline included).
-fn render(doc: &Value) -> String {
-    let mut text = serde_json::to_string_pretty(doc).expect("json writer is total");
-    text.push('\n');
-    text
-}
-
 /// Serialize `doc` as canonical pretty-printed JSON (trailing newline
 /// included) and write it atomically.
 pub fn write_value(path: &Path, doc: &Value) -> Result<()> {
-    write_atomic(path, render(doc).as_bytes())
+    write_atomic(path, canonical_text(doc).as_bytes())
 }
 
 /// Write `doc` to a staging path the caller already made unique and will
 /// publish itself (`rename`/`hard_link`): one plain write, no second temp
 /// file. The staging file is removed when the write fails.
 pub fn stage_value(staging: &Path, doc: &Value) -> Result<()> {
-    write_or_remove(staging, render(doc).as_bytes())
+    write_or_remove(staging, canonical_text(doc).as_bytes())
 }
 
 /// Read and parse a canonical JSON document.
@@ -94,7 +88,7 @@ mod tests {
         // Overwrite goes through the same atomic path.
         write_value(&path, &serde_json::json!({"a": 2})).unwrap();
         let back = read_value(&path).unwrap();
-        assert_eq!(back.get("a").and_then(|x| x.as_u64()), Some(2));
+        assert_eq!(back, serde_json::json!({"a": 2}));
         fs::remove_file(&path).unwrap();
     }
 

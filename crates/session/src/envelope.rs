@@ -14,6 +14,7 @@
 //!   restored from them.
 
 use critter_core::fnv::fnv_hash;
+use critter_core::json::Reader;
 use critter_core::{CritterError, Result};
 use serde_json::Value;
 
@@ -43,7 +44,7 @@ fn digest(kind: &str, fingerprint: u64, payload: &Value) -> u64 {
 ///
 /// let doc = envelope::seal("profile", 7, serde_json::json!({"v": 1.5}));
 /// let payload = envelope::open(&doc, "profile", Some(7)).unwrap();
-/// assert_eq!(payload.get("v").and_then(|x| x.as_f64()), Some(1.5));
+/// assert_eq!(payload, &serde_json::json!({"v": 1.5}));
 /// assert!(envelope::open(&doc, "checkpoint", Some(7)).is_err());
 /// assert!(envelope::open(&doc, "profile", Some(8)).is_err());
 /// ```
@@ -66,36 +67,21 @@ pub fn seal(kind: &str, fingerprint: u64, payload: Value) -> Value {
 /// disagreement is [`CritterError::Mismatch`] (the file is valid, it just
 /// belongs to a different sweep).
 pub fn open<'a>(doc: &'a Value, kind: &str, fingerprint: Option<u64>) -> Result<&'a Value> {
-    let str_field = |key: &str| {
-        doc.get(key)
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| CritterError::schema("envelope", format!("bad key `{key}`")))
-    };
-    let u64_field = |key: &str| {
-        doc.get(key)
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| CritterError::schema("envelope", format!("bad key `{key}`")))
-    };
-    let schema = str_field("schema")?;
-    if schema != SCHEMA {
-        return Err(CritterError::schema(
-            "envelope",
-            format!("unsupported schema `{schema}` (expected `{SCHEMA}`)"),
-        ));
+    let r = Reader::root("envelope", doc);
+    let (schema, found_kind) = (r.at("schema"), r.at("kind"));
+    if schema.str()? != SCHEMA {
+        let detail = format!("unsupported schema `{}` (expected `{SCHEMA}`)", schema.str()?);
+        return Err(schema.error(detail).into());
     }
-    let found_kind = str_field("kind")?;
-    if found_kind != kind {
-        return Err(CritterError::schema(
-            "envelope",
-            format!("artifact kind `{found_kind}` (expected `{kind}`)"),
-        ));
+    if found_kind.str()? != kind {
+        let detail = format!("artifact kind `{}` (expected `{kind}`)", found_kind.str()?);
+        return Err(found_kind.error(detail).into());
     }
-    let found_fp = u64_field("fingerprint")?;
-    let payload =
-        doc.get("payload").ok_or_else(|| CritterError::schema("envelope", "bad key `payload`"))?;
-    let hash = u64_field("hash")?;
-    if hash != digest(kind, found_fp, payload) {
-        return Err(CritterError::schema("envelope", "content hash mismatch (corrupt file)"));
+    let found_fp = r.at("fingerprint").u64()?;
+    let payload = r.at("payload").value()?;
+    let hash = r.at("hash");
+    if hash.u64()? != digest(kind, found_fp, payload) {
+        return Err(hash.error("content hash mismatch (corrupt file)").into());
     }
     if let Some(expect) = fingerprint {
         if found_fp != expect {
@@ -115,7 +101,7 @@ mod tests {
     fn seal_open_round_trip() {
         let doc = seal("checkpoint", 42, serde_json::json!({"units": 3}));
         let payload = open(&doc, "checkpoint", Some(42)).unwrap();
-        assert_eq!(payload.get("units").and_then(|x| x.as_u64()), Some(3));
+        assert_eq!(payload, &serde_json::json!({"units": 3}));
         // Fingerprint check is optional.
         assert!(open(&doc, "checkpoint", None).is_ok());
     }

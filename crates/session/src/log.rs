@@ -14,6 +14,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use critter_core::json::Reader;
 use critter_core::{CritterError, Result};
 use critter_obs::{Event, EventKind};
 
@@ -52,13 +53,12 @@ impl SessionLog {
     pub fn read(&self) -> Result<Vec<Event>> {
         let text =
             std::fs::read_to_string(&self.path).map_err(|e| CritterError::io(&self.path, e))?;
+        let document = self.path.display().to_string();
         text.lines()
             .map(|line| {
-                let v = serde_json::from_str(line).map_err(|e| {
-                    CritterError::parse(self.path.display().to_string(), e.to_string())
-                })?;
-                Event::from_json(&v)
-                    .map_err(|e| CritterError::schema(self.path.display().to_string(), e))
+                let v = serde_json::from_str(line)
+                    .map_err(|e| CritterError::parse(&document, e.to_string()))?;
+                Ok(Event::read(Reader::root(&document, &v))?)
             })
             .collect()
     }

@@ -60,12 +60,11 @@ impl BackendKind {
     }
 
     /// Worker permits bounding the runnable rank set of one run: `None` for
-    /// preemptive thread-per-rank execution, `Some(n)` for `tasks`
-    /// ([`SimConfig::task_workers`], or the host's parallelism when that is 0).
-    fn permits(self, config: &SimConfig) -> Option<usize> {
+    /// preemptive thread-per-rank execution, the host's available
+    /// parallelism for `tasks`.
+    fn permits(self) -> Option<usize> {
         match self {
             BackendKind::Threads => None,
-            BackendKind::Tasks if config.task_workers > 0 => Some(config.task_workers),
             BackendKind::Tasks => {
                 Some(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
             }
@@ -197,7 +196,7 @@ where
         "machine model rank count must match the simulation"
     );
     let ranks = config.ranks;
-    let sched = config.backend.permits(config).map(|n| Arc::new(TaskScheduler::new(n)));
+    let sched = config.backend.permits().map(|n| Arc::new(TaskScheduler::new(n)));
     let core = Arc::new(SimCore::new(Arc::clone(&machine), config, sched));
     let slots: Vec<Mutex<Option<RankResult<R>>>> = (0..ranks).map(|_| Mutex::new(None)).collect();
     let latch = RunLatch::new(ranks);
@@ -330,13 +329,9 @@ mod tests {
     }
 
     #[test]
-    fn only_tasks_bounds_the_runnable_set_defaulting_to_available_parallelism() {
-        let cfg = crate::SimConfig::new(1);
-        assert_eq!(BackendKind::Threads.permits(&cfg), None);
-        assert!(BackendKind::Tasks.permits(&cfg).expect("tasks always schedules") >= 1);
-        let pinned = cfg.with_task_workers(3);
-        assert_eq!(BackendKind::Tasks.permits(&pinned), Some(3));
-        assert_eq!(BackendKind::Threads.permits(&pinned), None);
+    fn only_tasks_bounds_the_runnable_set_by_available_parallelism() {
+        assert_eq!(BackendKind::Threads.permits(), None);
+        assert!(BackendKind::Tasks.permits().expect("tasks always schedules") >= 1);
     }
 
     #[test]

@@ -152,9 +152,6 @@ pub struct SimConfig {
     /// Number of shards the matching core is split over; `0` = auto (sized
     /// to the rank count). Scheduling only — results are shard-independent.
     pub shards: usize,
-    /// Worker permits for the `tasks` backend (`0` = auto: available
-    /// parallelism). Ignored by the `threads` backend.
-    pub task_workers: usize,
 }
 
 impl SimConfig {
@@ -169,7 +166,6 @@ impl SimConfig {
             faults: None,
             backend: BackendKind::default(),
             shards: 0,
-            task_workers: 0,
         }
     }
 
@@ -183,12 +179,6 @@ impl SimConfig {
     /// Override the matching-core shard count (`0` = auto).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Override the `tasks` backend's worker-permit count (`0` = auto).
-    pub fn with_task_workers(mut self, workers: usize) -> Self {
-        self.task_workers = workers;
         self
     }
 
@@ -577,16 +567,11 @@ mod tests {
         };
         let m = || MachineModel::test_noisy(4, 21).shared();
         let reference = run_simulation(SimConfig::new(4), m(), prog);
-        for workers in [1, 2] {
-            for shards in [1, 4] {
-                let cfg = SimConfig::new(4)
-                    .with_backend(BackendKind::Tasks)
-                    .with_task_workers(workers)
-                    .with_shards(shards);
-                let tasks = run_simulation(cfg, m(), prog);
-                assert_eq!(reference.rank_times, tasks.rank_times, "w={workers} s={shards}");
-                assert_eq!(reference.outputs, tasks.outputs, "w={workers} s={shards}");
-            }
+        for shards in [1, 4] {
+            let cfg = SimConfig::new(4).with_backend(BackendKind::Tasks).with_shards(shards);
+            let tasks = run_simulation(cfg, m(), prog);
+            assert_eq!(reference.rank_times, tasks.rank_times, "shards={shards}");
+            assert_eq!(reference.outputs, tasks.outputs, "shards={shards}");
         }
     }
 

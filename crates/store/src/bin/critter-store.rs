@@ -16,6 +16,7 @@
 //! smoke workload, and the process the kill -9 crash drill shoots down
 //! mid-commit.
 
+use critter_core::json::canonical_text;
 use critter_core::signature::{ComputeOp, KernelSig};
 use critter_core::KernelStore;
 use critter_machine::{MachineParams, NoiseParams};
@@ -72,7 +73,7 @@ fn ls(p: &Parsed) -> Result<(), Error> {
             "entries": entries,
             "generation": census.generation,
         });
-        println!("{}", serde_json::to_string_pretty(&doc).expect("json writer is total"));
+        print!("{}", canonical_text(&doc));
         return Ok(());
     }
     println!(
@@ -98,7 +99,7 @@ fn show(p: &Parsed) -> Result<(), Error> {
     let stores = store.load_blob(hash).unwrap_or_else(|e| fail(e));
     if p.switch("--json") {
         let doc = critter_core::snapshot::stores_to_json(&stores);
-        println!("{}", serde_json::to_string_pretty(&doc).expect("json writer is total"));
+        print!("{}", canonical_text(&doc));
         return Ok(());
     }
     println!("blob {hash:013x}: {} rank stores", stores.len());
@@ -128,7 +129,7 @@ fn verify(p: &Parsed) -> Result<(), Error> {
             "tmp_strays": report.tmp_strays,
             "unreferenced": report.unreferenced,
         });
-        println!("{}", serde_json::to_string_pretty(&doc).expect("json writer is total"));
+        print!("{}", canonical_text(&doc));
     } else {
         println!(
             "{} generations, {} entries, {} blobs ({} unreferenced, {} tmp strays)",
@@ -160,7 +161,7 @@ fn gc(p: &Parsed) -> Result<(), Error> {
             "removed_generations": report.removed_generations,
             "removed_tmp": report.removed_tmp,
         });
-        println!("{}", serde_json::to_string_pretty(&doc).expect("json writer is total"));
+        print!("{}", canonical_text(&doc));
     } else {
         println!(
             "kept {} generations; removed {} generations, {} blobs, {} tmp strays",

@@ -7,7 +7,7 @@
 //! generation whose envelope validates always sees a consistent store,
 //! no matter how many writers died mid-commit.
 
-use critter_core::{CritterError, Result};
+use critter_core::json::{JsonError, Reader};
 use serde_json::Value;
 
 use crate::machine::MachineSpec;
@@ -50,38 +50,22 @@ impl StoreEntry {
 
     /// Parse and validate one entry; the cached fingerprint must match the
     /// machine spec it claims to summarize.
-    pub fn from_json(v: &Value) -> Result<StoreEntry> {
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| CritterError::schema("store entry", format!("bad key `{key}`")))
-        };
-        let algo = v
-            .get("algo")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| CritterError::schema("store entry", "bad key `algo`"))?
-            .to_string();
-        let machine = MachineSpec::from_json(
-            v.get("machine")
-                .ok_or_else(|| CritterError::schema("store entry", "bad key `machine`"))?,
-        )?;
-        let machine_fp = u("machine_fp")?;
+    pub fn read(r: Reader<'_, '_>) -> Result<StoreEntry, JsonError> {
+        let machine = MachineSpec::read(r.at("machine"))?;
+        let machine_fp = r.at("machine_fp").u64()?;
         if machine_fp != machine.fingerprint() {
-            return Err(CritterError::schema(
-                "store entry",
-                format!(
-                    "cached machine fingerprint {machine_fp} does not match the spec ({})",
-                    machine.fingerprint()
-                ),
-            ));
+            return Err(r.at("machine_fp").error(format!(
+                "cached machine fingerprint {machine_fp} does not match the spec ({})",
+                machine.fingerprint()
+            )));
         }
         Ok(StoreEntry {
             machine,
             machine_fp,
-            algo,
-            ranks: u("ranks")?,
-            blob: u("blob")?,
-            seq: u("seq")?,
+            algo: r.at("algo").str()?.to_string(),
+            ranks: r.at("ranks").u64()?,
+            blob: r.at("blob").u64()?,
+            seq: r.at("seq").u64()?,
         })
     }
 }
@@ -107,25 +91,15 @@ impl Index {
 
     /// Parse a generation payload; `generation` must match the number the
     /// file name (and envelope fingerprint) claims.
-    pub fn from_json(v: &Value, generation: u64) -> Result<Index> {
-        let found = v
-            .get("generation")
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| CritterError::schema("store index", "bad key `generation`"))?;
+    pub fn from_json(v: &Value, generation: u64) -> critter_core::Result<Index> {
+        let r = Reader::root("store index", v);
+        let found = r.at("generation").u64()?;
         if found != generation {
-            return Err(CritterError::schema(
-                "store index",
-                format!("payload generation {found} does not match file generation {generation}"),
-            ));
+            let detail =
+                format!("payload generation {found} does not match file generation {generation}");
+            return Err(r.at("generation").error(detail).into());
         }
-        let entries = v
-            .get("entries")
-            .and_then(|x| x.as_array())
-            .ok_or_else(|| CritterError::schema("store index", "bad key `entries`"))?
-            .iter()
-            .map(StoreEntry::from_json)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Index { generation, entries })
+        Ok(Index { generation, entries: r.at("entries").list(StoreEntry::read)? })
     }
 
     /// The highest publication sequence number in this generation.
@@ -161,7 +135,8 @@ mod tests {
         if let Value::Object(m) = &mut doc {
             m.insert("machine_fp".into(), serde_json::json!(1u64));
         }
-        let err = StoreEntry::from_json(&doc).unwrap_err();
-        assert!(err.to_string().contains("fingerprint"), "got: {err}");
+        let err = StoreEntry::read(Reader::root("entry", &doc)).unwrap_err();
+        assert_eq!(err.path, "machine_fp");
+        assert!(err.detail.contains("does not match the spec"), "got: {err}");
     }
 }

@@ -3,7 +3,7 @@
 //! cross-machine priors.
 
 use critter_core::fnv::fnv_hash;
-use critter_core::{CritterError, Result};
+use critter_core::json::{JsonError, Reader};
 use critter_machine::{MachineParams, NoiseParams};
 use serde_json::Value;
 
@@ -73,25 +73,16 @@ impl MachineSpec {
     }
 
     /// Parse a spec back out of its canonical JSON form.
-    pub fn from_json(v: &Value) -> Result<MachineSpec> {
-        let f = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| CritterError::schema("machine spec", format!("bad key `{key}`")))
-        };
-        let ranks_per_node = v
-            .get("ranks_per_node")
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| CritterError::schema("machine spec", "bad key `ranks_per_node`"))?;
+    pub fn read(r: Reader<'_, '_>) -> Result<MachineSpec, JsonError> {
         Ok(MachineSpec {
-            alpha: f("alpha")?,
-            beta: f("beta")?,
-            peak_flops: f("peak_flops")?,
-            ranks_per_node,
-            per_call_overhead: f("per_call_overhead")?,
-            node_sigma: f("node_sigma")?,
-            compute_sigma: f("compute_sigma")?,
-            comm_sigma: f("comm_sigma")?,
+            alpha: r.at("alpha").f64()?,
+            beta: r.at("beta").f64()?,
+            peak_flops: r.at("peak_flops").f64()?,
+            ranks_per_node: r.at("ranks_per_node").u64()?,
+            per_call_overhead: r.at("per_call_overhead").f64()?,
+            node_sigma: r.at("node_sigma").f64()?,
+            compute_sigma: r.at("compute_sigma").f64()?,
+            comm_sigma: r.at("comm_sigma").f64()?,
         })
     }
 
@@ -139,10 +130,11 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let a = MachineSpec::from_models(&MachineParams::stampede2_knl(), &NoiseParams::cluster());
-        let back = MachineSpec::from_json(&a.to_json()).unwrap();
+        let back = MachineSpec::read(Reader::root("spec", &a.to_json())).unwrap();
         assert_eq!(a, back);
         assert_eq!(a.fingerprint(), back.fingerprint());
-        assert!(MachineSpec::from_json(&serde_json::json!({"alpha": 1.0})).is_err());
+        let err = MachineSpec::read(Reader::root("spec", &serde_json::json!({"alpha": 1.0})));
+        assert_eq!(err.unwrap_err().to_string(), "beta: missing (expected a number)");
     }
 
     #[test]

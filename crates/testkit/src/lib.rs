@@ -161,6 +161,7 @@ pub mod serve_oracle {
     use std::path::PathBuf;
     use std::time::{Duration, Instant};
 
+    use critter_core::json::canonical_text;
     use critter_serve::http::client;
     use critter_serve::{Server, ServerConfig};
 
@@ -286,9 +287,7 @@ pub mod serve_oracle {
             rows.push(row);
         }
         let errors_doc = serde_json::json!({ "cases": serde_json::Value::Array(rows) });
-        let mut errors_body =
-            serde_json::to_string_pretty(&errors_doc).expect("json writer is total");
-        errors_body.push('\n');
+        let errors_body = canonical_text(&errors_doc);
 
         server.shutdown();
         let _ = std::fs::remove_dir_all(&data_dir);

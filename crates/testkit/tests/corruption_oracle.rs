@@ -1,0 +1,406 @@
+//! One corruption oracle for every persisted document kind.
+//!
+//! Every decoder of a persisted document is written on the one JSON reader
+//! (`critter_obs::json`), whose contract is that a damaged document is
+//! refused with an error naming the exact path of the damage — never a
+//! panic, never a silently wrong value. This suite checks that contract
+//! against *real* instances of each kind — tuning report, observed and
+//! fault-armed checkpoint, profile, store index generation, perf
+//! trajectory, one `session.log` line, and the envelope that seals three of
+//! them — by walking every node of the document and, one node at a time:
+//!
+//! * replacing it with a value of another JSON type: the decode must fail
+//!   at exactly that node's path (leaves *and* interior nodes);
+//! * deleting it: for an object member the decode must fail at that
+//!   member's path; for a scalar array element the result is either a
+//!   well-formed shorter list or an error at the array (a fixed-arity row).
+//!
+//! The few nodes that legitimately behave otherwise are listed per document
+//! as [`Except`]ions. The bit-exact round-trip tests stay where they are,
+//! next to each codec.
+
+use std::path::PathBuf;
+use std::sync::Arc;
+
+use critter_algs::{Workload, WorkloadOutput};
+use critter_autotune::{Autotuner, ProgressVerdict, SessionConfig, TuningOptions, TuningReport};
+use critter_bench::harness::Timing;
+use critter_bench::trajectory::Trajectory;
+use critter_core::json::JsonError;
+use critter_core::{snapshot, CritterEnv, CritterError, ExecutionPolicy, KernelStore};
+use critter_machine::{MachineParams, NoiseParams};
+use critter_obs::{Event, EventKind};
+use critter_session::{durable, envelope, profile, SessionLog};
+use critter_sim::{FaultPlan, ReduceOp};
+use critter_store::{Index, MachineSpec, Store, INDEX_KIND};
+use serde_json::Value;
+
+// ---------------------------------------------------------------------------
+// The walker.
+
+/// One step from a node to a child.
+#[derive(Debug, Clone, PartialEq)]
+enum Step {
+    Key(String),
+    Index(usize),
+}
+
+/// Why a node is exempt from the default expectation.
+enum Except {
+    /// The key is optional: deleting it reads back as a default.
+    Optional,
+    /// The key holds an open name → value map (metric registries): deleting
+    /// one of its entries leaves a well-formed map.
+    Entries,
+    /// Nothing under this key is decoded: no damage there is an error.
+    Unread,
+    /// The subtree is guarded by another field: damage anywhere under this
+    /// key is reported at that field's path instead.
+    ReportedAt(&'static str),
+}
+
+/// Every node below the root of `v` with its path, parents before children.
+fn nodes<'a>(v: &'a Value, here: &mut Vec<Step>, out: &mut Vec<(Vec<Step>, &'a Value)>) {
+    let children: Vec<(Step, &Value)> = match v {
+        Value::Object(m) => m.iter().map(|(k, c)| (Step::Key(k.clone()), c)).collect(),
+        Value::Array(a) => a.iter().enumerate().map(|(i, c)| (Step::Index(i), c)).collect(),
+        _ => Vec::new(),
+    };
+    for (step, child) in children {
+        here.push(step);
+        out.push((here.clone(), child));
+        nodes(child, here, out);
+        here.pop();
+    }
+}
+
+/// The path in the syntax the reader's errors print: `a.b[2].c`.
+fn render(path: &[Step]) -> String {
+    let mut s = String::new();
+    for step in path {
+        match step {
+            Step::Key(k) if s.is_empty() => s.push_str(k),
+            Step::Key(k) => s.extend([".", k]),
+            Step::Index(i) => s.push_str(&format!("[{i}]")),
+        }
+    }
+    s
+}
+
+fn node_mut<'a>(doc: &'a mut Value, path: &[Step]) -> &'a mut Value {
+    path.iter().fold(doc, |node, step| match step {
+        Step::Key(k) => node.get_mut(k).expect("walked key"),
+        Step::Index(i) => &mut node.as_array_mut().expect("walked array")[*i],
+    })
+}
+
+/// Damage every node of `doc`, one at a time, and check what `decode` makes
+/// of it. `decode` returns the located error's text (`path: detail`).
+fn assert_every_damage_is_located(
+    kind: &str,
+    doc: &Value,
+    exceptions: &[(&str, Except)],
+    decode: &dyn Fn(&Value) -> Result<(), String>,
+) {
+    decode(doc).unwrap_or_else(|e| panic!("{kind}: the undamaged document must decode: {e}"));
+    let mut all = Vec::new();
+    nodes(doc, &mut Vec::new(), &mut all);
+    assert!(all.len() >= 5, "{kind}: suspiciously small document ({} nodes)", all.len());
+
+    let refused_at = |result: Result<(), String>, expect: &str, what: &str| match result {
+        Ok(()) => panic!("{kind}: {what} was accepted"),
+        Err(e) => {
+            let at_path = e.strip_prefix(expect).is_some_and(|rest| rest.starts_with(": "));
+            assert!(at_path, "{kind}: {what} must be reported at `{expect}`, got: {e}");
+            e
+        }
+    };
+    let is_key = |step: &Step, key: &str| matches!(step, Step::Key(k) if k == key);
+    for (path, original) in &all {
+        let here = render(path);
+        let (last, parent) = path.split_last().expect("paths are non-empty");
+        let except = exceptions.iter().find(|(key, ex)| match ex {
+            Except::Optional => is_key(last, key),
+            Except::Entries => parent.last().is_some_and(|p| is_key(p, key)),
+            Except::Unread | Except::ReportedAt(_) => path.iter().any(|s| is_key(s, key)),
+        });
+
+        // 1. Another JSON type in its place.
+        let mut damaged = doc.clone();
+        *node_mut(&mut damaged, path) = match original {
+            Value::String(_) => Value::Number(7.0),
+            _ => Value::String("damaged".into()),
+        };
+        let what = format!("`{here}` retyped");
+        match except {
+            Some((_, Except::Unread)) => decode(&damaged).expect("unread subtrees are not decoded"),
+            Some((_, Except::ReportedAt(guard))) => {
+                drop(refused_at(decode(&damaged), guard, &what))
+            }
+            _ => {
+                let e = refused_at(decode(&damaged), &here, &what);
+                assert!(e.contains("expected") && e.contains("got"), "{kind}: {what}: vague: {e}");
+            }
+        }
+
+        // 2. Gone.
+        let mut damaged = doc.clone();
+        let what = format!("`{here}` deleted");
+        match (last, node_mut(&mut damaged, parent)) {
+            (Step::Key(k), Value::Object(members)) => {
+                members.remove(k);
+                match except {
+                    Some((_, Except::Optional | Except::Entries | Except::Unread)) => {
+                        decode(&damaged).expect("deleting an optional or unread key is legal")
+                    }
+                    // Below the guarded key the guard fires; the guarded
+                    // key itself is simply missing.
+                    Some((key, Except::ReportedAt(guard))) if !is_key(last, key) => {
+                        refused_at(decode(&damaged), guard, &what);
+                    }
+                    _ => {
+                        let e = refused_at(decode(&damaged), &here, &what);
+                        assert!(e.contains("missing (expected"), "{kind}: {what}: vague: {e}");
+                    }
+                }
+            }
+            // A whole record removed from a list leaves a well-formed
+            // shorter list; only a scalar element can break a row, and then
+            // the row (or its guard) is what is reported.
+            (Step::Index(_), Value::Array(_)) if !is_scalar(original) => {}
+            (Step::Index(i), Value::Array(items)) => {
+                items.remove(*i);
+                let row = match except {
+                    Some((_, Except::ReportedAt(guard))) => guard.to_string(),
+                    _ => render(parent),
+                };
+                if let Err(e) = decode(&damaged) {
+                    refused_at(Err(e), &row, &what);
+                }
+            }
+            _ => unreachable!("a step matches its parent's kind"),
+        }
+    }
+}
+
+fn is_scalar(v: &Value) -> bool {
+    !matches!(v, Value::Object(_) | Value::Array(_))
+}
+
+// ---------------------------------------------------------------------------
+// Real documents.
+
+const CHECKPOINT_EXCEPTIONS: &[(&str, Except)] = &[
+    ("quarantined", Except::Optional),
+    ("counters", Except::Entries),
+    ("sums", Except::Entries),
+    ("histograms", Except::Entries),
+];
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join("critter-testkit-corruption-oracle")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// The `path: detail` text of a located decode failure.
+fn located(e: CritterError) -> String {
+    match e {
+        CritterError::Schema { detail, .. } => detail,
+        other => panic!("a damaged document must be a Schema error, got: {other}"),
+    }
+}
+
+/// A two-rank workload small enough that every node of its observed
+/// checkpoint can be damaged in turn: one BLAS kernel whose size varies by
+/// configuration, one user-annotated region and one collective.
+struct Tiny(usize);
+
+impl Workload for Tiny {
+    fn name(&self) -> String {
+        format!("tiny{}", self.0)
+    }
+
+    fn ranks(&self) -> usize {
+        2
+    }
+
+    fn run(&self, env: &mut CritterEnv, _verify: bool) -> WorkloadOutput {
+        let world = env.world();
+        let n = 8 * self.0;
+        env.kernel(critter_core::ComputeOp::Gemm, n, n, n, 2.0 * (n * n * n) as f64, || {});
+        env.custom_kernel(3, 8, 8.0, || {});
+        env.allreduce(&world, ReduceOp::Sum, &[env.rank() as f64]);
+        WorkloadOutput::default()
+    }
+}
+
+fn tiny_workloads() -> Vec<Arc<dyn Workload>> {
+    (1..=3).map(|i| Arc::new(Tiny(i)) as Arc<dyn Workload>).collect()
+}
+
+/// Observed, a-priori (offline records), extrapolating, and fault-armed so
+/// that one configuration is quarantined: every optional part of a report
+/// and a checkpoint is present.
+fn tiny_options() -> TuningOptions {
+    let mut opts = TuningOptions::new(ExecutionPolicy::APrioriPropagation, 0.5)
+        .with_test_machine()
+        .with_observe()
+        .with_faults(FaultPlan::new(7).with_rank_panics(0.008))
+        .with_retries(0);
+    opts.extrapolate = true;
+    opts.reset_between_configs = false;
+    opts
+}
+
+#[test]
+fn tuning_report_damage_is_located() {
+    let report = Autotuner::new(tiny_options())
+        .tune_session(&tiny_workloads(), &SessionConfig::new())
+        .expect("the tiny sweep completes");
+    let quarantined = report.configs.iter().filter(|c| c.quarantined).count();
+    assert!(
+        quarantined >= 1 && quarantined < report.configs.len(),
+        "the pinned fault plan must quarantine some but not all configurations ({quarantined})"
+    );
+    assert!(report.configs.iter().any(|c| !c.offline.is_empty()));
+    assert_every_damage_is_located(
+        "tuning report",
+        &report.to_json(),
+        &[("quarantined", Except::Optional), ("obs_metrics", Except::Unread)],
+        &|doc| TuningReport::from_json(doc).map(drop).map_err(located),
+    );
+}
+
+#[test]
+fn checkpoint_damage_is_located_by_the_real_restore_path() {
+    // Stop the sweep after its second unit: the checkpoint then holds
+    // results, both store fleets, observed runs and session events.
+    let dir = scratch("checkpoint");
+    let session = SessionConfig::new().with_checkpoint_dir(&dir);
+    let workloads = tiny_workloads();
+    let stopper = Autotuner::new(tiny_options()).with_progress(|p| match p.units_done {
+        0 | 1 => ProgressVerdict::Continue,
+        _ => ProgressVerdict::Preempt,
+    });
+    let stopped = stopper.tune_session(&workloads, &session).expect_err("preempted mid-sweep");
+    assert!(stopped.is_preempted(), "got: {stopped}");
+    let path = session.checkpoint_path().expect("checkpointed session");
+    let fingerprint = stopper.fingerprint(&workloads);
+    let sealed = durable::read_value(&path).unwrap();
+    let payload = envelope::open(&sealed, "checkpoint", Some(fingerprint)).unwrap().clone();
+    for key in ["obs_runs", "session_events", "configs"] {
+        let filled = payload.get(key).and_then(Value::as_array).is_some_and(|a| !a.is_empty());
+        assert!(filled, "the checkpoint must carry `{key}`");
+    }
+
+    // Restore goes through `tune_session` itself: a damaged payload is
+    // re-sealed (so the envelope is valid and the payload decoder is what
+    // refuses it) and resumed. A payload that still decodes reaches the
+    // progress hook, which cancels before anything runs.
+    let resumer = Autotuner::new(tiny_options()).with_progress(|_| ProgressVerdict::Cancel);
+    assert_every_damage_is_located("checkpoint", &payload, CHECKPOINT_EXCEPTIONS, &|doc| {
+        durable::write_value(&path, &envelope::seal("checkpoint", fingerprint, doc.clone()))
+            .unwrap();
+        match resumer.tune_session(&workloads, &session) {
+            Ok(_) => panic!("the progress hook cancels every resumed sweep"),
+            Err(e) if e.is_cancelled() => Ok(()),
+            Err(e) => {
+                assert!(e.to_string().starts_with("schema error in checkpoint: "), "got: {e}");
+                Err(located(e))
+            }
+        }
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Kernel stores with every table populated (models, path counts, a-priori
+/// counts, compute and communication fits): the tiny sweep's own profile.
+fn tiny_stores(dir: &std::path::Path) -> Vec<KernelStore> {
+    let out = dir.join("profile.json");
+    let session = SessionConfig::new().with_profile_out(&out);
+    Autotuner::new(tiny_options()).tune_session(&tiny_workloads(), &session).unwrap();
+    profile::load(&out, None).unwrap()
+}
+
+#[test]
+fn profile_and_envelope_damage_is_located() {
+    let dir = scratch("profile");
+    let stores = tiny_stores(&dir);
+    let path = dir.join("saved.json");
+    profile::save(&path, 7, &stores).unwrap();
+    let sealed = durable::read_value(&path).unwrap();
+    let payload = envelope::open(&sealed, "profile", Some(7)).unwrap();
+    let store0 = &payload.as_array().unwrap()[0];
+    for table in ["apriori", "local", "path"] {
+        assert!(!store0.get(table).unwrap().as_array().unwrap().is_empty(), "`{table}` is empty");
+    }
+    let fits = store0.get("extrapolation").unwrap();
+    assert!(!fits.get("compute").unwrap().as_array().unwrap().is_empty(), "no compute fits");
+
+    assert_every_damage_is_located("profile", payload, &[], &|doc| {
+        snapshot::stores_from_json(doc).map(drop).map_err(located)
+    });
+    // The envelope around it: its own fields are located; the payload is
+    // guarded by the content hash, so damage there is a hash mismatch.
+    assert_every_damage_is_located(
+        "envelope",
+        &sealed,
+        &[("payload", Except::ReportedAt("hash"))],
+        &|doc| envelope::open(doc, "profile", Some(7)).map(drop).map_err(located),
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn store_index_generation_damage_is_located() {
+    let dir = scratch("store");
+    let store = Store::open(dir.join("store")).unwrap();
+    let machine = MachineSpec::from_models(&MachineParams::test_machine(), &NoiseParams::cluster());
+    let stores = tiny_stores(&dir);
+    store.publish(&machine, "tiny1;tiny2;tiny3", &stores).unwrap();
+    store.publish(&machine, "tiny1;tiny2;tiny3", &stores[..1]).unwrap();
+    let file = dir.join("store").join("index").join(format!("gen-{:020}.json", 2));
+    let sealed = durable::read_value(&file).unwrap();
+    let payload = envelope::open(&sealed, INDEX_KIND, Some(2)).unwrap();
+    assert_every_damage_is_located("store index", payload, &[], &|doc| {
+        Index::from_json(doc, 2).map(drop).map_err(located)
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn trajectory_and_session_log_damage_is_located() {
+    let text = |e: JsonError| e.to_string();
+    let timing = |ns| Timing {
+        min: std::time::Duration::from_nanos(ns),
+        median: std::time::Duration::from_nanos(ns + 7),
+        iters: 12,
+    };
+    let mut trajectory = Trajectory::capture();
+    trajectory.record("sim", "allreduce", timing(3_000_000));
+    trajectory.record("json", "report_canonical", timing(78_000));
+    assert_every_damage_is_located("trajectory", &trajectory.to_json(), &[], &|doc| {
+        Trajectory::from_json(doc).map(drop).map_err(text)
+    });
+
+    let dir = scratch("log");
+    let log = SessionLog::at(dir.join("session.log"));
+    log.record(EventKind::Checkpoint, "unit 3", 3.0).unwrap();
+    let line = std::fs::read_to_string(log.path()).unwrap();
+    let event = serde_json::from_str(line.lines().next().expect("one line")).unwrap();
+    assert_every_damage_is_located("session.log line", &event, &[], &|doc| {
+        Event::from_json(doc).map(drop).map_err(text)
+    });
+    // Through the log's own reader the error also names the file.
+    std::fs::write(log.path(), line.replace("\"arg\":3", "\"arg\":\"three\"")).unwrap();
+    let err = log.read().unwrap_err().to_string();
+    assert!(
+        err.contains("session.log") && err.contains("arg: expected a number, got a string"),
+        "got: {err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

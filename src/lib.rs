@@ -29,10 +29,10 @@
 
 /// The four factorization workloads.
 pub use critter_algs as algs;
+/// Analytic BSP cost models.
+pub use critter_algs::bsp;
 /// The autotuning driver, spaces, and metrics.
 pub use critter_autotune as autotune;
-/// Analytic BSP cost models.
-pub use critter_bsp as bsp;
 /// The Critter profiler: path analysis + selective execution.
 pub use critter_core as core;
 /// Sequential dense linear algebra kernels.
