@@ -35,17 +35,19 @@
 //! Indexes are a pure function of the run's identity —
 //! `allocation · 2²⁸ + (config · reps + rep) · 3 + kind` with kind
 //! 0 = reference, 1 = offline, 2 = selective — never of dispatch order, so
-//! the [`TuningReport`], the obs timeline and every `checkpoint.json` are
-//! byte-identical at every worker count, and a checkpoint written at one
-//! worker count resumes at another (asserted by
-//! `tests/parallel_determinism.rs`).
+//! the [`TuningReport`], the obs timeline and every checkpoint — the
+//! `checkpoint.json` head and, for an observed sweep, the `timeline.jsonl`
+//! sidecar it counts (`timeline.rs`) — are byte-identical at every worker
+//! count, and a checkpoint written at one worker count resumes at another
+//! (asserted by `tests/parallel_determinism.rs`).
 
 use std::panic::AssertUnwindSafe;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use critter_algs::Workload;
-use critter_core::json::{JsonError, Reader};
+use critter_core::json::Reader;
 use critter_core::{snapshot, CritterConfig, CritterEnv, CritterError, KernelStore};
 use critter_machine::MachineModel;
 use critter_obs::{Event, EventKind, ObsReport, RankTrace, TimelineRun};
@@ -59,6 +61,7 @@ use crate::records::{
     ConfigResult, ProgressHook, ProgressVerdict, RunRecord, SweepProgress, TuningReport,
 };
 use crate::references::{self, ObservedRun, RefOutcome, References};
+use crate::timeline::Committed;
 
 /// Label suffix of each run kind, indexed by the kind's `run_index` digit.
 const RUN_KINDS: [&str; 3] = ["full", "offline", "tuned"];
@@ -70,8 +73,9 @@ fn session_event(kind: EventKind, label: &str, arg: f64) -> Event {
 }
 
 /// Everything a sweep carries from one committed unit to the next — and
-/// therefore exactly what a checkpoint persists. `to_json`/`read` are the
-/// checkpoint payload format.
+/// therefore exactly what a checkpoint persists: `to_json` is the
+/// `checkpoint.json` payload (the *head*), the observed runs go to the
+/// `timeline.jsonl` sidecar the head counts, and `restore` reads both back.
 pub(crate) struct SweepState {
     /// Completed `(config, rep)` units, counting a quarantined
     /// configuration's abandoned repetitions as done.
@@ -85,6 +89,10 @@ pub(crate) struct SweepState {
     entry_state: Vec<KernelStore>,
     /// Every observed run so far, in commit order.
     obs_runs: Vec<TimelineRun>,
+    /// How many of `obs_runs` the sidecar already holds, in an observed and
+    /// checkpointed session; the runs after them go out with the next
+    /// checkpoint. `None` otherwise: the head then carries no timeline.
+    timeline: Option<Committed>,
     /// Fault/retry/quarantine decisions so far, in serial order.
     session_events: Vec<Event>,
 }
@@ -98,36 +106,70 @@ impl SweepState {
             entry_state: stores.clone(),
             stores,
             obs_runs: Vec::new(),
+            timeline: None,
             session_events: Vec::new(),
         }
     }
 
-    /// The checkpoint payload.
+    /// The checkpoint head: everything but the observed runs, of which it
+    /// holds only the `timeline` reference to the sidecar.
     fn to_json(&self) -> Value {
-        let configs: Vec<Value> = self.configs.iter().map(ConfigResult::to_json).collect();
-        let events: Vec<Value> = self.session_events.iter().map(Event::to_json).collect();
-        let runs: Vec<Value> = self.obs_runs.iter().map(TimelineRun::to_json).collect();
-        serde_json::json!({
-            "configs": configs,
-            "entry_stores": snapshot::stores_to_json(&self.entry_state),
-            "obs_runs": runs,
-            "session_events": events,
-            "stores": snapshot::stores_to_json(&self.stores),
-            "units_done": self.units_done as u64,
-        })
+        let mut head = serde_json::Map::new();
+        let mut put = |key: &str, value: Value| head.insert(key.into(), value);
+        put("configs", Value::Array(self.configs.iter().map(ConfigResult::to_json).collect()));
+        put("entry_stores", snapshot::stores_to_json(&self.entry_state));
+        put(
+            "session_events",
+            Value::Array(self.session_events.iter().map(Event::to_json).collect()),
+        );
+        put("stores", snapshot::stores_to_json(&self.stores));
+        put("units_done", serde_json::json!(self.units_done as u64));
+        if let Some(committed) = &self.timeline {
+            put("timeline", committed.to_json());
+        }
+        Value::Object(head)
     }
 
-    /// Inverse of [`SweepState::to_json`]: decode the checkpoint payload
-    /// at `r`.
-    fn read(r: Reader<'_, '_>) -> Result<Self, JsonError> {
-        Ok(SweepState {
+    /// Inverse of a checkpoint: decode the head `head` and, for a sweep that
+    /// observes, the runs its `timeline` reference commits in `sidecar`.
+    ///
+    /// An observed head resumed unobserved drops its timeline. The converse
+    /// is refused: the runs before the resume were never recorded, so the
+    /// finished report would silently cover only the units after it.
+    fn restore(head: &Value, sidecar: &Path, observe: bool) -> critter_core::Result<Self> {
+        let r = Reader::root("checkpoint", head);
+        let mut state = SweepState {
             units_done: r.at("units_done").int()?,
             configs: r.at("configs").list(ConfigResult::read)?,
             stores: snapshot::read_stores(r.at("stores"))?,
             entry_state: snapshot::read_stores(r.at("entry_stores"))?,
-            obs_runs: r.at("obs_runs").list(TimelineRun::read)?,
+            obs_runs: Vec::new(),
+            timeline: None,
             session_events: r.at("session_events").list(Event::read)?,
-        })
+        };
+        // Heads written before the sidecar existed kept their runs inline.
+        let inline = r.at("obs_runs");
+        if inline.exists() && inline.items()?.next().is_some() {
+            return Err(inline
+                .error(
+                    "observed runs inline in the checkpoint (written before the \
+                     `timeline.jsonl` sidecar): this format is no longer read",
+                )
+                .into());
+        }
+        let timeline = r.at("timeline");
+        if observe && timeline.exists() {
+            let (committed, runs) = Committed::restore(timeline, sidecar)?;
+            (state.timeline, state.obs_runs) = (Some(committed), runs);
+        } else if observe && state.units_done > 0 {
+            return Err(CritterError::mismatch(format!(
+                "the checkpoint was written unobserved, so the timeline of its {} completed \
+                 units was never recorded and an observed resume would report only the rest; \
+                 resume it unobserved or start a fresh session",
+                state.units_done
+            )));
+        }
+        Ok(state)
     }
 }
 
@@ -430,7 +472,8 @@ impl Autotuner {
         if let Some(dir) = &session.checkpoint_dir {
             std::fs::create_dir_all(dir).map_err(|e| CritterError::io(dir.as_path(), e))?;
         }
-        let ckpt_path = session.checkpoint_path();
+        // The checkpoint head and the observed-timeline sidecar it counts.
+        let files = session.checkpoint_path().zip(session.timeline_path());
         let log = session.log_path().map(SessionLog::at);
         let record = |kind: EventKind, label: &str, arg: f64| match &log {
             Some(log) => log.record(kind, label, arg),
@@ -440,10 +483,10 @@ impl Autotuner {
 
         let fresh = || (0..ranks).map(|_| KernelStore::new()).collect::<Vec<_>>();
         let mut state = SweepState::fresh(fresh());
-        if let Some(path) = ckpt_path.as_deref().filter(|p| p.exists()) {
-            let doc = durable::read_value(path)?;
+        if let Some((head, sidecar)) = files.as_ref().filter(|(head, _)| head.exists()) {
+            let doc = durable::read_value(head)?;
             let payload = envelope::open(&doc, "checkpoint", Some(fingerprint))?;
-            state = SweepState::read(Reader::root("checkpoint", payload))?;
+            state = SweepState::restore(payload, sidecar, self.opts.observe)?;
             if state.stores.len() != ranks || state.entry_state.len() != ranks {
                 return Err(CritterError::mismatch(format!(
                     "checkpoint holds {} rank stores but the sweep uses {ranks} ranks",
@@ -483,11 +526,25 @@ impl Autotuner {
             }
         }
 
-        // Persist the boundary the sweep just reached.
-        let checkpoint = |state: &SweepState, name: &str| -> critter_core::Result<()> {
-            let Some(path) = &ckpt_path else { return Ok(()) };
+        if self.opts.observe && state.timeline.is_none() {
+            // No timeline restored: whatever sidecar the directory holds is stale.
+            if let Some((_, sidecar)) = &files {
+                state.timeline = Some(Committed::start(sidecar)?);
+            }
+        }
+
+        // Persist the boundary the sweep just reached: append the runs
+        // observed since the last checkpoint to the sidecar, then publish the
+        // head that counts them. The cost is that of the new runs and the
+        // head, not of the sweep so far; a kill in between leaves a tail no
+        // head counts, which the restore cuts off.
+        let checkpoint = |state: &mut SweepState, name: &str| -> critter_core::Result<()> {
+            let Some((head, sidecar)) = &files else { return Ok(()) };
+            if let Some(committed) = &mut state.timeline {
+                committed.append(sidecar, &state.obs_runs[committed.runs()..])?;
+            }
             durable::write_value(
-                path,
+                head,
                 &envelope::seal("checkpoint", fingerprint, state.to_json()),
             )?;
             record(EventKind::Checkpoint, name, state.units_done as f64)
@@ -513,19 +570,20 @@ impl Autotuner {
         // End a unit: checkpoint its boundary when `due`, then ask the hook.
         // A stop verdict persists the boundary even off-cadence — the
         // resumed session must re-enter exactly here.
-        let boundary = |state: &SweepState, name: &str, due: bool| -> critter_core::Result<()> {
-            if due {
-                checkpoint(state, name)?;
-            }
-            let Err(stopped) = ask(state.units_done) else { return Ok(()) };
-            if !due {
-                checkpoint(state, name)?;
-            }
-            if stopped.is_preempted() {
-                record(EventKind::Preempt, name, state.units_done as f64)?;
-            }
-            Err(stopped)
-        };
+        let boundary =
+            |state: &mut SweepState, name: &str, due: bool| -> critter_core::Result<()> {
+                if due {
+                    checkpoint(state, name)?;
+                }
+                let Err(stopped) = ask(state.units_done) else { return Ok(()) };
+                if !due {
+                    checkpoint(state, name)?;
+                }
+                if stopped.is_preempted() {
+                    record(EventKind::Preempt, name, state.units_done as f64)?;
+                }
+                Err(stopped)
+            };
         // The pre-sweep boundary is already durable (either the restored
         // checkpoint or no work at all), so no extra checkpoint is needed.
         ask(state.units_done)?;
@@ -628,7 +686,7 @@ impl Autotuner {
                     }
                     let due =
                         !committed || rep + 1 == reps || state.units_done.is_multiple_of(cadence);
-                    boundary(&state, &name, due)?;
+                    boundary(&mut state, &name, due)?;
                     if !committed {
                         break;
                     }
@@ -854,27 +912,54 @@ mod tests {
         let doc = durable::read_value(&session.checkpoint_path().unwrap()).unwrap();
         let payload = envelope::open(&doc, "checkpoint", Some(tuner.fingerprint(&w))).unwrap();
 
-        let read = |v: &Value| SweepState::read(Reader::root("checkpoint", v));
+        let sidecar = session.timeline_path().unwrap();
+        let read = |v: &Value| SweepState::restore(v, &sidecar, true);
         let state = read(payload).unwrap();
         assert!(state.units_done >= 5 && !state.obs_runs.is_empty());
+        assert_eq!(state.timeline.as_ref().map(Committed::runs), Some(state.obs_runs.len()));
         assert!(state.configs.iter().any(|c| !c.offline.is_empty()));
         assert!(!state.session_events.is_empty(), "the pinned fault plan must fire");
         let text = |v: &Value| serde_json::to_string(v).unwrap();
         assert_eq!(text(&state.to_json()), text(payload), "decode → encode must be the identity");
+        // The sidecar is the observed runs, one compact line each, once.
+        let lines: String = state.obs_runs.iter().map(|r| text(&r.to_json()) + "\n").collect();
+        assert_eq!(std::fs::read_to_string(&sidecar).unwrap(), lines);
 
         // Every key is required; a missing or wrong-typed one is an error
         // located at it, never a panic. (Every deeper path is covered by
         // the corruption oracle in `critter-testkit`.)
-        for key in ["configs", "entry_stores", "obs_runs", "session_events", "stores", "units_done"]
+        let refusal = |v: Value| read(&v).err().expect("a damaged head is refused").to_string();
+        for key in ["configs", "entry_stores", "session_events", "stores", "timeline", "units_done"]
         {
             let Value::Object(mut broken) = payload.clone() else { panic!("payload is an object") };
-            broken.remove(key);
-            let err = read(&Value::Object(broken.clone())).err().expect("missing key");
-            assert_eq!(err.path, key, "got: {err}");
             broken.insert(key.into(), serde_json::json!("nope"));
-            let err = read(&Value::Object(broken)).err().expect("wrong-typed key");
-            assert_eq!(err.path, key, "got: {err}");
+            let wrong_type = refusal(Value::Object(broken.clone()));
+            let located = format!("schema error in checkpoint: {key}: ");
+            assert!(wrong_type.starts_with(&format!("{located}expected")), "got: {wrong_type}");
+            broken.remove(key);
+            let missing = refusal(Value::Object(broken));
+            if key == "timeline" {
+                // A head without a timeline is a valid unobserved one.
+                assert!(missing.contains("mismatch: the checkpoint was written unobserved"));
+            } else {
+                assert!(missing.starts_with(&format!("{located}missing")), "got: {missing}");
+            }
         }
+        // An unobserved resume never opens the sidecar and drops the timeline.
+        let dropped = SweepState::restore(payload, Path::new("/nonexistent"), false).unwrap();
+        assert!(dropped.timeline.is_none() && dropped.obs_runs.is_empty());
+        // A head from before the sidecar: empty inline runs restore, others
+        // are refused at `obs_runs`, never dropped.
+        let Value::Object(mut old) = payload.clone() else { panic!("payload is an object") };
+        old.remove("timeline");
+        old.insert("obs_runs".into(), serde_json::json!([]));
+        assert!(SweepState::restore(&Value::Object(old.clone()), &sidecar, false).is_ok());
+        old.insert("obs_runs".into(), Value::Array(vec![state.obs_runs[0].to_json()]));
+        let inline = SweepState::restore(&Value::Object(old), &sidecar, false).err().unwrap();
+        assert!(
+            inline.to_string().starts_with("schema error in checkpoint: obs_runs: observed runs"),
+            "got: {inline}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

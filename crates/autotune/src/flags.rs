@@ -18,8 +18,9 @@ pub const SESSION: &[Flag] = &[
     Flag("--reps N", "repetitions per configuration (default 1)"),
     Flag(
         "--checkpoint-dir DIR",
-        "checkpoint after every committed unit (figure drivers: one subdirectory per sweep); \
-         without `--resume` only a stale `checkpoint.json` and `session.log` are removed",
+        "checkpoint after every committed unit: `checkpoint.json`, plus `timeline.jsonl` when the \
+         sweep is observed (figure drivers: one subdirectory per sweep); without `--resume` only \
+         a stale `checkpoint.json`, `timeline.jsonl` and `session.log` are removed",
     ),
     Flag("--resume", "resume from the checkpoint in `--checkpoint-dir`"),
     Flag("--warm-start FILE", "seed kernel models from a saved profile"),
@@ -87,7 +88,7 @@ impl SessionFlags {
     /// of being refused by the engine.
     ///
     /// Without `--resume`, a stale checkpoint must not be picked up: the
-    /// session's own two files are removed, and nothing else in the
+    /// session's own three files are removed, and nothing else in the
     /// directory the user named is touched.
     pub fn session(
         &self,
@@ -120,7 +121,8 @@ impl SessionFlags {
             }
         }
         if !self.resume {
-            for stale in [session.checkpoint_path(), session.log_path()].into_iter().flatten() {
+            let own = [session.checkpoint_path(), session.timeline_path(), session.log_path()];
+            for stale in own.into_iter().flatten() {
                 let _ = fs::remove_file(stale);
             }
         }
@@ -163,7 +165,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("critter-flags-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        for name in ["checkpoint.json", "session.log", "thesis.tex"] {
+        for name in ["checkpoint.json", "timeline.jsonl", "session.log", "thesis.tex"] {
             fs::write(dir.join(name), "precious").unwrap();
         }
         let dir_arg = dir.to_str().unwrap();
@@ -171,9 +173,11 @@ mod tests {
         let (_, session) = flags(&["--checkpoint-dir", dir_arg, "--resume"]).session(opts(), None);
         assert_eq!(session.checkpoint_dir.as_deref(), Some(dir.as_path()));
         assert!(dir.join("checkpoint.json").exists(), "--resume keeps the checkpoint");
+        assert!(dir.join("timeline.jsonl").exists(), "--resume keeps the checkpoint's timeline");
 
         flags(&["--checkpoint-dir", dir_arg]).session(opts(), None);
         assert!(!dir.join("checkpoint.json").exists(), "a stale checkpoint must not be resumed");
+        assert!(!dir.join("timeline.jsonl").exists(), "nor a stale timeline appended to");
         assert!(!dir.join("session.log").exists());
         assert_eq!(fs::read_to_string(dir.join("thesis.tex")).unwrap(), "precious");
         fs::remove_dir_all(&dir).unwrap();

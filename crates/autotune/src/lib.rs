@@ -25,6 +25,7 @@ pub mod records;
 mod references;
 pub mod search;
 pub mod spaces;
+mod timeline;
 
 pub use critter_session::{SessionConfig, StalenessPolicy};
 pub use engine::Autotuner;

@@ -6,8 +6,9 @@
 //!
 //! The second half runs the engine's other features — checkpoint/resume,
 //! fault retry/quarantine, the progress hook — at `workers` ∈ {1, 4} and
-//! demands the same bytes (report, Chrome trace, every `checkpoint.json`),
-//! including across a kill or a preemption resumed at the *other* count.
+//! demands the same bytes (report, Chrome trace, every `checkpoint.json` and
+//! the `timeline.jsonl` it counts), including across a kill or a preemption
+//! resumed at the *other* count.
 
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -141,27 +142,38 @@ fn session_options(policy: ExecutionPolicy, workers: usize) -> TuningOptions {
         .with_workers(workers)
 }
 
+/// A checkpoint as it sits on disk: the `checkpoint.json` head and the
+/// `timeline.jsonl` sidecar whose committed prefix it counts.
+fn checkpoint_files(dir: &Path) -> (String, String) {
+    let read = |name: &str| std::fs::read_to_string(dir.join(name));
+    (read("checkpoint.json").expect("checkpoint exists"), read("timeline.jsonl").expect("sidecar"))
+}
+
 /// The strongest observable surface of a finished session: report JSON,
-/// Chrome trace of the obs timeline, and the final `checkpoint.json`.
-fn session_bytes(report: &TuningReport, dir: &Path) -> (String, String, String) {
+/// Chrome trace of the obs timeline, and the final checkpoint files.
+fn session_bytes(report: &TuningReport, dir: &Path) -> (String, String, (String, String)) {
     (
         report.to_json_string(),
         report.obs.as_ref().expect("observed sweep").timeline.to_chrome_string(),
-        std::fs::read_to_string(dir.join("checkpoint.json")).expect("checkpoint exists"),
+        checkpoint_files(dir),
     )
 }
 
+/// What [`checkpointed_sweep`] returns: the finished session's bytes and the
+/// checkpoint files the hook found at every unit boundary.
+type Swept = ((String, String, (String, String)), Vec<(String, String)>);
+
 /// Run a checkpoint-every-unit session to completion, recording the
-/// `checkpoint.json` bytes the hook finds at every unit boundary.
-fn checkpointed_sweep(opts: TuningOptions, tag: &str) -> ((String, String, String), Vec<String>) {
+/// checkpoint files the hook finds at every unit boundary.
+fn checkpointed_sweep(opts: TuningOptions, tag: &str) -> Swept {
     let dir = scratch(tag);
     let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1);
-    let trail: Arc<Mutex<Vec<String>>> = Arc::default();
-    let (sink, ckpt) = (Arc::clone(&trail), dir.join("checkpoint.json"));
+    let trail: Arc<Mutex<Vec<(String, String)>>> = Arc::default();
+    let (sink, ckpt) = (Arc::clone(&trail), dir.clone());
     let report = Autotuner::new(opts)
         .with_progress(move |p| {
             if p.units_done > 0 {
-                sink.lock().unwrap().push(std::fs::read_to_string(&ckpt).expect("unit is durable"));
+                sink.lock().unwrap().push(checkpoint_files(&ckpt));
             }
             ProgressVerdict::Continue
         })
@@ -224,13 +236,14 @@ fn checkpointed_and_faulted_sweeps_write_the_same_bytes_at_every_worker_count() 
         let (parallel, parallel_trail) = sweep(4);
         assert_eq!(serial.0, parallel.0, "{tag}: report bytes");
         assert_eq!(serial.1, parallel.1, "{tag}: chrome trace bytes");
-        assert_eq!(serial.2, parallel.2, "{tag}: final checkpoint.json bytes");
+        assert_eq!(serial.2, parallel.2, "{tag}: final checkpoint.json and timeline.jsonl bytes");
         assert_eq!(serial_trail.len(), parallel_trail.len(), "{tag}: checkpoints written");
         for (boundary, (a, b)) in serial_trail.iter().zip(&parallel_trail).enumerate() {
-            assert_eq!(a, b, "{tag}: checkpoint.json at boundary {boundary}");
+            assert_eq!(a.0, b.0, "{tag}: checkpoint.json at boundary {boundary}");
+            assert_eq!(a.1, b.1, "{tag}: timeline.jsonl at boundary {boundary}");
         }
         // The plan must exercise what it is pinned for.
-        let events = session_events(&serial.2);
+        let events = session_events(&serial.2 .0);
         for needle in must_see {
             assert!(
                 events.iter().any(|e| e.starts_with(needle)),
@@ -272,7 +285,7 @@ fn kill_and_resume(
     kill_after: usize,
     killed_workers: usize,
     resumed_workers: usize,
-) -> (String, String, String) {
+) -> (String, String, (String, String)) {
     let dir = scratch(&format!("kill-{kill_after}-w{killed_workers}"));
     let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1);
     let runs = Arc::new(AtomicUsize::new(0));
@@ -364,6 +377,40 @@ fn preempted_parallel_sweep_resumes_byte_identically_and_reports_units_in_order(
         assert!(log.contains(&format!("\"{}\"", kind.name())), "session.log lacks {kind:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint costs what the unit it commits produced, not what the sweep
+/// has produced so far: the head stays small (results and stores, no
+/// timeline), and every observed run is written to the sidecar exactly once.
+#[test]
+fn a_checkpoint_writes_each_observed_run_once_and_a_head_that_does_not_grow_with_them() {
+    let opts = session_options(ExecutionPolicy::LocalPropagation, 1);
+    let ((_, _, (_, sidecar)), trail) = checkpointed_sweep(opts.clone(), "cost");
+    assert_eq!(trail.len(), 8, "4 configurations × 2 repetitions, one checkpoint each");
+
+    // The sidecar only grows, by the unit's own runs: its final bytes are the
+    // report's runs rendered one line each, in order, once.
+    let report = Autotuner::new(opts).tune(&smoke());
+    let runs = report.obs.as_ref().expect("observed sweep").timeline.runs();
+    let lines: Vec<String> =
+        runs.iter().map(|run| serde_json::to_string(&run.to_json()).unwrap() + "\n").collect();
+    assert_eq!(sidecar, lines.concat());
+    assert_eq!(runs.len(), 16, "a reference and a tuned run per unit");
+    let mut written = 0;
+    for (unit, (_, at_boundary)) in trail.iter().enumerate() {
+        written += lines[2 * unit].len() + lines[2 * unit + 1].len();
+        assert_eq!(at_boundary.len(), written, "boundary {unit} appended more than its own unit");
+    }
+
+    // The head carries per-unit results (a few hundred bytes each) and the
+    // stores, never the runs: from the first unit to the last it grows by far
+    // less than one unit's timeline.
+    let (first, last) = (trail[0].0.len(), trail[7].0.len());
+    let unit_timeline = lines[0].len() + lines[1].len();
+    assert!(
+        last < first + unit_timeline / 2 && last < 2 * first,
+        "head grew from {first} to {last} bytes (one unit's timeline is {unit_timeline})"
+    );
 }
 
 /// The checkpoint format is owned by one codec now; a checkpoint written by

@@ -35,6 +35,21 @@ impl Hasher for FnvHasher {
     }
 }
 
+/// Feeding the hasher as a byte sink hashes exactly the bytes written, so a
+/// document can be digested while it is rendered instead of from a rendered
+/// copy.
+impl std::io::Write for FnvHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        Hasher::write(self, bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// `HashMap` keyed with FNV-1a.
 pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
@@ -56,6 +71,18 @@ mod tests {
     fn stable_and_distinguishing() {
         assert_eq!(fnv_hash(&(1u64, 2u64)), fnv_hash(&(1u64, 2u64)));
         assert_ne!(fnv_hash(&(1u64, 2u64)), fnv_hash(&(2u64, 1u64)));
+    }
+
+    #[test]
+    fn streamed_bytes_hash_like_the_whole_string() {
+        // `str::hash` feeds the bytes and a 0xff terminator.
+        let text = "{\"a\":[1,2.5],\"b\":\"x\"}";
+        let mut h = FnvHasher::default();
+        for piece in [&text[..4], &text[4..9], &text[9..]] {
+            std::io::Write::write_all(&mut h, piece.as_bytes()).unwrap();
+        }
+        h.write_u8(0xff);
+        assert_eq!(h.finish(), fnv_hash(&text));
     }
 
     #[test]

@@ -67,6 +67,8 @@ impl std::error::Error for JsonError {}
 enum Step<'p> {
     /// The document root, carrying the document's name.
     Root(&'p str),
+    /// The root of one line of a JSON-lines document: name and line index.
+    Line(&'p str, usize),
     Key(&'p str),
     Index(usize),
 }
@@ -84,6 +86,12 @@ impl<'v, 'p> Reader<'v, 'p> {
     /// A reader at the root of `value`; `document` names it in errors.
     pub fn root(document: &'p str, value: &'v Value) -> Self {
         Reader { value: Some(value), parent: None, step: Step::Root(document) }
+    }
+
+    /// A reader at the root of line `index` (from 0) of the JSON-lines
+    /// document `document`: paths below it start with `[index]`.
+    pub fn line(document: &'p str, index: usize, value: &'v Value) -> Self {
+        Reader { value: Some(value), parent: None, step: Step::Line(document, index) }
     }
 
     /// The member `key` of this object. Never fails: a missing key (or a
@@ -113,6 +121,10 @@ impl<'v, 'p> Reader<'v, 'p> {
         let document = self.parent.map_or("", |p| p.trace(path));
         match self.step {
             Step::Root(name) => return name,
+            Step::Line(name, i) => {
+                path.push_str(&format!("[{i}]"));
+                return name;
+            }
             Step::Key(k) if path.is_empty() => path.push_str(k),
             Step::Key(k) => path.extend([".", k]),
             Step::Index(i) => path.push_str(&format!("[{i}]")),
@@ -251,6 +263,10 @@ mod tests {
         // Root errors carry no path.
         assert_eq!(r.items().err().unwrap().to_string(), "expected an array, got an object");
         assert!(r.at("a").exists() && !r.at("z").exists());
+        // A line of a JSON-lines document carries its index.
+        let e = Reader::line("log", 3, &doc).at("n").u64().unwrap_err();
+        assert_eq!((e.document.as_str(), e.path.as_str()), ("log", "[3].n"));
+        assert_eq!(Reader::line("log", 0, &doc).items().err().unwrap().path, "[0]");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! <data-dir>/job-000001/
 //!   spec.json        canonical JobSpec (written at submit, reloaded on restart)
 //!   warm-start.json  inline warm-start profile, when the spec carries one
-//!   checkpoint.json  session-engine checkpoint (while running)
+//!   checkpoint.json  session-engine checkpoint head (while running)
+//!   timeline.jsonl   observed runs the head counts, appended once per unit
+//!                    (when the spec observes)
 //!   session.log      session-engine unit log
 //!   events.jsonl     append-only state/progress event log (streamed via
 //!                    GET /v1/jobs/{id}/events; reloaded on restart)
@@ -33,6 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use critter_core::json::canonical_text;
+use critter_session::durable;
 use parking_lot::{Condvar, Mutex};
 use serde_json::Value;
 
@@ -126,14 +129,8 @@ impl JobEvents {
             .insert("seq".into(), serde_json::json!(seq));
         let line = serde_json::to_string(doc).expect("json writer is total");
         if let Some(path) = file {
-            use std::io::Write as _;
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| writeln!(f, "{line}"));
-            if let Err(e) = appended {
-                eprintln!("critter-serve: appending to {}: {e}", path.display());
+            if let Err(e) = durable::append(path, format!("{line}\n").as_bytes()) {
+                eprintln!("critter-serve: {e}");
             }
         }
         lines.push(line);

@@ -112,8 +112,9 @@ impl StalenessPolicy {
 #[derive(Debug, Clone, Default, PartialEq)]
 #[non_exhaustive]
 pub struct SessionConfig {
-    /// Directory checkpoints are written to (`checkpoint.json` plus the
-    /// `session.log` event log). `None` disables checkpointing.
+    /// Directory checkpoints are written to (`checkpoint.json`, the
+    /// `timeline.jsonl` sidecar of an observed sweep and the `session.log`
+    /// event log). `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
     /// Write a checkpoint every this many completed `(config, rep)` units
     /// (0 and 1 both mean every unit). Config boundaries always checkpoint.
@@ -180,6 +181,13 @@ impl SessionConfig {
         self.checkpoint_dir.as_ref().map(|d| d.join("checkpoint.json"))
     }
 
+    /// Path of the observed-timeline sidecar, when checkpointing is enabled:
+    /// one line per observed run, appended as units commit; `checkpoint.json`
+    /// records how much of it is committed.
+    pub fn timeline_path(&self) -> Option<PathBuf> {
+        self.checkpoint_dir.as_ref().map(|d| d.join("timeline.jsonl"))
+    }
+
     /// Path of the session event log, when checkpointing is enabled.
     pub fn log_path(&self) -> Option<PathBuf> {
         self.checkpoint_dir.as_ref().map(|d| d.join("session.log"))
@@ -205,6 +213,7 @@ mod tests {
             .with_profile_out("out.json");
         assert_eq!(cfg.checkpoint_path().unwrap(), PathBuf::from("ck/checkpoint.json"));
         assert_eq!(cfg.log_path().unwrap(), PathBuf::from("ck/session.log"));
+        assert_eq!(cfg.timeline_path().unwrap(), PathBuf::from("ck/timeline.jsonl"));
         assert_eq!(cfg.cadence(), 3);
         assert_eq!(SessionConfig::new().cadence(), 1);
         assert_eq!(SessionConfig::new().checkpoint_path(), None);

@@ -1,5 +1,5 @@
-//! The durable-write primitive: atomic on-disk persistence of canonical
-//! JSON documents and raw artifacts.
+//! The durable-write primitives: atomic on-disk persistence of canonical
+//! JSON documents and raw artifacts, and the append of the append-only files.
 //!
 //! Checkpoints are overwritten in place many times per sweep; a kill in
 //! the middle of a write must never leave a half-written file where the
@@ -9,6 +9,7 @@
 //! writers of one path never share — and truncate — each other's temp file.
 
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,6 +47,19 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
         let _ = fs::remove_file(&tmp);
         CritterError::io(path, e)
     })
+}
+
+/// Append `bytes` to the end of `path` (created when missing) — the
+/// primitive of the append-only files, `session.log` and `timeline.jsonl`.
+/// An append is not atomic: a kill may leave a torn tail, so whoever reads
+/// the file back must know how much of it was committed.
+pub fn append(path: &Path, bytes: &[u8]) -> Result<()> {
+    let mut file = fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| CritterError::io(path, e))?;
+    file.write_all(bytes).map_err(|e| CritterError::io(path, e))
 }
 
 /// Serialize `doc` as canonical pretty-printed JSON (trailing newline
@@ -138,6 +152,18 @@ mod tests {
         assert!(!dir.exists());
         // The staging form cleans up after itself too.
         assert!(stage_value(&dir.join("stage.json"), &serde_json::json!({})).is_err());
+    }
+
+    #[test]
+    fn append_creates_then_extends() {
+        let path = scratch("appended.jsonl");
+        let _ = fs::remove_file(&path);
+        append(&path, b"one\n").unwrap();
+        append(&path, b"two\n").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "one\ntwo\n");
+        fs::remove_file(&path).unwrap();
+        let err = append(&scratch("no-such-dir").join("x"), b"x").unwrap_err();
+        assert!(matches!(err, CritterError::Io { .. }), "got: {err}");
     }
 
     #[test]

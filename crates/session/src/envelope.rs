@@ -13,7 +13,9 @@
 //!   which catches truncated or hand-edited files before any state is
 //!   restored from them.
 
-use critter_core::fnv::fnv_hash;
+use std::hash::Hasher;
+
+use critter_core::fnv::FnvHasher;
 use critter_core::json::Reader;
 use critter_core::{CritterError, Result};
 use serde_json::Value;
@@ -23,16 +25,25 @@ pub const SCHEMA: &str = "critter-session/v1";
 
 /// Mask keeping hashes inside the integers canonical JSON round-trips
 /// exactly (the same 52-bit guarantee `KernelSig::key` relies on).
-const HASH_MASK: u64 = (1 << 52) - 1;
+pub const HASH_MASK: u64 = (1 << 52) - 1;
 
+/// The content hash: FNV over the compact canonical text of the envelope
+/// without its `hash` member. The text is streamed into the hasher member by
+/// member — the payload is borrowed, never copied or rendered to a string.
 fn digest(kind: &str, fingerprint: u64, payload: &Value) -> u64 {
-    let body = serde_json::json!({
-        "fingerprint": fingerprint,
-        "kind": kind,
-        "payload": payload.clone(),
-        "schema": SCHEMA,
-    });
-    fnv_hash(&serde_json::to_string(&body).expect("json writer is total")) & HASH_MASK
+    let mut hasher = FnvHasher::default();
+    let mut member = |key: &str, value: &Value| {
+        hasher.write(key.as_bytes());
+        serde_json::to_writer(&mut hasher, value).expect("a hasher accepts every byte");
+    };
+    member("{\"fingerprint\":", &serde_json::json!(fingerprint));
+    member(",\"kind\":", &serde_json::json!(kind));
+    member(",\"payload\":", payload);
+    member(",\"schema\":", &serde_json::json!(SCHEMA));
+    hasher.write(b"}");
+    // `str::hash` ends a string with 0xff; kept so stored hashes stay valid.
+    hasher.write_u8(0xff);
+    hasher.finish() & HASH_MASK
 }
 
 /// Seal `payload` into a versioned envelope of the given `kind`.
@@ -50,13 +61,15 @@ fn digest(kind: &str, fingerprint: u64, payload: &Value) -> u64 {
 /// ```
 pub fn seal(kind: &str, fingerprint: u64, payload: Value) -> Value {
     let hash = digest(kind, fingerprint, &payload);
-    serde_json::json!({
+    let mut doc = serde_json::json!({
         "fingerprint": fingerprint,
         "hash": hash,
         "kind": kind,
-        "payload": payload,
         "schema": SCHEMA,
-    })
+    });
+    // Moved in, not interpolated: `json!` would copy the tree.
+    doc.as_object_mut().expect("built as an object").insert("payload".into(), payload);
+    doc
 }
 
 /// Verify an envelope and return its payload.
@@ -104,6 +117,28 @@ mod tests {
         assert_eq!(payload, &serde_json::json!({"units": 3}));
         // Fingerprint check is optional.
         assert!(open(&doc, "checkpoint", None).is_ok());
+    }
+
+    /// The digest is streamed; the hashes it produces are the ones the
+    /// render-then-hash digest of the parent commit produced.
+    #[test]
+    fn hashes_are_the_ones_older_commits_wrote() {
+        let inner = serde_json::json!({
+            "label": "tile \"64\"\n\u{1}é",
+            "t": [0.1, 1e-7, 3.0, -2.5e300],
+        });
+        let list = vec![inner.clone(), Value::Null, serde_json::json!(true)];
+        let payload = serde_json::json!({"k": inner, "list": list, "n": 9007199254740993u64});
+        let doc = seal("check\"point", (1 << 52) - 1, payload);
+        // Literal computed by `seal` at the commit before the change.
+        assert_eq!(doc.get("hash"), Some(&serde_json::json!(2761839762894542u64)));
+        open(&doc, "check\"point", Some((1 << 52) - 1)).unwrap();
+
+        // A checkpoint sealed by PR 11 still opens.
+        let fixture =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../autotune/tests/fixtures/checkpoint-pr11.json");
+        let doc = crate::durable::read_value(std::path::Path::new(fixture)).unwrap();
+        open(&doc, "checkpoint", None).expect("the committed fixture's hash still verifies");
     }
 
     #[test]

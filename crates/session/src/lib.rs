@@ -14,8 +14,9 @@
 //!   and profiles live and how often the driver writes them;
 //! * [`envelope`] — the versioned, content-hashed JSON envelope every
 //!   session artifact is sealed in ([`envelope::seal`]/[`envelope::open`]);
-//! * [`durable`] — the durable-write primitive every on-disk artifact of the
-//!   workspace goes through (unique temp file + atomic rename);
+//! * [`durable`] — the durable-write primitives every on-disk artifact of the
+//!   workspace goes through (unique temp file + atomic rename for whole
+//!   documents, one `append` for the append-only files);
 //! * [`profile`] — persistent kernel-model profiles: save a sweep's
 //!   [`critter_core::KernelStore`]s, reload them later, and apply a
 //!   [`StalenessPolicy`] before seeding a new sweep.

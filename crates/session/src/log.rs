@@ -10,8 +10,6 @@
 //!
 //! [`TuningReport`]: https://docs.rs/critter-autotune
 
-use std::fs::OpenOptions;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use critter_core::json::Reader;
@@ -41,12 +39,7 @@ impl SessionLog {
         let event = Event { kind, label: label.into(), start: 0.0, dur: 0.0, arg };
         let mut line = serde_json::to_string(&event.to_json()).expect("json writer is total");
         line.push('\n');
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| CritterError::io(&self.path, e))?;
-        file.write_all(line.as_bytes()).map_err(|e| CritterError::io(&self.path, e))
+        crate::durable::append(&self.path, line.as_bytes())
     }
 
     /// Read the log back as events (for tests and tooling).
@@ -55,10 +48,11 @@ impl SessionLog {
             std::fs::read_to_string(&self.path).map_err(|e| CritterError::io(&self.path, e))?;
         let document = self.path.display().to_string();
         text.lines()
-            .map(|line| {
+            .enumerate()
+            .map(|(i, line)| {
                 let v = serde_json::from_str(line)
                     .map_err(|e| CritterError::parse(&document, e.to_string()))?;
-                Ok(Event::read(Reader::root(&document, &v))?)
+                Ok(Event::read(Reader::line(&document, i, &v))?)
             })
             .collect()
     }

@@ -5,9 +5,10 @@
 //! refused with an error naming the exact path of the damage — never a
 //! panic, never a silently wrong value. This suite checks that contract
 //! against *real* instances of each kind — tuning report, observed and
-//! fault-armed checkpoint, profile, store index generation, perf
-//! trajectory, one `session.log` line, and the envelope that seals three of
-//! them — by walking every node of the document and, one node at a time:
+//! fault-armed checkpoint head, a line of its `timeline.jsonl` sidecar,
+//! profile, store index generation, perf trajectory, one `session.log` line,
+//! and the envelope that seals three of them — by walking every node of the
+//! document and, one node at a time:
 //!
 //! * replacing it with a value of another JSON type: the decode must fail
 //!   at exactly that node's path (leaves *and* interior nodes);
@@ -19,6 +20,7 @@
 //! as [`Except`]ions. The bit-exact round-trip tests stay where they are,
 //! next to each codec.
 
+use std::hash::Hasher;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -26,6 +28,7 @@ use critter_algs::{Workload, WorkloadOutput};
 use critter_autotune::{Autotuner, ProgressVerdict, SessionConfig, TuningOptions, TuningReport};
 use critter_bench::harness::Timing;
 use critter_bench::trajectory::Trajectory;
+use critter_core::fnv::FnvHasher;
 use critter_core::json::JsonError;
 use critter_core::{snapshot, CritterEnv, CritterError, ExecutionPolicy, KernelStore};
 use critter_machine::{MachineParams, NoiseParams};
@@ -52,6 +55,9 @@ enum Except {
     /// The key holds an open name → value map (metric registries): deleting
     /// one of its entries leaves a well-formed map.
     Entries,
+    /// The key is optional in the format but this reader needs it: deleting
+    /// it is refused as a mismatch with the live sweep, not as a schema error.
+    Needed,
     /// Nothing under this key is decoded: no damage there is an error.
     Unread,
     /// The subtree is guarded by another field: damage anywhere under this
@@ -120,7 +126,7 @@ fn assert_every_damage_is_located(
         let here = render(path);
         let (last, parent) = path.split_last().expect("paths are non-empty");
         let except = exceptions.iter().find(|(key, ex)| match ex {
-            Except::Optional => is_key(last, key),
+            Except::Optional | Except::Needed => is_key(last, key),
             Except::Entries => parent.last().is_some_and(|p| is_key(p, key)),
             Except::Unread | Except::ReportedAt(_) => path.iter().any(|s| is_key(s, key)),
         });
@@ -152,6 +158,9 @@ fn assert_every_damage_is_located(
                 match except {
                     Some((_, Except::Optional | Except::Entries | Except::Unread)) => {
                         decode(&damaged).expect("deleting an optional or unread key is legal")
+                    }
+                    Some((_, Except::Needed)) => {
+                        drop(refused_at(decode(&damaged), "mismatch", &what))
                     }
                     // Below the guarded key the guard fires; the guarded
                     // key itself is simply missing.
@@ -192,6 +201,8 @@ fn is_scalar(v: &Value) -> bool {
 
 const CHECKPOINT_EXCEPTIONS: &[(&str, Except)] = &[
     ("quarantined", Except::Optional),
+    // An unobserved head has none; the oracle's sweep observes.
+    ("timeline", Except::Needed),
     ("counters", Except::Entries),
     ("sums", Except::Entries),
     ("histograms", Except::Entries),
@@ -275,12 +286,12 @@ fn tuning_report_damage_is_located() {
     );
 }
 
-#[test]
-fn checkpoint_damage_is_located_by_the_real_restore_path() {
-    // Stop the sweep after its second unit: the checkpoint then holds
-    // results, both store fleets, observed runs and session events.
-    let dir = scratch("checkpoint");
-    let session = SessionConfig::new().with_checkpoint_dir(&dir);
+/// An observed, fault-armed session of the tiny sweep stopped after its
+/// second unit: the checkpoint then holds results, both store fleets, session
+/// events and, in the sidecar, observed runs. Returns the session, the sweep's
+/// fingerprint and the head's payload.
+fn stopped_tiny_session(name: &str) -> (SessionConfig, u64, Value) {
+    let session = SessionConfig::new().with_checkpoint_dir(scratch(name));
     let workloads = tiny_workloads();
     let stopper = Autotuner::new(tiny_options()).with_progress(|p| match p.units_done {
         0 | 1 => ProgressVerdict::Continue,
@@ -288,33 +299,118 @@ fn checkpoint_damage_is_located_by_the_real_restore_path() {
     });
     let stopped = stopper.tune_session(&workloads, &session).expect_err("preempted mid-sweep");
     assert!(stopped.is_preempted(), "got: {stopped}");
-    let path = session.checkpoint_path().expect("checkpointed session");
     let fingerprint = stopper.fingerprint(&workloads);
-    let sealed = durable::read_value(&path).unwrap();
+    let sealed = durable::read_value(&session.checkpoint_path().unwrap()).unwrap();
     let payload = envelope::open(&sealed, "checkpoint", Some(fingerprint)).unwrap().clone();
-    for key in ["obs_runs", "session_events", "configs"] {
+    for key in ["session_events", "configs"] {
         let filled = payload.get(key).and_then(Value::as_array).is_some_and(|a| !a.is_empty());
         assert!(filled, "the checkpoint must carry `{key}`");
     }
+    let committed = payload.get("timeline").and_then(|t| t.get("runs")?.as_u64());
+    assert!(committed.is_some_and(|runs| runs >= 2), "the checkpoint must count observed runs");
+    (session, fingerprint, payload)
+}
 
-    // Restore goes through `tune_session` itself: a damaged payload is
-    // re-sealed (so the envelope is valid and the payload decoder is what
-    // refuses it) and resumed. A payload that still decodes reaches the
-    // progress hook, which cancels before anything runs.
+/// Restore goes through `tune_session` itself: `payload` is sealed (so the
+/// envelope is valid and the payload decoder is what refuses it) and resumed.
+/// A checkpoint that still decodes reaches the progress hook, which cancels
+/// before anything runs; one that does not must be a `Schema` error of
+/// `document` (a `Mismatch` is passed on as `mismatch: …`).
+fn resume_sealed(
+    session: &SessionConfig,
+    fingerprint: u64,
+    payload: &Value,
+    document: &str,
+) -> Result<(), String> {
+    let head = session.checkpoint_path().unwrap();
+    durable::write_value(&head, &envelope::seal("checkpoint", fingerprint, payload.clone()))
+        .unwrap();
     let resumer = Autotuner::new(tiny_options()).with_progress(|_| ProgressVerdict::Cancel);
-    assert_every_damage_is_located("checkpoint", &payload, CHECKPOINT_EXCEPTIONS, &|doc| {
-        durable::write_value(&path, &envelope::seal("checkpoint", fingerprint, doc.clone()))
-            .unwrap();
-        match resumer.tune_session(&workloads, &session) {
-            Ok(_) => panic!("the progress hook cancels every resumed sweep"),
-            Err(e) if e.is_cancelled() => Ok(()),
-            Err(e) => {
-                assert!(e.to_string().starts_with("schema error in checkpoint: "), "got: {e}");
-                Err(located(e))
-            }
+    match resumer.tune_session(&tiny_workloads(), session) {
+        Ok(_) => panic!("the progress hook cancels every resumed sweep"),
+        Err(e) if e.is_cancelled() => Ok(()),
+        Err(CritterError::Mismatch { detail }) => Err(format!("mismatch: {detail}")),
+        Err(e) => {
+            let named = format!("schema error in {document}: ");
+            assert!(e.to_string().starts_with(&named), "got: {e}");
+            Err(located(e))
         }
+    }
+}
+
+#[test]
+fn checkpoint_damage_is_located_by_the_real_restore_path() {
+    let (session, fingerprint, payload) = stopped_tiny_session("checkpoint");
+    assert_every_damage_is_located("checkpoint", &payload, CHECKPOINT_EXCEPTIONS, &|doc| {
+        resume_sealed(&session, fingerprint, doc, "checkpoint")
     });
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(session.checkpoint_dir.unwrap()).unwrap();
+}
+
+/// The sidecar is guarded twice: the head states how long its committed
+/// prefix is and what it hashes to, and every line goes through the one
+/// reader. Damage is a `Schema` error naming the sidecar file — for damage
+/// inside a line, at `[line]` and the path within it.
+#[test]
+fn timeline_sidecar_damage_is_located_by_the_real_restore_path() {
+    let (session, fingerprint, payload) = stopped_tiny_session("sidecar");
+    let sidecar = session.timeline_path().unwrap();
+    let document = sidecar.display().to_string();
+    let original = std::fs::read_to_string(&sidecar).unwrap();
+    let resume = |payload: &Value| resume_sealed(&session, fingerprint, payload, &document);
+    // Write `text` as the sidecar under a head that commits all of it, so
+    // that the line decoder, not the prefix hash, is what sees the damage.
+    let resume_committing = |text: &str| {
+        std::fs::write(&sidecar, text).unwrap();
+        let mut hasher = FnvHasher::default();
+        hasher.write(text.as_bytes());
+        let mut payload = payload.clone();
+        *payload.get_mut("timeline").unwrap() = serde_json::json!({
+            "bytes": text.len(),
+            "hash": hasher.finish() & ((1 << 52) - 1),
+            "runs": text.lines().count(),
+        });
+        resume(&payload)
+    };
+    resume_committing(&original).expect("the oracle's own head is accepted");
+
+    // Every node of a real line, the second (a selective run with metrics).
+    let lines: Vec<&str> = original.lines().collect();
+    let run: Value = serde_json::from_str(lines[1]).unwrap();
+    assert_every_damage_is_located("timeline.jsonl line", &run, CHECKPOINT_EXCEPTIONS, &|doc| {
+        let mut lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        lines[1] = serde_json::to_string(doc).unwrap();
+        let refusal = resume_committing(&(lines.join("\n") + "\n")).err();
+        refusal.map_or(Ok(()), |e| Err(e.strip_prefix("[1].").expect(&e).to_string()))
+    });
+    // A line that is not JSON at all, committed all the same.
+    let garbled = original.replacen(lines[1], &lines[1][..lines[1].len() / 2], 1);
+    let e = resume_committing(&garbled).unwrap_err();
+    assert!(e.starts_with("[1]: malformed line: "), "got: {e}");
+
+    // Under the real head: a file shorter than the committed prefix …
+    std::fs::write(&sidecar, &original[..original.len() - 1]).unwrap();
+    let e = resume(&payload).unwrap_err();
+    assert!(e.contains("truncated"), "got: {e}");
+    std::fs::remove_file(&sidecar).unwrap();
+    assert!(resume(&payload).unwrap_err().contains("holds 0 bytes"));
+    // … one byte flipped inside it, the length unchanged …
+    let mut flipped = original.clone().into_bytes();
+    flipped[original.len() / 2] ^= 0x01;
+    std::fs::write(&sidecar, &flipped).unwrap();
+    let e = resume(&payload).unwrap_err();
+    assert!(e.contains("do not hash to the checkpoint's `timeline.hash`"), "got: {e}");
+    // … and a head that counts more runs than the prefix holds.
+    std::fs::write(&sidecar, &original).unwrap();
+    let mut miscounted = payload.clone();
+    *miscounted.get_mut("timeline").unwrap().get_mut("runs").unwrap() = serde_json::json!(99);
+    let e = resume(&miscounted).unwrap_err();
+    assert!(e.contains("but the checkpoint committed 99 runs"), "got: {e}");
+    // Bytes past the committed prefix are no damage: they are cut off.
+    std::fs::write(&sidecar, format!("{original}{{\"id\":7,\"lab")).unwrap();
+    resume(&payload).expect("an uncommitted tail is not an error");
+    assert_eq!(std::fs::read_to_string(&sidecar).unwrap(), original);
+    std::fs::remove_dir_all(session.checkpoint_dir.unwrap()).unwrap();
 }
 
 /// Kernel stores with every table populated (models, path counts, a-priori

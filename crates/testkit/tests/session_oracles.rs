@@ -4,7 +4,8 @@
 //! These check the `critter-session` contracts end to end against the real
 //! autotuner:
 //!
-//! * a sweep killed at *any* point and resumed from its checkpoint must
+//! * a sweep killed at *any* point — between a checkpoint's timeline append
+//!   and its head publish included — and resumed from its checkpoint must
 //!   finish to a report (and obs timeline) byte-identical to the
 //!   uninterrupted sweep's;
 //! * a fault-injected sweep must complete through retry + quarantine, and
@@ -20,7 +21,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use critter_algs::{Workload, WorkloadOutput};
-use critter_autotune::{Autotuner, SessionConfig, StalenessPolicy, TuningOptions, TuningSpace};
+use critter_autotune::{
+    Autotuner, ProgressVerdict, SessionConfig, StalenessPolicy, TuningOptions, TuningSpace,
+};
 use critter_core::{CritterEnv, ExecutionPolicy};
 use critter_obs::EventKind;
 use critter_sim::FaultPlan;
@@ -159,6 +162,95 @@ proptest! {
             prop_assert!(!json.contains("\"restore\""));
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// Run a checkpoint-every-unit session of `opts` in `dir` until the progress
+/// hook preempts it at `units` committed units.
+fn stop_at(dir: &std::path::Path, opts: TuningOptions, units: usize) -> SessionConfig {
+    let session = SessionConfig::new().with_checkpoint_dir(dir).with_checkpoint_every(1);
+    let stopped = Autotuner::new(opts)
+        .with_progress(move |p| match p.units_done < units {
+            true => ProgressVerdict::Continue,
+            false => ProgressVerdict::Preempt,
+        })
+        .tune_session(&workloads(), &session)
+        .expect_err("the hook preempts");
+    assert!(stopped.is_preempted(), "got: {stopped}");
+    session
+}
+
+/// The two crash windows the sidecar adds. A checkpoint appends its unit's
+/// runs to `timeline.jsonl` and then publishes the head that counts them; a
+/// kill in between leaves the appended lines — whole, or torn mid-line —
+/// past what the last published head committed. The resume must cut them
+/// off, re-run the unit and finish to the uninterrupted bytes.
+#[test]
+fn a_kill_between_timeline_append_and_head_publish_resumes_byte_identically() {
+    for workers in [1, 4] {
+        let opts = || options().with_workers(workers);
+        // What the third unit's checkpoint appends: the sidecar of a session
+        // stopped one unit later extends that of one stopped at unit 2.
+        let ahead = scratch(&format!("tail-ahead-w{workers}"));
+        let ahead_session = stop_at(&ahead, opts(), 3);
+        let appended = std::fs::read(ahead_session.timeline_path().unwrap()).unwrap();
+        for (window, torn) in [("whole", 0), ("torn", 17)] {
+            let dir = scratch(&format!("tail-{window}-w{workers}"));
+            let session = stop_at(&dir, opts(), 2);
+            let sidecar = session.timeline_path().unwrap();
+            let committed = std::fs::read(&sidecar).unwrap();
+            assert!(appended.starts_with(&committed) && appended.len() > committed.len() + torn);
+            std::fs::write(&sidecar, &appended[..appended.len() - torn]).unwrap();
+            assert_eq!(torn == 0, std::fs::read(&sidecar).unwrap().ends_with(b"\n"));
+
+            let resumed = Autotuner::new(opts()).tune_session(&workloads(), &session).unwrap();
+            assert_eq!(&report_bytes(&resumed), baseline(), "{window} tail, workers {workers}");
+            // The tail was cut, not kept: every run is in the sidecar once.
+            let runs = resumed.obs.as_ref().unwrap().timeline.runs();
+            let lines: String = runs
+                .iter()
+                .map(|run| serde_json::to_string(&run.to_json()).unwrap() + "\n")
+                .collect();
+            assert_eq!(std::fs::read_to_string(&sidecar).unwrap(), lines);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&ahead);
+    }
+}
+
+/// Regression: `observe` is not part of the fingerprint (it changes no
+/// result), so a checkpoint written unobserved used to resume under
+/// `with_observe()` with an empty timeline and return a report whose
+/// timeline and metrics covered only the units after the resume. The head
+/// now says whether it carries a timeline, and that resume is refused; the
+/// converse loses nothing the caller asked for and stays legal.
+#[test]
+fn an_unobserved_checkpoint_refuses_an_observed_resume() {
+    let mut unobserved = options();
+    unobserved.observe = false;
+
+    let dir = scratch("observe-mismatch");
+    let session = stop_at(&dir, unobserved.clone(), 2);
+    let err = Autotuner::new(options()).tune_session(&workloads(), &session).unwrap_err();
+    assert!(matches!(err, critter_core::CritterError::Mismatch { .. }), "got: {err}");
+    assert!(err.to_string().contains("written unobserved"), "the cause is named: {err}");
+    // Refused, not consumed: the unobserved sweep still resumes.
+    let plain = Autotuner::new(unobserved.clone()).tune(&workloads()).to_json_string();
+    let resumed = Autotuner::new(unobserved.clone()).tune_session(&workloads(), &session).unwrap();
+    assert_eq!(resumed.to_json_string(), plain);
+
+    // An observed checkpoint resumed unobserved drops the timeline …
+    let dir = scratch("observe-dropped");
+    let session = stop_at(&dir, options(), 2);
+    let resumed = Autotuner::new(unobserved).tune_session(&workloads(), &session).unwrap();
+    assert!(resumed.obs.is_none());
+    assert_eq!(resumed.to_json_string(), plain);
+    // … for good: its heads no longer count the sidecar, so a later observed
+    // resume is refused rather than handed the partial file.
+    let err = Autotuner::new(options()).tune_session(&workloads(), &session).unwrap_err();
+    assert!(matches!(err, critter_core::CritterError::Mismatch { .. }), "got: {err}");
+    for name in ["observe-mismatch", "observe-dropped"] {
+        let _ = std::fs::remove_dir_all(scratch(name));
     }
 }
 

@@ -57,9 +57,12 @@ fn fresh_checkpointed_run_spares_foreign_files_and_ignores_a_stale_checkpoint() 
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("thesis.tex"), "precious").unwrap();
-    // Not a checkpoint at all: resuming it would fail the session.
+    // Not a checkpoint at all: resuming it would fail the session — and
+    // appending to the stale timeline would break the next resume.
     std::fs::write(dir.join("checkpoint.json"), "stale").unwrap();
-    let sweep = ["--space", "slate-cholesky", "--policy", "local", "--smoke", "--json"];
+    std::fs::write(dir.join("timeline.jsonl"), "stale").unwrap();
+    let sweep =
+        ["--space", "slate-cholesky", "--policy", "local", "--smoke", "--json", "--observe"];
     let ck = ["--checkpoint-dir", dir.to_str().unwrap()];
 
     let (code, plain, _) = run(TUNE, &sweep);
@@ -69,8 +72,12 @@ fn fresh_checkpointed_run_spares_foreign_files_and_ignores_a_stale_checkpoint() 
     assert_eq!(fresh, plain, "checkpointing never changes the report");
     assert_eq!(std::fs::read_to_string(dir.join("thesis.tex")).unwrap(), "precious");
     assert!(dir.join("session.log").is_file());
+    let timeline = std::fs::read_to_string(dir.join("timeline.jsonl")).unwrap();
+    assert!(timeline.starts_with("{\"id\":"), "the stale timeline was replaced, not extended");
 
     let (code, resumed, _) = run(TUNE, &[&sweep[..], &ck[..], &["--resume"]].concat());
     assert_eq!((code, resumed), (0, plain), "the finished checkpoint resumes byte-identically");
+    let kept = std::fs::read_to_string(dir.join("timeline.jsonl")).unwrap();
+    assert_eq!(kept, timeline, "a resume of a finished session appends nothing");
     std::fs::remove_dir_all(&dir).unwrap();
 }
