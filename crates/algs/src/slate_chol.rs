@@ -324,6 +324,15 @@ mod tests {
     }
 
     #[test]
+    fn tiles_wide_enough_for_the_blocked_kernels() {
+        // 64-wide tiles take potrf, trsm, syrk and gemm past their block
+        // edges and through the microkernel's full tiles.
+        for out in run_chol(256, 64, 1, 2, 2) {
+            assert!(out.residual.unwrap() < 1e-10, "residual {:?}", out.residual);
+        }
+    }
+
+    #[test]
     fn ragged_last_tile() {
         for out in run_chol(40, 16, 0, 2, 2) {
             assert!(out.residual.unwrap() < 1e-10);

@@ -4,8 +4,9 @@
 //! actually spends host time on: per-invocation noise draws in the machine
 //! model, the simulator's virtual-clock matching core (p2p and collectives),
 //! the Critter interception layer with observability recording on,
-//! `OnlineStats`/Welford updates along path propagation, and canonical-JSON
-//! report serialization.
+//! `OnlineStats`/Welford updates along path propagation, canonical-JSON
+//! report serialization, and the dense kernels a numerics-bound sweep (large
+//! SLATE Cholesky tiles) waits for.
 //!
 //! Flags: `--quick` for CI smoke sizes, `--emit FILE` for the trajectory
 //! (`--help` lists them).
@@ -18,6 +19,7 @@ use critter_bench::harness::{bench, black_box, summarize};
 use critter_bench::trajectory::Trajectory;
 use critter_bench::CARGO_BENCH;
 use critter_core::{ComputeOp, CritterConfig, CritterEnv, ExecutionPolicy, KernelStore};
+use critter_dla::{gemm, potrf, syrk, trsm, trtri, Matrix, Side, Trans, Uplo};
 use critter_machine::{KernelClass, MachineModel};
 use critter_session::cli::{Cli, Flag};
 use critter_sim::{run_simulation, BackendKind, ReduceOp, SimConfig};
@@ -268,6 +270,66 @@ fn main() {
             black_box(report.to_json_string().len());
         });
         traj.record("json", "report_canonical", t);
+    }
+
+    // The level-3 kernels at the shapes SLATE Cholesky calls them with (its
+    // trailing update is `gemm` No/Yes, `syrk` Lower/No, `trsm`
+    // Right/Lower/Yes), the two factorizations, and an 8×8×8 product as the
+    // guard on the small-shape path. Quick mode cuts the calls per iteration,
+    // not the shapes.
+    {
+        let dim = 128;
+        let (a, b) = (Matrix::random(dim, dim, 1), Matrix::random(dim, dim, 2));
+        let spd = Matrix::random_spd(dim, 3);
+        let mut l = spd.clone();
+        potrf(&mut l).expect("random_spd is positive definite");
+        let calls = 48 / div;
+        let mut dla = |case: &str, body: &mut dyn FnMut()| {
+            let t = bench("dla", case, iters, || (0..calls).for_each(|_| body()));
+            traj.record("dla", case, t);
+        };
+
+        let mut c = Matrix::zeros(dim, dim);
+        dla("gemm_nt_128", &mut || {
+            gemm(Trans::No, Trans::Yes, -1.0, &a, &b, 1.0, &mut c);
+            black_box(c.data()[0]);
+        });
+        let (a64, b64) = (a.sub(0, 0, 64, 64), b.sub(0, 0, 64, 64));
+        let mut c64 = Matrix::zeros(64, 64);
+        dla("gemm_nn_64", &mut || {
+            for _ in 0..8 {
+                gemm(Trans::No, Trans::No, 1.0, &a64, &b64, 0.0, &mut c64);
+            }
+            black_box(c64.data()[0]);
+        });
+        dla("syrk_ln_128", &mut || {
+            syrk(Uplo::Lower, Trans::No, -1.0, &a, 1.0, &mut c);
+            black_box(c.data()[0]);
+        });
+        let mut x = b.clone();
+        dla("trsm_rlt_128", &mut || {
+            x.data_mut().copy_from_slice(b.data());
+            trsm(Side::Right, Uplo::Lower, Trans::Yes, false, 1.0, &l, &mut x);
+            black_box(x.data()[0]);
+        });
+        dla("potrf_128", &mut || {
+            x.data_mut().copy_from_slice(spd.data());
+            potrf(&mut x).expect("random_spd is positive definite");
+            black_box(x.data()[0]);
+        });
+        dla("trtri_128", &mut || {
+            x.data_mut().copy_from_slice(l.data());
+            trtri(&mut x);
+            black_box(x.data()[0]);
+        });
+        let (a8, b8) = (a.sub(0, 0, 8, 8), b.sub(0, 0, 8, 8));
+        let mut c8 = Matrix::zeros(8, 8);
+        dla("gemm_nn_8", &mut || {
+            for _ in 0..4096 {
+                gemm(Trans::No, Trans::No, 1.0, &a8, &b8, 0.0, &mut c8);
+            }
+            black_box(c8.data()[0]);
+        });
     }
 
     if let Some(path) = &emit {

@@ -1,10 +1,15 @@
 //! Level-3 BLAS: `gemm`, `syrk`, `trsm`, `trmm`.
 //!
-//! Straightforward cache-aware loop orders (jki with column access) — these
-//! kernels exist for *correctness* of the distributed algorithms; their
-//! simulated cost comes from the machine model, not from how fast this code
-//! runs on the host.
+//! `gemm`, `syrk` and `trsm` are blocked algorithms over the one GEMM core in
+//! the `kernel` module. What a kernel *costs in simulated time* still comes
+//! only from the machine model (`critter-machine`), never from how long this
+//! code runs; but how fast it runs on the host is what a numerics-bound sweep
+//! waits for — the benchmark's `sweep-kernels` workload spends nearly all of
+//! its wall time here — so the flops go through a tuned microkernel.
+//! DESIGN.md §2.1 describes the core. `trmm` has no caller outside this
+//! crate's tests and stays the reference loop.
 
+use crate::kernel::{self, View, ViewMut};
 use crate::matrix::Matrix;
 
 /// Transposition selector.
@@ -34,90 +39,52 @@ pub enum Side {
     Right,
 }
 
-#[inline]
-fn op(a: &Matrix, ta: Trans, i: usize, k: usize) -> f64 {
-    match ta {
-        Trans::No => a[(i, k)],
-        Trans::Yes => a[(k, i)],
-    }
-}
+/// Columns solved together by [`solve_right`]: the share of a solve's flops
+/// left to the axpy-form in-block solve is `TB / n`, the rest is GEMM.
+const TB: usize = 16;
 
-fn op_dims(a: &Matrix, ta: Trans) -> (usize, usize) {
-    match ta {
-        Trans::No => (a.rows(), a.cols()),
-        Trans::Yes => (a.cols(), a.rows()),
-    }
-}
-
-/// General matrix multiply: `C ← α·op(A)·op(B) + β·C`.
+/// General matrix multiply: `C ← α·op(A)·op(B) + β·C`. With `β = 0`, `C` is
+/// assigned, not scaled: what it held before (NaN included) is not read.
 pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    let (m, ka) = op_dims(a, ta);
-    let (kb, n) = op_dims(b, tb);
-    assert_eq!(ka, kb, "gemm inner dimensions disagree: {ka} vs {kb}");
-    assert_eq!(c.rows(), m, "gemm C rows");
-    assert_eq!(c.cols(), n, "gemm C cols");
-    if beta != 1.0 {
-        for x in c.data_mut() {
-            *x *= beta;
-        }
-    }
-    if alpha == 0.0 {
-        return;
-    }
-    // jki order: stream down columns of C and op(A).
-    for j in 0..n {
-        for k in 0..ka {
-            let bkj = alpha * op(b, tb, k, j);
-            if bkj == 0.0 {
-                continue;
-            }
-            match ta {
-                Trans::No => {
-                    // Column k of A is contiguous.
-                    let acol = a.col(k);
-                    let ccol = c.col_mut(j);
-                    for i in 0..m {
-                        ccol[i] += acol[i] * bkj;
-                    }
-                }
-                Trans::Yes => {
-                    let ccol = c.col_mut(j);
-                    for (i, cij) in ccol.iter_mut().enumerate() {
-                        *cij += a[(k, i)] * bkj;
-                    }
-                }
+    let (a, b) = (View::of(a, ta), View::of(b, tb));
+    assert_eq!(a.cols, b.rows, "gemm inner dimensions disagree: {} vs {}", a.cols, b.rows);
+    assert_eq!(c.rows(), a.rows, "gemm C rows");
+    assert_eq!(c.cols(), b.cols, "gemm C cols");
+    kernel::gemm(alpha, a, b, beta, &mut ViewMut::of(c), false);
+}
+
+/// Copy the strict `from` triangle of square `c` onto the other one.
+fn mirror(c: &mut Matrix, from: Uplo) {
+    for j in 0..c.cols() {
+        for i in (j + 1)..c.rows() {
+            match from {
+                Uplo::Lower => c[(j, i)] = c[(i, j)],
+                Uplo::Upper => c[(i, j)] = c[(j, i)],
             }
         }
     }
 }
 
-/// Symmetric rank-k update: `C ← α·op(A)·op(A)ᵀ + β·C`, touching only the
-/// `uplo` triangle of `C` and mirroring it (C kept full-symmetric, which the
-/// distributed algorithms rely on).
+/// Symmetric rank-k update: `C ← α·op(A)·op(A)ᵀ + β·C`, reading only the
+/// `uplo` triangle of `C` and mirroring the result (C kept full-symmetric,
+/// which the distributed algorithms rely on). `β = 0` assigns, as in [`gemm`].
 pub fn syrk(uplo: Uplo, ta: Trans, alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
-    let (n, k) = op_dims(a, ta);
-    assert_eq!(c.rows(), n, "syrk C must be n×n");
-    assert_eq!(c.cols(), n, "syrk C must be n×n");
-    for j in 0..n {
-        let range: Box<dyn Iterator<Item = usize>> = match uplo {
-            Uplo::Lower => Box::new(j..n),
-            Uplo::Upper => Box::new(0..=j),
-        };
-        for i in range {
-            let mut s = 0.0;
-            for l in 0..k {
-                s += op(a, ta, i, l) * op(a, ta, j, l);
-            }
-            let v = alpha * s + beta * c[(i, j)];
-            c[(i, j)] = v;
-            c[(j, i)] = v;
-        }
+    let a = View::of(a, ta);
+    assert_eq!(c.rows(), a.rows, "syrk C must be n×n");
+    assert_eq!(c.cols(), a.rows, "syrk C must be n×n");
+    // One computation, on the lower triangle: the tiles on or below the
+    // diagonal go through the core, the rest is their mirror image.
+    if uplo == Uplo::Upper {
+        mirror(c, Uplo::Upper);
     }
+    kernel::gemm(alpha, a, a.t(), beta, &mut ViewMut::of(c), true);
+    mirror(c, Uplo::Lower);
 }
 
 /// Triangular solve with multiple right-hand sides:
 /// `op(A)·X = α·B` (Left) or `X·op(A) = α·B` (Right); `B` is overwritten by `X`.
-/// `unit` marks an implicit unit diagonal.
+/// `unit` marks an implicit unit diagonal. `α = 0` gives `X = 0` whatever
+/// `B` held.
 pub fn trsm(side: Side, uplo: Uplo, ta: Trans, unit: bool, alpha: f64, a: &Matrix, b: &mut Matrix) {
     assert_eq!(a.rows(), a.cols(), "triangular matrix must be square");
     let n = a.rows();
@@ -125,61 +92,70 @@ pub fn trsm(side: Side, uplo: Uplo, ta: Trans, unit: bool, alpha: f64, a: &Matri
         Side::Left => assert_eq!(b.rows(), n, "trsm left dimension"),
         Side::Right => assert_eq!(b.cols(), n, "trsm right dimension"),
     }
-    if alpha != 1.0 {
-        for x in b.data_mut() {
-            *x *= alpha;
-        }
+    ViewMut::of(b).scale(alpha);
+    if alpha == 0.0 {
+        return;
     }
     // Effective triangle after transposition.
     let lower = matches!((uplo, ta), (Uplo::Lower, Trans::No) | (Uplo::Upper, Trans::Yes));
-    let diag = |a: &Matrix, i: usize| if unit { 1.0 } else { a[(i, i)] };
+    let t = View::of(a, ta);
     match side {
+        Side::Right => solve_right(t, lower, unit, &mut ViewMut::of(b)),
+        // T·X = B is Xᵀ·Tᵀ = Bᵀ: the same solver on a transposed copy, whose
+        // O(mn) moves are noise beside the O(m²n) solve.
         Side::Left => {
-            // Solve op(A)·X = B column by column.
-            for j in 0..b.cols() {
-                if lower {
-                    for i in 0..n {
-                        let mut s = b[(i, j)];
-                        for k in 0..i {
-                            s -= op(a, ta, i, k) * b[(k, j)];
-                        }
-                        b[(i, j)] = s / diag(a, i);
-                    }
-                } else {
-                    for i in (0..n).rev() {
-                        let mut s = b[(i, j)];
-                        for k in (i + 1)..n {
-                            s -= op(a, ta, i, k) * b[(k, j)];
-                        }
-                        b[(i, j)] = s / diag(a, i);
-                    }
-                }
-            }
+            let mut bt = b.transposed();
+            solve_right(t.t(), !lower, unit, &mut ViewMut::of(&mut bt));
+            *b = bt.transposed();
         }
-        Side::Right => {
-            // Solve X·op(A) = B row by row (i.e. column ordering over X cols).
-            for i in 0..b.rows() {
-                if lower {
-                    // X[:, j] computed from high j to low j: X·L = B →
-                    // X[i,j] = (B[i,j] - Σ_{k>j} X[i,k]·L[k,j]) / L[j,j]
-                    for j in (0..n).rev() {
-                        let mut s = b[(i, j)];
-                        for k in (j + 1)..n {
-                            s -= b[(i, k)] * op(a, ta, k, j);
-                        }
-                        b[(i, j)] = s / diag(a, j);
-                    }
-                } else {
-                    for j in 0..n {
-                        let mut s = b[(i, j)];
-                        for k in 0..j {
-                            s -= b[(i, k)] * op(a, ta, k, j);
-                        }
-                        b[(i, j)] = s / diag(a, j);
-                    }
-                }
-            }
+    }
+}
+
+/// Solve `X·T = B` in place for triangular `T` (`lower` names the triangle
+/// read; the other is ignored): a forward substitution over block columns
+/// for upper `T`, a backward one for lower. Each block of `TB` columns first
+/// receives its GEMM update from all the columns solved before it, then the
+/// in-block solve.
+pub(crate) fn solve_right(t: View, lower: bool, unit: bool, b: &mut ViewMut) {
+    let n = b.cols;
+    for step in 0..n.div_ceil(TB) {
+        let j0 = if lower { n.div_ceil(TB) - 1 - step } else { step } * TB;
+        let j1 = n.min(j0 + TB);
+        let (mut head, mut tail) = b.split_cols(if lower { j1 } else { j0 });
+        let (solved, mut block, k0) = if lower {
+            (tail.view(), head.sub(0, j0, head.rows, j1 - j0), j1)
+        } else {
+            (head.view(), tail.sub(0, 0, tail.rows, j1 - j0), 0)
+        };
+        kernel::gemm(-1.0, solved, t.sub(k0, j0, solved.cols, j1 - j0), 1.0, &mut block, false);
+        solve_block(t.sub(j0, j0, j1 - j0, j1 - j0), lower, unit, &mut block);
+    }
+}
+
+/// [`solve_right`] within one block, in axpy form: column `j` of `X` is
+/// column `j` of `B` minus the solved columns times `T[·, j]`, over `T[j, j]`.
+fn solve_block(t: View, lower: bool, unit: bool, x: &mut ViewMut) {
+    let nb = x.cols;
+    for step in 0..nb {
+        let j = if lower { nb - 1 - step } else { step };
+        for k in if lower { j + 1..nb } else { 0..j } {
+            let f = t.at(k, j);
+            let (xj, xk) = x.col_and(j, k);
+            xj.iter_mut().zip(xk).for_each(|(x, y)| *x -= y * f);
         }
+        if !unit {
+            let d = t.at(j, j);
+            x.col(j).iter_mut().for_each(|x| *x /= d);
+        }
+    }
+}
+
+/// Element `(i, k)` of `op(A)`, for [`trmm`].
+#[inline]
+fn op(a: &Matrix, ta: Trans, i: usize, k: usize) -> f64 {
+    match ta {
+        Trans::No => a[(i, k)],
+        Trans::Yes => a[(k, i)],
     }
 }
 

@@ -7,10 +7,18 @@
 //! `tpmqrt` — so the distributed algorithms are *correct programs* whose
 //! results are verified by tests, not mocked schedules.
 //!
-//! Execution **time** is not measured here: the simulator charges each kernel
-//! a modeled, noise-perturbed cost (see `critter-machine`), because laptop
-//! wall-clock would not reflect the paper's KNL nodes. The [`flops`] module
-//! provides the per-kernel flop counts the cost model consumes.
+//! What a kernel **costs in simulated time** is not measured here: the
+//! simulator charges each kernel a modeled, noise-perturbed cost (see
+//! `critter-machine`), because laptop wall-clock would not reflect the
+//! paper's KNL nodes. The [`flops`] module provides the per-kernel flop counts
+//! the cost model consumes. How fast the kernels run **on the host** matters
+//! all the same: a sweep over large tiles is numerics-bound (the benchmark's
+//! `sweep-kernels` workload), and a skipped kernel saves exactly this time.
+//! `gemm`, `syrk`, `trsm`, `potrf` and `trtri` are therefore blocked
+//! algorithms over one register-blocked GEMM core (the private `kernel`
+//! module; DESIGN.md §2.1), whose `avx2` and baseline instantiations return
+//! bit-identical results. The Householder kernels, `trmm` and `getrf` are
+//! plain loops.
 //!
 //! Matrices are column-major, matching the BLAS convention.
 
@@ -19,8 +27,11 @@
 pub mod blas3;
 pub mod chol;
 pub mod flops;
+mod kernel;
 pub mod lu;
 pub mod matrix;
+#[cfg(test)]
+mod oracle;
 pub mod qr;
 pub mod tp;
 

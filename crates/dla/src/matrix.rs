@@ -1,5 +1,7 @@
 //! Column-major dense matrix.
 
+use crate::blas3::Trans;
+use crate::kernel::{View, ViewMut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,38 +99,21 @@ impl Matrix {
 
     /// Copy of the `r × c` submatrix starting at `(i0, j0)`.
     pub fn sub(&self, i0: usize, j0: usize, r: usize, c: usize) -> Matrix {
-        assert!(i0 + r <= self.rows && j0 + c <= self.cols, "submatrix out of bounds");
-        let mut m = Matrix::zeros(r, c);
-        for j in 0..c {
-            for i in 0..r {
-                m[(i, j)] = self[(i0 + i, j0 + j)];
-            }
-        }
-        m
+        View::of(self, Trans::No).sub(i0, j0, r, c).to_matrix()
     }
 
     /// Write `block` into this matrix at `(i0, j0)`.
     pub fn set_sub(&mut self, i0: usize, j0: usize, block: &Matrix) {
-        assert!(
-            i0 + block.rows <= self.rows && j0 + block.cols <= self.cols,
-            "submatrix out of bounds"
-        );
+        let mut dst = ViewMut::of(self);
+        let mut dst = dst.sub(i0, j0, block.rows, block.cols);
         for j in 0..block.cols {
-            for i in 0..block.rows {
-                self[(i0 + i, j0 + j)] = block[(i, j)];
-            }
+            dst.col(j).copy_from_slice(block.col(j));
         }
     }
 
     /// Transposed copy.
     pub fn transposed(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for j in 0..self.cols {
-            for i in 0..self.rows {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
+        View::of(self, Trans::Yes).to_matrix()
     }
 
     /// Zero the strictly upper triangle (keep lower + diagonal).
