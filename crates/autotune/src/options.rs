@@ -145,15 +145,6 @@ impl TuningOptions {
         self
     }
 
-    /// Set the message-size granularity of communication signatures.
-    pub fn with_granularity(
-        mut self,
-        granularity: critter_core::signature::SizeGranularity,
-    ) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
     /// Arm deterministic fault injection for every simulated run.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);

@@ -129,11 +129,6 @@ impl ChannelRegistry {
         self.aggregates.values()
     }
 
-    /// Whether some registered aggregate covers the whole machine.
-    pub fn has_full_coverage(&self) -> bool {
-        self.aggregates.values().any(|a| a.coverage >= self.world_size)
-    }
-
     /// Per-kernel coverage step: given a kernel's already-covered strides and
     /// coverage product, decide whether aggregating across a communicator of
     /// shape `meta` extends coverage. Returns the new `(strides, coverage)` if
@@ -168,8 +163,8 @@ mod tests {
     #[test]
     fn world_is_registered_at_init() {
         let r = ChannelRegistry::new(8);
-        assert!(r.has_full_coverage());
         assert_eq!(r.aggregates().count(), 1);
+        assert!(r.aggregates().all(|a| a.coverage == 8), "the world covers the machine");
     }
 
     #[test]

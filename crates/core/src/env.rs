@@ -26,7 +26,7 @@ use critter_sim::{Communicator, RankCtx, ReduceOp, Request};
 
 use crate::channels::ChannelRegistry;
 use crate::message::{combine_internal, EagerEntry, InternalMsg};
-use crate::policy::{CritterConfig, ExecutionPolicy};
+use crate::policy::{CritterConfig, ExecutionPolicy, CONFIDENCE, INTERNAL_WORDS_CAP, MIN_SAMPLES};
 use crate::profile::KernelStore;
 use crate::report::{CritterReport, PathMetrics};
 use crate::signature::{ComputeOp, KernelSig};
@@ -85,7 +85,7 @@ impl<'a> CritterEnv<'a> {
     /// channel) with a fresh or persisted kernel store.
     pub fn new(ctx: &'a mut RankCtx, cfg: CritterConfig, store: KernelStore) -> Self {
         let registry = ChannelRegistry::new(ctx.size());
-        let level = cfg.level();
+        let level = ConfidenceLevel::new(CONFIDENCE);
         let obs = cfg.obs.then(|| RankRecorder::with_capacity(ctx.rank(), cfg.obs_capacity));
         CritterEnv {
             ctx,
@@ -207,7 +207,6 @@ impl<'a> CritterEnv<'a> {
         let k = self.effective_count(sig.key());
         let policy = self.cfg.policy;
         let epsilon = self.cfg.epsilon;
-        let min_samples = self.cfg.min_samples;
         let level = &self.level;
         let m = self.store.model_mut(sig);
         if policy == ExecutionPolicy::EagerPropagation && m.eager_off {
@@ -216,7 +215,7 @@ impl<'a> CritterEnv<'a> {
         if policy.executes_once_per_config() && m.executed_this_config == 0 {
             return true;
         }
-        if m.stats.count() < min_samples {
+        if m.stats.count() < MIN_SAMPLES {
             return true;
         }
         let ci = m.interval(level);
@@ -241,7 +240,7 @@ impl<'a> CritterEnv<'a> {
     /// size of the real implementation's profile messages.
     fn internal_charge(&self, len: usize) -> Option<Option<usize>> {
         if self.cfg.charge_internal {
-            Some(Some(len.min(self.cfg.internal_words_cap)))
+            Some(Some(len.min(INTERNAL_WORDS_CAP)))
         } else {
             None
         }
@@ -250,7 +249,7 @@ impl<'a> CritterEnv<'a> {
     /// Point-to-point cost override for an internal payload.
     fn internal_p2p_cost(&self, len: usize) -> Option<usize> {
         if self.cfg.charge_internal {
-            Some(len.min(self.cfg.internal_words_cap))
+            Some(len.min(INTERNAL_WORDS_CAP))
         } else {
             Some(0)
         }
@@ -281,9 +280,8 @@ impl<'a> CritterEnv<'a> {
         if self.cfg.policy == ExecutionPolicy::EagerPropagation {
             if let Some(meta) = eager_meta {
                 let epsilon = self.cfg.epsilon;
-                let min_samples = self.cfg.min_samples;
                 for (key, m) in self.store.local.iter() {
-                    if m.eager_off || m.stats.count() < min_samples {
+                    if m.eager_off || m.stats.count() < MIN_SAMPLES {
                         continue;
                     }
                     // Only kernels whose local CI already meets ε travel; only
@@ -420,16 +418,6 @@ impl<'a> CritterEnv<'a> {
             self.report.kernels_skipped += 1;
             mean
         };
-        if self.cfg.trace {
-            self.report.trace.push(crate::trace::TraceEvent {
-                label: sig.label(),
-                start,
-                duration: self.ctx.now() - start,
-                predicted: charged,
-                executed: execute,
-                is_comm: false,
-            });
-        }
         if self.observing() {
             let end = self.ctx.now();
             let (kind, counter) = if execute {
@@ -531,16 +519,6 @@ impl<'a> CritterEnv<'a> {
         self.report.local_comm_executed += t;
         self.report.local_comm_predicted += t;
         self.report.kernels_executed += 1;
-        if self.cfg.trace {
-            self.report.trace.push(crate::trace::TraceEvent {
-                label: sig.label(),
-                start: self.ctx.now() - t,
-                duration: t,
-                predicted: t,
-                executed: true,
-                is_comm: true,
-            });
-        }
         if self.observing() {
             let now = self.ctx.now();
             self.obs_count("samples_taken", 1);
@@ -561,16 +539,6 @@ impl<'a> CritterEnv<'a> {
         self.metrics.comm_time += mean;
         self.report.local_comm_predicted += mean;
         self.report.kernels_skipped += 1;
-        if self.cfg.trace {
-            self.report.trace.push(crate::trace::TraceEvent {
-                label: sig.label(),
-                start: self.ctx.now(),
-                duration: 0.0,
-                predicted: mean,
-                executed: false,
-                is_comm: true,
-            });
-        }
         if self.observing() {
             let now = self.ctx.now();
             self.obs_count("samples_skipped", 1);

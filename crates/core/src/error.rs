@@ -23,7 +23,7 @@ pub type Result<T> = std::result::Result<T, CritterError>;
 /// # Examples
 ///
 /// ```
-/// use critter_core::prelude::*;
+/// use critter_core::{CritterError, Result};
 ///
 /// fn load(text: &str) -> Result<f64> {
 ///     let v = serde_json::from_str(text)

@@ -281,11 +281,6 @@ impl ExtrapolationTable {
         (sd <= cfg.max_rel_residual * t).then_some(t)
     }
 
-    /// The fit of one communication family (diagnostics).
-    pub fn comm_fit(&self, op: CommOp, comm_size: u64, stride: u64) -> Option<&LineFit> {
-        self.comm_fits.get(&(op, comm_size, stride))
-    }
-
     /// Iterate over all compute-family fits (arbitrary map order; callers
     /// that need determinism — e.g. the profile snapshot — must sort).
     pub fn fits(&self) -> impl Iterator<Item = (&ComputeOp, &LineFit)> {
@@ -460,7 +455,7 @@ mod tests {
         t.record_comm(CommOp::Bcast, 4, 1, 128.0, 1e-5);
         t.clear();
         assert!(t.fit(ComputeOp::Gemm).is_none());
-        assert!(t.comm_fit(CommOp::Bcast, 4, 1).is_none());
+        assert!(t.comm_fits().next().is_none());
     }
 
     #[test]

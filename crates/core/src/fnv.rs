@@ -5,7 +5,7 @@
 //! default SipHash is needlessly slow (Rust perf book, "Hashing"). A 20-line
 //! FNV-1a hasher keeps the dependency list clean.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a 64-bit hasher.
@@ -52,9 +52,6 @@ impl std::io::Write for FnvHasher {
 
 /// `HashMap` keyed with FNV-1a.
 pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
-
-/// `HashSet` keyed with FNV-1a.
-pub type FnvSet<K> = HashSet<K, BuildHasherDefault<FnvHasher>>;
 
 /// Hash any `Hash` value with FNV-1a to a stable `u64`.
 pub fn fnv_hash<T: std::hash::Hash>(value: &T) -> u64 {

@@ -9,9 +9,9 @@
 //! intercepts every computation kernel (BLAS/LAPACK call) and communication
 //! kernel (MPI call) the application issues — the role Fig. 2 of the paper
 //! assigns to the PMPI interception layer. For each kernel *signature*
-//! (routine + input size, [`signature::KernelSig`]) it maintains:
+//! (routine + input size, [`KernelSig`]) it maintains:
 //!
-//! * `K̄` — local single-pass performance statistics ([`profile::KernelStore`]);
+//! * `K̄` — local single-pass performance statistics ([`KernelStore`]);
 //! * `K̃` — the kernel's execution count along the rank's current
 //!   *sub-critical path*, propagated between ranks by piggybacking a
 //!   max-by-execution-time reduction on every intercepted communication
@@ -20,7 +20,7 @@
 //!   (`critter-stats`), optionally tightened by the path count.
 //!
 //! Once a kernel is *predictable* — relative confidence-interval size below
-//! the tolerance ε, per the active [`policy::ExecutionPolicy`] — its execution
+//! the tolerance ε, per the active [`ExecutionPolicy`] — its execution
 //! is skipped and its modeled mean is charged to the prediction instead. The
 //! [`channels`] module implements the aggregate-channel infrastructure that
 //! the *eager propagation* policy uses to switch kernels off globally across
@@ -30,17 +30,15 @@
 
 pub mod channels;
 pub mod env;
-pub mod error;
-pub mod extrapolate;
+mod error;
+mod extrapolate;
 pub mod fnv;
 pub mod message;
-pub mod policy;
-pub mod prelude;
-pub mod profile;
-pub mod report;
+mod policy;
+mod profile;
+mod report;
 pub mod signature;
 pub mod snapshot;
-pub mod trace;
 
 /// The workspace's one JSON reader (`critter_obs::json`), re-exported so
 /// crates that decode persisted documents need not link `critter-obs`.
@@ -52,4 +50,3 @@ pub use policy::{CritterConfig, ExecutionPolicy};
 pub use profile::KernelStore;
 pub use report::{CritterReport, PathMetrics};
 pub use signature::{ComputeOp, KernelSig};
-pub use trace::{Trace, TraceEvent};

@@ -1,9 +1,19 @@
 //! Selective-execution policies and framework configuration (§IV-B).
 
-use critter_stats::ConfidenceLevel;
-
 use crate::extrapolate::ExtrapolationConfig;
 use crate::signature::SizeGranularity;
+
+/// Confidence level of the per-kernel intervals (the paper uses 95%).
+pub(crate) const CONFIDENCE: f64 = 0.95;
+
+/// Samples a kernel needs before it may be considered predictable.
+pub(crate) const MIN_SAMPLES: u64 = 2;
+
+/// Wire-size cap (in words) for charged internal messages. The real Critter
+/// piggybacks compact fixed-size profile arrays; our serialized `K̃` payloads
+/// are semantically equivalent but verbose, so their cost is charged at the
+/// compact size to keep the modeled overhead faithful.
+pub(crate) const INTERNAL_WORDS_CAP: usize = 32;
 
 /// The kernel-execution policies the paper evaluates (§IV-B), plus the
 /// full-execution baseline.
@@ -108,11 +118,6 @@ impl ExecutionPolicy {
         !matches!(self, ExecutionPolicy::EagerPropagation | ExecutionPolicy::Full)
     }
 
-    /// Whether kernel models persist across configurations by default.
-    pub fn reuses_models(self) -> bool {
-        matches!(self, ExecutionPolicy::EagerPropagation)
-    }
-
     /// Whether an extra offline full execution is required before tuning.
     pub fn needs_offline_pass(self) -> bool {
         matches!(self, ExecutionPolicy::APrioriPropagation)
@@ -138,12 +143,12 @@ impl std::str::FromStr for ExecutionPolicy {
 /// ```
 /// use critter_core::{CritterConfig, ExecutionPolicy};
 ///
-/// // The paper's defaults: 95% confidence, two samples minimum, internal
-/// // messages charged at their compact wire size.
+/// // The paper's defaults: internal messages charged at their compact wire
+/// // size, exact message sizes in signatures, no extrapolation. The 95%
+/// // confidence level and the two-sample minimum are fixed, not knobs.
 /// let cfg = CritterConfig::new(ExecutionPolicy::OnlinePropagation, 0.25);
-/// assert_eq!(cfg.confidence, 0.95);
-/// assert_eq!(cfg.min_samples, 2);
 /// assert!(cfg.charge_internal);
+/// assert!(cfg.extrapolate.is_none());
 ///
 /// // `with_*` builders toggle the ablation switches and the observability
 /// // layer — the one builder vocabulary shared with `TuningOptions` and
@@ -163,19 +168,10 @@ pub struct CritterConfig {
     /// Confidence tolerance ε: a kernel becomes predictable when the relative
     /// (possibly path-count-scaled) confidence-interval size drops below it.
     pub epsilon: f64,
-    /// Confidence level for the intervals (the paper uses 95%).
-    pub confidence: f64,
-    /// Minimum samples before a kernel may be considered predictable.
-    pub min_samples: u64,
     /// Whether internal (profiling) messages are charged communication time.
     /// True models real piggyback traffic; false isolates pure algorithmic
     /// effects (the overhead ablation).
     pub charge_internal: bool,
-    /// Wire-size cap (in words) for charged internal messages. The real
-    /// Critter piggybacks compact fixed-size profile arrays; our serialized
-    /// `K̃` payloads are semantically equivalent but verbose, so their cost is
-    /// charged at the compact size to keep the modeled overhead faithful.
-    pub internal_words_cap: usize,
     /// Message-size granularity of communication-kernel signatures.
     pub granularity: SizeGranularity,
     /// §VIII extension: extrapolate computation-kernel performance across
@@ -183,9 +179,6 @@ pub struct CritterConfig {
     /// signatures (e.g. CANDMC's shrinking trailing matrix) to be skipped.
     /// `None` (the default) reproduces the paper's per-signature behavior.
     pub extrapolate: Option<ExtrapolationConfig>,
-    /// Record a per-rank chronological event trace (offline analysis /
-    /// debugging; adds memory proportional to the number of interceptions).
-    pub trace: bool,
     /// Record structured observability events and metrics (`critter-obs`):
     /// every interception point emits a virtual-clock-stamped event into a
     /// per-rank buffer that surfaces as `CritterReport::obs`. Deterministic
@@ -205,22 +198,12 @@ impl CritterConfig {
         CritterConfig {
             policy,
             epsilon,
-            confidence: 0.95,
-            min_samples: 2,
             charge_internal: true,
-            internal_words_cap: 32,
             granularity: SizeGranularity::Exact,
             extrapolate: None,
-            trace: false,
             obs: false,
             obs_capacity: 0,
         }
-    }
-
-    /// Enable per-rank event tracing.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
     }
 
     /// Enable structured observability recording (`critter-obs` events and
@@ -255,29 +238,6 @@ impl CritterConfig {
         self.charge_internal = charge;
         self
     }
-
-    /// Set the confidence level of the per-kernel intervals (paper: 0.95).
-    pub fn with_confidence(mut self, confidence: f64) -> Self {
-        self.confidence = confidence;
-        self
-    }
-
-    /// Set the minimum samples before a kernel may be deemed predictable.
-    pub fn with_min_samples(mut self, min_samples: u64) -> Self {
-        self.min_samples = min_samples;
-        self
-    }
-
-    /// Use log2 message-size buckets (granularity ablation).
-    pub fn with_log2_sizes(mut self) -> Self {
-        self.granularity = SizeGranularity::Log2;
-        self
-    }
-
-    /// Construct the confidence-level helper for this configuration.
-    pub fn level(&self) -> ConfidenceLevel {
-        ConfidenceLevel::new(self.confidence)
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +252,6 @@ mod tests {
         assert!(!ConditionalExecution.adopts_remote_path());
         assert!(ConditionalExecution.executes_once_per_config());
         assert!(!EagerPropagation.executes_once_per_config());
-        assert!(EagerPropagation.reuses_models());
         assert!(APrioriPropagation.needs_offline_pass());
         assert!(!OnlinePropagation.needs_offline_pass());
     }
@@ -300,8 +259,6 @@ mod tests {
     #[test]
     fn config_defaults() {
         let c = CritterConfig::new(ExecutionPolicy::OnlinePropagation, 0.25);
-        assert_eq!(c.confidence, 0.95);
-        assert_eq!(c.min_samples, 2);
         assert!(c.charge_internal);
         assert!(!c.with_internal_charging(false).charge_internal);
     }

@@ -101,13 +101,11 @@ pub struct CritterReport {
     /// ten largest contributors as `(label, path count, path time)` — the
     /// paper's per-kernel critical-path performance profile.
     pub top_kernels: Vec<(String, u64, f64)>,
-    /// Per-rank chronological event trace (only when tracing is enabled).
-    pub trace: crate::trace::Trace,
     /// Structured observability trace and metrics (only when
-    /// [`crate::CritterConfig::obs`] is set). Like `trace`, this is a
-    /// debugging/analysis surface and is intentionally excluded from
-    /// [`CritterReport::to_json`]; the autotuner assembles per-run traces
-    /// into a global timeline instead (`critter_obs::ObsReport`).
+    /// [`crate::CritterConfig::obs`] is set): the one per-kernel event
+    /// channel. It is a debugging/analysis surface, not part of any report;
+    /// the autotuner assembles per-run traces into a global timeline instead
+    /// (`critter_obs::ObsReport`).
     pub obs: Option<critter_obs::RankTrace>,
     /// Mean over ranks of locally executed kernel time (busy time).
     pub mean_busy: f64,
@@ -134,38 +132,6 @@ impl CritterReport {
         } else {
             self.kernels_skipped as f64 / total as f64
         }
-    }
-
-    /// Structured JSON rendering of the report — the golden-snapshot surface.
-    ///
-    /// Keys are sorted and floats print in shortest-round-trip form, so equal
-    /// reports serialize to byte-identical text. The per-event trace is
-    /// summarized by its length rather than dumped (traces are a debugging
-    /// aid, not part of the stable report surface).
-    pub fn to_json(&self) -> serde_json::Value {
-        let kernels: Vec<serde_json::Value> = self
-            .top_kernels
-            .iter()
-            .map(|&(ref label, count, time)| {
-                serde_json::json!({ "count": count, "label": label.as_str(), "path_time": time })
-            })
-            .collect();
-        serde_json::json!({
-            "distinct_kernels": self.distinct_kernels,
-            "internal_words": self.internal_words,
-            "kernels_executed": self.kernels_executed,
-            "kernels_skipped": self.kernels_skipped,
-            "local_comm_executed": self.local_comm_executed,
-            "local_comm_predicted": self.local_comm_predicted,
-            "local_comp_executed": self.local_comp_executed,
-            "local_comp_predicted": self.local_comp_predicted,
-            "max_busy": self.max_busy,
-            "mean_busy": self.mean_busy,
-            "path": self.path.to_json(),
-            "predicted_time": self.predicted_time,
-            "top_kernels": kernels,
-            "trace_events": self.trace.len(),
-        })
     }
 }
 
@@ -203,24 +169,6 @@ mod tests {
         let m = a.max(b);
         assert_eq!(m.comm_words, 5.0);
         assert_eq!(m.syncs, 9.0);
-    }
-
-    #[test]
-    fn to_json_is_deterministic_and_sorted() {
-        let r = CritterReport {
-            predicted_time: 1.25,
-            kernels_executed: 3,
-            top_kernels: vec![("gemm[8x8x8]".into(), 4, 0.5)],
-            ..Default::default()
-        };
-        let a = critter_obs::json::canonical_text(&r.to_json());
-        let b = critter_obs::json::canonical_text(&r.clone().to_json());
-        assert_eq!(a, b);
-        // Keys emerge sorted, so the serialization is canonical.
-        let i_pred = a.find("\"predicted_time\"").unwrap();
-        let i_kern = a.find("\"kernels_executed\"").unwrap();
-        assert!(i_kern < i_pred);
-        assert!(a.contains("\"gemm[8x8x8]\""));
     }
 
     #[test]

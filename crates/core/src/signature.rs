@@ -37,7 +37,9 @@ pub enum ComputeOp {
     Tpqrt,
     /// Application of triangular-pentagonal reflectors.
     Tpmqrt,
-    /// LU factorization with partial pivoting.
+    /// LU factorization with partial pivoting. No workload emits it, but it
+    /// stays: `KernelSig::key` hashes the variant index, so removing it would
+    /// renumber `Custom` and change persisted profile/checkpoint bytes.
     Getrf,
     /// User-defined kernel intercepted via preprocessor-directive-style
     /// annotation (e.g. Capital's block-to-cyclic redistribution).
@@ -296,6 +298,35 @@ mod tests {
         }
         assert_eq!(ComputeOp::from_name("nosuch"), None);
         assert_eq!(ComputeOp::from_name("custom:x"), None);
+    }
+
+    #[test]
+    fn keys_are_pinned() {
+        // Keys order persisted profiles and checkpoints, and they hash the
+        // derived `Hash`, variant index included: these values, computed
+        // before any variant change, must never move.
+        let compute = [
+            (ComputeOp::Gemm, 0xb78b0a8136e35),
+            (ComputeOp::Syrk, 0x2c5ca051d2db4),
+            (ComputeOp::Trsm, 0x17c5ca2f51fb7),
+            (ComputeOp::Trmm, 0x8c975fffedf36),
+            (ComputeOp::Potrf, 0x8ad161c3a6c31),
+            (ComputeOp::Trtri, 0xffa2f79442bb0),
+            (ComputeOp::Geqrf, 0xeb0c2171c1db3),
+            (ComputeOp::Ormqr, 0x5fddb7425dd32),
+            (ComputeOp::Larft, 0x10fe5bfc5723d),
+            (ComputeOp::Tpqrt, 0x85cff1ccf31bc),
+            (ComputeOp::Tpmqrt, 0x71391baa723bf),
+            (ComputeOp::Getrf, 0xe60ab17b0e33e),
+            (ComputeOp::Custom(1), 0x2ba65ca740818),
+        ];
+        for (op, key) in compute {
+            assert_eq!(KernelSig::compute(op, 64, 32, 16).key(), key, "{op:?}");
+        }
+        assert_eq!(KernelSig::p2p(100, 1, SizeGranularity::Exact).key(), 0x80a6466d2dee3);
+        let col = ChannelMeta::from_sorted_ranks(&[0, 4, 8, 12]);
+        let bcast = KernelSig::collective(CommOp::Bcast, 100, &col, SizeGranularity::Exact);
+        assert_eq!(bcast.key(), 0xcb6be9ecc4501);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use critter_core::{ComputeOp, CritterConfig, CritterEnv, ExecutionPolicy, KernelStore};
 use critter_machine::MachineModel;
+use critter_obs::{Event, EventKind};
 use critter_sim::{run_simulation, RankCtx, ReduceOp, SimConfig};
 
 fn run_env<R: Send>(
@@ -408,7 +409,7 @@ fn trace_records_all_interceptions() {
     let out = run_env(
         2,
         MachineModel::test_exact(2),
-        CritterConfig::new(ExecutionPolicy::ConditionalExecution, 0.5).with_trace(),
+        CritterConfig::new(ExecutionPolicy::ConditionalExecution, 0.5).with_obs(),
         |env| {
             let world = env.world();
             for _ in 0..6 {
@@ -418,17 +419,42 @@ fn trace_records_all_interceptions() {
         },
     );
     for (_, rep, _) in &out {
-        assert_eq!(rep.trace.len() as u64, rep.kernels_executed + rep.kernels_skipped);
-        assert!(rep.trace.skip_fraction() > 0.0, "noise-free loop must skip");
-        // Events are chronological and skipped events are instantaneous.
-        let evs = rep.trace.events();
+        assert!(rep.kernels_skipped > 0, "noise-free loop must skip");
+        let trace = rep.obs.as_ref().expect("obs recorded");
+        let evs: Vec<&Event> = trace
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::KernelExec
+                        | EventKind::KernelSkip
+                        | EventKind::CommExec
+                        | EventKind::CommSkip
+                )
+            })
+            .collect();
+        // One event per interception, in chronological order.
+        assert_eq!(evs.len() as u64, rep.kernels_executed + rep.kernels_skipped);
         for w in evs.windows(2) {
             assert!(w[1].start >= w[0].start);
         }
-        assert!(evs.iter().filter(|e| !e.executed).all(|e| e.duration == 0.0));
-        // Aggregation covers both kernel families.
-        let agg = rep.trace.by_kernel();
-        assert_eq!(agg.len(), 2);
+        // Skipped kernels are instantaneous.
+        let skips: Vec<&&Event> = evs
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::KernelSkip | EventKind::CommSkip))
+            .collect();
+        assert_eq!(skips.len() as u64, rep.kernels_skipped);
+        assert!(skips.iter().all(|e| e.dur == 0.0));
+        // Each event's `arg` is the time it charged to the prediction.
+        let charged: f64 = evs.iter().map(|e| e.arg).sum();
+        let predicted = rep.local_comp_predicted + rep.local_comm_predicted;
+        assert!((charged - predicted).abs() <= 1e-12 * predicted, "{charged} vs {predicted}");
+        // Both kernel families are covered.
+        let mut labels: Vec<&str> = evs.iter().map(|e| &*e.label).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), 2);
     }
 }
 
@@ -437,7 +463,7 @@ fn trace_disabled_is_empty() {
     let out = run_env(1, MachineModel::test_exact(1), CritterConfig::full(), |env| {
         env.kernel(ComputeOp::Gemm, 16, 16, 16, 1e5, || {});
     });
-    assert!(out[0].1.trace.is_empty());
+    assert!(out[0].1.obs.is_none());
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Level-3 BLAS: `gemm`, `syrk`, `trsm`, `trmm`.
+//! Level-3 BLAS: `gemm`, `syrk`, `trsm`.
 //!
 //! `gemm`, `syrk` and `trsm` are blocked algorithms over the one GEMM core in
 //! the `kernel` module. What a kernel *costs in simulated time* still comes
@@ -6,8 +6,7 @@
 //! code runs; but how fast it runs on the host is what a numerics-bound sweep
 //! waits for — the benchmark's `sweep-kernels` workload spends nearly all of
 //! its wall time here — so the flops go through a tuned microkernel.
-//! DESIGN.md §2.1 describes the core. `trmm` has no caller outside this
-//! crate's tests and stays the reference loop.
+//! DESIGN.md §2.1 describes the core.
 
 use crate::kernel::{self, View, ViewMut};
 use crate::matrix::Matrix;
@@ -150,71 +149,6 @@ fn solve_block(t: View, lower: bool, unit: bool, x: &mut ViewMut) {
     }
 }
 
-/// Element `(i, k)` of `op(A)`, for [`trmm`].
-#[inline]
-fn op(a: &Matrix, ta: Trans, i: usize, k: usize) -> f64 {
-    match ta {
-        Trans::No => a[(i, k)],
-        Trans::Yes => a[(k, i)],
-    }
-}
-
-/// Triangular matrix multiply: `B ← α·op(A)·B` (Left) or `B ← α·B·op(A)`
-/// (Right), with triangular `A`.
-pub fn trmm(side: Side, uplo: Uplo, ta: Trans, unit: bool, alpha: f64, a: &Matrix, b: &mut Matrix) {
-    assert_eq!(a.rows(), a.cols(), "triangular matrix must be square");
-    let n = a.rows();
-    let lower = matches!((uplo, ta), (Uplo::Lower, Trans::No) | (Uplo::Upper, Trans::Yes));
-    let diag = |a: &Matrix, i: usize| if unit { 1.0 } else { a[(i, i)] };
-    match side {
-        Side::Left => {
-            assert_eq!(b.rows(), n, "trmm left dimension");
-            for j in 0..b.cols() {
-                if lower {
-                    // Work bottom-up so untouched entries are still inputs.
-                    for i in (0..n).rev() {
-                        let mut s = diag(a, i) * b[(i, j)];
-                        for k in 0..i {
-                            s += op(a, ta, i, k) * b[(k, j)];
-                        }
-                        b[(i, j)] = alpha * s;
-                    }
-                } else {
-                    for i in 0..n {
-                        let mut s = diag(a, i) * b[(i, j)];
-                        for k in (i + 1)..n {
-                            s += op(a, ta, i, k) * b[(k, j)];
-                        }
-                        b[(i, j)] = alpha * s;
-                    }
-                }
-            }
-        }
-        Side::Right => {
-            assert_eq!(b.cols(), n, "trmm right dimension");
-            for i in 0..b.rows() {
-                if lower {
-                    for j in 0..n {
-                        let mut s = b[(i, j)] * diag(a, j);
-                        for k in (j + 1)..n {
-                            s += b[(i, k)] * op(a, ta, k, j);
-                        }
-                        b[(i, j)] = alpha * s;
-                    }
-                } else {
-                    for j in (0..n).rev() {
-                        let mut s = b[(i, j)] * diag(a, j);
-                        for k in 0..j {
-                            s += b[(i, k)] * op(a, ta, k, j);
-                        }
-                        b[(i, j)] = alpha * s;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,30 +261,6 @@ mod tests {
         let mut x = b.clone();
         trsm(Side::Left, Uplo::Lower, Trans::No, true, 1.0, &l, &mut x);
         assert!(x.max_abs_diff(&x_true) < 1e-10);
-    }
-
-    #[test]
-    fn trmm_left_and_right_match_gemm() {
-        let l = lower_random(4, 19);
-        let b0 = Matrix::random(4, 3, 20);
-        let mut b = b0.clone();
-        trmm(Side::Left, Uplo::Lower, Trans::No, false, 1.0, &l, &mut b);
-        assert!(b.max_abs_diff(&l.matmul_ref(&b0)) < 1e-12);
-
-        let c0 = Matrix::random(3, 4, 21);
-        let mut c = c0.clone();
-        trmm(Side::Right, Uplo::Lower, Trans::Yes, false, 1.0, &l, &mut c);
-        assert!(c.max_abs_diff(&c0.matmul_ref(&l.transposed())) < 1e-12);
-    }
-
-    #[test]
-    fn trmm_upper() {
-        let mut u = Matrix::random(4, 4, 22);
-        u.triu_in_place();
-        let b0 = Matrix::random(4, 2, 23);
-        let mut b = b0.clone();
-        trmm(Side::Left, Uplo::Upper, Trans::No, false, 1.0, &u, &mut b);
-        assert!(b.max_abs_diff(&u.matmul_ref(&b0)) < 1e-12);
     }
 
     #[test]

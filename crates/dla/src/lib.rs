@@ -3,7 +3,7 @@
 //! Sequential dense linear algebra: the BLAS/LAPACK substitute underneath the
 //! distributed factorizations (`critter-algs`). Every kernel the paper's four
 //! workloads invoke is implemented here on real `f64` data — `gemm`, `syrk`,
-//! `trsm`, `trmm`, `potrf`, `trtri`, `geqrf`, `ormqr`, `larft`, `tpqrt`,
+//! `trsm`, `potrf`, `trtri`, `geqrf`, `ormqr`, `larft`, `tpqrt`,
 //! `tpmqrt` — so the distributed algorithms are *correct programs* whose
 //! results are verified by tests, not mocked schedules.
 //!
@@ -17,8 +17,8 @@
 //! `gemm`, `syrk`, `trsm`, `potrf` and `trtri` are therefore blocked
 //! algorithms over one register-blocked GEMM core (the private `kernel`
 //! module; DESIGN.md §2.1), whose `avx2` and baseline instantiations return
-//! bit-identical results. The Householder kernels, `trmm` and `getrf` are
-//! plain loops.
+//! bit-identical results. The Householder kernels are plain loops. There is
+//! no `trmm`: products charged as `ComputeOp::Trmm` compute through `gemm`.
 //!
 //! Matrices are column-major, matching the BLAS convention.
 
@@ -28,16 +28,14 @@ pub mod blas3;
 pub mod chol;
 pub mod flops;
 mod kernel;
-pub mod lu;
 pub mod matrix;
 #[cfg(test)]
 mod oracle;
 pub mod qr;
 pub mod tp;
 
-pub use blas3::{gemm, syrk, trmm, trsm, Side, Trans, Uplo};
+pub use blas3::{gemm, syrk, trsm, Side, Trans, Uplo};
 pub use chol::{potrf, trtri};
-pub use lu::{getrf, getrs};
 pub use matrix::Matrix;
 pub use qr::{geqrf, larft, ormqr};
 pub use tp::{tpmqrt, tpqrt};

@@ -92,11 +92,6 @@ impl Matrix {
         &self.data[j * self.rows..(j + 1) * self.rows]
     }
 
-    /// One column as a mutable slice.
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        &mut self.data[j * self.rows..(j + 1) * self.rows]
-    }
-
     /// Copy of the `r × c` submatrix starting at `(i0, j0)`.
     pub fn sub(&self, i0: usize, j0: usize, r: usize, c: usize) -> Matrix {
         View::of(self, Trans::No).sub(i0, j0, r, c).to_matrix()

@@ -1,9 +1,7 @@
 //! Property-based tests of the dense linear algebra kernels: algebraic
 //! identities that must hold for random inputs.
 
-use critter_dla::{
-    gemm, geqrf, ormqr, potrf, syrk, tpqrt, trmm, trsm, trtri, Matrix, Side, Trans, Uplo,
-};
+use critter_dla::{gemm, geqrf, ormqr, potrf, syrk, tpqrt, trsm, trtri, Matrix, Side, Trans, Uplo};
 use proptest::prelude::*;
 
 fn well_conditioned_lower(n: usize, seed: u64) -> Matrix {
@@ -45,22 +43,23 @@ proptest! {
     }
 
     #[test]
-    fn trsm_inverts_trmm(n in 1usize..10, cols in 1usize..6, seed in 0u64..500) {
-        // trmm then trsm with the same triangle is the identity.
+    fn trsm_left_inverts_a_lower_product(n in 1usize..10, cols in 1usize..6, seed in 0u64..500) {
+        // B = L·X by gemm on an explicitly lower-triangular L; trsm recovers X.
         let l = well_conditioned_lower(n, seed);
         let x0 = Matrix::random(n, cols, seed + 13);
-        let mut x = x0.clone();
-        trmm(Side::Left, Uplo::Lower, Trans::No, false, 1.0, &l, &mut x);
+        let mut x = Matrix::zeros(n, cols);
+        gemm(Trans::No, Trans::No, 1.0, &l, &x0, 0.0, &mut x);
         trsm(Side::Left, Uplo::Lower, Trans::No, false, 1.0, &l, &mut x);
         prop_assert!(x.max_abs_diff(&x0) < 1e-8);
     }
 
     #[test]
-    fn trsm_right_inverts_trmm_right(n in 1usize..10, rows in 1usize..6, seed in 0u64..500) {
+    fn trsm_right_inverts_a_lower_product(n in 1usize..10, rows in 1usize..6, seed in 0u64..500) {
+        // B = X·Lᵀ by gemm; trsm recovers X.
         let l = well_conditioned_lower(n, seed);
         let x0 = Matrix::random(rows, n, seed + 17);
-        let mut x = x0.clone();
-        trmm(Side::Right, Uplo::Lower, Trans::Yes, false, 1.0, &l, &mut x);
+        let mut x = Matrix::zeros(rows, n);
+        gemm(Trans::No, Trans::Yes, 1.0, &x0, &l, 0.0, &mut x);
         trsm(Side::Right, Uplo::Lower, Trans::Yes, false, 1.0, &l, &mut x);
         prop_assert!(x.max_abs_diff(&x0) < 1e-8);
     }

@@ -17,16 +17,14 @@
 
 #![deny(missing_docs)]
 
-pub mod calibrate;
-pub mod comm_cost;
-pub mod compute_cost;
-pub mod model;
-pub mod noise;
-pub mod params;
+mod comm_cost;
+mod compute_cost;
+mod model;
+mod noise;
+mod params;
 pub mod rng;
-pub mod topology;
+mod topology;
 
-pub use calibrate::{fit_compute, fit_ptp, params_from_fits, ComputeFit, PtpFit};
 pub use comm_cost::{CommCostModel, CommOp};
 pub use compute_cost::{ComputeCostModel, KernelClass};
 pub use model::MachineModel;

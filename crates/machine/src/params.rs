@@ -58,12 +58,6 @@ impl MachineParams {
             per_call_overhead: 1.0e-7,
         }
     }
-
-    /// Time to move `words` 8-byte words point-to-point: `α + β·words`.
-    #[inline]
-    pub fn ptp_time(&self, words: usize) -> f64 {
-        self.alpha + self.beta * words as f64
-    }
 }
 
 impl Default for MachineParams {
@@ -83,15 +77,6 @@ mod tests {
         // 12.5 GB/s / 64 ranks ≈ 195 MB/s/rank → beta ≈ 41 ns/word.
         assert!((p.beta - 4.096e-8).abs() / p.beta < 0.01);
         assert!((p.peak_flops - 46.875e9).abs() / p.peak_flops < 0.01);
-    }
-
-    #[test]
-    fn ptp_time_is_affine() {
-        let p = MachineParams::test_machine();
-        let t0 = p.ptp_time(0);
-        let t1 = p.ptp_time(1000);
-        assert_eq!(t0, p.alpha);
-        assert!((t1 - t0 - 1000.0 * p.beta).abs() < 1e-18);
     }
 
     #[test]

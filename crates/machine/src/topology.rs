@@ -51,14 +51,6 @@ impl Topology {
     pub fn allocation(&self) -> u64 {
         self.allocation
     }
-
-    /// All ranks co-located with `rank` on its node (including itself).
-    pub fn node_peers(&self, rank: usize) -> std::ops::Range<usize> {
-        let node = self.node_of(rank);
-        let lo = node * self.ranks_per_node;
-        let hi = ((node + 1) * self.ranks_per_node).min(self.ranks);
-        lo..hi
-    }
 }
 
 #[cfg(test)]
@@ -79,15 +71,7 @@ mod tests {
     fn partial_last_node() {
         let t = Topology::new(10, 4, 1);
         assert_eq!(t.nodes(), 3);
-        assert_eq!(t.node_peers(9), 8..10);
-    }
-
-    #[test]
-    fn peers_cover_node() {
-        let t = Topology::new(12, 3, 2);
-        assert_eq!(t.node_peers(4), 3..6);
-        for r in t.node_peers(4) {
-            assert_eq!(t.node_of(r), 1);
-        }
+        assert_eq!(t.node_of(8), 2);
+        assert_eq!(t.node_of(9), 2);
     }
 }

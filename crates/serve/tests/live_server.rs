@@ -33,12 +33,10 @@ fn full_queue_rejects_with_429_and_delete_cancels_at_a_unit_boundary() {
     // further submission must bounce with a typed 429 and leave no job
     // directory behind.
     let (s1, doc1) = client::request_json(addr, "POST", "/v1/jobs", Some(LONG_JOB)).unwrap();
-    let (s2, _doc2) = client::request_json(addr, "POST", "/v1/jobs", Some(LONG_JOB)).unwrap();
-    assert_eq!((s1, s2), (202, 202));
+    assert_eq!(s1, 202);
     let id1 = doc1.get("id").unwrap().as_str().unwrap().to_string();
-    // Wait until the worker has dequeued job 1; job 2 then holds the
-    // single queue slot for the rest of job 1's (long) sweep, so further
-    // submissions must bounce with a typed 429 and leave no trace.
+    // Wait until the worker has dequeued job 1 before submitting job 2:
+    // until then job 1 holds the single queue slot and job 2 could bounce.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let (_, doc) = client::request_json(addr, "GET", &format!("/v1/jobs/{id1}"), None).unwrap();
@@ -48,6 +46,9 @@ fn full_queue_rejects_with_429_and_delete_cancels_at_a_unit_boundary() {
         assert!(Instant::now() < deadline, "job 1 never started running");
         std::thread::sleep(Duration::from_millis(5));
     }
+    // Job 2 now holds the queue slot for the rest of job 1's (long) sweep.
+    let (s2, _) = client::request_json(addr, "POST", "/v1/jobs", Some(LONG_JOB)).unwrap();
+    assert_eq!(s2, 202);
     let (s3, doc3) = client::request_json(addr, "POST", "/v1/jobs", Some(LONG_JOB)).unwrap();
     assert_eq!(s3, 429, "beyond capacity the daemon applies backpressure");
     assert_eq!(doc3.get("error").unwrap().get("code").unwrap().as_str(), Some("backpressure"));

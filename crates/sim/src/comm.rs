@@ -112,15 +112,6 @@ impl ChannelMeta {
             format!("ch[p={},s={},o={}]", self.size, self.stride(), self.offset)
         }
     }
-
-    /// Whether `self` and `other` together tile a cartesian grid dimension-wise
-    /// (disjoint stride sets — the condition for combining aggregates).
-    pub fn disjoint_dims(&self, other: &ChannelMeta) -> bool {
-        if self.irregular || other.irregular {
-            return false;
-        }
-        !self.dims.iter().any(|(s, _)| other.dims.iter().any(|(t, _)| s == t))
-    }
 }
 
 /// A rank's handle on a communicator.
@@ -258,15 +249,6 @@ mod tests {
         assert_eq!(a.shape_hash(), b.shape_hash());
         let c = ChannelMeta::from_sorted_ranks(&[0, 1, 2, 3]);
         assert_ne!(a.shape_hash(), c.shape_hash());
-    }
-
-    #[test]
-    fn disjoint_dims_for_grid_fibers() {
-        // Row (stride 1) and column (stride 4) of a 4x4 grid combine.
-        let row = ChannelMeta::from_sorted_ranks(&[0, 1, 2, 3]);
-        let col = ChannelMeta::from_sorted_ranks(&[0, 4, 8, 12]);
-        assert!(row.disjoint_dims(&col));
-        assert!(!row.disjoint_dims(&row));
     }
 
     #[test]

@@ -228,11 +228,6 @@ impl SimCore {
         }
     }
 
-    /// Number of shards the matching state is split over (diagnostics).
-    pub fn shards(&self) -> usize {
-        self.p2p.len()
-    }
-
     fn p2p_shard(&self, channel_hash: u64) -> &P2pShard {
         &self.p2p[(channel_hash % self.p2p.len() as u64) as usize]
     }

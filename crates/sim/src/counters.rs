@@ -31,11 +31,6 @@ pub struct RankCounters {
 }
 
 impl RankCounters {
-    /// Busy time: compute + communication (excludes idle).
-    pub fn busy_time(&self) -> f64 {
-        self.compute_time + self.comm_time
-    }
-
     /// Fold another rank's counters in (for job-level summaries). Event
     /// counts saturate at `u64::MAX` rather than wrapping: a merged summary
     /// over many long runs must never silently wrap back to a small value
@@ -102,7 +97,6 @@ mod tests {
         };
         c.reset();
         assert_eq!(c, RankCounters::default());
-        assert_eq!(c.busy_time(), 0.0);
     }
 
     #[test]
@@ -110,17 +104,5 @@ mod tests {
         let c = RankCounters::default();
         assert_eq!(c.sends, 0);
         assert_eq!(c.flops, 0.0);
-        assert_eq!(c.busy_time(), 0.0);
-    }
-
-    #[test]
-    fn busy_excludes_idle() {
-        let c = RankCounters {
-            compute_time: 2.0,
-            comm_time: 1.0,
-            idle_time: 5.0,
-            ..Default::default()
-        };
-        assert_eq!(c.busy_time(), 3.0);
     }
 }

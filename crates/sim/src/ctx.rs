@@ -222,20 +222,6 @@ impl RankCtx {
         t
     }
 
-    /// Sample what a compute kernel *would* cost without executing it, still
-    /// consuming an invocation index (so that skipped kernels do not shift the
-    /// jitter stream of later ones). Used by Critter's selective execution.
-    pub fn peek_compute(&mut self, class: KernelClass, flops: f64) -> f64 {
-        let t = self.core.machine.compute_time_with(
-            &self.compute_noise,
-            class,
-            flops,
-            self.compute_invocations,
-        );
-        self.compute_invocations += 1;
-        t
-    }
-
     fn key(&self, comm: &Communicator, src: usize, dst: usize, tag: u64) -> P2pKey {
         P2pKey { comm: comm.id(), src: comm.world_rank_of(src), dst: comm.world_rank_of(dst), tag }
     }
@@ -354,11 +340,6 @@ impl RankCtx {
                 Some(out.data)
             }
         }
-    }
-
-    /// Complete a set of requests in order, collecting any received payloads.
-    pub fn waitall(&mut self, reqs: Vec<Request>) -> Vec<Vec<f64>> {
-        reqs.into_iter().filter_map(|r| self.wait(r)).collect()
     }
 
     fn run_collective(

@@ -7,7 +7,7 @@
 //! ## Execution model
 //!
 //! Each simulated rank runs the user's program on a pooled OS thread, scheduled
-//! in one of two [`backend`] modes — thread-per-rank (`threads`, the default) or
+//! in one of two [`BackendKind`] modes — thread-per-rank (`threads`, the default) or
 //! cooperatively scheduled over a small worker-permit budget (`tasks`, which
 //! lets 10k+ ranks fit in one process) — and carries a **virtual clock**.
 //! Computation advances only the local clock
@@ -45,15 +45,15 @@
 
 #![deny(missing_docs)]
 
-pub mod backend;
+mod backend;
 pub mod comm;
-pub mod core;
-pub mod counters;
-pub mod ctx;
-pub mod error;
+mod core;
+mod counters;
+mod ctx;
+mod error;
 mod pool;
-pub mod request;
-pub mod runner;
+mod request;
+mod runner;
 
 pub use backend::BackendKind;
 pub use comm::{ChannelMeta, Communicator};

@@ -36,9 +36,4 @@ impl Request {
     pub fn done() -> Self {
         Request(RequestInner::Done)
     }
-
-    /// True if this request is a receive (its `wait` yields data).
-    pub fn is_recv(&self) -> bool {
-        matches!(self.0, RequestInner::Recv { .. })
-    }
 }

@@ -159,17 +159,6 @@ impl ConfidenceInterval {
     }
 }
 
-/// The paper's §III-A variance estimator for the combined time `T` of `k`
-/// same-signature kernels on one path: `Var[T] ≈ k^{-3/2} · Σ (w̄ - wᵢ)²`,
-/// computed from single-pass statistics (`Σ(w̄-wᵢ)² = (n-1)·s²`).
-pub fn path_variance(stats: &OnlineStats, path_count: u64) -> f64 {
-    if stats.count() < 2 || path_count == 0 {
-        return 0.0;
-    }
-    let ss = stats.variance() * (stats.count() - 1) as f64;
-    ss / (path_count as f64).powf(1.5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,16 +229,6 @@ mod tests {
         let level = ConfidenceLevel::default();
         let ci = ConfidenceInterval::from_stats(&stats_of(&[-1.0, -1.0, -1.0]), &level);
         assert!(ci.relative().is_infinite());
-    }
-
-    #[test]
-    fn paper_variance_estimator() {
-        let xs = [2.0, 4.0, 6.0];
-        let s = stats_of(&xs);
-        // Σ(w̄-wᵢ)² = 8; k = 4 → 8 / 4^{1.5} = 1.0.
-        assert!((path_variance(&s, 4) - 1.0).abs() < 1e-12);
-        assert_eq!(path_variance(&s, 0), 0.0);
-        assert_eq!(path_variance(&stats_of(&[1.0]), 5), 0.0);
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! (§III-A): single-pass (Welford) mean/variance accumulation for kernel
 //! execution times, normal and Student-t quantiles implemented from scratch
 //! (no external special-function crates), confidence intervals — including the
-//! paper's **path-scaled** variance, where knowing that a kernel appears `k`
-//! times along the current sub-critical path shrinks the interval on the
-//! *total* contributed time by `√k` — and summary helpers used by the
-//! evaluation harness.
+//! paper's **path-scaled** criterion ([`ConfidenceInterval::relative_scaled`]),
+//! where knowing that a kernel appears `k` times along the current
+//! sub-critical path shrinks the relative interval on the *total* contributed
+//! time by `√k` — and summary helpers used by the evaluation harness.
 
 #![deny(missing_docs)]
 
-pub mod confidence;
-pub mod special;
+mod confidence;
+mod special;
 pub mod summary;
-pub mod welford;
+mod welford;
 
 pub use confidence::{ConfidenceInterval, ConfidenceLevel};
 pub use welford::OnlineStats;

@@ -1,5 +1,5 @@
-//! Summary helpers for the evaluation harness: relative errors, percentiles,
-//! and geometric means used when reporting the paper's metrics (§VI-A:
+//! Summary helpers for the evaluation harness: relative errors, means and
+//! percentiles used when reporting the paper's metrics (§VI-A:
 //! per-configuration relative prediction error, mean relative error,
 //! autotuning speedup).
 
@@ -23,21 +23,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Geometric mean; `0.0` for an empty slice. Panics on negative input.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x >= 0.0, "geometric mean of a negative value");
-            x.max(f64::MIN_POSITIVE).ln()
-        })
-        .sum();
-    (s / xs.len() as f64).exp()
 }
 
 /// Linear-interpolation percentile `q ∈ [0, 1]` of an unsorted slice.
@@ -75,11 +60,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_geomean() {
+    fn mean_basics() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]

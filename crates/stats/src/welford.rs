@@ -134,15 +134,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (`n` denominator).
-    pub fn variance_population(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).max(0.0)
-        }
-    }
-
     /// Sample standard deviation.
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
@@ -303,7 +294,6 @@ mod tests {
         fn prop_variance_nonnegative(xs in proptest::collection::vec(-1e6f64..1e6, 0..100)) {
             let s = OnlineStats::from_slice(&xs);
             prop_assert!(s.variance() >= 0.0);
-            prop_assert!(s.variance_population() >= 0.0);
         }
     }
 }

@@ -2,7 +2,7 @@
 //! (§VI-A: "our framework can be applied to accelerate any configuration-space
 //! search strategy"): exhaustive search, seeded random subsampling, and
 //! successive halving that tightens the confidence tolerance round by round.
-//! Finishes with a traced profile of the chosen configuration.
+//! Finishes with the critical-path kernel profile of the chosen configuration.
 //!
 //! Run: `cargo run --example search_strategies --release`
 
@@ -41,20 +41,25 @@ fn main() {
         }
     }
 
-    // Trace the winning configuration: the per-kernel profile of one run.
-    println!("\ntraced kernel profile of {} (rank 0):\n", workloads[winner].name());
+    // Profile the winning configuration: the critical-path kernel profile
+    // every rank agrees on after the final propagation.
+    println!("\ncritical-path kernel profile of {} (rank 0):\n", workloads[winner].name());
     let w = &workloads[winner];
     let machine = MachineModel::stampede2(w.ranks(), 5, 0).shared();
     let report = run_simulation(SimConfig::new(w.ranks()), machine, |ctx| {
-        let cfg = CritterConfig::new(ExecutionPolicy::OnlinePropagation, 0.125).with_trace();
+        let cfg = CritterConfig::new(ExecutionPolicy::OnlinePropagation, 0.125);
         let mut env = CritterEnv::new(ctx, cfg, KernelStore::new());
         w.run(&mut env, false);
         env.finish().0
     });
-    print!("{}", report.outputs[0].trace.render(8));
+    let r = &report.outputs[0];
+    println!("{:<30} {:>7} {:>13}", "kernel", "count", "path time(s)");
+    for (label, count, time) in r.top_kernels.iter().take(8) {
+        println!("{label:<30} {count:>7} {time:>13.6}");
+    }
     println!(
-        "\n{} events recorded, {:.0}% skipped",
-        report.outputs[0].trace.len(),
-        100.0 * report.outputs[0].trace.skip_fraction()
+        "\n{} kernels intercepted, {:.0}% skipped",
+        r.kernels_executed + r.kernels_skipped,
+        100.0 * r.skip_fraction()
     );
 }

@@ -215,20 +215,24 @@ fn successive_halving_is_cheaper_than_exhaustive() {
     assert!(rnd.best < ws.len());
 }
 
-/// Traced full runs account for every interception and expose the per-kernel
-/// critical-path profile through the report.
+/// Observed full runs record one event per interception and expose the
+/// per-kernel critical-path profile through the report.
 #[test]
 fn trace_and_path_profile_cover_a_full_run() {
     use critter::algs::slate_chol::SlateCholesky;
     let w = SlateCholesky { n: 64, tile: 16, lookahead: 0, pr: 2, pc: 2 };
     let machine = MachineModel::test_exact(w.ranks()).shared();
     let rep = run_simulation(SimConfig::new(w.ranks()), machine, |ctx| {
-        let mut env = CritterEnv::new(ctx, CritterConfig::full().with_trace(), KernelStore::new());
+        let mut env = CritterEnv::new(ctx, CritterConfig::full().with_obs(), KernelStore::new());
         w.run(&mut env, false);
         env.finish().0
     });
     for r in &rep.outputs {
-        assert_eq!(r.trace.len() as u64, r.kernels_executed);
+        let events = &r.obs.as_ref().expect("obs recorded").events;
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
+        let executed = kinds.iter().filter(|k| ["kernel_exec", "comm_exec"].contains(k)).count();
+        assert_eq!(executed as u64, r.kernels_executed);
+        assert!(!kinds.iter().any(|k| k.ends_with("_skip")), "a full run skips nothing");
         assert!(!r.top_kernels.is_empty(), "path profile must be populated");
         let path_total: f64 = r.top_kernels.iter().map(|(_, _, t)| t).sum();
         assert!(path_total > 0.0);
