@@ -16,8 +16,8 @@
 //!   random wall-clock yields/delays in the rank threads must leave every
 //!   report bit-identical, plus metamorphic symmetries (rank relabeling,
 //!   grid-dimension permutation) under a noise-free machine;
-//! * **golden reports** (`tests/golden_reports.rs`) — small Cholesky/QR
-//!   tunes serialized against committed JSON fixtures, regenerated with
+//! * **golden reports** (`tests/golden_reports.rs`) — one small tune per
+//!   workload space serialized against committed JSON fixtures, regenerated with
 //!   `CRITTER_BLESS=1` or `cargo run -p critter-testkit --bin bless`.
 //!
 //! This library crate holds the shared machinery: kernel-sample collection
@@ -126,9 +126,11 @@ pub fn golden_trace() -> String {
     report.obs.expect("observed sweep").timeline.to_chrome_string()
 }
 
-/// The committed golden tunes: one small Cholesky sweep and one small QR
-/// sweep, on different policies so both the local and online propagation
-/// paths are pinned.
+/// The committed golden tunes: one small sweep per workload space, on
+/// different policies so the local, online, eager, conditional and a-priori
+/// paths are all pinned. The SLATE sweeps cover point-to-point
+/// interception; Capital, CANDMC and SUMMA cover `bcast` / `allgather` /
+/// `gather` / `scatter` and the `isend` + `recv` pipeline.
 pub fn golden_tunes() -> Vec<GoldenTune> {
     vec![
         GoldenTune {
@@ -141,6 +143,24 @@ pub fn golden_tunes() -> Vec<GoldenTune> {
             name: "qr-online-eps25",
             space: TuningSpace::SlateQr,
             policy: ExecutionPolicy::OnlinePropagation,
+            epsilon: 0.25,
+        },
+        GoldenTune {
+            name: "capital-eager-eps25",
+            space: TuningSpace::CapitalCholesky,
+            policy: ExecutionPolicy::EagerPropagation,
+            epsilon: 0.25,
+        },
+        GoldenTune {
+            name: "candmc-qr-conditional-eps25",
+            space: TuningSpace::CandmcQr,
+            policy: ExecutionPolicy::ConditionalExecution,
+            epsilon: 0.25,
+        },
+        GoldenTune {
+            name: "summa25d-apriori-eps25",
+            space: TuningSpace::Summa25D,
+            policy: ExecutionPolicy::APrioriPropagation,
             epsilon: 0.25,
         },
     ]

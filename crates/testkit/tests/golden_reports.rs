@@ -1,6 +1,6 @@
-//! Golden-report regression tests: the canonical JSON of two small, fully
-//! pinned tuning sweeps (Cholesky under local propagation, QR under online
-//! propagation) is compared byte-for-byte against committed fixtures.
+//! Golden-report regression tests: the canonical JSON of one small, fully
+//! pinned tuning sweep per workload space (each under a different policy,
+//! see `golden_tunes`) is compared byte-for-byte against committed fixtures.
 //!
 //! Because every float in the report is a deterministic function of the
 //! codebase (counter-based noise, sorted JSON keys, shortest-round-trip
