@@ -48,7 +48,7 @@ impl TuningReport {
     /// Mean relative prediction error across configurations
     /// (Figs. 4e/4f/5e/5f).
     pub fn mean_error(&self) -> f64 {
-        mean(&self.per_config_error())
+        self.mean_over_completed(&self.per_config_error())
     }
 
     /// Per-configuration relative error of the *critical-path computation
@@ -69,7 +69,18 @@ impl TuningReport {
 
     /// Mean critical-path computation-time prediction error.
     pub fn mean_comp_error(&self) -> f64 {
-        mean(&self.per_config_comp_error())
+        self.mean_over_completed(&self.per_config_comp_error())
+    }
+
+    /// Mean of a per-configuration metric over the configurations with at
+    /// least one completed repetition. A quarantined configuration with none
+    /// reads 0.0 and would otherwise dilute the mean.
+    fn mean_over_completed(&self, per_config: &[f64]) -> f64 {
+        let completed: Vec<f64> = (per_config.iter().zip(&self.configs))
+            .filter(|(_, c)| !c.pairs.is_empty())
+            .map(|(&x, _)| x)
+            .collect();
+        mean(&completed)
     }
 
     /// Total max-over-ranks *executed* kernel time of the selective sweep —
@@ -229,6 +240,25 @@ mod tests {
         assert_eq!(r.optimal(), 1);
         assert_eq!(r.selected(), 1);
         assert_eq!(r.selection_quality(), 1.0);
+    }
+
+    #[test]
+    fn quarantined_configs_do_not_dilute_mean_errors() {
+        // With one repetition a quarantined configuration has no pairs, so
+        // its per-config errors read 0.0; the means cover the live one only.
+        let path = |comp_time| critter_core::PathMetrics { comp_time, ..Default::default() };
+        let live = ConfigResult {
+            name: "live".into(),
+            pairs: vec![(
+                RunRecord { path: path(5.0), ..record(10.0, 0.0) },
+                RunRecord { path: path(4.0), ..record(4.0, 11.0) },
+            )],
+            ..Default::default()
+        };
+        let dead = ConfigResult { name: "dead".into(), quarantined: true, ..Default::default() };
+        let r = TuningReport { configs: vec![live, dead], ..report() };
+        assert!((r.mean_error() - 0.1).abs() < 1e-12, "mean error {}", r.mean_error());
+        assert!((r.mean_comp_error() - 0.2).abs() < 1e-12, "comp error {}", r.mean_comp_error());
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!    vote, its measured time (or its modeled mean, when skipped) is folded
 //!    into the pathset `P`, and the kernel's statistics are updated.
 //!
+//! Every communication shares one private step for the path bookkeeping of
+//! 2–3 (`propagated`) and one for step 4 (`selectively`).
+//!
 //! Skipping is allowed to corrupt application numerics — exactly as in the
 //! paper, where input matrices are reset between runs because selective
 //! execution leaves wrong values behind. Correctness tests therefore run
@@ -42,15 +45,13 @@ const TAG_S2R: u64 = 1 << 40;
 /// Tag-space offset of internal receiver→sender replies.
 const TAG_R2S: u64 = 1 << 41;
 
-/// Outstanding nonblocking operation through the interception layer.
+/// Outstanding nonblocking send through the interception layer: the
+/// internal message, plus the user message when the send executes.
 #[must_use = "critter requests must be completed with wait()"]
 pub struct CritterRequest {
-    inner: ReqInner,
-}
-
-enum ReqInner {
-    Send { sig: KernelSig, internal: Request, user: Option<Request> },
-    Recv { sig: KernelSig, internal: Request, user: Request, words: usize },
+    sig: KernelSig,
+    internal: Request,
+    user: Option<Request>,
 }
 
 /// The per-rank Critter profiling environment.
@@ -122,11 +123,6 @@ impl<'a> CritterEnv<'a> {
     /// data generation, result verification).
     pub fn ctx(&mut self) -> &mut RankCtx {
         self.ctx
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CritterConfig {
-        &self.cfg
     }
 
     /// Read access to the kernel store (tests, diagnostics).
@@ -246,12 +242,13 @@ impl<'a> CritterEnv<'a> {
         }
     }
 
-    /// Point-to-point cost override for an internal payload.
-    fn internal_p2p_cost(&self, len: usize) -> Option<usize> {
+    /// Point-to-point wire size charged for an internal payload (zero words,
+    /// latency only, when overhead charging is off).
+    fn internal_p2p_words(&self, len: usize) -> usize {
         if self.cfg.charge_internal {
-            Some(len.min(INTERNAL_WORDS_CAP))
+            len.min(INTERNAL_WORDS_CAP)
         } else {
-            Some(0)
+            0
         }
     }
 
@@ -259,7 +256,7 @@ impl<'a> CritterEnv<'a> {
     /// folded into the predicted path time (the noise-free model cost of the
     /// charged wire size — both endpoints compute the same value).
     fn internal_p2p_time(&self, len: usize) -> f64 {
-        let words = self.internal_p2p_cost(len).unwrap_or(len);
+        let words = self.internal_p2p_words(len);
         self.ctx.machine().comm_time_exact(CommOp::PointToPoint, words, 2)
     }
 
@@ -362,6 +359,36 @@ impl<'a> CritterEnv<'a> {
         }
     }
 
+    /// Encode an internal message, counting its words toward the report.
+    fn encode_internal(&mut self, msg: &InternalMsg) -> Vec<f64> {
+        let payload = msg.encode();
+        self.report.internal_words += payload.len() as u64;
+        payload
+    }
+
+    /// Piggyback reduction of `msg` over `comm` with the longest-path
+    /// combine; returns the merged message and the reduction's cost.
+    fn reduce_internal(&mut self, comm: &Communicator, msg: &InternalMsg) -> (InternalMsg, f64) {
+        let payload = self.encode_internal(msg);
+        let charge = self.internal_charge(payload.len());
+        let (merged, cost) = self.ctx.allreduce_custom(comm, payload, combine_internal, charge);
+        (InternalMsg::decode(&merged), cost)
+    }
+
+    /// Post `msg` to `peer` on internal tag `tag`, charged at its capped
+    /// wire size.
+    fn post_internal(
+        &mut self,
+        comm: &Communicator,
+        peer: usize,
+        tag: u64,
+        msg: &InternalMsg,
+    ) -> Request {
+        let payload = self.encode_internal(msg);
+        let words = self.internal_p2p_words(payload.len());
+        self.ctx.isend_with_cost(comm, peer, tag, payload, Some(words))
+    }
+
     // ------------------------------------------------------------------
     // Computation kernels
     // ------------------------------------------------------------------
@@ -439,68 +466,66 @@ impl<'a> CritterEnv<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Collectives
+    // Interception steps shared by every communication
     // ------------------------------------------------------------------
 
-    /// Common pre-step for collectives: schedule, vote, piggyback reduction.
-    /// Returns `(signature, execute, extrapolated mean)` — the last is `Some`
-    /// when this rank's vote to skip came from a communication-family line
-    /// fit rather than the kernel's own statistics.
-    fn pre_collective(
+    /// Fold one internal-message exchange into the path: its `cost` joins
+    /// the predicted time, the path gains a synchronization and the user
+    /// message's `words`, and a `Propagate` event spans `t0..now`. A
+    /// collective passes its communicator (`propagate[<channel>]` counter),
+    /// point-to-point passes `None` (`propagate[p2p]`).
+    fn propagated(
         &mut self,
-        op: CommOp,
-        comm: &Communicator,
+        sig: &KernelSig,
+        channel: Option<&Communicator>,
+        t0: f64,
+        cost: f64,
         words: usize,
-    ) -> (KernelSig, bool, Option<f64>) {
-        let sig = KernelSig::collective(op, words, comm.meta(), self.cfg.granularity);
-        self.store.schedule(&sig);
-        let mut vote = self.want_execute(&sig);
-        let mut extrapolated = None;
-        if vote && self.cfg.policy != ExecutionPolicy::Full {
-            if let Some(xcfg) = self.cfg.extrapolate {
-                let meta = comm.meta();
-                extrapolated = self.store.extrapolation.predict_comm(
-                    op,
-                    meta.size as u64,
-                    meta.stride() as u64,
-                    words as f64,
-                    &xcfg,
-                );
-                if extrapolated.is_some() {
-                    vote = false;
-                }
-            }
-        }
-        let meta = comm.meta().clone();
-        let msg = self.build_internal(vote, words as u64, false, Some(&meta));
-        let payload = msg.encode();
-        self.report.internal_words += payload.len() as u64;
-        let charge = self.internal_charge(payload.len());
-        let t0 = self.ctx.now();
-        let (merged_raw, internal_cost) =
-            self.ctx.allreduce_custom_timed(comm, payload, combine_internal, charge);
-        let merged = InternalMsg::decode(&merged_raw);
-        self.absorb(&merged, Some(&meta));
-        // The piggyback reduction is on the critical path of every
-        // participant; its (identical) cost is part of the predicted time.
-        self.exec_time += internal_cost;
+    ) {
+        self.exec_time += cost;
         self.metrics.syncs += 1.0;
         self.metrics.comm_words += words as f64;
         if self.observing() {
             let now = self.ctx.now();
-            // Interned per-channel counter name: one `format!` per distinct
-            // communicator, not one per propagation.
             if let Some(rec) = &mut self.obs {
-                let name = self
-                    .propagate_counters
-                    .entry(comm.id())
-                    .or_insert_with(|| format!("propagate[{}]", meta.label()));
+                // Interned per-channel counter name: one `format!` per
+                // distinct communicator, not one per propagation.
+                let name = match channel {
+                    Some(comm) => self
+                        .propagate_counters
+                        .entry(comm.id())
+                        .or_insert_with(|| format!("propagate[{}]", comm.meta().label())),
+                    None => "propagate[p2p]",
+                };
                 rec.metrics_mut().incr(name, 1);
             }
-            let label = self.sig_label(&sig);
-            self.obs_event(EventKind::Propagate, label, t0, now - t0, internal_cost);
+            let label = self.sig_label(sig);
+            self.obs_event(EventKind::Propagate, label, t0, now - t0, cost);
         }
-        (sig, merged.vote, extrapolated)
+    }
+
+    /// Selective execution of one user communication: when `execute`, run
+    /// it timed and record the sample; otherwise charge the kernel's modeled
+    /// mean (or the line fit's `extrapolated` prediction) and return the
+    /// `skipped` placeholder.
+    fn selectively<T>(
+        &mut self,
+        sig: &KernelSig,
+        execute: bool,
+        extrapolated: Option<f64>,
+        run: impl FnOnce(&mut RankCtx) -> T,
+        skipped: impl FnOnce() -> T,
+    ) -> T {
+        if execute {
+            let t0 = self.ctx.now();
+            let out = run(self.ctx);
+            let t = self.ctx.now() - t0;
+            self.post_executed_comm(sig, t);
+            out
+        } else {
+            self.post_skipped_comm(sig, extrapolated);
+            skipped()
+        }
     }
 
     fn post_executed_comm(&mut self, sig: &KernelSig, t: f64) {
@@ -527,11 +552,9 @@ impl<'a> CritterEnv<'a> {
         }
     }
 
-    fn post_skipped_comm(&mut self, sig: &KernelSig) {
-        self.post_skipped_comm_with(sig, None)
-    }
-
-    fn post_skipped_comm_with(&mut self, sig: &KernelSig, extrapolated: Option<f64>) {
+    /// Charge a skipped communication: the kernel's own mean once it has
+    /// one, else the line fit's `extrapolated` prediction, else nothing.
+    fn post_skipped_comm(&mut self, sig: &KernelSig, extrapolated: Option<f64>) {
         let own = self.model_mean(sig.key());
         let mean = if own > 0.0 { own } else { extrapolated.unwrap_or(0.0) };
         self.store.attribute_path_time(sig.key(), mean);
@@ -547,88 +570,76 @@ impl<'a> CritterEnv<'a> {
         }
     }
 
+    // ------------------------------------------------------------------
+    // Collectives
+    // ------------------------------------------------------------------
+
+    /// Common pre-step for collectives: schedule, vote, piggyback reduction.
+    /// Returns `(signature, execute, extrapolated mean)` — the last is `Some`
+    /// when this rank's vote to skip came from a communication-family line
+    /// fit rather than the kernel's own statistics.
+    fn pre_collective(
+        &mut self,
+        op: CommOp,
+        comm: &Communicator,
+        words: usize,
+    ) -> (KernelSig, bool, Option<f64>) {
+        let meta = comm.meta();
+        let sig = KernelSig::collective(op, words, meta, self.cfg.granularity);
+        self.store.schedule(&sig);
+        let mut vote = self.want_execute(&sig);
+        let mut extrapolated = None;
+        if vote && self.cfg.policy != ExecutionPolicy::Full {
+            if let Some(xcfg) = self.cfg.extrapolate {
+                extrapolated = self.store.extrapolation.predict_comm(
+                    op,
+                    meta.size as u64,
+                    meta.stride() as u64,
+                    words as f64,
+                    &xcfg,
+                );
+                vote = extrapolated.is_none();
+            }
+        }
+        let msg = self.build_internal(vote, words as u64, false, Some(meta));
+        let t0 = self.ctx.now();
+        let (merged, cost) = self.reduce_internal(comm, &msg);
+        self.absorb(&merged, Some(meta));
+        // The piggyback reduction is on the critical path of every
+        // participant; its (identical) cost is part of the predicted time.
+        self.propagated(&sig, Some(comm), t0, cost, words);
+        (sig, merged.vote, extrapolated)
+    }
+
     /// Intercepted broadcast. As in MPI, `data` must be sized identically on
     /// every rank; non-roots receive the root's payload (or zeros on a skip).
     pub fn bcast(&mut self, comm: &Communicator, root: usize, data: &mut Vec<f64>) {
-        let words = data.len();
-        let (sig, execute, xmean) = self.pre_collective(CommOp::Bcast, comm, words);
-        if execute {
-            let t0 = self.ctx.now();
-            self.ctx.bcast(comm, root, data);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-        } else {
-            if comm.rank() != root {
-                data.iter_mut().for_each(|x| *x = 0.0);
-            }
-            self.post_skipped_comm_with(&sig, xmean);
+        let (sig, execute, xmean) = self.pre_collective(CommOp::Bcast, comm, data.len());
+        self.selectively(&sig, execute, xmean, |ctx| ctx.bcast(comm, root, data), || ());
+        if !execute && comm.rank() != root {
+            data.fill(0.0);
         }
     }
 
     /// Intercepted allreduce.
     pub fn allreduce(&mut self, comm: &Communicator, op: ReduceOp, data: &[f64]) -> Vec<f64> {
         let (sig, execute, xmean) = self.pre_collective(CommOp::Allreduce, comm, data.len());
-        if execute {
-            let t0 = self.ctx.now();
-            let out = self.ctx.allreduce(comm, op, data);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-            out
-        } else {
-            self.post_skipped_comm_with(&sig, xmean);
-            vec![0.0; data.len()]
-        }
-    }
-
-    /// Intercepted reduce (result at `root`).
-    pub fn reduce(
-        &mut self,
-        comm: &Communicator,
-        root: usize,
-        op: ReduceOp,
-        data: &[f64],
-    ) -> Option<Vec<f64>> {
-        let (sig, execute, xmean) = self.pre_collective(CommOp::Reduce, comm, data.len());
-        if execute {
-            let t0 = self.ctx.now();
-            let out = self.ctx.reduce(comm, root, op, data);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-            out
-        } else {
-            self.post_skipped_comm_with(&sig, xmean);
-            (comm.rank() == root).then(|| vec![0.0; data.len()])
-        }
+        let run = |ctx: &mut RankCtx| ctx.allreduce(comm, op, data);
+        self.selectively(&sig, execute, xmean, run, || vec![0.0; data.len()])
     }
 
     /// Intercepted allgather (per-rank contribution `data`).
     pub fn allgather(&mut self, comm: &Communicator, data: &[f64]) -> Vec<f64> {
         let (sig, execute, xmean) = self.pre_collective(CommOp::Allgather, comm, data.len());
-        if execute {
-            let t0 = self.ctx.now();
-            let out = self.ctx.allgather(comm, data);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-            out
-        } else {
-            self.post_skipped_comm_with(&sig, xmean);
-            vec![0.0; data.len() * comm.size()]
-        }
+        let skipped = || vec![0.0; data.len() * comm.size()];
+        self.selectively(&sig, execute, xmean, |ctx| ctx.allgather(comm, data), skipped)
     }
 
     /// Intercepted gather onto `root`.
     pub fn gather(&mut self, comm: &Communicator, root: usize, data: &[f64]) -> Option<Vec<f64>> {
         let (sig, execute, xmean) = self.pre_collective(CommOp::Gather, comm, data.len());
-        if execute {
-            let t0 = self.ctx.now();
-            let out = self.ctx.gather(comm, root, data);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-            out
-        } else {
-            self.post_skipped_comm_with(&sig, xmean);
-            (comm.rank() == root).then(|| vec![0.0; data.len() * comm.size()])
-        }
+        let skipped = || (comm.rank() == root).then(|| vec![0.0; data.len() * comm.size()]);
+        self.selectively(&sig, execute, xmean, |ctx| ctx.gather(comm, root, data), skipped)
     }
 
     /// Intercepted scatter from `root`: the root supplies `size()·chunk`
@@ -644,63 +655,8 @@ impl<'a> CritterEnv<'a> {
             assert_eq!(data.len(), chunk * comm.size(), "scatter root payload size");
         }
         let (sig, execute, xmean) = self.pre_collective(CommOp::Scatter, comm, chunk);
-        if execute {
-            let t0 = self.ctx.now();
-            let out = self.ctx.scatter(comm, root, data);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-            out
-        } else {
-            self.post_skipped_comm_with(&sig, xmean);
-            vec![0.0; chunk]
-        }
-    }
-
-    /// Intercepted reduce-scatter (`size()·chunk`-word contribution, `chunk`
-    /// words returned).
-    pub fn reduce_scatter(&mut self, comm: &Communicator, op: ReduceOp, data: &[f64]) -> Vec<f64> {
-        let chunk = data.len() / comm.size().max(1);
-        let (sig, execute, xmean) = self.pre_collective(CommOp::ReduceScatter, comm, chunk);
-        if execute {
-            let t0 = self.ctx.now();
-            let out = self.ctx.reduce_scatter(comm, op, data);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-            out
-        } else {
-            self.post_skipped_comm_with(&sig, xmean);
-            vec![0.0; chunk]
-        }
-    }
-
-    /// Intercepted all-to-all (`size()·chunk`-word contribution and result).
-    pub fn alltoall(&mut self, comm: &Communicator, data: &[f64]) -> Vec<f64> {
-        let chunk = data.len() / comm.size().max(1);
-        let (sig, execute, xmean) = self.pre_collective(CommOp::Alltoall, comm, chunk);
-        if execute {
-            let t0 = self.ctx.now();
-            let out = self.ctx.alltoall(comm, data);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-            out
-        } else {
-            self.post_skipped_comm_with(&sig, xmean);
-            vec![0.0; data.len()]
-        }
-    }
-
-    /// Intercepted barrier. The internal reduction has already synchronized
-    /// the participants, so a skipped barrier loses no synchronization.
-    pub fn barrier(&mut self, comm: &Communicator) {
-        let (sig, execute, _xmean) = self.pre_collective(CommOp::Barrier, comm, 0);
-        if execute {
-            let t0 = self.ctx.now();
-            self.ctx.barrier(comm);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-        } else {
-            self.post_skipped_comm(&sig);
-        }
+        let run = |ctx: &mut RankCtx| ctx.scatter(comm, root, data);
+        self.selectively(&sig, execute, xmean, run, || vec![0.0; chunk])
     }
 
     /// Intercepted communicator split (registers the new channel with the
@@ -724,102 +680,70 @@ impl<'a> CritterEnv<'a> {
     // Point-to-point
     // ------------------------------------------------------------------
 
-    fn p2p_sig(&self, comm: &Communicator, peer: usize, words: usize) -> KernelSig {
+    /// Common pre-step for point-to-point: signature (a size-2 channel at
+    /// the pair's rank distance), schedule, this rank's vote.
+    fn pre_p2p(
+        &mut self,
+        comm: &Communicator,
+        peer: usize,
+        tag: u64,
+        words: usize,
+    ) -> (KernelSig, bool) {
+        assert!(tag < TAG_S2R, "user tags must stay below the internal tag space");
         let me = comm.world_rank_of(comm.rank());
         let them = comm.world_rank_of(peer);
-        KernelSig::p2p(words, me.abs_diff(them), self.cfg.granularity)
+        let sig = KernelSig::p2p(words, me.abs_diff(them), self.cfg.granularity);
+        self.store.schedule(&sig);
+        let vote = self.want_execute(&sig);
+        (sig, vote)
     }
 
     /// Intercepted blocking send (Fig. 2's symmetric protocol: internal
     /// messages are exchanged both ways; the pair executes the user message
     /// iff either side votes execute).
     pub fn send(&mut self, comm: &Communicator, dst: usize, tag: u64, data: &[f64]) {
-        assert!(tag < TAG_S2R, "user tags must stay below the internal tag space");
-        let sig = self.p2p_sig(comm, dst, data.len());
-        self.store.schedule(&sig);
-        let vote = self.want_execute(&sig);
+        let (sig, vote) = self.pre_p2p(comm, dst, tag, data.len());
         let msg = self.build_internal(vote, data.len() as u64, true, None);
-        let payload = msg.encode();
-        self.report.internal_words += payload.len() as u64;
-        let cost = self.internal_p2p_cost(payload.len());
         let t0 = self.ctx.now();
-        let ireq = self.ctx.isend_with_cost(comm, dst, tag + TAG_S2R, payload, cost);
+        let internal = self.post_internal(comm, dst, tag + TAG_S2R, &msg);
         let reply_raw = self.ctx.recv(comm, dst, tag + TAG_R2S);
-        self.ctx.wait(ireq);
-        let reply_len = reply_raw.len();
+        self.ctx.wait(internal);
         let merged = msg.combine(&InternalMsg::decode(&reply_raw));
         self.absorb(&merged, None);
-        let internal_time = self.internal_p2p_time(reply_len);
-        self.exec_time += internal_time;
-        self.metrics.syncs += 1.0;
-        self.metrics.comm_words += data.len() as f64;
-        if self.observing() {
-            let now = self.ctx.now();
-            self.obs_count("propagate[p2p]", 1);
-            let label = self.sig_label(&sig);
-            self.obs_event(EventKind::Propagate, label, t0, now - t0, internal_time);
-        }
-        if merged.vote {
-            let t0 = self.ctx.now();
-            self.ctx.send(comm, dst, tag, data);
-            let t = self.ctx.now() - t0;
-            self.post_executed_comm(&sig, t);
-        } else {
-            self.post_skipped_comm(&sig);
-        }
+        let cost = self.internal_p2p_time(reply_raw.len());
+        self.propagated(&sig, None, t0, cost, data.len());
+        self.selectively(&sig, merged.vote, None, |ctx| ctx.send(comm, dst, tag, data), || ());
     }
 
     /// Intercepted blocking receive of `words` words (the count is part of
     /// the MPI envelope, so it is known to the receiver). Handles both the
     /// blocking-sender and nonblocking-sender protocols.
     pub fn recv(&mut self, comm: &Communicator, src: usize, tag: u64, words: usize) -> Vec<f64> {
-        assert!(tag < TAG_S2R, "user tags must stay below the internal tag space");
-        let sig = self.p2p_sig(comm, src, words);
-        self.store.schedule(&sig);
-        let vote = self.want_execute(&sig);
+        let (sig, vote) = self.pre_p2p(comm, src, tag, words);
         let t0 = self.ctx.now();
         let their_raw = self.ctx.recv(comm, src, tag + TAG_S2R);
         let their = InternalMsg::decode(&their_raw);
-        let (merged, execute) = if their.reply_expected {
+        let mine = self.build_internal(vote, words as u64, false, None);
+        let merged = mine.combine(&their);
+        let execute = if their.reply_expected {
             // Symmetric protocol: reply with our state; execute on OR of votes.
-            let mine = self.build_internal(vote, words as u64, false, None);
-            let payload = mine.encode();
-            self.report.internal_words += payload.len() as u64;
-            let cost = self.internal_p2p_cost(payload.len());
-            let r = self.ctx.isend_with_cost(comm, src, tag + TAG_R2S, payload, cost);
-            self.ctx.wait(r);
-            let merged = mine.combine(&their);
-            let ex = merged.vote;
-            (merged, ex)
+            let reply = self.post_internal(comm, src, tag + TAG_R2S, &mine);
+            self.ctx.wait(reply);
+            merged.vote
         } else {
             // Nonblocking sender: its decision governs; we still merge for
             // path propagation.
-            let mine = self.build_internal(vote, words as u64, false, None);
-            let ex = their.vote;
-            (mine.combine(&their), ex)
+            their.vote
         };
         self.absorb(&merged, None);
-        let internal_time = self.internal_p2p_time(their_raw.len());
-        self.exec_time += internal_time;
-        self.metrics.syncs += 1.0;
-        self.metrics.comm_words += words as f64;
-        if self.observing() {
-            let now = self.ctx.now();
-            self.obs_count("propagate[p2p]", 1);
-            let label = self.sig_label(&sig);
-            self.obs_event(EventKind::Propagate, label, t0, now - t0, internal_time);
-        }
-        if execute {
-            let t0 = self.ctx.now();
-            let data = self.ctx.recv(comm, src, tag);
-            let t = self.ctx.now() - t0;
+        let cost = self.internal_p2p_time(their_raw.len());
+        self.propagated(&sig, None, t0, cost, words);
+        let run = |ctx: &mut RankCtx| {
+            let data = ctx.recv(comm, src, tag);
             debug_assert_eq!(data.len(), words, "received payload size mismatch");
-            self.post_executed_comm(&sig, t);
             data
-        } else {
-            self.post_skipped_comm(&sig);
-            vec![0.0; words]
-        }
+        };
+        self.selectively(&sig, execute, None, run, || vec![0.0; words])
     }
 
     /// Intercepted nonblocking send. The sender's vote alone governs
@@ -832,100 +756,30 @@ impl<'a> CritterEnv<'a> {
         tag: u64,
         data: Vec<f64>,
     ) -> CritterRequest {
-        assert!(tag < TAG_S2R, "user tags must stay below the internal tag space");
-        let sig = self.p2p_sig(comm, dst, data.len());
-        self.store.schedule(&sig);
-        let vote = self.want_execute(&sig);
         let words = data.len();
+        let (sig, vote) = self.pre_p2p(comm, dst, tag, words);
         let msg = self.build_internal(vote, words as u64, false, None);
-        let payload = msg.encode();
-        self.report.internal_words += payload.len() as u64;
-        let cost = self.internal_p2p_cost(payload.len());
-        let internal = self.ctx.isend_with_cost(comm, dst, tag + TAG_S2R, payload, cost);
+        let internal = self.post_internal(comm, dst, tag + TAG_S2R, &msg);
+        // The one-way internal message costs this rank only its post.
         let overhead = self.ctx.machine().params().per_call_overhead;
-        self.exec_time += overhead;
-        self.metrics.syncs += 1.0;
-        self.metrics.comm_words += words as f64;
-        if self.observing() {
-            let now = self.ctx.now();
-            self.obs_count("propagate[p2p]", 1);
-            let label = self.sig_label(&sig);
-            self.obs_event(EventKind::Propagate, label, now, 0.0, overhead);
-        }
+        let now = self.ctx.now();
+        self.propagated(&sig, None, now, overhead, words);
         let user = if vote {
             Some(self.ctx.isend(comm, dst, tag, data))
         } else {
             // Charged as predicted at post time; the wait will be free.
-            self.post_skipped_comm(&sig);
+            self.post_skipped_comm(&sig, None);
             None
         };
-        CritterRequest { inner: ReqInner::Send { sig, internal, user } }
+        CritterRequest { sig, internal, user }
     }
 
-    /// Intercepted nonblocking receive of `words` words.
-    pub fn irecv(
-        &mut self,
-        comm: &Communicator,
-        src: usize,
-        tag: u64,
-        words: usize,
-    ) -> CritterRequest {
-        assert!(tag < TAG_S2R, "user tags must stay below the internal tag space");
-        let sig = self.p2p_sig(comm, src, words);
-        let internal = self.ctx.irecv(comm, src, tag + TAG_S2R);
-        let user = self.ctx.irecv(comm, src, tag);
-        CritterRequest { inner: ReqInner::Recv { sig, internal, user, words } }
-    }
-
-    /// Complete a nonblocking operation; returns data for receives.
-    pub fn wait(&mut self, req: CritterRequest) -> Option<Vec<f64>> {
-        match req.inner {
-            ReqInner::Send { sig, internal, user } => {
-                self.ctx.wait(internal);
-                if let Some(u) = user {
-                    let t0 = self.ctx.now();
-                    self.ctx.wait(u);
-                    let t = self.ctx.now() - t0;
-                    self.post_executed_comm(&sig, t);
-                }
-                None
-            }
-            ReqInner::Recv { sig, internal, user, words } => {
-                self.store.schedule(&sig);
-                let t0 = self.ctx.now();
-                let their_raw = self.ctx.wait(internal).expect("internal message missing");
-                let their = InternalMsg::decode(&their_raw);
-                assert!(
-                    !their.reply_expected,
-                    "blocking send matched with nonblocking receive is not supported"
-                );
-                let vote = self.want_execute(&sig);
-                let mine = self.build_internal(vote, words as u64, false, None);
-                let merged = mine.combine(&their);
-                self.absorb(&merged, None);
-                let internal_time = self.internal_p2p_time(their_raw.len());
-                self.exec_time += internal_time;
-                self.metrics.syncs += 1.0;
-                self.metrics.comm_words += words as f64;
-                if self.observing() {
-                    let now = self.ctx.now();
-                    self.obs_count("propagate[p2p]", 1);
-                    let label = self.sig_label(&sig);
-                    self.obs_event(EventKind::Propagate, label, t0, now - t0, internal_time);
-                }
-                if their.vote {
-                    let t0 = self.ctx.now();
-                    let data = self.ctx.wait(user).expect("user payload missing");
-                    let t = self.ctx.now() - t0;
-                    debug_assert_eq!(data.len(), words, "received payload size mismatch");
-                    self.post_executed_comm(&sig, t);
-                    Some(data)
-                } else {
-                    drop(user); // never matched; harmless in the simulator
-                    self.post_skipped_comm(&sig);
-                    Some(vec![0.0; words])
-                }
-            }
+    /// Complete a nonblocking send; an executed send's transfer is timed
+    /// and recorded here.
+    pub fn wait(&mut self, req: CritterRequest) {
+        self.ctx.wait(req.internal);
+        if let Some(user) = req.user {
+            self.selectively(&req.sig, true, None, |ctx| ctx.wait(user), || ());
         }
     }
 
@@ -957,19 +811,15 @@ impl<'a> CritterEnv<'a> {
     pub fn finish(mut self) -> (CritterReport, KernelStore) {
         let world = self.ctx.world();
         let msg = self.build_internal(false, 0, false, None);
-        let payload = msg.encode();
-        self.report.internal_words += payload.len() as u64;
-        let charge = self.internal_charge(payload.len());
-        let (merged_raw, internal_cost) =
-            self.ctx.allreduce_custom_timed(&world, payload, combine_internal, charge);
-        let merged = InternalMsg::decode(&merged_raw);
+        let (merged, cost) = self.reduce_internal(&world, &msg);
         self.absorb(&merged, None);
-        self.exec_time += internal_cost;
+        self.exec_time += cost;
         // Busy-time statistics across ranks (load-imbalance diagnostics):
         // one small sum+max reduction, charged like the other internals.
         let busy = self.report.local_comp_executed + self.report.local_comm_executed;
         let charge = self.internal_charge(2);
-        let sums = self.ctx.allreduce_custom(&world, vec![busy, busy, 1.0], combine_busy, charge);
+        let (sums, _) =
+            self.ctx.allreduce_custom(&world, vec![busy, busy, 1.0], combine_busy, charge);
         self.report.mean_busy = sums[0] / sums[2].max(1.0);
         self.report.max_busy = sums[1];
         // The winning path's per-kernel profile, labeled where known locally.

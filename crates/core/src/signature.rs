@@ -193,11 +193,6 @@ impl KernelSig {
         }
     }
 
-    /// Whether this is a communication kernel.
-    pub fn is_comm(&self) -> bool {
-        matches!(self, KernelSig::Comm { .. })
-    }
-
     /// Stable 52-bit key (fits losslessly in an `f64` mantissa, so keys can
     /// travel inside internal path-propagation payloads).
     pub fn key(&self) -> u64 {

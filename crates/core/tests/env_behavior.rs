@@ -343,7 +343,7 @@ fn internal_traffic_is_accounted() {
     let out = run_env(4, MachineModel::test_exact(4), CritterConfig::full(), |env| {
         let world = env.world();
         env.allreduce(&world, ReduceOp::Sum, &[1.0; 4]);
-        env.barrier(&world);
+        env.allgather(&world, &[1.0]);
     });
     for (_, rep, _) in &out {
         assert!(rep.internal_words > 0, "piggyback payloads must be measured");
@@ -466,46 +466,98 @@ fn trace_disabled_is_empty() {
     assert!(out[0].1.obs.is_none());
 }
 
-#[test]
-fn reduce_scatter_and_alltoall_are_intercepted() {
-    let out = run_env(
-        2,
-        MachineModel::test_exact(2),
-        CritterConfig::new(ExecutionPolicy::ConditionalExecution, 0.5),
-        |env| {
-            let world = env.world();
-            let mut last_rs = Vec::new();
-            let mut last_a2a = Vec::new();
-            for _ in 0..6 {
-                last_rs = env.reduce_scatter(&world, ReduceOp::Sum, &[1.0, 2.0]);
-                last_a2a = env.alltoall(&world, &[env.rank() as f64, env.rank() as f64]);
+/// The intercepted collectives, for the table-driven placeholder test.
+#[derive(Debug, Clone, Copy)]
+enum Coll {
+    Bcast,
+    Allreduce,
+    Allgather,
+    Gather,
+    Scatter,
+}
+
+const COLLECTIVES: [Coll; 5] =
+    [Coll::Bcast, Coll::Allreduce, Coll::Allgather, Coll::Gather, Coll::Scatter];
+const ROOT: usize = 1;
+const WORDS: usize = 3;
+
+/// A rank's distinct contribution, so a misrouted payload shows.
+fn contribution(rank: usize, len: usize) -> Vec<f64> {
+    (0..len).map(|i| (10 * rank + i + 1) as f64).collect()
+}
+
+/// Run `op` on the world communicator through the interception layer
+/// (`via_env`) or on the raw simulator context; `None` is a gather's
+/// non-root result.
+fn run_collective(env: &mut CritterEnv, op: Coll, via_env: bool) -> Option<Vec<f64>> {
+    let world = env.world();
+    let (rank, p) = (env.rank(), env.size());
+    let mine = contribution(rank, WORDS);
+    let scattered = if rank == ROOT { contribution(rank, WORDS * p) } else { Vec::new() };
+    if via_env {
+        match op {
+            Coll::Bcast => {
+                let mut buf = mine;
+                env.bcast(&world, ROOT, &mut buf);
+                Some(buf)
             }
-            (last_rs, last_a2a)
-        },
-    );
-    // Both kernels converge on the noise-free machine and are later skipped
-    // (zero placeholders), with symmetric decisions across ranks.
-    assert_eq!(out[0].1.kernels_skipped, out[1].1.kernels_skipped);
-    assert!(out[0].1.kernels_skipped > 0);
-    assert_eq!(out[0].0 .0, vec![0.0]);
-    assert_eq!(out[0].0 .1, vec![0.0, 0.0]);
+            Coll::Allreduce => Some(env.allreduce(&world, ReduceOp::Sum, &mine)),
+            Coll::Allgather => Some(env.allgather(&world, &mine)),
+            Coll::Gather => env.gather(&world, ROOT, &mine),
+            Coll::Scatter => Some(env.scatter(&world, ROOT, &scattered, WORDS)),
+        }
+    } else {
+        let ctx = env.ctx();
+        match op {
+            Coll::Bcast => {
+                let mut buf = mine;
+                ctx.bcast(&world, ROOT, &mut buf);
+                Some(buf)
+            }
+            Coll::Allreduce => Some(ctx.allreduce(&world, ReduceOp::Sum, &mine)),
+            Coll::Allgather => Some(ctx.allgather(&world, &mine)),
+            Coll::Gather => ctx.gather(&world, ROOT, &mine),
+            Coll::Scatter => Some(ctx.scatter(&world, ROOT, &scattered)),
+        }
+    }
 }
 
 #[test]
-fn reduce_scatter_semantics_under_full_execution() {
+fn collectives_match_raw_results_and_skip_to_sized_placeholders() {
     let p = 4;
-    let out = run_env(p, MachineModel::test_exact(p), CritterConfig::full(), |env| {
-        let world = env.world();
-        let contrib = vec![1.0; p];
-        let rs = env.reduce_scatter(&world, ReduceOp::Sum, &contrib);
-        let a2a =
-            env.alltoall(&world, &(0..p).map(|d| (env.rank() * 10 + d) as f64).collect::<Vec<_>>());
-        (rs, a2a)
-    });
-    for (r, (rs, a2a)) in out.iter().map(|(o, _, _)| o).enumerate() {
-        assert_eq!(*rs, vec![p as f64]);
-        let expect: Vec<f64> = (0..p).map(|src| (src * 10 + r) as f64).collect();
-        assert_eq!(*a2a, expect);
+    for op in COLLECTIVES {
+        // Full execution: the intercepted result is the simulator's result.
+        let full = run_env(p, MachineModel::test_exact(p), CritterConfig::full(), |env| {
+            (run_collective(env, op, true), run_collective(env, op, false))
+        });
+        for (rank, ((got, want), _, _)) in full.iter().enumerate() {
+            assert_eq!(got, want, "{op:?} on rank {rank} under full execution");
+        }
+
+        // Noise-free, so the kernel converges after its warmup and the last
+        // calls are skipped: every rank gets the placeholder of its result.
+        let skipping = run_env(
+            p,
+            MachineModel::test_exact(p),
+            CritterConfig::new(ExecutionPolicy::ConditionalExecution, 0.5),
+            |env| (0..6).map(|_| run_collective(env, op, true)).last().unwrap(),
+        );
+        for (rank, (last, rep, _)) in skipping.iter().enumerate() {
+            let zeros = |len: usize| Some(vec![0.0; len]);
+            let placeholder = match op {
+                Coll::Bcast if rank == ROOT => Some(contribution(ROOT, WORDS)),
+                Coll::Bcast | Coll::Allreduce | Coll::Scatter => zeros(WORDS),
+                Coll::Allgather => zeros(WORDS * p),
+                Coll::Gather if rank == ROOT => zeros(WORDS * p),
+                Coll::Gather => None,
+            };
+            assert_eq!(*last, placeholder, "{op:?} placeholder on rank {rank}");
+            assert!(rep.kernels_skipped > 0, "{op:?} must converge and skip");
+            assert_eq!(
+                rep.kernels_skipped, skipping[0].1.kernels_skipped,
+                "{op:?}: skip decisions must agree on every rank"
+            );
+        }
     }
 }
 

@@ -13,7 +13,13 @@
 
 use crate::params::MachineParams;
 
-/// The communication operations the simulator can issue.
+/// The communication operations the cost model prices.
+///
+/// The simulator no longer issues `Reduce`, `ReduceScatter` or `Alltoall`,
+/// but every variant and its cost row stay: `KernelSig::key` in
+/// `critter-core` hashes the variant index, so removing one would renumber
+/// the rest and change persisted profile and checkpoint bytes
+/// (`signature.rs::keys_are_pinned`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommOp {
     /// Point-to-point send/recv pair (blocking or nonblocking).

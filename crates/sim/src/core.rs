@@ -96,7 +96,7 @@ pub(crate) enum Contrib {
 pub(crate) enum Output {
     /// Payload data.
     Data(Vec<f64>),
-    /// Nothing (barrier; non-root of gather/reduce).
+    /// Nothing (barrier; non-root of gather).
     None,
     /// New communicator description from `comm_split` (None for undefined color).
     Split(Option<(u64, Arc<Vec<usize>>, usize)>),
@@ -106,14 +106,11 @@ pub(crate) enum Output {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CollKind {
     Bcast,
-    Reduce(ReduceOp),
     Allreduce(ReduceOp),
     AllreduceCustom,
     Allgather,
     Gather,
     Scatter,
-    ReduceScatter(ReduceOp),
-    Alltoall,
     Barrier,
     Split,
 }
@@ -122,13 +119,10 @@ impl CollKind {
     fn comm_op(self) -> CommOp {
         match self {
             CollKind::Bcast => CommOp::Bcast,
-            CollKind::Reduce(_) => CommOp::Reduce,
             CollKind::Allreduce(_) | CollKind::AllreduceCustom => CommOp::Allreduce,
             CollKind::Allgather | CollKind::Split => CommOp::Allgather,
             CollKind::Gather => CommOp::Gather,
             CollKind::Scatter => CommOp::Scatter,
-            CollKind::ReduceScatter(_) => CommOp::ReduceScatter,
-            CollKind::Alltoall => CommOp::Alltoall,
             CollKind::Barrier => CommOp::Barrier,
         }
     }
@@ -329,14 +323,13 @@ impl SimCore {
         key: P2pKey,
         data: Vec<f64>,
         post_time: f64,
-        force_rendezvous: bool,
         cost_words: Option<usize>,
     ) -> (f64, Option<Arc<SendSlot>>) {
         let words = data.len();
         // Cost may be overridden (Critter charges its internal piggyback
         // messages at the compact wire size of the real implementation).
         let cost_words = cost_words.unwrap_or(words);
-        let rendezvous = force_rendezvous || cost_words > self.eager_words;
+        let rendezvous = cost_words > self.eager_words;
         let hash = key.channel_hash();
         let shard = self.p2p_shard(hash);
         // Reserve this message's per-key sequence number under the lock, then
@@ -369,8 +362,7 @@ impl SimCore {
     }
 
     /// Block until a send matching `key` is available; complete the pair.
-    /// `recv_post` is when the receive was posted (irecv post time, or "now"
-    /// for a blocking receive).
+    /// `recv_post` is when the receive was posted.
     pub(crate) fn match_recv(&self, key: P2pKey, recv_post: f64) -> RecvOutcome {
         let shard = self.p2p_shard(key.channel_hash());
         let mut st = shard.st.lock();
@@ -614,18 +606,13 @@ impl SimCore {
         // Words moved per the op's calling convention (per-rank for vector ops).
         let words = match kind {
             CollKind::Bcast => contribs[root].as_ref().map_or(0, contrib_len),
-            CollKind::Reduce(_) | CollKind::Allreduce(_) | CollKind::AllreduceCustom => {
-                contribs.iter().map(|c| c.as_ref().map_or(0, contrib_len)).max().unwrap_or(0)
-            }
-            CollKind::Allgather | CollKind::Gather => {
+            CollKind::Allreduce(_)
+            | CollKind::AllreduceCustom
+            | CollKind::Allgather
+            | CollKind::Gather => {
                 contribs.iter().map(|c| c.as_ref().map_or(0, contrib_len)).max().unwrap_or(0)
             }
             CollKind::Scatter => contribs[root].as_ref().map_or(0, contrib_len) / p.max(1),
-            CollKind::ReduceScatter(_) | CollKind::Alltoall => {
-                // Per-rank chunk convention: contributions are p·chunk words.
-                contribs.iter().map(|c| c.as_ref().map_or(0, contrib_len)).max().unwrap_or(0)
-                    / p.max(1)
-            }
             CollKind::Barrier => 0,
             CollKind::Split => 1,
         };
@@ -649,19 +636,14 @@ impl SimCore {
                     *o = Some(Output::Data(data.clone()));
                 }
             }
-            CollKind::Reduce(op) | CollKind::Allreduce(op) => {
+            CollKind::Allreduce(op) => {
                 let mut acc = take(&mut contribs[0]);
                 for c in contribs.iter_mut().skip(1) {
                     let d = take(c);
                     op.fold_into(&mut acc, &d);
                 }
-                let everyone = matches!(kind, CollKind::Allreduce(_));
-                for (i, o) in outputs.iter_mut().enumerate() {
-                    *o = Some(if everyone || i == root {
-                        Output::Data(acc.clone())
-                    } else {
-                        Output::None
-                    });
+                for o in outputs.iter_mut() {
+                    *o = Some(Output::Data(acc.clone()));
                 }
             }
             CollKind::AllreduceCustom => {
@@ -699,42 +681,6 @@ impl SimCore {
                 let chunk = data.len() / p;
                 for (i, o) in outputs.iter_mut().enumerate() {
                     *o = Some(Output::Data(data[i * chunk..(i + 1) * chunk].to_vec()));
-                }
-            }
-            CollKind::ReduceScatter(op) => {
-                let mut acc = take(&mut contribs[0]);
-                for c in contribs.iter_mut().skip(1) {
-                    let d = take(c);
-                    op.fold_into(&mut acc, &d);
-                }
-                assert!(
-                    acc.len() % p == 0,
-                    "reduce_scatter payload of {} words not divisible by {p} ranks",
-                    acc.len()
-                );
-                let chunk = acc.len() / p;
-                for (i, o) in outputs.iter_mut().enumerate() {
-                    *o = Some(Output::Data(acc[i * chunk..(i + 1) * chunk].to_vec()));
-                }
-            }
-            CollKind::Alltoall => {
-                let parts: Vec<Vec<f64>> = contribs.iter_mut().map(take).collect();
-                let len = parts[0].len();
-                assert!(
-                    parts.iter().all(|d| d.len() == len),
-                    "alltoall contributions must have equal length"
-                );
-                assert!(
-                    len.is_multiple_of(p),
-                    "alltoall payload of {len} words not divisible by {p} ranks"
-                );
-                let chunk = len / p;
-                for (i, o) in outputs.iter_mut().enumerate() {
-                    let mut mine = Vec::with_capacity(len);
-                    for part in &parts {
-                        mine.extend_from_slice(&part[i * chunk..(i + 1) * chunk]);
-                    }
-                    *o = Some(Output::Data(mine));
                 }
             }
             CollKind::Split => {

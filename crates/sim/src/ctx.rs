@@ -17,7 +17,7 @@ use crate::core::{CollKind, CombineFn, Contrib, Output, P2pKey, SimCore};
 use crate::counters::RankCounters;
 use crate::request::{Request, RequestInner};
 
-/// Elementwise reduction operators for `reduce`/`allreduce`.
+/// Elementwise reduction operators for `allreduce`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Elementwise sum.
@@ -155,11 +155,6 @@ impl RankCtx {
         }
     }
 
-    /// Number of fault-injection points passed so far (diagnostics).
-    pub fn fault_points(&self) -> u64 {
-        self.fault_points
-    }
-
     /// This rank's world rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -180,13 +175,6 @@ impl RankCtx {
         self.clock
     }
 
-    /// Advance the local clock by `dt` virtual seconds (modeling local work
-    /// outside the kernel cost model — e.g. Critter's own bookkeeping).
-    pub fn advance(&mut self, dt: f64) {
-        assert!(dt >= 0.0, "cannot advance time backwards");
-        self.clock += dt;
-    }
-
     /// The machine model driving all costs.
     pub fn machine(&self) -> &MachineModel {
         &self.core.machine
@@ -195,12 +183,6 @@ impl RankCtx {
     /// Volumetric counters accumulated so far.
     pub fn counters(&self) -> &RankCounters {
         &self.counters
-    }
-
-    /// Number of compute kernels sampled so far (the per-rank invocation
-    /// counter feeding the deterministic jitter stream).
-    pub fn compute_invocations(&self) -> u64 {
-        self.compute_invocations
     }
 
     /// Execute a compute kernel of `class` costing `flops`: samples its noisy
@@ -235,7 +217,7 @@ impl RankCtx {
         self.fault_point();
         let key = self.key(comm, comm.rank(), dst, tag);
         let words = data.len();
-        let (cost, slot) = self.core.post_send(key, data.to_vec(), self.clock, false, None);
+        let (cost, slot) = self.core.post_send(key, data.to_vec(), self.clock, None);
         let done = match slot {
             Some(s) => {
                 let done = self.core.wait_send(&s);
@@ -288,7 +270,7 @@ impl RankCtx {
         let key = self.key(comm, comm.rank(), dst, tag);
         let words = data.len() as u64;
         let post = self.clock;
-        let (cost, slot) = self.core.post_send(key, data, post, false, cost_words);
+        let (cost, slot) = self.core.post_send(key, data, post, cost_words);
         // Posting costs only the software overhead; transfer overlaps.
         self.clock += self.core.machine.params().per_call_overhead;
         match slot {
@@ -297,29 +279,16 @@ impl RankCtx {
         }
     }
 
-    /// Nonblocking receive; data is returned by [`RankCtx::wait`].
-    pub fn irecv(&mut self, comm: &Communicator, src: usize, tag: u64) -> Request {
-        self.perturb_point();
-        self.fault_point();
-        let key = self.key(comm, src, comm.rank(), tag);
-        let post = self.clock;
-        self.clock += self.core.machine.params().per_call_overhead;
-        Request(RequestInner::Recv { key, post })
-    }
-
-    /// Complete a nonblocking operation. Returns the received payload for
-    /// receive requests, `None` otherwise.
-    pub fn wait(&mut self, req: Request) -> Option<Vec<f64>> {
+    /// Complete a nonblocking send.
+    pub fn wait(&mut self, req: Request) {
         self.perturb_point();
         self.fault_point();
         match req.0 {
-            RequestInner::Done => None,
             RequestInner::SendEager { done, words, cost } => {
                 self.counters.sends += 1;
                 self.counters.words_sent += words;
                 self.counters.comm_time += cost;
                 self.clock = self.clock.max(done);
-                None
             }
             RequestInner::SendRendezvous { slot, post, words } => {
                 let done = self.core.wait_send(&slot);
@@ -328,33 +297,13 @@ impl RankCtx {
                 // Attribute the span beyond our current clock to idle+transfer.
                 self.counters.idle_time += (done - self.clock.max(post)).max(0.0);
                 self.clock = self.clock.max(done);
-                None
-            }
-            RequestInner::Recv { key, post } => {
-                let out = self.core.match_recv(key, post);
-                self.counters.recvs += 1;
-                self.counters.words_received += out.data.len() as u64;
-                self.counters.comm_time += out.cost;
-                self.counters.idle_time += (out.done - self.clock - out.cost).max(0.0);
-                self.clock = self.clock.max(out.done);
-                Some(out.data)
             }
         }
     }
 
+    /// Take part in one collective; returns this rank's output and the
+    /// operation's sampled cost.
     fn run_collective(
-        &mut self,
-        comm: &Communicator,
-        kind: CollKind,
-        root: usize,
-        contrib: Contrib,
-        combine: Option<CombineFn>,
-        charge: Option<Option<usize>>,
-    ) -> Output {
-        self.run_collective_timed(comm, kind, root, contrib, combine, charge).0
-    }
-
-    fn run_collective_timed(
         &mut self,
         comm: &Communicator,
         kind: CollKind,
@@ -391,69 +340,32 @@ impl RankCtx {
         } else {
             Contrib::Data(Vec::new())
         };
-        let out = self.run_collective(comm, CollKind::Bcast, root, contrib, None, Some(None));
+        let (out, _) = self.run_collective(comm, CollKind::Bcast, root, contrib, None, Some(None));
         *data = Self::expect_data(out);
-    }
-
-    /// Reduce `data` elementwise onto `root`; `Some(result)` at the root.
-    pub fn reduce(
-        &mut self,
-        comm: &Communicator,
-        root: usize,
-        op: ReduceOp,
-        data: &[f64],
-    ) -> Option<Vec<f64>> {
-        let out = self.run_collective(
-            comm,
-            CollKind::Reduce(op),
-            root,
-            Contrib::Data(data.to_vec()),
-            None,
-            Some(None),
-        );
-        match out {
-            Output::Data(d) => Some(d),
-            _ => None,
-        }
     }
 
     /// Allreduce: every rank receives the elementwise reduction.
     pub fn allreduce(&mut self, comm: &Communicator, op: ReduceOp, data: &[f64]) -> Vec<f64> {
-        let out = self.run_collective(
-            comm,
-            CollKind::Allreduce(op),
-            0,
-            Contrib::Data(data.to_vec()),
-            None,
-            Some(None),
-        );
+        let contrib = Contrib::Data(data.to_vec());
+        let (out, _) =
+            self.run_collective(comm, CollKind::Allreduce(op), 0, contrib, None, Some(None));
         Self::expect_data(out)
     }
 
     /// Allreduce with a custom associative combine function (Critter's internal
-    /// path-propagation operator). When `charged` is false the operation
-    /// synchronizes clocks but adds zero cost — pure piggybacking.
+    /// path-propagation operator). With `charge = None` the operation
+    /// synchronizes clocks but adds zero cost — pure piggybacking. Also
+    /// returns the operation's sampled cost — identical on every participant,
+    /// which lets the Critter layer fold its own profiling cost into the
+    /// critical-path estimate.
     pub fn allreduce_custom(
         &mut self,
         comm: &Communicator,
         data: Vec<f64>,
         combine: CombineFn,
         charge: Option<Option<usize>>,
-    ) -> Vec<f64> {
-        self.allreduce_custom_timed(comm, data, combine, charge).0
-    }
-
-    /// [`RankCtx::allreduce_custom`] that also returns the operation's sampled
-    /// cost — identical on every participant, which lets the Critter layer
-    /// fold its own profiling cost into the critical-path estimate.
-    pub fn allreduce_custom_timed(
-        &mut self,
-        comm: &Communicator,
-        data: Vec<f64>,
-        combine: CombineFn,
-        charge: Option<Option<usize>>,
     ) -> (Vec<f64>, f64) {
-        let (out, cost) = self.run_collective_timed(
+        let (out, cost) = self.run_collective(
             comm,
             CollKind::AllreduceCustom,
             0,
@@ -466,27 +378,15 @@ impl RankCtx {
 
     /// Allgather: concatenation of every rank's `data`, in rank order.
     pub fn allgather(&mut self, comm: &Communicator, data: &[f64]) -> Vec<f64> {
-        let out = self.run_collective(
-            comm,
-            CollKind::Allgather,
-            0,
-            Contrib::Data(data.to_vec()),
-            None,
-            Some(None),
-        );
+        let contrib = Contrib::Data(data.to_vec());
+        let (out, _) = self.run_collective(comm, CollKind::Allgather, 0, contrib, None, Some(None));
         Self::expect_data(out)
     }
 
     /// Gather onto `root`: `Some(concatenation)` at the root.
     pub fn gather(&mut self, comm: &Communicator, root: usize, data: &[f64]) -> Option<Vec<f64>> {
-        let out = self.run_collective(
-            comm,
-            CollKind::Gather,
-            root,
-            Contrib::Data(data.to_vec()),
-            None,
-            Some(None),
-        );
+        let contrib = Contrib::Data(data.to_vec());
+        let (out, _) = self.run_collective(comm, CollKind::Gather, root, contrib, None, Some(None));
         match out {
             Output::Data(d) => Some(d),
             _ => None,
@@ -501,57 +401,24 @@ impl RankCtx {
         } else {
             Contrib::Data(Vec::new())
         };
-        let out = self.run_collective(comm, CollKind::Scatter, root, contrib, None, Some(None));
+        let (out, _) =
+            self.run_collective(comm, CollKind::Scatter, root, contrib, None, Some(None));
         Self::expect_data(out)
     }
 
-    /// Reduce-scatter: every rank contributes `size()·chunk` words; rank `i`
-    /// receives the `i`-th `chunk`-word slice of the elementwise reduction.
-    pub fn reduce_scatter(&mut self, comm: &Communicator, op: ReduceOp, data: &[f64]) -> Vec<f64> {
-        assert_eq!(data.len() % comm.size(), 0, "reduce_scatter payload must divide by ranks");
-        let out = self.run_collective(
-            comm,
-            CollKind::ReduceScatter(op),
-            0,
-            Contrib::Data(data.to_vec()),
-            None,
-            Some(None),
-        );
-        Self::expect_data(out)
-    }
-
-    /// All-to-all: every rank contributes `size()·chunk` words; rank `i`
-    /// receives the concatenation of every rank's `i`-th chunk, in rank order.
-    pub fn alltoall(&mut self, comm: &Communicator, data: &[f64]) -> Vec<f64> {
-        assert_eq!(data.len() % comm.size(), 0, "alltoall payload must divide by ranks");
-        let out = self.run_collective(
-            comm,
-            CollKind::Alltoall,
-            0,
-            Contrib::Data(data.to_vec()),
-            None,
-            Some(None),
-        );
-        Self::expect_data(out)
-    }
-
-    /// Synchronize all ranks of `comm`.
+    /// Synchronize all ranks of `comm`. No workload calls it; the simulator's
+    /// deadlock-shape, fault-injection and determinism tests build their rank
+    /// programs from it.
     pub fn barrier(&mut self, comm: &Communicator) {
-        let _ = self.run_collective(
-            comm,
-            CollKind::Barrier,
-            0,
-            Contrib::Data(Vec::new()),
-            None,
-            Some(None),
-        );
+        let contrib = Contrib::Data(Vec::new());
+        let _ = self.run_collective(comm, CollKind::Barrier, 0, contrib, None, Some(None));
     }
 
     /// Split `comm` by `color` (negative = undefined → `None`), ordering the
     /// new communicator by `(key, world rank)` as MPI does.
     pub fn split(&mut self, comm: &Communicator, color: i64, key: i64) -> Option<Communicator> {
         let contrib = Contrib::Split { color, key, world_rank: comm.world_rank_of(comm.rank()) };
-        let out = self.run_collective(comm, CollKind::Split, 0, contrib, None, Some(None));
+        let (out, _) = self.run_collective(comm, CollKind::Split, 0, contrib, None, Some(None));
         match out {
             Output::Split(Some((id, members, index))) => {
                 Some(Communicator::new(id, members, index))
@@ -561,14 +428,11 @@ impl RankCtx {
         }
     }
 
-    /// Duplicate `comm`, as `MPI_Comm_dup`: a collective producing a new
-    /// communicator with the same members and ordering but a fresh id (and
-    /// therefore an independent collective sequence stream and tag space).
-    pub fn dup(&mut self, comm: &Communicator) -> Communicator {
-        self.split(comm, 0, comm.rank() as i64).expect("dup color is never undefined")
-    }
-
     /// Combined send+receive (deadlock-free exchange), as `MPI_Sendrecv`.
+    /// No workload calls it (`CritterEnv::sendrecv` intercepts its own
+    /// `isend` + `recv`); the simulator's schedule-perturbation and backend
+    /// tests and the testkit's perturbation fuzzer build their rank programs
+    /// from it.
     pub fn sendrecv(
         &mut self,
         comm: &Communicator,

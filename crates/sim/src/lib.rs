@@ -21,9 +21,9 @@
 //!   `max(arrival times) + cost(op, words, p)` — the BSP view of a collective,
 //!   which is also exactly the quantity Critter's critical-path reduction
 //!   needs to observe;
-//! * nonblocking operations record their post time; `wait` applies the
-//!   completion rule with the *post* time, so communication-computation
-//!   overlap is modeled.
+//! * a nonblocking send records its post time; `wait` applies the
+//!   completion rule with the *post* time, so the sender's
+//!   communication-computation overlap is modeled.
 //!
 //! ## Determinism
 //!

@@ -1,13 +1,12 @@
-//! Nonblocking operation handles.
+//! Nonblocking send handles.
 
 use std::sync::Arc;
 
-use crate::core::{P2pKey, SendSlot};
+use crate::core::SendSlot;
 
-/// Handle on an outstanding nonblocking operation, completed by
-/// [`crate::RankCtx::wait`]. Dropping an un-waited request is a program bug
-/// for receives (the message would never be drained); requests are therefore
-/// `#[must_use]`.
+/// Handle on an outstanding nonblocking send, completed by
+/// [`crate::RankCtx::wait`]. The send's transfer time reaches the sender's
+/// clock and counters only at the wait, so requests are `#[must_use]`.
 #[must_use = "nonblocking operations must be completed with wait()"]
 #[derive(Debug)]
 pub struct Request(pub(crate) RequestInner);
@@ -25,15 +24,4 @@ pub(crate) enum RequestInner {
     },
     /// Rendezvous nonblocking send: completion determined by the receiver.
     SendRendezvous { slot: Arc<SendSlot>, post: f64, words: u64 },
-    /// Nonblocking receive: matched at wait time using the posted time.
-    Recv { key: P2pKey, post: f64 },
-    /// Already-completed request (returned when an operation degenerates).
-    Done,
-}
-
-impl Request {
-    /// A pre-completed request (no operation outstanding).
-    pub fn done() -> Self {
-        Request(RequestInner::Done)
-    }
 }

@@ -144,16 +144,3 @@ fn rank_count_must_match_machine() {
         "rank count",
     );
 }
-
-#[test]
-fn negative_time_advance_is_rejected() {
-    expect_panic(
-        || {
-            let machine = MachineModel::test_exact(1).shared();
-            run_simulation(SimConfig::new(1), machine, |ctx| {
-                ctx.advance(-1.0);
-            });
-        },
-        "backwards",
-    );
-}

@@ -80,23 +80,3 @@ proptest! {
         prop_assert_eq!(reference, cloned);
     }
 }
-
-#[test]
-fn dup_yields_a_fresh_id_and_independent_sequence_stream() {
-    let p = 2;
-    let machine = MachineModel::test_exact(p).shared();
-    let report = run_simulation(SimConfig::new(p), machine, |ctx: &mut RankCtx| {
-        let world = ctx.world();
-        let dup = ctx.dup(&world);
-        assert_ne!(dup.id(), world.id(), "dup must not share the parent's id");
-        assert_eq!(dup.members(), world.members());
-        assert_eq!(dup.rank(), world.rank());
-        // Interleave collectives on both: their sequence streams are keyed by
-        // the distinct ids, so this cannot collide.
-        ctx.barrier(&dup);
-        ctx.barrier(&world);
-        ctx.barrier(&dup);
-        ctx.now()
-    });
-    assert_eq!(report.rank_times[0], report.rank_times[1]);
-}

@@ -132,37 +132,15 @@ pub fn golden_trace() -> String {
 /// interception; Capital, CANDMC and SUMMA cover `bcast` / `allgather` /
 /// `gather` / `scatter` and the `isend` + `recv` pipeline.
 pub fn golden_tunes() -> Vec<GoldenTune> {
+    use ExecutionPolicy as P;
+    use TuningSpace as S;
+    let tune = |name, space, policy| GoldenTune { name, space, policy, epsilon: 0.25 };
     vec![
-        GoldenTune {
-            name: "cholesky-local-eps25",
-            space: TuningSpace::SlateCholesky,
-            policy: ExecutionPolicy::LocalPropagation,
-            epsilon: 0.25,
-        },
-        GoldenTune {
-            name: "qr-online-eps25",
-            space: TuningSpace::SlateQr,
-            policy: ExecutionPolicy::OnlinePropagation,
-            epsilon: 0.25,
-        },
-        GoldenTune {
-            name: "capital-eager-eps25",
-            space: TuningSpace::CapitalCholesky,
-            policy: ExecutionPolicy::EagerPropagation,
-            epsilon: 0.25,
-        },
-        GoldenTune {
-            name: "candmc-qr-conditional-eps25",
-            space: TuningSpace::CandmcQr,
-            policy: ExecutionPolicy::ConditionalExecution,
-            epsilon: 0.25,
-        },
-        GoldenTune {
-            name: "summa25d-apriori-eps25",
-            space: TuningSpace::Summa25D,
-            policy: ExecutionPolicy::APrioriPropagation,
-            epsilon: 0.25,
-        },
+        tune("cholesky-local-eps25", S::SlateCholesky, P::LocalPropagation),
+        tune("qr-online-eps25", S::SlateQr, P::OnlinePropagation),
+        tune("capital-eager-eps25", S::CapitalCholesky, P::EagerPropagation),
+        tune("candmc-qr-conditional-eps25", S::CandmcQr, P::ConditionalExecution),
+        tune("summa25d-apriori-eps25", S::Summa25D, P::APrioriPropagation),
     ]
 }
 

@@ -77,13 +77,12 @@ fn run(p: &Parsed) -> std::result::Result<(), Error> {
     let policy = p.get("--policy")?.unwrap_or(ExecutionPolicy::OnlinePropagation);
     let epsilon = p.get("--epsilon")?.unwrap_or(0.25);
     let backend = p.get("--backend")?.unwrap_or_default();
-    let allocation = p.get("--allocation")?.unwrap_or(0);
     let report_out: Option<PathBuf> = p.get("--report-out")?;
     let metrics_out: Option<PathBuf> = p.get("--metrics-out")?;
     let mut opts = TuningOptions::new(policy, epsilon).with_backend(backend);
     opts.reset_between_configs = space.resets_between_configs();
     opts.reps = p.get("--reps")?.unwrap_or(1);
-    opts.allocation = allocation;
+    opts.allocation = p.get("--allocation")?.unwrap_or(0);
     opts.extrapolate = p.switch("--extrapolate");
     opts.charge_internal = !p.switch("--no-overhead");
     opts.seed = p.get("--seed")?.unwrap_or(opts.seed);
@@ -100,7 +99,8 @@ fn run(p: &Parsed) -> std::result::Result<(), Error> {
         epsilon
     );
     let t0 = std::time::Instant::now();
-    let report = Autotuner::new(opts).tune_session(&workloads, &session).unwrap_or_else(|e| {
+    let tuner = Autotuner::new(opts);
+    let report = tuner.tune_session(&workloads, &session).unwrap_or_else(|e| {
         eprintln!("session failed: {e}");
         std::process::exit(1)
     });
@@ -155,10 +155,13 @@ fn run(p: &Parsed) -> std::result::Result<(), Error> {
 
     if p.switch("--profile") {
         println!("\ncritical-path kernel profile of the selected configuration:");
-        // Re-run the selected configuration under full execution to print a
-        // clean profile.
+        // Re-run the selected configuration under full execution, on the
+        // sweep's machine, to print a clean profile.
         let w = &workloads[best];
-        let machine = MachineModel::stampede2(w.ranks(), 7, allocation).shared();
+        let o = tuner.options();
+        let machine =
+            MachineModel::new(o.params.clone(), o.noise.clone(), w.ranks(), o.seed, o.allocation)
+                .shared();
         let cfg = critter::sim::SimConfig::new(w.ranks()).with_backend(backend);
         let rep = critter::sim::run_simulation(cfg, machine, |ctx| {
             let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
@@ -168,7 +171,7 @@ fn run(p: &Parsed) -> std::result::Result<(), Error> {
         let winner = rep
             .outputs
             .iter()
-            .max_by(|a, b| a.predicted_time.partial_cmp(&b.predicted_time).unwrap())
+            .max_by(|a, b| a.predicted_time.total_cmp(&b.predicted_time))
             .expect("at least one rank");
         println!("{:<28} {:>8} {:>14}", "kernel", "count", "path time (s)");
         for (label, count, time) in &winner.top_kernels {

@@ -1,6 +1,6 @@
 //! `critter-tune`'s command line at the process boundary: the generated
-//! `--help`, the one failure behaviour for invalid input, and the
-//! `--checkpoint-dir` fresh-run contract.
+//! `--help`, the one failure behaviour for invalid input, the
+//! `--checkpoint-dir` fresh-run contract, and the `--profile` re-run.
 
 #[path = "support/cli.rs"]
 mod support;
@@ -80,4 +80,17 @@ fn fresh_checkpointed_run_spares_foreign_files_and_ignores_a_stale_checkpoint() 
     let kept = std::fs::read_to_string(dir.join("timeline.jsonl")).unwrap();
     assert_eq!(kept, timeline, "a resume of a finished session appends nothing");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn profile_reruns_the_winner_on_the_sweeps_machine() {
+    // The profile re-run must see the sweep's noise seed, not a fixed one.
+    let profile = |seed: &str| {
+        let args = ["--space", "slate-cholesky", "--smoke", "--profile", "--seed", seed];
+        let (code, stdout, stderr) = run(TUNE, &args);
+        assert_eq!(code, 0, "{stderr}");
+        let at = stdout.find("critical-path kernel profile").expect("profile section printed");
+        stdout[at..].to_string()
+    };
+    assert_ne!(profile("1"), profile("2"), "two seeds must profile two different machines");
 }
