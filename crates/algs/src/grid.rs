@@ -249,10 +249,12 @@ mod tests {
     use critter_machine::MachineModel;
     use critter_sim::{run_simulation, SimConfig};
 
-    fn with_grid<R: Send>(f: impl Fn(&mut CritterEnv, &Grid3D) -> R + Send + Sync) -> Vec<R> {
+    fn with_grid<R: Send + 'static>(
+        f: impl Fn(&mut CritterEnv, &Grid3D) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
         let p = 8; // 2x2x2
         let machine = MachineModel::test_exact(p).shared();
-        run_simulation(SimConfig::new(p), machine, |ctx| {
+        run_simulation(SimConfig::new(p), machine, move |ctx| {
             let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
             let grid = Grid3D::new(&mut env);
             let out = f(&mut env, &grid);

@@ -29,6 +29,7 @@
 //! execution the numerics are knowingly corrupted, exactly as in the paper.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bsp;
 pub mod candmc_qr;

@@ -220,7 +220,7 @@ impl Autotuner {
     /// plus, when `cfg.obs` is set, the per-rank observability traces.
     fn run_once(
         &self,
-        w: &dyn Workload,
+        w: &Arc<dyn Workload>,
         cfg: &CritterConfig,
         stores: &mut Vec<KernelStore>,
         run_index: u64,
@@ -229,11 +229,8 @@ impl Autotuner {
     ) -> (RunRecord, Option<Vec<RankTrace>>) {
         let ranks = w.ranks();
         assert_eq!(stores.len(), ranks, "store count mismatch");
-        let cfg = &{
-            let mut c = cfg.clone();
-            c.obs_capacity = self.obs_capacity.load(Ordering::Relaxed);
-            c
-        };
+        let mut cfg = cfg.clone();
+        cfg.obs_capacity = self.obs_capacity.load(Ordering::Relaxed);
         let machine = MachineModel::new(
             self.opts.params.clone(),
             self.opts.noise.clone(),
@@ -256,6 +253,7 @@ impl Autotuner {
         if let Some(f) = faults {
             sim_config = sim_config.with_faults(f);
         }
+        let (w, observed) = (Arc::clone(w), cfg.obs);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             run_simulation(sim_config, machine, move |ctx| {
                 let store = slots_in[ctx.rank()].lock().take().expect("store present");
@@ -300,8 +298,7 @@ impl Autotuner {
             rec.kernels_skipped += r.kernels_skipped;
             rec.internal_words += r.internal_words;
         }
-        let obs: Option<Vec<RankTrace>> = cfg
-            .obs
+        let obs: Option<Vec<RankTrace>> = observed
             .then(|| report.outputs.into_iter().map(|r| r.obs.unwrap_or_default()).collect());
         if let Some(traces) = &obs {
             let peak = traces.iter().map(|t| t.events.len()).max().unwrap_or(0);
@@ -366,7 +363,7 @@ impl Autotuner {
     #[allow(clippy::too_many_arguments)]
     fn run_with_retry(
         &self,
-        w: &dyn Workload,
+        w: &Arc<dyn Workload>,
         cfg: &CritterConfig,
         stores: &mut Vec<KernelStore>,
         run_index: u64,
@@ -593,7 +590,7 @@ impl Autotuner {
         let reference = |u: usize| -> RefOutcome {
             let mut events = Vec::new();
             let run = self.run_with_retry(
-                workloads[u / reps].as_ref(),
+                &workloads[u / reps],
                 &full_cfg,
                 &mut fresh(),
                 run_index(u, 0),
@@ -631,7 +628,7 @@ impl Autotuner {
                     let (reference, chain) = refs.unit(u, || {
                         let mut run = |cfg: &CritterConfig, kind: usize| {
                             self.run_with_retry(
-                                w.as_ref(),
+                                w,
                                 cfg,
                                 &mut state.stores,
                                 run_index(u, kind),
@@ -770,8 +767,9 @@ mod tests {
         let tuner = Autotuner::new(opts);
         let cfg = CritterConfig::full();
         let mut stores: Vec<KernelStore> = (0..2).map(|_| KernelStore::new()).collect();
+        let w: Arc<dyn Workload> = Arc::new(PanicOnRankZero);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            tuner.run_once(&PanicOnRankZero, &cfg, &mut stores, 7, false, None)
+            tuner.run_once(&w, &cfg, &mut stores, 7, false, None)
         }));
         let payload = result.expect_err("rank panic must propagate out of run_once");
         let msg = payload

@@ -15,6 +15,7 @@
 //! execution per configuration.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod flags;

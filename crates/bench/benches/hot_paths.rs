@@ -176,8 +176,7 @@ fn main() {
     {
         let p = if q { 1024 } else { 10_240 };
         let m = MachineModel::test_noisy(p, 23).shared();
-        let cfg =
-            SimConfig::new(p).with_backend(BackendKind::Tasks).with_stack_size((256 << 10) + 0xB1C);
+        let cfg = SimConfig::new(p).with_backend(BackendKind::Tasks);
         let start = Instant::now();
         let r = run_simulation(cfg, m, move |ctx| {
             let world = ctx.world();

@@ -15,6 +15,8 @@
 //! `results/` so EXPERIMENTS.md's paper-vs-measured entries can be refreshed
 //! mechanically. Pass `--quick` for a reduced ε grid.
 
+#![forbid(unsafe_code)]
+
 pub mod fig3;
 pub mod harness;
 pub mod plot;

@@ -24,7 +24,7 @@
 //! under [`ExecutionPolicy::Full`].
 
 use critter_machine::CommOp;
-use critter_obs::{Event, EventKind, RankRecorder, TraceSink};
+use critter_obs::{Event, EventKind, RankRecorder};
 use critter_sim::{Communicator, RankCtx, ReduceOp, Request};
 
 use crate::channels::ChannelRegistry;

@@ -27,6 +27,7 @@
 //! a cartesian processor grid.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod channels;
 pub mod env;

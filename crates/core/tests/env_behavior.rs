@@ -6,14 +6,14 @@ use critter_machine::MachineModel;
 use critter_obs::{Event, EventKind};
 use critter_sim::{run_simulation, RankCtx, ReduceOp, SimConfig};
 
-fn run_env<R: Send>(
+fn run_env<R: Send + 'static>(
     ranks: usize,
     machine: MachineModel,
     cfg: CritterConfig,
-    f: impl Fn(&mut CritterEnv) -> R + Send + Sync,
+    f: impl Fn(&mut CritterEnv) -> R + Send + Sync + 'static,
 ) -> Vec<(R, critter_core::CritterReport, f64)> {
     let machine = machine.shared();
-    let report = run_simulation(SimConfig::new(ranks), machine, |ctx: &mut RankCtx| {
+    let report = run_simulation(SimConfig::new(ranks), machine, move |ctx: &mut RankCtx| {
         let mut env = CritterEnv::new(ctx, cfg.clone(), KernelStore::new());
         let out = f(&mut env);
         let (rep, _store) = env.finish();
@@ -55,7 +55,7 @@ fn conditional_skips_after_convergence_with_zero_noise() {
         1,
         MachineModel::test_exact(1),
         CritterConfig::new(ExecutionPolicy::ConditionalExecution, 0.1),
-        |env| {
+        move |env| {
             for _ in 0..reps {
                 env.kernel(ComputeOp::Gemm, 64, 64, 64, 2.0 * 64f64.powi(3), || {});
             }
@@ -74,7 +74,7 @@ fn prediction_accurate_when_skipping_zero_noise() {
         MachineModel::test_exact(1),
         CritterConfig::new(ExecutionPolicy::ConditionalExecution, 0.1)
             .with_internal_charging(false),
-        |env| {
+        move |env| {
             for _ in 0..reps {
                 env.kernel(ComputeOp::Syrk, 48, 48, 16, 1e6, || {});
             }
@@ -204,7 +204,7 @@ fn eager_switches_off_globally_and_persists() {
     // execute-once-per-config requirement.
     let machine = MachineModel::test_exact(4).shared();
     let cfg = CritterConfig::new(ExecutionPolicy::EagerPropagation, 0.5);
-    let report = run_simulation(SimConfig::new(4), machine, |ctx: &mut RankCtx| {
+    let report = run_simulation(SimConfig::new(4), machine, move |ctx: &mut RankCtx| {
         let mut env = CritterEnv::new(ctx, cfg.clone(), KernelStore::new());
         let world = env.world();
         for _ in 0..4 {
@@ -311,7 +311,7 @@ fn apriori_counts_enable_scaling_from_start() {
     // sooner than conditional would with the same sample budget.
     let machine = MachineModel::test_noisy(1, 11).shared();
     let reps = 64;
-    let report = run_simulation(SimConfig::new(1), machine, |ctx: &mut RankCtx| {
+    let report = run_simulation(SimConfig::new(1), machine, move |ctx: &mut RankCtx| {
         // Offline pass.
         let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
         for _ in 0..reps {
@@ -527,7 +527,7 @@ fn collectives_match_raw_results_and_skip_to_sized_placeholders() {
     let p = 4;
     for op in COLLECTIVES {
         // Full execution: the intercepted result is the simulator's result.
-        let full = run_env(p, MachineModel::test_exact(p), CritterConfig::full(), |env| {
+        let full = run_env(p, MachineModel::test_exact(p), CritterConfig::full(), move |env| {
             (run_collective(env, op, true), run_collective(env, op, false))
         });
         for (rank, ((got, want), _, _)) in full.iter().enumerate() {
@@ -540,7 +540,7 @@ fn collectives_match_raw_results_and_skip_to_sized_placeholders() {
             p,
             MachineModel::test_exact(p),
             CritterConfig::new(ExecutionPolicy::ConditionalExecution, 0.5),
-            |env| (0..6).map(|_| run_collective(env, op, true)).last().unwrap(),
+            move |env| (0..6).map(|_| run_collective(env, op, true)).last().unwrap(),
         );
         for (rank, (last, rep, _)) in skipping.iter().enumerate() {
             let zeros = |len: usize| Some(vec![0.0; len]);

@@ -16,6 +16,7 @@
 //! regardless of thread interleaving.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod comm_cost;
 mod compute_cost;

@@ -42,6 +42,7 @@
 //! [`json::canonical_text`], the one way a document becomes text.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod json;
@@ -51,5 +52,5 @@ pub mod timeline;
 
 pub use event::{Event, EventKind};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use sink::{RankRecorder, RankTrace, TraceSink};
+pub use sink::{RankRecorder, RankTrace};
 pub use timeline::{ObsReport, Timeline, TimelineRun};

@@ -1,45 +1,9 @@
-//! Per-rank event collection: the [`TraceSink`] abstraction and the
-//! buffer/registry pair each simulated rank records into.
+//! Per-rank event collection: the buffer/registry pair each simulated rank
+//! records into.
 
 use crate::event::Event;
 use crate::json::{JsonError, Reader};
 use crate::metrics::MetricsRegistry;
-
-/// Anything events can be recorded into.
-///
-/// The interception layer is generic over the sink only in spirit — in
-/// practice it records into a [`RankRecorder`] — but the trait keeps the
-/// recording surface minimal and lets tests capture events in a plain
-/// `Vec`.
-///
-/// # Examples
-///
-/// ```
-/// use critter_obs::{Event, EventKind, TraceSink};
-///
-/// // A Vec<Event> is the simplest sink.
-/// let mut sink: Vec<Event> = Vec::new();
-/// sink.record(Event {
-///     kind: EventKind::KernelExec,
-///     label: "gemm[8x8x8]".into(),
-///     start: 0.0,
-///     dur: 1.5e-6,
-///     arg: 1.5e-6,
-/// });
-/// assert_eq!(sink.len(), 1);
-/// assert_eq!(sink[0].kind, EventKind::KernelExec);
-/// ```
-pub trait TraceSink {
-    /// Append one event. Sinks must preserve arrival order: per-rank
-    /// buffers are the unit of ordering in the exported timeline.
-    fn record(&mut self, event: Event);
-}
-
-impl TraceSink for Vec<Event> {
-    fn record(&mut self, event: Event) {
-        self.push(event);
-    }
-}
 
 /// The per-rank recording state: an event buffer plus a metrics registry,
 /// both filled strictly in the rank's program order.
@@ -69,6 +33,12 @@ impl RankRecorder {
         self.rank
     }
 
+    /// Append one event. Arrival order is preserved: per-rank buffers are
+    /// the unit of ordering in the exported timeline.
+    pub fn record(&mut self, event: Event) {
+        self.events.push(event);
+    }
+
     /// Events recorded so far, in program order.
     pub fn events(&self) -> &[Event] {
         &self.events
@@ -82,12 +52,6 @@ impl RankRecorder {
     /// Finalize into an immutable [`RankTrace`].
     pub fn into_trace(self) -> RankTrace {
         RankTrace { rank: self.rank, events: self.events, metrics: self.metrics }
-    }
-}
-
-impl TraceSink for RankRecorder {
-    fn record(&mut self, event: Event) {
-        self.events.push(event);
     }
 }
 
@@ -150,12 +114,5 @@ mod tests {
         assert_eq!(t.events.len(), 2);
         assert_eq!(&*t.events[0].label, "a");
         assert_eq!(t.metrics.counter("samples_taken"), 2);
-    }
-
-    #[test]
-    fn vec_is_a_sink() {
-        let mut v: Vec<Event> = Vec::new();
-        v.record(ev("x", 1.0));
-        assert_eq!(v.len(), 1);
     }
 }

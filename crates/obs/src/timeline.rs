@@ -238,7 +238,6 @@ mod tests {
     use super::*;
     use crate::event::{Event, EventKind};
     use crate::sink::RankRecorder;
-    use crate::sink::TraceSink;
 
     fn trace(rank: usize, label: &str, start: f64, arg: f64) -> RankTrace {
         let mut r = RankRecorder::new(rank);

@@ -244,6 +244,9 @@ impl Registry {
             let Some(seq) = id.strip_prefix("job-").and_then(|s| s.parse::<u64>().ok()) else {
                 continue;
             };
+            // Every `job-N` directory holds its id, loadable or not, so a
+            // fresh submission never reuses (and overwrites) one.
+            max_seq = max_seq.max(seq);
             let spec_text = match std::fs::read_to_string(dir.join("spec.json")) {
                 Ok(t) => t,
                 Err(_) => continue, // a partially created directory; ignore it
@@ -252,7 +255,6 @@ impl Registry {
                 Ok(s) => s,
                 Err(_) => continue,
             };
-            max_seq = max_seq.max(seq);
             let units_total = spec.units_total();
             let (state, units_done, error) = if dir.join("report.json").is_file() {
                 (JobState::Done, units_total, None)
@@ -308,7 +310,7 @@ impl Registry {
         let id = format!("job-{:06}", self.next_id.fetch_add(1, Ordering::SeqCst));
         let dir = self.job_dir(&id);
         let write = |name: &str, bytes: &str| -> Result<(), ServeError> {
-            std::fs::write(dir.join(name), bytes)
+            durable::write_atomic(&dir.join(name), bytes.as_bytes())
                 .map_err(|e| ServeError::Internal(format!("writing {name} for {id}: {e}")))
         };
         std::fs::create_dir_all(&dir)
@@ -542,6 +544,35 @@ mod tests {
         assert_eq!(reopened.get(&b).unwrap().state, JobState::Queued);
         // New ids continue after the highest recovered sequence number.
         assert_eq!(reopened.create(spec()).unwrap(), "job-000003");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopen_never_reuses_the_id_of_an_unloadable_job_dir() {
+        let dir = temp_dir("torn-spec");
+        let (registry, _) = Registry::open(&dir).unwrap();
+        assert_eq!(registry.create(spec()).unwrap(), "job-000001");
+        drop(registry);
+        // `job-000002` was torn mid-create: its spec does not parse, and it
+        // still holds an artifact that must not be overwritten or adopted.
+        let torn = dir.join("job-000002");
+        std::fs::create_dir_all(&torn).unwrap();
+        std::fs::write(torn.join("spec.json"), b"{\"space\": \"slate-ch").unwrap();
+        std::fs::write(torn.join("report.json"), b"{\"stale\": true}\n").unwrap();
+        let before: Vec<_> = ["spec.json", "report.json"]
+            .iter()
+            .map(|f| std::fs::read(torn.join(f)).unwrap())
+            .collect();
+
+        let (reopened, pending) = Registry::open(&dir).unwrap();
+        assert!(pending.contains(&"job-000001".to_string()));
+        assert!(reopened.get("job-000002").is_err());
+        assert_eq!(reopened.create(spec()).unwrap(), "job-000003");
+        let after: Vec<_> = ["spec.json", "report.json"]
+            .iter()
+            .map(|f| std::fs::read(torn.join(f)).unwrap())
+            .collect();
+        assert_eq!(before, after, "the torn job's bytes must be untouched");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

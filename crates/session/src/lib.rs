@@ -33,6 +33,7 @@
 //! [`TuningReport`]: https://docs.rs/critter-autotune
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod config;

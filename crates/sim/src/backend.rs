@@ -10,23 +10,23 @@
 //!   all runnable at once, the kernel schedules them preemptively. Best
 //!   latency at small rank counts.
 //! * [`BackendKind::Tasks`] — ranks as cooperatively scheduled coroutines:
-//!   each rank still owns a pooled thread (its coroutine stack), but a
+//!   each rank still owns a leased thread (its coroutine stack), but a
 //!   worker-permit semaphore bounds how many are *runnable* to a small
 //!   worker budget. A rank parks on an unmatched recv/collective
 //!   (releasing its permit to the next runnable rank) and resumes on match.
 //!   With the runnable set bounded, 10k+ simulated ranks fit in one process
 //!   without drowning the kernel scheduler in contending threads.
 //!
-//! The modes differ by that permit count and nothing else: both lease one
-//! pooled thread per rank from the process-wide registry, dispatch one job per
-//! rank, wait on the run's latch and drive the same sharded matching core. The
-//! testkit's `backend_equivalence` oracles assert that reports, traces, and
-//! metrics are byte-identical across backends and shard counts.
+//! The modes differ by that permit count and nothing else: both lease one idle
+//! thread per rank from the process-wide free list, send each an owned job,
+//! collect the results on one channel and drive the same sharded matching
+//! core. The testkit's `backend_equivalence` oracles assert that reports,
+//! traces, and metrics are byte-identical across backends and shard counts.
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use critter_machine::MachineModel;
 use parking_lot::{Condvar, Mutex};
@@ -34,7 +34,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::core::SimCore;
 use crate::counters::RankCounters;
 use crate::ctx::RankCtx;
-use crate::pool::{PoolLease, RankJob};
+use crate::pool::{RankJob, Workers};
 use crate::runner::{SimConfig, SimReport};
 
 /// Which backend hosts the simulated ranks.
@@ -85,39 +85,6 @@ impl std::str::FromStr for BackendKind {
         Self::ALL.into_iter().find(|kind| kind.name() == s).ok_or_else(|| {
             format!("unknown backend `{s}` (one of: {})", Self::ALL.map(Self::name).join(", "))
         })
-    }
-}
-
-/// Completion latch for one simulation run: counts down as rank jobs finish.
-///
-/// The latch is what makes dispatching borrowed rank closures sound:
-/// `execute_ranks` waits on it unconditionally before its stack frame (which
-/// the jobs borrow) can unwind, so a dropped or leaked job can at worst hang
-/// the run — never touch freed memory.
-struct RunLatch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-impl RunLatch {
-    fn new(count: usize) -> Self {
-        RunLatch { remaining: Mutex::new(count), done: Condvar::new() }
-    }
-
-    fn count_down(&self) {
-        let mut remaining = self.remaining.lock();
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Block until every dispatched rank job has reported completion.
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock();
-        while *remaining > 0 {
-            self.done.wait(&mut remaining);
-        }
     }
 }
 
@@ -177,17 +144,18 @@ impl TaskScheduler {
 /// or the panic payload that aborted it.
 type RankResult<R> = Result<(R, f64, RankCounters), Box<dyn Any + Send>>;
 
-/// The single launch path of [`crate::run_simulation`]: lease a pooled thread
-/// per rank, dispatch one job per rank, wait for the run's latch to drain, and
-/// collect the report.
+/// The single launch path of [`crate::run_simulation`]: lease one idle thread
+/// per rank from `workers`, send each an owned job, and read `(rank, result)`
+/// pairs off one channel until every job has dropped its sender.
 pub(crate) fn execute_ranks<R, F>(
     config: &SimConfig,
     machine: Arc<MachineModel>,
-    program: &F,
+    program: F,
+    workers: &Workers,
 ) -> SimReport<R>
 where
-    R: Send,
-    F: Fn(&mut RankCtx) -> R + Sync,
+    R: Send + 'static,
+    F: Fn(&mut RankCtx) -> R + Send + Sync + 'static,
 {
     assert!(config.ranks > 0, "simulation requires at least one rank");
     assert_eq!(
@@ -198,15 +166,13 @@ where
     let ranks = config.ranks;
     let sched = config.backend.permits().map(|n| Arc::new(TaskScheduler::new(n)));
     let core = Arc::new(SimCore::new(Arc::clone(&machine), config, sched));
-    let slots: Vec<Mutex<Option<RankResult<R>>>> = (0..ranks).map(|_| Mutex::new(None)).collect();
-    let latch = RunLatch::new(ranks);
-    let slots_ref = &slots;
-    let latch_ref = &latch;
+    let program = Arc::new(program);
+    let (tx, rx) = mpsc::channel::<(usize, RankResult<R>)>();
 
-    let mut jobs: Vec<RankJob> = Vec::with_capacity(ranks);
-    for (rank, slot) in slots_ref.iter().enumerate() {
-        let core = Arc::clone(&core);
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+    let lease = workers.lease(ranks);
+    lease.dispatch((0..ranks).map(|rank| {
+        let (core, program, tx) = (Arc::clone(&core), Arc::clone(&program), tx.clone());
+        Box::new(move || {
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 // Under the tasks backend a rank must hold a worker permit
                 // before running program code; acquisition panics (inside
@@ -227,38 +193,23 @@ where
                 // spawn-per-run runner did before propagating.
                 core.poison();
             }
-            *slot.lock() = Some(result);
-            latch_ref.count_down();
-        });
-        // SAFETY: the job borrows `program`, `slots`, and `latch`, which
-        // outlive it because this function waits for the latch to drain
-        // below — every dispatched job has fully run (including its final
-        // store and count-down) before `execute_ranks` returns or unwinds.
-        // Dispatch cannot break this: it sends to pool workers whose sends
-        // cannot fail (workers catch all panics and never exit while their
-        // sender lives), and a job that was somehow dropped or leaked would
-        // leave the latch above zero and hang the wait — a livelock, never a
-        // use-after-free.
-        let job: RankJob =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, RankJob>(job) };
-        jobs.push(job);
-    }
-
-    // The lease must outlive the latch wait (jobs are in flight on its
-    // threads until then); dropping it parks the threads for the next run.
-    let lease = PoolLease::checkout(ranks, config.stack_size);
-    lease.dispatch(jobs);
-    // The soundness backstop the SAFETY argument above relies on, so it is
-    // unconditional.
-    latch.wait();
+            let _ = tx.send((rank, result));
+        }) as RankJob
+    }));
+    drop(tx);
+    // The channel closes once every job has finished or was dropped unrun;
+    // only then do the leased threads go back on the free list.
+    let mut results: Vec<_> = rx.iter().collect();
     drop(lease);
+    assert_eq!(results.len(), ranks, "every rank reported");
+    results.sort_unstable_by_key(|&(rank, _)| rank);
 
     let mut outputs = Vec::with_capacity(ranks);
     let mut rank_times = Vec::with_capacity(ranks);
     let mut counters = Vec::with_capacity(ranks);
     let mut panic_payload: Option<(Box<dyn Any + Send>, bool)> = None;
-    for slot in &slots {
-        match slot.lock().take().expect("rank reported") {
+    for (_, result) in results {
+        match result {
             Ok((out, clock, ctrs)) => {
                 outputs.push(out);
                 rank_times.push(clock);
@@ -332,18 +283,5 @@ mod tests {
     fn only_tasks_bounds_the_runnable_set_by_available_parallelism() {
         assert_eq!(BackendKind::Threads.permits(), None);
         assert!(BackendKind::Tasks.permits().expect("tasks always schedules") >= 1);
-    }
-
-    #[test]
-    fn latch_waits_for_all_count_downs() {
-        let latch = Arc::new(RunLatch::new(2));
-        let l = Arc::clone(&latch);
-        let t = std::thread::spawn(move || {
-            l.count_down();
-            l.count_down();
-        });
-        latch.wait();
-        t.join().unwrap();
-        latch.wait(); // zero: returns immediately, repeatedly
     }
 }

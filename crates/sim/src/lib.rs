@@ -6,10 +6,12 @@
 //!
 //! ## Execution model
 //!
-//! Each simulated rank runs the user's program on a pooled OS thread, scheduled
-//! in one of two [`BackendKind`] modes — thread-per-rank (`threads`, the default) or
-//! cooperatively scheduled over a small worker-permit budget (`tasks`, which
-//! lets 10k+ ranks fit in one process) — and carries a **virtual clock**.
+//! Each simulated rank runs the user's `'static` program on an OS thread
+//! leased from one process-wide free list of idle rank threads, and sends its
+//! result back on a channel. Ranks are scheduled in one of two [`BackendKind`]
+//! modes — thread-per-rank (`threads`, the default) or cooperatively scheduled
+//! over a small worker-permit budget (`tasks`, which lets 10k+ ranks fit in
+//! one process) — and each carries a **virtual clock**.
 //! Computation advances only the local clock
 //! (by a cost sampled from [`critter_machine::MachineModel`]); communication
 //! operations couple clocks through a central matching core:
@@ -44,6 +46,7 @@
 //! being simulated microscopically (see DESIGN.md, substitution table).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod backend;
 pub mod comm;

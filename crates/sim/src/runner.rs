@@ -1,4 +1,5 @@
-//! Launching simulations: pooled rank threads, panic propagation, report.
+//! Launching simulations: configuration, the `'static` rank-program entry
+//! point, and the report.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -8,6 +9,7 @@ use critter_machine::MachineModel;
 use crate::backend::{execute_ranks, BackendKind};
 use crate::counters::RankCounters;
 use crate::ctx::RankCtx;
+use crate::pool::WORKERS;
 
 /// Wall-clock schedule perturbation injected at the simulator's interception
 /// points (test-only configuration).
@@ -126,9 +128,6 @@ impl FaultPlan {
 pub struct SimConfig {
     /// Number of simulated ranks (each gets an OS thread).
     pub ranks: usize,
-    /// Stack size per rank thread. Recursive algorithms (Capital's Cholesky)
-    /// need room; 8 MiB matches the Linux default for main threads.
-    pub stack_size: usize,
     /// Wall-clock time a blocked operation may wait before the simulation is
     /// declared deadlocked.
     pub deadlock_timeout: Duration,
@@ -154,7 +153,6 @@ impl SimConfig {
     pub fn new(ranks: usize) -> Self {
         SimConfig {
             ranks,
-            stack_size: 8 << 20,
             deadlock_timeout: Duration::from_secs(30),
             eager_words: 512,
             perturb: None,
@@ -186,14 +184,6 @@ impl SimConfig {
     /// Override the eager threshold (the p2p-semantics ablation uses 0 and `usize::MAX`).
     pub fn with_eager_words(mut self, w: usize) -> Self {
         self.eager_words = w;
-        self
-    }
-
-    /// Override the per-rank stack size. Pools are keyed by
-    /// `(ranks, stack_size)`, so simulations with different stack sizes
-    /// never share rank threads.
-    pub fn with_stack_size(mut self, s: usize) -> Self {
-        self.stack_size = s;
         self
     }
 
@@ -234,11 +224,12 @@ impl<R> SimReport<R> {
 /// outputs are collected in rank order. A panic on any rank poisons the core
 /// (unblocking peers) and is re-raised on the calling thread.
 ///
-/// Rank threads come from a process-wide pool registry: the
-/// first simulation of a given `(ranks, stack_size)` shape spawns them, and
-/// subsequent runs — including runs after a panicked simulation — reuse
-/// them. Concurrent calls check out distinct pools, so simulations never
-/// share threads while in flight. `config.backend` picks the execution
+/// The program owns what it captures (`'static`): each rank's job holds a
+/// shared handle to it and sends its result back on a channel. Rank threads
+/// come from one process-wide free list of idle threads: a run leases one per
+/// rank, spawning only the shortfall, and later runs of any rank count —
+/// including runs after a panicked simulation — reuse them. Concurrent calls
+/// never share a thread while in flight. `config.backend` picks the execution
 /// backend (see [`BackendKind`]); virtual results are identical across
 /// backends.
 pub fn run_simulation<R, F>(
@@ -247,16 +238,17 @@ pub fn run_simulation<R, F>(
     program: F,
 ) -> SimReport<R>
 where
-    R: Send,
-    F: Fn(&mut RankCtx) -> R + Send + Sync,
+    R: Send + 'static,
+    F: Fn(&mut RankCtx) -> R + Send + Sync + 'static,
 {
-    execute_ranks(&config, machine, &program)
+    execute_ranks(&config, machine, program, &WORKERS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx::ReduceOp;
+    use crate::pool::Workers;
     use critter_machine::KernelClass;
     use std::panic::AssertUnwindSafe;
 
@@ -429,7 +421,7 @@ mod tests {
     #[test]
     fn sendrecv_exchanges_without_deadlock() {
         let p = 4;
-        let report = run_simulation(SimConfig::new(p), machine(p), |ctx| {
+        let report = run_simulation(SimConfig::new(p), machine(p), move |ctx| {
             let world = ctx.world();
             let right = (ctx.rank() + 1) % p;
             let left = (ctx.rank() + p - 1) % p;
@@ -723,36 +715,37 @@ mod tests {
 
     #[test]
     fn pooled_threads_are_reused_across_consecutive_runs() {
-        // A stack size no other test uses keys a private registry slot, so
-        // consecutive runs here deterministically lease the same pool even
-        // with the rest of the suite running in parallel.
-        let cfg = SimConfig::new(2).with_stack_size((1 << 20) + 0x5EED);
-        let run = || run_simulation(cfg.clone(), machine(2), |_ctx| std::thread::current().id());
+        // A private free list, so the rest of the suite running in parallel
+        // cannot take these threads between the two runs.
+        let workers = Workers::default();
+        let run = || {
+            execute_ranks(&SimConfig::new(2), machine(2), |_| std::thread::current().id(), &workers)
+        };
         let first = run();
         let second = run();
-        assert_eq!(
-            first.outputs, second.outputs,
-            "consecutive simulations of the same shape must reuse rank threads"
-        );
+        assert_eq!(first.outputs, second.outputs, "consecutive runs must reuse rank threads");
     }
 
     #[test]
     fn simulation_recovers_after_panicked_run_on_same_pool() {
-        let cfg = SimConfig::new(2).with_stack_size((1 << 20) + 0xFA11);
+        let workers = Workers::default();
+        let cfg = SimConfig::new(2);
         let m = machine(2);
-        let ids = |m: &Arc<MachineModel>| {
-            run_simulation(cfg.clone(), Arc::clone(m), |_ctx| std::thread::current().id()).outputs
+        let ids = || {
+            let id = |_: &mut RankCtx| std::thread::current().id();
+            execute_ranks(&cfg, Arc::clone(&m), id, &workers).outputs
         };
-        let before = ids(&m);
+        let before = ids();
         let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_simulation(cfg.clone(), Arc::clone(&m), |ctx| {
+            let program = |ctx: &mut RankCtx| {
                 if ctx.rank() == 1 {
                     panic!("rank 1 exploded");
                 }
                 // Blocks until the poison wakes it with the peer cascade.
                 let world = ctx.world();
                 ctx.recv(&world, 1, 0);
-            })
+            };
+            execute_ranks(&cfg, Arc::clone(&m), program, &workers)
         }))
         .expect_err("panic must propagate to the caller");
         let msg = payload
@@ -764,14 +757,54 @@ mod tests {
             msg.contains("rank 1 exploded"),
             "root cause, not the peer cascade, must be re-raised; got {msg:?}"
         );
-        // The lease went back to the registry although the run panicked, and
-        // the pool it parked is clean: same threads, fresh core, rank order.
-        assert_eq!(before, ids(&m), "the panicked run's pool must be reused, not leaked");
-        let ok = run_simulation(cfg.clone(), m, |ctx| {
+        // The lease went back to the free list although the run panicked, and
+        // the threads it parked are clean: same threads, fresh core, rank order.
+        assert_eq!(before, ids(), "the panicked run's threads must be reused, not leaked");
+        let sum = |ctx: &mut RankCtx| {
             let world = ctx.world();
             (ctx.rank(), ctx.allreduce(&world, ReduceOp::Sum, &[ctx.rank() as f64])[0])
-        });
+        };
+        let ok = execute_ranks(&cfg, m, sum, &workers);
         assert_eq!(ok.outputs, vec![(0, 1.0), (1, 1.0)]);
+    }
+
+    #[test]
+    fn concurrent_launches_of_mixed_shapes_share_threads() {
+        let workers = Workers::default();
+        let launch = |ranks: usize| {
+            let program = |ctx: &mut RankCtx| {
+                let world = ctx.world();
+                let sum = ctx.allreduce(&world, ReduceOp::Sum, &[ctx.rank() as f64])[0];
+                (ctx.rank(), sum, std::thread::current().id())
+            };
+            let report = execute_ranks(&SimConfig::new(ranks), machine(ranks), program, &workers);
+            let expect = (ranks * (ranks - 1) / 2) as f64;
+            for (rank, &(r, sum, _)) in report.outputs.iter().enumerate() {
+                assert_eq!((r, sum), (rank, expect), "{ranks}-rank run");
+            }
+            report.outputs.into_iter().map(|(_, _, id)| id).collect::<Vec<_>>()
+        };
+        // One thread per rank of a run, and a smaller run reuses a larger
+        // run's threads.
+        let large = launch(64);
+        assert_eq!(large.iter().collect::<std::collections::HashSet<_>>().len(), 64);
+        assert!(launch(2).iter().all(|id| large.contains(id)));
+        let mut seen = std::collections::HashSet::new();
+        std::thread::scope(|s| {
+            let launchers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..3).flat_map(|_| [2, 16, 64].map(launch)).flatten().collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for launcher in launchers {
+                seen.extend(launcher.join().expect("launcher thread"));
+            }
+        });
+        // Four launchers hold at most 4 × 64 threads at once; one list per
+        // shape would need up to 4 × (2 + 16 + 64).
+        assert!(seen.len() <= 4 * 64, "{} distinct rank threads", seen.len());
     }
 
     #[test]

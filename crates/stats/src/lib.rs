@@ -10,6 +10,7 @@
 //! time by `√k` — and summary helpers used by the evaluation harness.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod confidence;
 mod special;

@@ -32,6 +32,7 @@
 //! maintenance surface.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod index;
 mod machine;

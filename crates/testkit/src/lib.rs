@@ -25,6 +25,7 @@
 //! the golden-tune definitions, and the snapshot check/bless helper.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 

@@ -6,6 +6,8 @@
 //!
 //! Run: `cargo run --example search_strategies --release`
 
+use std::sync::Arc;
+
 use critter::autotune::{search, SearchStrategy, TuningOptions};
 use critter::prelude::*;
 
@@ -44,9 +46,9 @@ fn main() {
     // Profile the winning configuration: the critical-path kernel profile
     // every rank agrees on after the final propagation.
     println!("\ncritical-path kernel profile of {} (rank 0):\n", workloads[winner].name());
-    let w = &workloads[winner];
+    let w = Arc::clone(&workloads[winner]);
     let machine = MachineModel::stampede2(w.ranks(), 5, 0).shared();
-    let report = run_simulation(SimConfig::new(w.ranks()), machine, |ctx| {
+    let report = run_simulation(SimConfig::new(w.ranks()), machine, move |ctx| {
         let cfg = CritterConfig::new(ExecutionPolicy::OnlinePropagation, 0.125);
         let mut env = CritterEnv::new(ctx, cfg, KernelStore::new());
         w.run(&mut env, false);

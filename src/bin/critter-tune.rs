@@ -10,6 +10,7 @@
 //! ```
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use critter::autotune::flags::{SessionFlags, SESSION, SIM};
 use critter::prelude::*;
@@ -157,13 +158,13 @@ fn run(p: &Parsed) -> std::result::Result<(), Error> {
         println!("\ncritical-path kernel profile of the selected configuration:");
         // Re-run the selected configuration under full execution, on the
         // sweep's machine, to print a clean profile.
-        let w = &workloads[best];
+        let w = Arc::clone(&workloads[best]);
         let o = tuner.options();
         let machine =
             MachineModel::new(o.params.clone(), o.noise.clone(), w.ranks(), o.seed, o.allocation)
                 .shared();
         let cfg = critter::sim::SimConfig::new(w.ranks()).with_backend(backend);
-        let rep = critter::sim::run_simulation(cfg, machine, |ctx| {
+        let rep = critter::sim::run_simulation(cfg, machine, move |ctx| {
             let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
             w.run(&mut env, false);
             env.finish().0

@@ -26,6 +26,7 @@
 //! paper-vs-measured record of every reproduced figure.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// The four factorization workloads.
 pub use critter_algs as algs;

@@ -21,7 +21,7 @@ fn all_workloads_factor_correctly() {
     for w in workloads {
         let machine = MachineModel::test_exact(w.ranks()).shared();
         let name = w.name();
-        let outs = run_simulation(SimConfig::new(w.ranks()), machine, |ctx| {
+        let outs = run_simulation(SimConfig::new(w.ranks()), machine, move |ctx| {
             let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
             let out = w.run(&mut env, true);
             let _ = env.finish();
@@ -222,7 +222,7 @@ fn trace_and_path_profile_cover_a_full_run() {
     use critter::algs::slate_chol::SlateCholesky;
     let w = SlateCholesky { n: 64, tile: 16, lookahead: 0, pr: 2, pc: 2 };
     let machine = MachineModel::test_exact(w.ranks()).shared();
-    let rep = run_simulation(SimConfig::new(w.ranks()), machine, |ctx| {
+    let rep = run_simulation(SimConfig::new(w.ranks()), machine, move |ctx| {
         let mut env = CritterEnv::new(ctx, CritterConfig::full().with_obs(), KernelStore::new());
         w.run(&mut env, false);
         env.finish().0
