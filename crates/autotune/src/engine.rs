@@ -215,6 +215,12 @@ impl Autotuner {
         &self.opts
     }
 
+    /// Attempts per run under an armed fault plan: the first plus
+    /// `max_retries` retries, saturating so no budget wraps to zero.
+    fn attempts(&self) -> u64 {
+        (self.opts.max_retries as u64).saturating_add(1)
+    }
+
     /// Execute one simulated run of `w` under `cfg`, threading the per-rank
     /// kernel stores through the rank threads. Returns the aggregated record
     /// plus, when `cfg.obs` is set, the per-rank observability traces.
@@ -374,7 +380,7 @@ impl Autotuner {
         let Some(base_plan) = self.opts.faults else {
             return Some(self.run_once(w, cfg, stores, run_index, capture_apriori, None));
         };
-        let attempts = self.opts.max_retries as u64 + 1;
+        let attempts = self.attempts();
         for attempt in 0..attempts {
             let plan = base_plan.reseeded(run_index.wrapping_mul(0x1_0000).wrapping_add(attempt));
             let snapshot = stores.clone();
@@ -674,7 +680,7 @@ impl Autotuner {
                         // repetition, restore the chain state the next
                         // configuration expects, and record the decision.
                         result.quarantined = true;
-                        let attempts = (self.opts.max_retries + 1) as f64;
+                        let attempts = self.attempts() as f64;
                         let decision = session_event(EventKind::Quarantine, &name, attempts);
                         state.session_events.push(decision);
                         state.stores = state.entry_state.clone();
@@ -784,6 +790,19 @@ mod tests {
             "original payload must surface, got {msg:?}"
         );
         assert_eq!(stores.len(), 2, "sweep state must stay consistent after a failed run");
+    }
+
+    #[test]
+    fn an_unbounded_retry_budget_still_runs_every_configuration() {
+        // Regression: `max_retries + 1` wrapped to zero attempts in release
+        // builds, quarantining every configuration without running it.
+        let w = crate::TuningSpace::SlateCholesky.smoke();
+        let opts = TuningOptions::new(ExecutionPolicy::LocalPropagation, 0.25)
+            .with_test_machine()
+            .with_faults(FaultPlan::new(1))
+            .with_retries(usize::MAX);
+        let report = Autotuner::new(opts).tune(&w);
+        assert!(report.configs.iter().all(|c| !c.quarantined && !c.pairs.is_empty()));
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl JobSpec {
                 "field `epsilon` must be a positive finite number, got {epsilon}"
             )));
         }
-        let reps = opt_u64(map, "reps")?.unwrap_or(1);
+        let reps = opt_usize(map, "reps")?.unwrap_or(1);
         if reps == 0 {
             return Err(ServeError::BadRequest("field `reps` must be at least 1".into()));
         }
@@ -222,7 +222,7 @@ impl JobSpec {
             policy,
             epsilon,
             smoke: opt_bool(map, "smoke")?.unwrap_or(false),
-            reps: reps as usize,
+            reps,
             allocation: opt_u64(map, "allocation")?.unwrap_or(0),
             seed: opt_u64(map, "seed")?.unwrap_or(0xC0FFEE),
             test_machine,
@@ -230,9 +230,9 @@ impl JobSpec {
             charge_internal: opt_bool(map, "charge_internal")?.unwrap_or(true),
             observe: opt_bool(map, "observe")?.unwrap_or(false),
             backend,
-            shards: opt_u64(map, "shards")?.unwrap_or(0) as usize,
+            shards: opt_usize(map, "shards")?.unwrap_or(0),
             persist_models: opt_bool(map, "persist_models")?,
-            retries: opt_u64(map, "retries")?.unwrap_or(2) as usize,
+            retries: opt_usize(map, "retries")?.unwrap_or(2),
             faults,
             warm_start,
             staleness,
@@ -242,6 +242,14 @@ impl JobSpec {
             tenant: tenant.to_string(),
             priority: priority as u8,
         };
+        // The engine runs `retries + 1` attempts of a run and numbers runs
+        // `(configuration × reps + rep) × 3 + kind`: both must fit a `usize`.
+        if spec.retries.checked_add(1).is_none() {
+            return Err(too_large("retries"));
+        }
+        if spec.workloads().len().checked_mul(reps).and_then(|u| u.checked_mul(3)).is_none() {
+            return Err(too_large("reps"));
+        }
         if spec.warm_start.is_some() && spec.resets_between_configs() {
             return Err(ServeError::BadRequest(format!(
                 "warm_start requires persistent kernel models, but space `{}` resets \
@@ -503,9 +511,22 @@ fn opt_u64(map: &serde_json::Map, key: &str) -> Result<Option<u64>, ServeError> 
     match map.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(v) => v.as_u64().map(Some).ok_or_else(|| {
+            // A whole number past the exactly readable range is too large,
+            // not mistyped.
+            if v.as_f64().is_some_and(|x| x >= 0.0 && x.fract() == 0.0) {
+                return too_large(key);
+            }
             ServeError::BadRequest(format!("field `{key}` must be an unsigned integer"))
         }),
     }
+}
+
+fn opt_usize(map: &serde_json::Map, key: &str) -> Result<Option<usize>, ServeError> {
+    opt_u64(map, key)?.map(|n| usize::try_from(n).map_err(|_| too_large(key))).transpose()
+}
+
+fn too_large(key: &str) -> ServeError {
+    ServeError::BadRequest(format!("field `{key}` is too large"))
 }
 
 fn opt_f64(map: &serde_json::Map, key: &str) -> Result<Option<f64>, ServeError> {
@@ -579,6 +600,15 @@ mod tests {
                 "unsigned integer",
             ),
             (r#"{"space": "slate-cholesky", "policy": "local", "reps": 0}"#, "at least 1"),
+            (
+                r#"{"space": "slate-cholesky", "policy": "local", "reps": 9223372036854775807}"#,
+                "field `reps` is too large",
+            ),
+            (
+                r#"{"space": "slate-cholesky", "policy": "local",
+                    "retries": 18446744073709551615, "faults": {"panic_prob": 0.5}}"#,
+                "field `retries` is too large",
+            ),
             (r#"{"space": "slate-cholesky", "policy": "local", "epsilon": -1}"#, "positive"),
             (
                 r#"{"space": "slate-cholesky", "policy": "local", "machine": "cray"}"#,

@@ -144,6 +144,16 @@ impl TaskScheduler {
 /// or the panic payload that aborted it.
 type RankResult<R> = Result<(R, f64, RankCounters), Box<dyn Any + Send>>;
 
+/// Counts its rank out of the live ranks when the job is dropped, run or
+/// not, so peers never wait forever on a rank that did not start.
+struct RankExit(Arc<SimCore>);
+
+impl Drop for RankExit {
+    fn drop(&mut self) {
+        self.0.exit();
+    }
+}
+
 /// The single launch path of [`crate::run_simulation`]: lease one idle thread
 /// per rank from `workers`, send each an owned job, and read `(rank, result)`
 /// pairs off one channel until every job has dropped its sender.
@@ -171,26 +181,28 @@ where
 
     let lease = workers.lease(ranks);
     lease.dispatch((0..ranks).map(|rank| {
-        let (core, program, tx) = (Arc::clone(&core), Arc::clone(&program), tx.clone());
+        let (exit, program, tx) = (RankExit(Arc::clone(&core)), Arc::clone(&program), tx.clone());
         Box::new(move || {
+            let RankExit(core) = &exit;
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 // Under the tasks backend a rank must hold a worker permit
                 // before running program code; acquisition panics (inside
                 // this catch) if a peer already poisoned the run.
                 core.sched_acquire();
-                let mut ctx = RankCtx::new(rank, ranks, Arc::clone(&core));
+                let mut ctx = RankCtx::new(rank, ranks, Arc::clone(core));
                 let out = program(&mut ctx);
                 let (clock, counters) = ctx.into_parts();
                 (out, clock, counters)
             }));
             // Hand the permit back whether the program returned or panicked.
-            // A rank that unwound while *parked* (poison woke it without a
-            // permit) over-releases by one — harmless, because releases only
-            // matter to this run's scheduler and the run is already dying.
+            // A rank that unwound while *parked* (a poisoned or stuck run
+            // woke it without a permit) over-releases by one — harmless,
+            // because releases only matter to this run's scheduler and the
+            // run is already dying.
             core.sched_release();
             if result.is_err() {
-                // Unblock peers before reporting, exactly as the
-                // spawn-per-run runner did before propagating.
+                // Unblock peers before reporting, and before `exit` counts
+                // this rank out, so a panic is never taken for a deadlock.
                 core.poison();
             }
             let _ = tx.send((rank, result));

@@ -1,5 +1,5 @@
 //! The central matching core: point-to-point queues, collective slots,
-//! virtual-time completion rules, deadlock detection.
+//! virtual-time completion rules, exact deadlock detection.
 //!
 //! All ranks share one [`SimCore`]. State is **sharded**: point-to-point
 //! queues land in a shard chosen by the channel hash of `(communicator, src,
@@ -10,19 +10,19 @@
 //! per-key sequence number), so virtual results are bit-identical across
 //! shard counts, which the testkit's `backend_equivalence` oracles pin.
 //!
-//! Blocked operations park on the shard's condvar. Under the `tasks` backend
-//! a parked rank first releases its `TaskScheduler` worker
-//! permit and reacquires it after waking, which is what bounds the runnable
-//! set. The deadlock watchdog is progress-based: a wait that exceeds the
-//! timeout only panics ([`crate::SimError::Stuck`]) if *no* operation
-//! anywhere in the simulator completed during the window — a slow but live
-//! run (10k ranks time-slicing few worker permits) never trips it.
+//! Blocked operations park on a [`Lot`] (a shard or a rendezvous send slot),
+//! under the `tasks` backend handing back their `TaskScheduler` worker permit
+//! until they wake, which is what bounds the runnable set. Deadlock detection
+//! is exact: the core counts the **live** ranks, those neither exited nor
+//! parked unreleased, and a rank that releases a lot counts its parked ranks
+//! back in before it can park or exit itself. No live rank with some parked
+//! means none can ever be released: each raises [`crate::SimError::Stuck`] at
+//! once. No clock is involved, so a slow but live run never trips it.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::panic_any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use critter_machine::rng::stream_id;
 use critter_machine::{CommOp, MachineModel};
@@ -55,12 +55,25 @@ impl P2pKey {
     }
 }
 
-/// Slot a rendezvous sender blocks on until the receiver matches.
+/// Matching state that ranks park on: a mutex over the state, the number of
+/// ranks parked on it and not yet released, and the release epoch they wait
+/// for, plus the condvar they sleep on.
 #[derive(Debug, Default)]
-pub(crate) struct SendSlot {
-    done: Mutex<Option<f64>>,
+pub(crate) struct Lot<T> {
+    st: Mutex<Parked<T>>,
     cv: Condvar,
 }
+
+#[derive(Debug, Default)]
+struct Parked<T> {
+    state: T,
+    parked: usize,
+    epoch: u64,
+}
+
+/// Slot a rendezvous sender parks on until the receiver matches; it holds
+/// the sender's completion time once matched.
+pub(crate) type SendSlot = Lot<Option<f64>>;
 
 pub(crate) struct SendEntry {
     pub data: Vec<f64>,
@@ -74,14 +87,6 @@ pub(crate) struct SendEntry {
 struct P2pState {
     queues: HashMap<P2pKey, VecDeque<SendEntry>>,
     send_seq: HashMap<P2pKey, u64>,
-}
-
-/// One point-to-point shard: all queues whose channel hash maps here, plus
-/// the condvar their receivers park on.
-#[derive(Default)]
-struct P2pShard {
-    st: Mutex<P2pState>,
-    cv: Condvar,
 }
 
 /// What a rank contributes to a collective.
@@ -152,20 +157,13 @@ struct CollState {
     slots: HashMap<(u64, u64), CollSlot>,
 }
 
-/// One collective shard: all slots of the communicators that hash here, plus
-/// the condvar their participants park on.
-#[derive(Default)]
-struct CollShard {
-    st: Mutex<CollState>,
-    cv: Condvar,
-}
-
 /// Shared simulator core.
 pub struct SimCore {
     pub(crate) machine: Arc<MachineModel>,
-    p2p: Vec<P2pShard>,
-    coll: Vec<CollShard>,
-    pub(crate) timeout: Duration,
+    /// Point-to-point shards: the queues whose channel hash maps to each.
+    p2p: Vec<Lot<P2pState>>,
+    /// Collective shards: the slots of the communicators that hash to each.
+    coll: Vec<Lot<CollState>>,
     pub(crate) eager_words: usize,
     /// Schedule perturbation injected by rank contexts at interception
     /// points (testkit determinism fuzzing; `None` in normal runs).
@@ -175,11 +173,13 @@ pub struct SimCore {
     pub(crate) faults: Option<crate::runner::FaultPlan>,
     /// Set when any rank panics, so peers stop waiting immediately.
     poisoned: AtomicBool,
-    /// Bumped whenever any operation anywhere makes progress (a send posted,
-    /// a receive matched, a collective arrival/completion/drain). The
-    /// deadlock watchdog declares a timed-out wait stuck only if this
-    /// counter did not move during the whole window.
-    progress: AtomicU64,
+    /// Set when no live rank is left to release the parked ones: each then
+    /// raises [`SimError::Stuck`] for its own operation.
+    stuck: AtomicBool,
+    /// Ranks that have neither exited nor parked unreleased.
+    live: AtomicUsize,
+    /// Ranks that have not exited.
+    unexited: AtomicUsize,
     /// Cooperative worker-permit scheduler (`tasks` backend; `None` under
     /// thread-per-rank execution).
     sched: Option<Arc<TaskScheduler>>,
@@ -210,42 +210,43 @@ impl SimCore {
         };
         SimCore {
             machine,
-            p2p: (0..shards).map(|_| P2pShard::default()).collect(),
-            coll: (0..shards).map(|_| CollShard::default()).collect(),
-            timeout: config.deadlock_timeout,
+            p2p: (0..shards).map(|_| Lot::default()).collect(),
+            coll: (0..shards).map(|_| Lot::default()).collect(),
             eager_words: config.eager_words,
             perturb: config.perturb,
             faults: config.faults,
             poisoned: AtomicBool::new(false),
-            progress: AtomicU64::new(0),
+            stuck: AtomicBool::new(false),
+            live: AtomicUsize::new(config.ranks),
+            unexited: AtomicUsize::new(config.ranks),
             sched,
         }
     }
 
-    fn p2p_shard(&self, channel_hash: u64) -> &P2pShard {
+    fn p2p_shard(&self, channel_hash: u64) -> &Lot<P2pState> {
         &self.p2p[(channel_hash % self.p2p.len() as u64) as usize]
     }
 
-    fn coll_shard(&self, comm_id: u64) -> &CollShard {
+    fn coll_shard(&self, comm_id: u64) -> &Lot<CollState> {
         &self.coll[(stream_id(&[comm_id]) % self.coll.len() as u64) as usize]
     }
 
-    /// Mark the simulation as failed (a rank panicked) and wake all waiters:
-    /// shard condvars, rendezvous send slots queued anywhere, and the
-    /// worker-permit scheduler. Each wake happens with the corresponding
-    /// mutex held so a waiter that has checked the poison flag but not yet
-    /// parked cannot miss it.
+    /// Mark the simulation as failed (a rank panicked) and wake all waiters.
     pub(crate) fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
+        self.stop(&self.poisoned);
+    }
+
+    /// Set `flag` and wake all waiters so they observe it: shard condvars,
+    /// rendezvous send slots queued anywhere, and the worker-permit
+    /// scheduler. Each wake happens with the corresponding mutex held so a
+    /// waiter that has checked the flags but not yet parked cannot miss it.
+    fn stop(&self, flag: &AtomicBool) {
+        flag.store(true, Ordering::SeqCst);
         for shard in &self.p2p {
             let st = shard.st.lock();
-            for q in st.queues.values() {
-                for entry in q {
-                    if let Some(slot) = &entry.slot {
-                        let _g = slot.done.lock();
-                        slot.cv.notify_all();
-                    }
-                }
+            for slot in st.state.queues.values().flatten().filter_map(|e| e.slot.as_ref()) {
+                let _g = slot.st.lock();
+                slot.cv.notify_all();
             }
             shard.cv.notify_all();
         }
@@ -258,9 +259,18 @@ impl SimCore {
         }
     }
 
-    fn check_poison(&self) {
-        if self.poisoned.load(Ordering::SeqCst) {
-            panic!("simulation aborted: a peer rank panicked");
+    /// Count a rank out for good (its job returned, panicked or was dropped
+    /// unrun). With no live rank left while some are parked, nobody can
+    /// release them: the run is stuck. A panicking rank poisons first, so a
+    /// real panic is never reported as a deadlock.
+    pub(crate) fn exit(&self) {
+        self.unexited.fetch_sub(1, Ordering::SeqCst);
+        // Read once no rank is live: every rank not parked has exited by then.
+        if self.live.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.unexited.load(Ordering::SeqCst) > 0
+            && !self.poisoned.load(Ordering::SeqCst)
+        {
+            self.stop(&self.stuck);
         }
     }
 
@@ -278,15 +288,25 @@ impl SimCore {
         }
     }
 
-    fn note_progress(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
+    /// Release every rank parked on a lot: count them live again, before the
+    /// caller can park or exit, and bump the epoch they wait for. Returns
+    /// whether any rank was parked; if so, the caller notifies the lot's
+    /// condvar after dropping the lock.
+    fn release<T>(&self, g: &mut Parked<T>) -> bool {
+        if g.parked == 0 {
+            return false;
+        }
+        self.live.fetch_add(std::mem::take(&mut g.parked), Ordering::SeqCst);
+        g.epoch += 1;
+        true
     }
 
-    /// Park the calling rank on `cv` for up to one watchdog window,
-    /// releasing its scheduler permit while parked. Returns the (re-locked)
-    /// guard and whether the window elapsed with zero simulator-wide
-    /// progress — `true` means the caller, whose condition is still unmet,
-    /// should declare the simulation stuck.
+    /// Park the calling rank on `lot` until another rank releases it,
+    /// handing back its scheduler permit while parked; returns the re-locked
+    /// guard for the caller's re-check. If this was the last live rank,
+    /// nobody is left to release it: it stops the run as stuck and raises
+    /// `stuck(state)` at once. A rank woken by a stuck run raises its own
+    /// `stuck(state)`; one woken by a poisoned run joins the panic cascade.
     ///
     /// Lock order: the permit is reacquired only *after* the state lock is
     /// dropped, so a rank never blocks on the scheduler while holding a
@@ -294,25 +314,39 @@ impl SimCore {
     /// lock); the state is then re-locked for the caller's re-check.
     fn park<'a, T>(
         &self,
-        cv: &Condvar,
-        mutex: &'a Mutex<T>,
-        mut guard: MutexGuard<'a, T>,
-        seen_progress: &mut u64,
-    ) -> (MutexGuard<'a, T>, bool) {
+        lot: &'a Lot<T>,
+        mut g: MutexGuard<'a, Parked<T>>,
+        stuck: impl FnOnce(&T) -> SimError,
+    ) -> MutexGuard<'a, Parked<T>> {
+        if self.live.fetch_sub(1, Ordering::SeqCst) == 1 && !self.poisoned.load(Ordering::SeqCst) {
+            self.live.fetch_add(1, Ordering::SeqCst);
+            let err = stuck(&g.state);
+            drop(g);
+            self.stop(&self.stuck);
+            panic_any(err);
+        }
+        g.parked += 1;
+        let epoch = g.epoch;
         self.sched_release();
-        let timed_out = cv.wait_for(&mut guard, self.timeout).timed_out();
+        while g.epoch == epoch {
+            let stuck_run = self.stuck.load(Ordering::SeqCst);
+            if stuck_run || self.poisoned.load(Ordering::SeqCst) {
+                // Leaving unreleased: count back in, so the exit balances.
+                g.parked -= 1;
+                self.live.fetch_add(1, Ordering::SeqCst);
+                if stuck_run {
+                    panic_any(stuck(&g.state));
+                }
+                panic!("simulation aborted: a peer rank panicked");
+            }
+            lot.cv.wait(&mut g);
+        }
         if self.sched.is_some() {
-            drop(guard);
+            drop(g);
             self.sched_acquire();
-            guard = mutex.lock();
+            g = lot.st.lock();
         }
-        let mut stalled = false;
-        if timed_out {
-            let now = self.progress.load(Ordering::Relaxed);
-            stalled = now == *seen_progress;
-            *seen_progress = now;
-        }
-        (guard, stalled)
+        g
     }
 
     /// Post a send. Returns `(sampled transfer cost, slot)` — the slot is
@@ -340,24 +374,26 @@ impl SimCore {
         // key, so per-key sequencing is untouched by the shard count.
         let this_seq = {
             let mut st = shard.st.lock();
-            let seq = st.send_seq.entry(key).or_insert(0);
+            let seq = st.state.send_seq.entry(key).or_insert(0);
             let s = *seq;
             *seq += 1;
             s
         };
         let cost = self.machine.comm_time(CommOp::PointToPoint, cost_words, 2, hash, this_seq);
         let slot = rendezvous.then(|| Arc::new(SendSlot::default()));
-        {
+        let woke = {
             let mut st = shard.st.lock();
-            st.queues.entry(key).or_default().push_back(SendEntry {
+            st.state.queues.entry(key).or_default().push_back(SendEntry {
                 data,
                 post_time,
                 cost,
                 slot: slot.clone(),
             });
+            self.release(&mut st)
+        };
+        if woke {
+            shard.cv.notify_all();
         }
-        self.note_progress();
-        shard.cv.notify_all();
         (cost, slot)
     }
 
@@ -366,59 +402,51 @@ impl SimCore {
     pub(crate) fn match_recv(&self, key: P2pKey, recv_post: f64) -> RecvOutcome {
         let shard = self.p2p_shard(key.channel_hash());
         let mut st = shard.st.lock();
-        let mut seen = self.progress.load(Ordering::Relaxed);
-        loop {
-            self.check_poison();
-            if let Some(q) = st.queues.get_mut(&key) {
+        let entry = loop {
+            if let Some(q) = st.state.queues.get_mut(&key) {
                 if let Some(entry) = q.pop_front() {
                     if q.is_empty() {
-                        st.queues.remove(&key);
+                        st.state.queues.remove(&key);
                     }
-                    drop(st);
-                    self.note_progress();
-                    let start = entry.post_time.max(recv_post);
-                    let done = start + entry.cost;
-                    if let Some(slot) = &entry.slot {
-                        *slot.done.lock() = Some(done);
-                        slot.cv.notify_all();
-                    }
-                    let idle = (entry.post_time - recv_post).max(0.0);
-                    return RecvOutcome { data: entry.data, done, cost: entry.cost, idle };
+                    break entry;
                 }
             }
-            let (g, stalled) = self.park(&shard.cv, &shard.st, st, &mut seen);
-            st = g;
-            if stalled {
-                panic_any(SimError::Stuck {
-                    op: StuckOp::Recv,
-                    comm: key.comm,
-                    detail: format!(
-                        "receive waited {:?} on comm {:#x} src {} dst {} tag {}",
-                        self.timeout, key.comm, key.src, key.dst, key.tag
-                    ),
-                });
+            st = self.park(shard, st, |_| SimError::Stuck {
+                op: StuckOp::Recv,
+                comm: key.comm,
+                detail: format!(
+                    "receive never matched on comm {:#x} src {} dst {} tag {}",
+                    key.comm, key.src, key.dst, key.tag
+                ),
+            });
+        };
+        drop(st);
+        let start = entry.post_time.max(recv_post);
+        let done = start + entry.cost;
+        if let Some(slot) = &entry.slot {
+            let mut g = slot.st.lock();
+            g.state = Some(done);
+            if self.release(&mut g) {
+                drop(g);
+                slot.cv.notify_all();
             }
         }
+        let idle = (entry.post_time - recv_post).max(0.0);
+        RecvOutcome { data: entry.data, done, cost: entry.cost, idle }
     }
 
     /// Wait for a rendezvous send to be matched; returns sender completion time.
     pub(crate) fn wait_send(&self, slot: &SendSlot) -> f64 {
-        let mut g = slot.done.lock();
-        let mut seen = self.progress.load(Ordering::Relaxed);
+        let mut g = slot.st.lock();
         loop {
-            self.check_poison();
-            if let Some(t) = *g {
+            if let Some(t) = g.state {
                 return t;
             }
-            let (g2, stalled) = self.park(&slot.cv, &slot.done, g, &mut seen);
-            g = g2;
-            if stalled {
-                panic_any(SimError::Stuck {
-                    op: StuckOp::SendRendezvous,
-                    comm: 0,
-                    detail: format!("rendezvous send never matched within {:?}", self.timeout),
-                });
-            }
+            g = self.park(slot, g, |_| SimError::Stuck {
+                op: StuckOp::SendRendezvous,
+                comm: 0,
+                detail: "rendezvous send never matched".into(),
+            });
         }
     }
 
@@ -442,33 +470,8 @@ impl SimCore {
         let slot_key = (comm.id(), seq);
         let shard = self.coll_shard(comm.id());
         let mut st = shard.st.lock();
-        let mut seen = self.progress.load(Ordering::Relaxed);
-        // A completed instance of this (comm, seq) may still be in the map
-        // while its participants drain their outputs; an arrival now is a
-        // replayed sequence number and must not join (or index into) the
-        // finished slot. Wait for the drain, then post a fresh arrival —
-        // which the watchdog below will report as a deadlock. (With sequence
-        // numbers derived per rank context this is defensive: the public API
-        // can no longer replay a sequence number.)
-        while st.slots.get(&slot_key).is_some_and(|s| s.done.is_some()) {
-            self.check_poison();
-            let (g, stalled) = self.park(&shard.cv, &shard.st, st, &mut seen);
-            st = g;
-            if stalled {
-                panic_any(SimError::Stuck {
-                    op: StuckOp::CollectiveDrain,
-                    comm: comm.id(),
-                    detail: format!(
-                        "collective {:?} on comm {:#x} replayed sequence {seq} \
-                         while the completed instance was still being drained",
-                        kind,
-                        comm.id(),
-                    ),
-                });
-            }
-        }
         let completion = {
-            let slot = st.slots.entry(slot_key).or_insert_with(|| CollSlot {
+            let slot = st.state.slots.entry(slot_key).or_insert_with(|| CollSlot {
                 kind,
                 root,
                 expected,
@@ -513,7 +516,7 @@ impl SimCore {
             (slot.arrived == slot.expected)
                 .then(|| (slot.charge, slot.combine, std::mem::take(&mut slot.contribs)))
         };
-        self.note_progress();
+        let mut woke = false;
         if let Some((charge, combine, contribs)) = completion {
             // Last arriver: sample the cost and build every rank's output
             // *outside* the lock — output construction clones payloads per
@@ -535,50 +538,41 @@ impl SimCore {
                 contribs,
             );
             st = shard.st.lock();
-            let slot = st.slots.get_mut(&slot_key).expect("collective slot vanished");
+            let slot = st.state.slots.get_mut(&slot_key).expect("collective slot vanished");
             slot.cost = cost;
             slot.outputs = outputs;
             slot.done = Some(slot.max_post + cost);
-            self.note_progress();
-            shard.cv.notify_all();
+            woke = self.release(&mut st);
         }
         // Wait for completion, then take this rank's output.
-        loop {
-            self.check_poison();
-            {
-                let slot = st.slots.get_mut(&slot_key).expect("collective slot vanished");
-                if let Some(done) = slot.done {
-                    let cost = slot.cost;
-                    let out = slot.outputs[my_index].take().expect("output already taken");
-                    slot.taken += 1;
-                    if slot.taken == slot.expected {
-                        st.slots.remove(&slot_key);
-                        // A replayed arrival may be parked waiting for this
-                        // slot to drain; let it re-check promptly.
-                        shard.cv.notify_all();
-                    }
-                    self.note_progress();
-                    return (done, cost, out);
+        let taken = loop {
+            let slot = st.state.slots.get_mut(&slot_key).expect("collective slot vanished");
+            if let Some(done) = slot.done {
+                let cost = slot.cost;
+                let out = slot.outputs[my_index].take().expect("output already taken");
+                slot.taken += 1;
+                if slot.taken == slot.expected {
+                    st.state.slots.remove(&slot_key);
                 }
+                break (done, cost, out);
             }
-            let (g, stalled) = self.park(&shard.cv, &shard.st, st, &mut seen);
-            st = g;
-            if stalled {
-                let arrived = st.slots.get(&slot_key).map(|s| s.arrived).unwrap_or(0);
-                panic_any(SimError::Stuck {
+            st = self.park(shard, st, |s| {
+                let arrived = s.slots.get(&slot_key).map_or(0, |s| s.arrived);
+                SimError::Stuck {
                     op: StuckOp::Collective,
                     comm: comm.id(),
                     detail: format!(
-                        "collective {:?} on comm {:#x} seq {seq} has {}/{} arrivals after {:?}",
-                        kind,
-                        comm.id(),
-                        arrived,
-                        expected,
-                        self.timeout
+                        "collective {kind:?} on comm {:#x} seq {seq} has {arrived}/{expected} arrivals",
+                        comm.id()
                     ),
-                });
-            }
+                }
+            });
+        };
+        drop(st);
+        if woke {
+            shard.cv.notify_all();
         }
+        taken
     }
 
     /// All participants have arrived: compute the operation's sampled cost and

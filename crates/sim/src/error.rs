@@ -8,8 +8,8 @@
 //! substring-matching a message. [`std::fmt::Display`] keeps the historical
 //! "simulated deadlock: …" wording for human eyes and for older tests.
 
-/// Which blocking operation a rank was parked in when the watchdog declared
-/// the simulation stuck.
+/// Which blocking operation a rank was parked in when the simulation was
+/// found deadlocked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StuckOp {
     /// A (blocking or nonblocking) receive that never matched a send.
@@ -18,9 +18,6 @@ pub enum StuckOp {
     SendRendezvous,
     /// A collective with missing participants.
     Collective,
-    /// A collective arrival replaying a sequence number whose completed
-    /// instance was never fully drained.
-    CollectiveDrain,
 }
 
 /// Typed payload of a simulator-detected failure, raised with
@@ -28,7 +25,8 @@ pub enum StuckOp {
 /// calling thread by the runner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The watchdog timed out with zero simulator-wide progress: a deadlock.
+    /// A deadlock: the rank is parked and no live rank is left to release
+    /// it (every other rank has exited or is parked too).
     Stuck {
         /// The operation the reporting rank was parked in.
         op: StuckOp,
@@ -65,8 +63,9 @@ mod tests {
 
     #[test]
     fn display_keeps_deadlock_wording() {
-        let e = SimError::Stuck { op: StuckOp::Recv, comm: 7, detail: "receive waited 1s".into() };
-        assert_eq!(e.to_string(), "simulated deadlock: receive waited 1s");
+        let e =
+            SimError::Stuck { op: StuckOp::Recv, comm: 7, detail: "receive never matched".into() };
+        assert_eq!(e.to_string(), "simulated deadlock: receive never matched");
         assert!(SimError::EmptyCommunicator.to_string().contains("at least one member"));
     }
 

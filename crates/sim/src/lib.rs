@@ -27,6 +27,10 @@
 //!   completion rule with the *post* time, so the sender's
 //!   communication-computation overlap is modeled.
 //!
+//! Deadlock detection is exact: once no rank is left that could release a
+//! parked one, each parked rank raises a typed [`SimError::Stuck`] for its
+//! own operation — at once, with no wall-clock timeout.
+//!
 //! ## Determinism
 //!
 //! Every stochastic cost draw is counter-based: it depends on the identity of

@@ -2,7 +2,6 @@
 //! point, and the report.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use critter_machine::MachineModel;
 
@@ -128,9 +127,6 @@ impl FaultPlan {
 pub struct SimConfig {
     /// Number of simulated ranks (each gets an OS thread).
     pub ranks: usize,
-    /// Wall-clock time a blocked operation may wait before the simulation is
-    /// declared deadlocked.
-    pub deadlock_timeout: Duration,
     /// Messages of at most this many words take the eager path (the sender
     /// does not synchronize with the receiver). 512 words = 4 KiB.
     pub eager_words: usize,
@@ -153,7 +149,6 @@ impl SimConfig {
     pub fn new(ranks: usize) -> Self {
         SimConfig {
             ranks,
-            deadlock_timeout: Duration::from_secs(30),
             eager_words: 512,
             perturb: None,
             faults: None,
@@ -172,12 +167,6 @@ impl SimConfig {
     /// Override the matching-core shard count (`0` = auto).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Override the deadlock timeout (tests of deadlock detection use a short one).
-    pub fn with_deadlock_timeout(mut self, t: Duration) -> Self {
-        self.deadlock_timeout = t;
         self
     }
 
@@ -633,19 +622,6 @@ mod tests {
                 // poison must unblock it promptly.
                 let world = ctx.world();
                 ctx.recv(&world, 1, 0);
-            })
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn deadlock_detection_fires() {
-        let cfg = SimConfig::new(2).with_deadlock_timeout(Duration::from_millis(200));
-        let result = std::panic::catch_unwind(|| {
-            run_simulation(cfg, machine(2), |ctx| {
-                let world = ctx.world();
-                // Both ranks receive, nobody sends.
-                ctx.recv(&world, 1 - ctx.rank(), 0);
             })
         });
         assert!(result.is_err());
