@@ -477,7 +477,7 @@ impl Autotuner {
         }
         // The checkpoint head and the observed-timeline sidecar it counts.
         let files = session.checkpoint_path().zip(session.timeline_path());
-        let log = session.log_path().map(SessionLog::at);
+        let log = session.log_path().map(SessionLog::open).transpose()?;
         let record = |kind: EventKind, label: &str, arg: f64| match &log {
             Some(log) => log.record(kind, label, arg),
             None => Ok(()),

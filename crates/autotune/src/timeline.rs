@@ -133,11 +133,9 @@ impl Committed {
                 }
             })
             .collect::<std::result::Result<Vec<_>, _>>()?;
-        if file.len() > prefix.len() {
-            // Appended by a checkpoint that died before publishing its head.
-            let cut = std::fs::OpenOptions::new().write(true).open(path);
-            cut.and_then(|f| f.set_len(bytes)).map_err(|e| CritterError::io(path, e))?;
-        }
+        // Bytes past the prefix were appended by a checkpoint that died
+        // before publishing its head.
+        durable::cut(path, bytes)?;
         Ok((Committed { bytes, runs, hasher }, decoded))
     }
 }

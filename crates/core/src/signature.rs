@@ -13,37 +13,40 @@ use critter_sim::ChannelMeta;
 use crate::fnv::fnv_hash;
 
 /// Computational routines Critter intercepts (§V-D kernel inventory).
+///
+/// The discriminant is the routine's key code: the derived `Hash` that
+/// [`KernelSig::key`] feeds to the key hash writes it, so it orders every
+/// persisted profile and checkpoint. A code never changes, and a retired
+/// one (11, once LU's `getrf`) is never reused: a new routine takes a
+/// fresh code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(isize)]
 pub enum ComputeOp {
     /// General matrix-matrix multiply.
-    Gemm,
+    Gemm = 0,
     /// Symmetric rank-k update.
-    Syrk,
+    Syrk = 1,
     /// Triangular solve.
-    Trsm,
+    Trsm = 2,
     /// Triangular matrix multiply.
-    Trmm,
+    Trmm = 3,
     /// Cholesky factorization.
-    Potrf,
+    Potrf = 4,
     /// Triangular inversion.
-    Trtri,
+    Trtri = 5,
     /// Householder QR panel factorization.
-    Geqrf,
+    Geqrf = 6,
     /// Application of Householder reflectors.
-    Ormqr,
+    Ormqr = 7,
     /// Block-reflector formation.
-    Larft,
+    Larft = 8,
     /// Triangular-pentagonal QR.
-    Tpqrt,
+    Tpqrt = 9,
     /// Application of triangular-pentagonal reflectors.
-    Tpmqrt,
-    /// LU factorization with partial pivoting. No workload emits it, but it
-    /// stays: `KernelSig::key` hashes the variant index, so removing it would
-    /// renumber `Custom` and change persisted profile/checkpoint bytes.
-    Getrf,
+    Tpmqrt = 10,
     /// User-defined kernel intercepted via preprocessor-directive-style
     /// annotation (e.g. Capital's block-to-cyclic redistribution).
-    Custom(u32),
+    Custom(u32) = 12,
 }
 
 impl ComputeOp {
@@ -61,7 +64,6 @@ impl ComputeOp {
             ComputeOp::Larft => "larft",
             ComputeOp::Tpqrt => "tpqrt",
             ComputeOp::Tpmqrt => "tpmqrt",
-            ComputeOp::Getrf => "getrf",
             ComputeOp::Custom(_) => "custom",
         }
     }
@@ -90,7 +92,6 @@ impl ComputeOp {
             "larft" => ComputeOp::Larft,
             "tpqrt" => ComputeOp::Tpqrt,
             "tpmqrt" => ComputeOp::Tpmqrt,
-            "getrf" => ComputeOp::Getrf,
             _ => {
                 let id = s.strip_prefix("custom:")?.parse().ok()?;
                 ComputeOp::Custom(id)
@@ -104,11 +105,9 @@ impl ComputeOp {
             ComputeOp::Gemm => KernelClass::Gemm,
             ComputeOp::Syrk => KernelClass::Syrk,
             ComputeOp::Trsm | ComputeOp::Trmm => KernelClass::Triangular,
-            ComputeOp::Potrf
-            | ComputeOp::Trtri
-            | ComputeOp::Geqrf
-            | ComputeOp::Tpqrt
-            | ComputeOp::Getrf => KernelClass::Factorize,
+            ComputeOp::Potrf | ComputeOp::Trtri | ComputeOp::Geqrf | ComputeOp::Tpqrt => {
+                KernelClass::Factorize
+            }
             ComputeOp::Ormqr | ComputeOp::Larft | ComputeOp::Tpmqrt => KernelClass::ApplyQ,
             ComputeOp::Custom(_) => KernelClass::Blas2,
         }
@@ -194,7 +193,9 @@ impl KernelSig {
     }
 
     /// Stable 52-bit key (fits losslessly in an `f64` mantissa, so keys can
-    /// travel inside internal path-propagation payloads).
+    /// travel inside internal path-propagation payloads). It hashes the
+    /// routine's key code, the explicit discriminant of [`ComputeOp`] or
+    /// [`CommOp`], never its position in the enum.
     pub fn key(&self) -> u64 {
         fnv_hash(self) & ((1 << 52) - 1)
     }
@@ -284,7 +285,6 @@ mod tests {
             ComputeOp::Larft,
             ComputeOp::Tpqrt,
             ComputeOp::Tpmqrt,
-            ComputeOp::Getrf,
             ComputeOp::Custom(0),
             ComputeOp::Custom(917),
         ];
@@ -297,9 +297,9 @@ mod tests {
 
     #[test]
     fn keys_are_pinned() {
-        // Keys order persisted profiles and checkpoints, and they hash the
-        // derived `Hash`, variant index included: these values, computed
-        // before any variant change, must never move.
+        // Keys order persisted profiles and checkpoints, and they hash each
+        // routine's key code: these values, computed before any variant
+        // change, must never move.
         let compute = [
             (ComputeOp::Gemm, 0xb78b0a8136e35),
             (ComputeOp::Syrk, 0x2c5ca051d2db4),
@@ -312,7 +312,6 @@ mod tests {
             (ComputeOp::Larft, 0x10fe5bfc5723d),
             (ComputeOp::Tpqrt, 0x85cff1ccf31bc),
             (ComputeOp::Tpmqrt, 0x71391baa723bf),
-            (ComputeOp::Getrf, 0xe60ab17b0e33e),
             (ComputeOp::Custom(1), 0x2ba65ca740818),
         ];
         for (op, key) in compute {
@@ -322,6 +321,22 @@ mod tests {
         let col = ChannelMeta::from_sorted_ranks(&[0, 4, 8, 12]);
         let bcast = KernelSig::collective(CommOp::Bcast, 100, &col, SizeGranularity::Exact);
         assert_eq!(bcast.key(), 0xcb6be9ecc4501);
+        let collectives = [
+            (CommOp::Allreduce, 0x2ba6a99adf683),
+            (CommOp::Allgather, 0xe5b1274987cc4),
+            (CommOp::Gather, 0xcbf09bd142505),
+            (CommOp::Scatter, 0xb2301058fcd46),
+        ];
+        for (op, key) in collectives {
+            let sig = KernelSig::collective(op, 100, &col, SizeGranularity::Exact);
+            assert_eq!(sig.key(), key, "{op:?}");
+        }
+        // Retired routines no longer parse: a persisted name of one is an
+        // unknown routine, never a different kernel.
+        assert_eq!(ComputeOp::from_name("getrf"), None);
+        for name in ["reduce", "reduce_scatter", "alltoall", "barrier"] {
+            assert_eq!(CommOp::from_name(name), None, "{name}");
+        }
     }
 
     #[test]

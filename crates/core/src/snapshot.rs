@@ -375,8 +375,7 @@ mod tests {
 
     #[test]
     fn comm_sigs_round_trip() {
-        let sig =
-            KernelSig::Comm { op: CommOp::ReduceScatter, words: 512, comm_size: 8, stride: 4 };
+        let sig = KernelSig::Comm { op: CommOp::Gather, words: 512, comm_size: 8, stride: 4 };
         assert_eq!(sig_from_json(&sig_to_json(&sig)).unwrap(), sig);
     }
 

@@ -15,34 +15,26 @@ use crate::params::MachineParams;
 
 /// The communication operations the cost model prices.
 ///
-/// The simulator no longer issues `Reduce`, `ReduceScatter` or `Alltoall`,
-/// but every variant and its cost row stay: `KernelSig::key` in
-/// `critter-core` hashes the variant index, so removing one would renumber
-/// the rest and change persisted profile and checkpoint bytes
-/// (`signature.rs::keys_are_pinned`).
+/// The discriminant is the operation's key code: `KernelSig::key` in
+/// `critter-core` hashes it, so it orders every persisted profile and
+/// checkpoint (`signature.rs::keys_are_pinned`). A code never changes, and
+/// the retired ones (2 reduce, 7 reduce-scatter, 8 alltoall, 9 barrier) are
+/// never reused: a new operation takes a fresh code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(isize)]
 pub enum CommOp {
     /// Point-to-point send/recv pair (blocking or nonblocking).
-    PointToPoint,
+    PointToPoint = 0,
     /// One-to-all broadcast of `words` elements.
-    Bcast,
-    /// All-to-one reduction of `words` elements.
-    Reduce,
+    Bcast = 1,
     /// All-ranks reduction of `words` elements.
-    Allreduce,
+    Allreduce = 3,
     /// Each rank contributes `words` elements, everyone gets all `p·words`.
-    Allgather,
+    Allgather = 4,
     /// Each rank contributes `words` elements to the root.
-    Gather,
+    Gather = 5,
     /// Root distributes `words` elements to each rank.
-    Scatter,
-    /// Each rank contributes `p·words` elements; every rank receives its
-    /// `words`-element slice of the elementwise reduction.
-    ReduceScatter,
-    /// Each rank sends a distinct `words`-element block to every other rank.
-    Alltoall,
-    /// Pure synchronization.
-    Barrier,
+    Scatter = 6,
 }
 
 impl CommOp {
@@ -51,14 +43,10 @@ impl CommOp {
         match self {
             CommOp::PointToPoint => "p2p",
             CommOp::Bcast => "bcast",
-            CommOp::Reduce => "reduce",
             CommOp::Allreduce => "allreduce",
             CommOp::Allgather => "allgather",
             CommOp::Gather => "gather",
             CommOp::Scatter => "scatter",
-            CommOp::ReduceScatter => "reduce_scatter",
-            CommOp::Alltoall => "alltoall",
-            CommOp::Barrier => "barrier",
         }
     }
 
@@ -68,14 +56,10 @@ impl CommOp {
         Some(match s {
             "p2p" => CommOp::PointToPoint,
             "bcast" => CommOp::Bcast,
-            "reduce" => CommOp::Reduce,
             "allreduce" => CommOp::Allreduce,
             "allgather" => CommOp::Allgather,
             "gather" => CommOp::Gather,
             "scatter" => CommOp::Scatter,
-            "reduce_scatter" => CommOp::ReduceScatter,
-            "alltoall" => CommOp::Alltoall,
-            "barrier" => CommOp::Barrier,
             _ => return None,
         })
     }
@@ -85,7 +69,7 @@ impl CommOp {
 #[derive(Debug, Clone)]
 pub struct CommCostModel {
     params: MachineParams,
-    /// Per-element reduction time (seconds/word) for Reduce/Allreduce local
+    /// Per-element reduction time (seconds/word) for Allreduce local
     /// combining — a γ-term; tiny but keeps huge reductions from being free.
     reduce_flop_time: f64,
 }
@@ -137,11 +121,6 @@ impl CommCostModel {
                 let large = 2.0 * lg * a + 2.0 * b * n * (p - 1.0) / p;
                 tree.min(large)
             }
-            CommOp::Reduce => {
-                let tree = lg * (a + b * n + g * n);
-                let large = 2.0 * lg * a + 2.0 * b * n * (p - 1.0) / p + g * n * (p - 1.0) / p;
-                tree.min(large)
-            }
             CommOp::Allreduce => {
                 // Recursive doubling vs Rabenseifner (reduce-scatter + allgather).
                 let rd = lg * (a + b * n + g * n);
@@ -158,15 +137,6 @@ impl CommCostModel {
                 // Binomial tree: root moves (p-1)·n words in lg rounds.
                 lg * a + b * n * (p - 1.0)
             }
-            CommOp::ReduceScatter => {
-                // Recursive halving: lg rounds, each moving half the data.
-                lg * a + b * n * (p - 1.0) + g * n * (p - 1.0)
-            }
-            CommOp::Alltoall => {
-                // Pairwise exchange: p−1 rounds of n-word messages.
-                (p - 1.0) * a + b * n * (p - 1.0)
-            }
-            CommOp::Barrier => lg * a,
         };
         o + t
     }
@@ -213,7 +183,7 @@ mod tests {
     #[test]
     fn collective_cost_grows_with_p() {
         let m = model();
-        for op in [CommOp::Bcast, CommOp::Allreduce, CommOp::Allgather, CommOp::Barrier] {
+        for op in [CommOp::Bcast, CommOp::Allreduce, CommOp::Allgather] {
             let c4 = m.base_cost(op, 1024, 4);
             let c64 = m.base_cost(op, 1024, 64);
             assert!(c64 > c4, "{op:?} should grow with p");
@@ -227,61 +197,19 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_at_least_reduce() {
-        let m = model();
-        let n = 4096;
-        let p = 32;
-        assert!(m.base_cost(CommOp::Allreduce, n, p) >= m.base_cost(CommOp::Reduce, n, p) * 0.99);
-    }
-
-    #[test]
-    fn barrier_is_latency_only() {
-        let m = model();
-        let c = m.base_cost(CommOp::Barrier, 0, 16);
-        assert!(c < 10.0 * m.params().alpha);
-    }
-
-    #[test]
     fn names_are_stable() {
         assert_eq!(CommOp::Allreduce.name(), "allreduce");
         assert_eq!(CommOp::PointToPoint.name(), "p2p");
-        assert_eq!(CommOp::ReduceScatter.name(), "reduce_scatter");
-        assert_eq!(CommOp::Alltoall.name(), "alltoall");
         for op in [
             CommOp::PointToPoint,
             CommOp::Bcast,
-            CommOp::Reduce,
             CommOp::Allreduce,
             CommOp::Allgather,
             CommOp::Gather,
             CommOp::Scatter,
-            CommOp::ReduceScatter,
-            CommOp::Alltoall,
-            CommOp::Barrier,
         ] {
             assert_eq!(CommOp::from_name(op.name()), Some(op));
         }
         assert_eq!(CommOp::from_name("nosuch"), None);
-    }
-
-    #[test]
-    fn reduce_scatter_cheaper_than_allreduce() {
-        // An allreduce is a reduce-scatter plus an allgather, so the
-        // reduce-scatter alone must not cost more (per-rank convention:
-        // allreduce n = p·reduce-scatter n).
-        let m = model();
-        let (p, chunk) = (16, 1024);
-        let rs = m.base_cost(CommOp::ReduceScatter, chunk, p);
-        let ar = m.base_cost(CommOp::Allreduce, chunk * p, p);
-        assert!(rs < ar, "reduce_scatter {rs} vs allreduce {ar}");
-    }
-
-    #[test]
-    fn alltoall_latency_scales_linearly() {
-        let m = model();
-        let a4 = m.base_cost(CommOp::Alltoall, 0, 4);
-        let a32 = m.base_cost(CommOp::Alltoall, 0, 32);
-        let alpha = m.params().alpha;
-        assert!((a32 - a4 - 28.0 * alpha).abs() < 1e-12, "pairwise rounds are α-bound");
     }
 }

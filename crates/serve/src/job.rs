@@ -100,20 +100,23 @@ impl JobEvents {
         JobEvents { lines: Mutex::new(Vec::new()), cv: Condvar::new() }
     }
 
-    /// Reload a log from `events.jsonl`, tolerating a torn tail: parsing
-    /// stops at the first line that is not valid JSON with the expected
-    /// `seq` (a daemon killed mid-append leaves at most one such line).
+    /// Reload a log from `events.jsonl`, tolerating a torn tail: loading
+    /// stops at the first line that is not whole, valid JSON with the
+    /// expected `seq` (a daemon killed mid-append leaves at most one such
+    /// line), and the file is cut to the lines kept, so the next append
+    /// continues the log the clients were served.
     pub fn load(path: &Path) -> JobEvents {
         let mut lines = Vec::new();
-        if let Ok(text) = std::fs::read_to_string(path) {
-            for line in text.lines() {
-                let Ok(doc) = serde_json::from_str(line) else { break };
-                let expected = lines.len() as u64 + 1;
-                if doc.get("seq").and_then(Value::as_u64) != Some(expected) {
-                    break;
-                }
-                lines.push(line.to_string());
+        for line in durable::read_lines(path).unwrap_or_default() {
+            let Ok(doc) = serde_json::from_str(&line) else { break };
+            if doc.get("seq").and_then(Value::as_u64) != Some(lines.len() as u64 + 1) {
+                break;
             }
+            lines.push(line);
+        }
+        let kept = lines.iter().map(|l| l.len() as u64 + 1).sum();
+        if let Err(e) = durable::cut(path, kept) {
+            eprintln!("critter-serve: {e}");
         }
         JobEvents { lines: Mutex::new(lines), cv: Condvar::new() }
     }
@@ -638,6 +641,16 @@ mod tests {
         assert_eq!(next, 5);
         assert_eq!(events[4].get("state").unwrap().as_str(), Some("queued"));
         assert_eq!(events[4].get("seq").unwrap().as_u64(), Some(5));
+
+        // The torn bytes were cut on reload, so a second restart keeps
+        // every event served so far and never reissues a `seq`.
+        reopened.set_state(&id, JobState::Running, None);
+        let (served, _) = reopened.get(&id).unwrap().events.since(0);
+        drop(reopened);
+        let (again, _) = Registry::open(&dir).unwrap();
+        let (history, next) = again.get(&id).unwrap().events.since(0);
+        assert_eq!(next, 7, "6 served events + the second re-queue");
+        assert_eq!(history[..served.len()], served[..]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -50,9 +50,11 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
 }
 
 /// Append `bytes` to the end of `path` (created when missing) — the
-/// primitive of the append-only files, `session.log` and `timeline.jsonl`.
-/// An append is not atomic: a kill may leave a torn tail, so whoever reads
-/// the file back must know how much of it was committed.
+/// primitive of the append-only files `session.log`, `timeline.jsonl` and
+/// `events.jsonl`. An append is not atomic: a kill may leave a torn tail.
+/// The tail rule of all three: a line is committed once its newline is
+/// written ([`read_lines`]), and a writer that reopens a file [`cut`]s what
+/// it does not keep before it appends again.
 pub fn append(path: &Path, bytes: &[u8]) -> Result<()> {
     let mut file = fs::OpenOptions::new()
         .create(true)
@@ -60,6 +62,32 @@ pub fn append(path: &Path, bytes: &[u8]) -> Result<()> {
         .open(path)
         .map_err(|e| CritterError::io(path, e))?;
     file.write_all(bytes).map_err(|e| CritterError::io(path, e))
+}
+
+/// The committed lines of the append-only file at `path`, without their
+/// newlines. Bytes after the last newline are a torn tail and are left
+/// out; a missing file has no lines.
+pub fn read_lines(path: &Path) -> Result<Vec<String>> {
+    let bytes = match fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        read => read.map_err(|e| CritterError::io(path, e))?,
+    };
+    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |end| end + 1);
+    let text = std::str::from_utf8(&bytes[..whole])
+        .map_err(|e| CritterError::parse(path.display().to_string(), e.to_string()))?;
+    Ok(text.split_terminator('\n').map(str::to_string).collect())
+}
+
+/// Cut the file at `path` to its first `len` bytes when it is longer: how a
+/// writer that reopens an append-only file drops a torn or uncommitted tail
+/// before it appends. A missing file stays missing.
+pub fn cut(path: &Path, len: u64) -> Result<()> {
+    let shrink = || match fs::metadata(path) {
+        Ok(meta) if meta.len() > len => fs::OpenOptions::new().write(true).open(path)?.set_len(len),
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    };
+    shrink().map_err(|e| CritterError::io(path, e))
 }
 
 /// Serialize `doc` as canonical pretty-printed JSON (trailing newline
@@ -164,6 +192,25 @@ mod tests {
         fs::remove_file(&path).unwrap();
         let err = append(&scratch("no-such-dir").join("x"), b"x").unwrap_err();
         assert!(matches!(err, CritterError::Io { .. }), "got: {err}");
+    }
+
+    #[test]
+    fn lines_are_committed_by_their_newline_and_cut_drops_the_rest() {
+        let path = scratch("torn.jsonl");
+        let _ = fs::remove_file(&path);
+        assert!(read_lines(&path).unwrap().is_empty(), "a missing file has no lines");
+        cut(&path, 0).unwrap();
+        assert!(!path.exists(), "cutting a missing file creates nothing");
+        fs::write(&path, "one\r\ntwo\nthr").unwrap();
+        // A line keeps every byte but its newline, so lengths add up to
+        // the committed prefix.
+        let lines = read_lines(&path).unwrap();
+        assert_eq!(lines, ["one\r", "two"]);
+        cut(&path, lines.iter().map(|l| l.len() as u64 + 1).sum()).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "one\r\ntwo\n");
+        cut(&path, 100).unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), 9, "cut never extends a file");
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

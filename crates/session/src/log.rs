@@ -16,6 +16,8 @@ use critter_core::json::Reader;
 use critter_core::{CritterError, Result};
 use critter_obs::{Event, EventKind};
 
+use crate::durable;
+
 /// An append-only session event log at a fixed path.
 #[derive(Debug, Clone)]
 pub struct SessionLog {
@@ -23,9 +25,14 @@ pub struct SessionLog {
 }
 
 impl SessionLog {
-    /// A log writing to `path` (created on first record).
-    pub fn at(path: impl Into<PathBuf>) -> Self {
-        SessionLog { path: path.into() }
+    /// Open the log at `path` (created on first record) for appending: a
+    /// torn tail left by a killed writer is cut first, so the next record
+    /// starts a line of its own.
+    pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
+        let path = path.into();
+        let committed = durable::read_lines(&path)?.iter().map(|l| l.len() as u64 + 1).sum();
+        durable::cut(&path, committed)?;
+        Ok(SessionLog { path })
     }
 
     /// The log's path.
@@ -39,15 +46,15 @@ impl SessionLog {
         let event = Event { kind, label: label.into(), start: 0.0, dur: 0.0, arg };
         let mut line = serde_json::to_string(&event.to_json()).expect("json writer is total");
         line.push('\n');
-        crate::durable::append(&self.path, line.as_bytes())
+        durable::append(&self.path, line.as_bytes())
     }
 
-    /// Read the log back as events (for tests and tooling).
+    /// Read the log's committed lines back as events (for tests and
+    /// tooling). A damaged whole line is an error naming the file.
     pub fn read(&self) -> Result<Vec<Event>> {
-        let text =
-            std::fs::read_to_string(&self.path).map_err(|e| CritterError::io(&self.path, e))?;
         let document = self.path.display().to_string();
-        text.lines()
+        durable::read_lines(&self.path)?
+            .iter()
             .enumerate()
             .map(|(i, line)| {
                 let v = serde_json::from_str(line)
@@ -68,7 +75,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("session.log");
         let _ = std::fs::remove_file(&path);
-        let log = SessionLog::at(&path);
+        let log = SessionLog::open(&path).unwrap();
         log.record(EventKind::Checkpoint, "unit 3", 3.0).unwrap();
         log.record(EventKind::Restore, "resume", 3.0).unwrap();
         let events = log.read().unwrap();
@@ -76,6 +83,23 @@ mod tests {
         assert_eq!(events[0].kind, EventKind::Checkpoint);
         assert_eq!(events[1].kind, EventKind::Restore);
         assert_eq!(events[1].arg, 3.0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Regression: a resumed session used to append onto the torn tail a
+    /// killed writer left, and every later read failed with `Parse`.
+    #[test]
+    fn a_reopened_log_cuts_a_torn_tail() {
+        let dir = std::env::temp_dir().join("critter-session-log-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn-session.log");
+        let _ = std::fs::remove_file(&path);
+        SessionLog::open(&path).unwrap().record(EventKind::Checkpoint, "unit 1", 1.0).unwrap();
+        durable::append(&path, b"{\"kind\": \"chec").unwrap();
+        let log = SessionLog::open(&path).unwrap();
+        log.record(EventKind::Restore, "resume", 1.0).unwrap();
+        let kinds: Vec<EventKind> = log.read().unwrap().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [EventKind::Checkpoint, EventKind::Restore]);
         std::fs::remove_file(&path).unwrap();
     }
 }

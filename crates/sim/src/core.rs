@@ -91,7 +91,7 @@ struct P2pState {
 
 /// What a rank contributes to a collective.
 pub(crate) enum Contrib {
-    /// Payload data (empty for non-roots of bcast, for barrier, …).
+    /// Payload data (empty for non-roots of bcast and scatter).
     Data(Vec<f64>),
     /// `comm_split` participation.
     Split { color: i64, key: i64, world_rank: usize },
@@ -101,7 +101,7 @@ pub(crate) enum Contrib {
 pub(crate) enum Output {
     /// Payload data.
     Data(Vec<f64>),
-    /// Nothing (barrier; non-root of gather).
+    /// Nothing (non-root of gather).
     None,
     /// New communicator description from `comm_split` (None for undefined color).
     Split(Option<(u64, Arc<Vec<usize>>, usize)>),
@@ -116,7 +116,6 @@ pub(crate) enum CollKind {
     Allgather,
     Gather,
     Scatter,
-    Barrier,
     Split,
 }
 
@@ -128,7 +127,6 @@ impl CollKind {
             CollKind::Allgather | CollKind::Split => CommOp::Allgather,
             CollKind::Gather => CommOp::Gather,
             CollKind::Scatter => CommOp::Scatter,
-            CollKind::Barrier => CommOp::Barrier,
         }
     }
 }
@@ -607,7 +605,6 @@ impl SimCore {
                 contribs.iter().map(|c| c.as_ref().map_or(0, contrib_len)).max().unwrap_or(0)
             }
             CollKind::Scatter => contribs[root].as_ref().map_or(0, contrib_len) / p.max(1),
-            CollKind::Barrier => 0,
             CollKind::Split => 1,
         };
         let cost = match charge {
@@ -619,11 +616,6 @@ impl SimCore {
         };
 
         match kind {
-            CollKind::Barrier => {
-                for o in outputs.iter_mut() {
-                    *o = Some(Output::None);
-                }
-            }
             CollKind::Bcast => {
                 let data = take(&mut contribs[root]);
                 for o in outputs.iter_mut() {

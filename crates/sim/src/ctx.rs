@@ -1,6 +1,10 @@
 //! The per-rank execution context — the "PMPI layer" a simulated program (or
 //! the Critter interception layer above it) calls into.
 //!
+//! It offers exactly the operations `CritterEnv` calls. A test program
+//! composes anything else from them: an exchange is `isend` + `recv` +
+//! `wait`, a synchronization an empty `allreduce`.
+//!
 //! All operations follow MPI calling conventions: ranks are communicator-local,
 //! vector collectives take per-rank contributions, `split` with a negative
 //! color returns no communicator. Payloads are `Vec<f64>` (dense linear algebra
@@ -406,14 +410,6 @@ impl RankCtx {
         Self::expect_data(out)
     }
 
-    /// Synchronize all ranks of `comm`. No workload calls it; the simulator's
-    /// deadlock-shape, fault-injection and determinism tests build their rank
-    /// programs from it.
-    pub fn barrier(&mut self, comm: &Communicator) {
-        let contrib = Contrib::Data(Vec::new());
-        let _ = self.run_collective(comm, CollKind::Barrier, 0, contrib, None, Some(None));
-    }
-
     /// Split `comm` by `color` (negative = undefined → `None`), ordering the
     /// new communicator by `(key, world rank)` as MPI does.
     pub fn split(&mut self, comm: &Communicator, color: i64, key: i64) -> Option<Communicator> {
@@ -426,26 +422,6 @@ impl RankCtx {
             Output::Split(None) => None,
             _ => panic!("split returned non-split output"),
         }
-    }
-
-    /// Combined send+receive (deadlock-free exchange), as `MPI_Sendrecv`.
-    /// No workload calls it (`CritterEnv::sendrecv` intercepts its own
-    /// `isend` + `recv`); the simulator's schedule-perturbation and backend
-    /// tests and the testkit's perturbation fuzzer build their rank programs
-    /// from it.
-    pub fn sendrecv(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        send_tag: u64,
-        data: &[f64],
-        src: usize,
-        recv_tag: u64,
-    ) -> Vec<f64> {
-        let sreq = self.isend(comm, dst, send_tag, data.to_vec());
-        let rdata = self.recv(comm, src, recv_tag);
-        self.wait(sreq);
-        rdata
     }
 
     pub(crate) fn into_parts(self) -> (f64, RankCounters) {

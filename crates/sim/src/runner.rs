@@ -54,9 +54,8 @@ pub struct PerturbParams {
 ///
 /// // A plan that kills ranks roughly once per fifty operations and delays
 /// // one message in ten by up to 100 µs of virtual time.
-/// let plan = FaultPlan::new(7)
-///     .with_rank_panics(0.02)
-///     .with_message_delays(0.1, 1e-4);
+/// let plan =
+///     FaultPlan { delay_prob: 0.1, max_delay: 1e-4, ..FaultPlan::new(7).with_rank_panics(0.02) };
 /// assert_eq!(plan.seed, 7);
 /// assert!(plan.panic_prob > 0.0);
 /// ```
@@ -79,7 +78,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A fault-free plan on `seed`; chain `with_*` calls to arm it.
+    /// A fault-free plan on `seed`; arm it with
+    /// [`with_rank_panics`](Self::with_rank_panics) or by setting fields.
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -94,22 +94,6 @@ impl FaultPlan {
     /// Arm seeded rank panics with probability `prob` per fault point.
     pub fn with_rank_panics(mut self, prob: f64) -> Self {
         self.panic_prob = prob;
-        self
-    }
-
-    /// Arm virtual message delays: probability `prob` per fault point, each
-    /// delay uniform in `[0, max_delay)` virtual seconds.
-    pub fn with_message_delays(mut self, prob: f64, max_delay: f64) -> Self {
-        self.delay_prob = prob;
-        self.max_delay = max_delay;
-        self
-    }
-
-    /// Arm message drops: probability `prob` per fault point, each charged
-    /// `retransmit_timeout` virtual seconds before the operation proceeds.
-    pub fn with_message_drops(mut self, prob: f64, retransmit_timeout: f64) -> Self {
-        self.drop_prob = prob;
-        self.retransmit_timeout = retransmit_timeout;
         self
     }
 
@@ -408,14 +392,16 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_exchanges_without_deadlock() {
+    fn ring_exchange_completes_without_deadlock() {
         let p = 4;
         let report = run_simulation(SimConfig::new(p), machine(p), move |ctx| {
             let world = ctx.world();
             let right = (ctx.rank() + 1) % p;
             let left = (ctx.rank() + p - 1) % p;
             // Everyone sends right, receives from left — classic ring shift.
-            let got = ctx.sendrecv(&world, right, 0, &[ctx.rank() as f64], left, 0);
+            let req = ctx.isend(&world, right, 0, vec![ctx.rank() as f64]);
+            let got = ctx.recv(&world, left, 0);
+            ctx.wait(req);
             got[0]
         });
         for (r, &g) in report.outputs.iter().enumerate() {
@@ -432,7 +418,7 @@ mod tests {
                 ctx.compute(KernelClass::Gemm, 1e6 * (1 + ctx.rank()) as f64);
                 let s = ctx.allreduce(&world, ReduceOp::Sum, &[ctx.now()]);
                 ctx.compute(KernelClass::Factorize, 2e5);
-                ctx.barrier(&world);
+                ctx.allreduce(&world, ReduceOp::Sum, &[]);
                 (ctx.now(), s[0])
             })
         };
@@ -454,7 +440,9 @@ mod tests {
             let s = ctx.allreduce(&world, ReduceOp::Sum, &[ctx.now()]);
             let right = (ctx.rank() + 1) % 4;
             let left = (ctx.rank() + 3) % 4;
-            let got = ctx.sendrecv(&world, right, 0, &[ctx.rank() as f64], left, 0);
+            let req = ctx.isend(&world, right, 0, vec![ctx.rank() as f64]);
+            let got = ctx.recv(&world, left, 0);
+            ctx.wait(req);
             let sub = ctx.split(&world, (ctx.rank() % 2) as i64, 0).unwrap();
             let t = ctx.allreduce(&sub, ReduceOp::Max, &[ctx.now()]);
             (ctx.now(), s[0], got[0], t[0])
@@ -480,7 +468,9 @@ mod tests {
             let s = ctx.allreduce(&world, ReduceOp::Sum, &[ctx.now()]);
             let right = (ctx.rank() + 1) % 4;
             let left = (ctx.rank() + 3) % 4;
-            let got = ctx.sendrecv(&world, right, 0, &[ctx.rank() as f64], left, 0);
+            let req = ctx.isend(&world, right, 0, vec![ctx.rank() as f64]);
+            let got = ctx.recv(&world, left, 0);
+            ctx.wait(req);
             (ctx.now(), s[0], got[0])
         };
         let m = || MachineModel::test_noisy(4, 5).shared();
@@ -518,7 +508,7 @@ mod tests {
             ctx.now()
         };
         let m = || MachineModel::test_noisy(4, 11).shared();
-        let plan = FaultPlan::new(42).with_message_delays(0.5, 1e-3);
+        let plan = FaultPlan { delay_prob: 0.5, max_delay: 1e-3, ..FaultPlan::new(42) };
         let base = run_simulation(SimConfig::new(4), m(), prog);
         let a = run_simulation(SimConfig::new(4).with_faults(plan), m(), prog);
         let b = run_simulation(SimConfig::new(4).with_faults(plan), m(), prog);
@@ -535,13 +525,13 @@ mod tests {
         let prog = |ctx: &mut RankCtx| {
             let world = ctx.world();
             for _ in 0..20 {
-                ctx.barrier(&world);
+                ctx.allreduce(&world, ReduceOp::Sum, &[]);
             }
             ctx.now()
         };
         let m = || machine(2);
         let base = run_simulation(SimConfig::new(2), m(), prog);
-        let plan = FaultPlan::new(9).with_message_drops(1.0, 0.25);
+        let plan = FaultPlan { drop_prob: 1.0, retransmit_timeout: 0.25, ..FaultPlan::new(9) };
         let dropped = run_simulation(SimConfig::new(2).with_faults(plan), m(), prog);
         // Every fault point drops: elapsed grows by ≥ 20 retransmit timeouts.
         assert!(dropped.elapsed() >= base.elapsed() + 20.0 * 0.25);
@@ -554,7 +544,7 @@ mod tests {
             run_simulation(SimConfig::new(2).with_faults(plan), machine(2), |ctx| {
                 ctx.compute(KernelClass::Gemm, 1e5);
                 let world = ctx.world();
-                ctx.barrier(&world);
+                ctx.allreduce(&world, ReduceOp::Sum, &[]);
             })
         });
         let err = result.unwrap_err();
@@ -585,7 +575,7 @@ mod tests {
             } else {
                 ctx.recv(&world, 0, 0);
             }
-            ctx.barrier(&world);
+            ctx.allreduce(&world, ReduceOp::Sum, &[]);
         });
         assert_eq!(report.counters[0].sends, 1);
         assert_eq!(report.counters[0].words_sent, 10);

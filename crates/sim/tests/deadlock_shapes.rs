@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use critter_machine::MachineModel;
 use critter_sim::{
-    run_simulation, sim_error_of, BackendKind, RankCtx, SimConfig, SimError, StuckOp,
+    run_simulation, sim_error_of, BackendKind, RankCtx, ReduceOp, SimConfig, SimError, StuckOp,
 };
 
 /// Run `f` on a scratch thread and require it to finish within `limit`.
@@ -131,7 +131,7 @@ fn busy_peer(ctx: &mut RankCtx) {
 fn missing_collective_peer(ctx: &mut RankCtx) {
     let world = ctx.world();
     if ctx.rank() != 2 {
-        ctx.barrier(&world); // rank 2 exits without arriving
+        ctx.allreduce(&world, ReduceOp::Sum, &[]); // rank 2 exits without arriving
     }
 }
 
@@ -140,7 +140,7 @@ fn zero_member_channel(ctx: &mut RankCtx) {
         let _ = critter_sim::ChannelMeta::from_sorted_ranks(&[]);
     }
     let world = ctx.world();
-    ctx.barrier(&world);
+    ctx.allreduce(&world, ReduceOp::Sum, &[]);
 }
 
 #[test]

@@ -20,7 +20,7 @@ fn expect_panic<F: FnOnce() + std::panic::UnwindSafe>(f: F, needle: &str) {
 
 #[test]
 fn mismatched_collectives_are_detected() {
-    // Rank 0 calls a barrier while rank 1 calls an allreduce at the same
+    // Rank 0 calls a bcast while rank 1 calls an allreduce at the same
     // sequence number: a program-order divergence, caught by the slot check.
     expect_panic(
         || {
@@ -28,7 +28,7 @@ fn mismatched_collectives_are_detected() {
             run_simulation(SimConfig::new(2), machine, |ctx| {
                 let world = ctx.world();
                 if ctx.rank() == 0 {
-                    ctx.barrier(&world);
+                    ctx.bcast(&world, 0, &mut vec![1.0]);
                 } else {
                     ctx.allreduce(&world, ReduceOp::Sum, &[1.0]);
                 }
@@ -82,11 +82,11 @@ fn cloned_handles_share_one_sequence_stream() {
         let world = ctx.world();
         let cloned = world.clone(); // before any collective
         if ctx.rank() == 0 {
-            ctx.barrier(&world);
-            ctx.barrier(&cloned); // same stream: seq 1, not a replay of 0
+            ctx.allreduce(&world, ReduceOp::Sum, &[]);
+            ctx.allreduce(&cloned, ReduceOp::Sum, &[]); // same stream: seq 1, not a replay of 0
         } else {
-            ctx.barrier(&world);
-            ctx.barrier(&world);
+            ctx.allreduce(&world, ReduceOp::Sum, &[]);
+            ctx.allreduce(&world, ReduceOp::Sum, &[]);
         }
         ctx.now()
     });

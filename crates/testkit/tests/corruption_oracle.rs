@@ -484,7 +484,7 @@ fn trajectory_and_session_log_damage_is_located() {
     });
 
     let dir = scratch("log");
-    let log = SessionLog::at(dir.join("session.log"));
+    let log = SessionLog::open(dir.join("session.log")).unwrap();
     log.record(EventKind::Checkpoint, "unit 3", 3.0).unwrap();
     let line = std::fs::read_to_string(log.path()).unwrap();
     let event = serde_json::from_str(line.lines().next().expect("one line")).unwrap();

@@ -128,7 +128,9 @@ fn relabeled_ring_makespan(p: usize, shift: usize) -> f64 {
         let prev_role = (role + p - 1) % p;
         let dst = (next_role + p - shift) % p;
         let src = (prev_role + p - shift) % p;
-        let got = ctx.sendrecv(&world, dst, role as u64, &[role as f64], src, prev_role as u64);
+        let req = ctx.isend(&world, dst, role as u64, vec![role as f64]);
+        let got = ctx.recv(&world, src, prev_role as u64);
+        ctx.wait(req);
         assert_eq!(got[0], prev_role as f64);
         let _ = ctx.allreduce(&world, ReduceOp::Max, &[ctx.now()]);
     });

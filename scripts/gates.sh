@@ -1,0 +1,71 @@
+#!/usr/bin/env bash
+# The repository's grep gates, each defined once: CI's lint job runs this
+# script, and so does anyone checking a change by hand. Every gate prints its
+# name when it fails; the script exits non-zero if any gate failed.
+#
+#   bash scripts/gates.sh
+set -uo pipefail
+cd "$(dirname "$0")/.."
+
+# Run one gate: a function whose status is its checks joined by `&&` (under
+# `set -e` a `!`-negated check that is not the last would never fail).
+failed=0
+gate() {
+    local name="$1"
+    shift
+    if ! "$@"; then
+        echo "gate failed: $name" >&2
+        failed=1
+    fi
+}
+
+# Persisted documents are decoded only through `critter_obs::json`
+# (DESIGN.md §6.2), so `serde_json::Value`'s typed accessors may appear in
+# that module and in critter-serve's request codec and tolerant probes —
+# nowhere else under `crates/*/src`. `as_str` is left out of the pattern
+# because it is `String`'s method too.
+one_json_reader() {
+    ! grep -rnE '\.as_(u64|i64|f64|bool|array|object)\(\)|Value::as_[a-z0-9]+' crates/*/src \
+        | grep -vE '^crates/(obs/src/json|serve/src/(api|job))\.rs:'
+}
+gate "one JSON reader (no hand-rolled decoder outside critter_obs::json)" one_json_reader
+
+# critter-dla's `avx2` and baseline instantiations of the microkernel must
+# stay bit-identical and be chosen by one run-time check (DESIGN.md §2.1):
+# exactly one `unsafe` block (the guarded call into the `avx2`
+# instantiation), no fused multiply-add, no `target-cpu`, and no
+# `.cargo/config.toml` anywhere that sets `rustflags`.
+one_gemm_core() {
+    test "$(grep -rnE 'unsafe[[:space:]]*\{' crates/dla/src | wc -l)" -eq 1 &&
+        ! grep -rnE 'mul_add|fmadd|target-cpu' crates/dla/src &&
+        test -z "$(find . -name target -prune -o -path '*/.cargo/config.toml' -print \
+            | xargs -r grep -l rustflags)"
+}
+gate "one GEMM core (one unsafe block, no FMA, no build-time CPU selection)" one_gemm_core
+
+# `CritterEnv::selectively` is the only place a user communication is timed
+# and its sample recorded; a second caller of `post_executed_comm` is a copy
+# of that step.
+one_interception_step() {
+    test "$(grep -c 'self.post_executed_comm(' crates/core/src/env.rs)" -eq 1
+}
+gate "one interception step (every user communication timed and recorded in one place)" \
+    one_interception_step
+
+# critter-dla's guarded AVX2 call is the workspace's only `unsafe` block; the
+# compiler refuses one anywhere else.
+one_unsafe_crate() {
+    test "$(grep -L 'forbid(unsafe_code)' crates/*/src/lib.rs src/lib.rs)" = crates/dla/src/lib.rs
+}
+gate "one unsafe crate (every other library root forbids unsafe code)" one_unsafe_crate
+
+# critter-sim finds a deadlock by counting live ranks, not by timing a wait;
+# a timed wait or a timeout knob here would bring the guess back.
+no_wall_clock_in_matching_core() {
+    ! grep -nE '\.wait_for\(|Duration|Instant|deadlock_timeout' \
+        crates/sim/src/core.rs crates/sim/src/runner.rs
+}
+gate "no wall clock in the matching core (deadlock detection is exact)" \
+    no_wall_clock_in_matching_core
+
+exit "$failed"
