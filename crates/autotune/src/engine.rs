@@ -355,7 +355,7 @@ impl Autotuner {
     /// The algorithm identity a sweep files its store entries under: the
     /// workload names in sweep order, joined with `;` — the same string
     /// [`Self::fingerprint`] folds into the options digest.
-    pub fn algo_key(&self, workloads: &[Arc<dyn Workload>]) -> String {
+    fn algo_key(&self, workloads: &[Arc<dyn Workload>]) -> String {
         let names: Vec<String> = workloads.iter().map(|w| w.name()).collect();
         names.join(";")
     }

@@ -53,7 +53,7 @@ impl TuningReport {
 
     /// Per-configuration relative error of the *critical-path computation
     /// kernel time* prediction (Figs. 4d/5d).
-    pub fn per_config_comp_error(&self) -> Vec<f64> {
+    fn per_config_comp_error(&self) -> Vec<f64> {
         self.configs
             .iter()
             .map(|c| {

@@ -18,9 +18,7 @@
 #![forbid(unsafe_code)]
 
 pub mod fig3;
-pub mod harness;
 pub mod plot;
-pub mod trajectory;
 
 use std::fmt::Write as _;
 use std::fs;
@@ -46,19 +44,12 @@ pub const OUTPUT: &[Flag] = &[
     Flag("--jobs N", "fan independent sweeps over N threads (default: cores, at most 8)"),
 ];
 
-/// Writes a Chrome/Perfetto trace of every simulated run.
-pub const TRACE_OUT: Flag =
-    Flag("--trace-out FILE", "Chrome/Perfetto trace-event JSON of every run");
-/// Writes the aggregated metrics registry.
-pub const METRICS_OUT: Flag = Flag("--metrics-out FILE", "aggregated counters and histograms");
-
 /// Observability flags; any of them makes the sweeps observed.
-pub const OBS: &[Flag] =
-    &[TRACE_OUT, Flag("--folded-out FILE", "flamegraph folded stacks"), METRICS_OUT];
-
-/// `cargo bench` appends `--bench` to a bench binary's arguments; the
-/// benches declare it and ignore it.
-pub const CARGO_BENCH: Flag = Flag("--bench", "appended by `cargo bench`; ignored");
+pub const OBS: &[Flag] = &[
+    Flag("--trace-out FILE", "Chrome/Perfetto trace-event JSON of every run"),
+    Flag("--folded-out FILE", "flamegraph folded stacks"),
+    Flag("--metrics-out FILE", "aggregated counters and histograms"),
+];
 
 /// Seed of the fault stream `--faults` arms (figure drivers only).
 pub const FAULT_SEED: &[Flag] =

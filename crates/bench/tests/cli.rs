@@ -1,6 +1,6 @@
-//! The figure drivers' and `bench-compare`'s command lines at the process
-//! boundary: each binary accepts exactly the flags it reads, `--help` is the
-//! generated table, and invalid input is a usage error — never a panic.
+//! The figure drivers' command lines at the process boundary: each binary
+//! accepts exactly the flags it reads, `--help` is the generated table, and
+//! invalid input is a usage error — never a panic.
 
 #[path = "../../../tests/support/cli.rs"]
 mod support;
@@ -10,7 +10,6 @@ const FIG3: &str = env!("CARGO_BIN_EXE_fig3");
 const FIG4: &str = env!("CARGO_BIN_EXE_fig4");
 const FIG5: &str = env!("CARGO_BIN_EXE_fig5");
 const ABLATE: &str = env!("CARGO_BIN_EXE_ablate");
-const COMPARE: &str = env!("CARGO_BIN_EXE_bench-compare");
 
 const OUTPUT_OBS: [&str; 5] = ["--out", "--jobs", "--trace-out", "--folded-out", "--metrics-out"];
 const SESSION: [&str; 9] = [
@@ -33,10 +32,6 @@ fn help_lists_exactly_the_groups_each_driver_reads() {
     assert_eq!(help_flags(FIG4), fig4);
     assert_eq!(help_flags(FIG5), fig4);
     assert_eq!(help_flags(ABLATE), [&OUTPUT_OBS[..], &["--backend"]].concat());
-    assert_eq!(
-        help_flags(COMPARE),
-        ["--tolerance", "--report-only", "--validate", "--min-speedup", "--min-cases"]
-    );
 }
 
 #[test]
@@ -46,10 +41,6 @@ fn invalid_input_is_a_usage_error_naming_the_flag() {
     assert_usage_error(FIG4, "fig4", &["--bogus"], "`--bogus`");
     assert_usage_error(FIG5, "fig5", &["--jobs", "many"], "`--jobs`");
     assert_usage_error(FIG5, "fig5", &["--backend", "fibers"], "`--backend`");
-    assert_usage_error(COMPARE, "bench-compare", &["--tolerance"], "`--tolerance`");
-    assert_usage_error(COMPARE, "bench-compare", &["--min-cases", "-1"], "`--min-cases`");
-    assert_usage_error(COMPARE, "bench-compare", &["only-one.json"], "two trajectory files");
-    assert_usage_error(COMPARE, "bench-compare", &["a", "b", "c"], "`c`");
 }
 
 #[test]

@@ -213,14 +213,6 @@ impl CritterConfig {
         self
     }
 
-    /// Pre-size the per-rank observability event buffers for `capacity`
-    /// events. A pure allocation hint: recorded contents are identical for
-    /// every capacity value.
-    pub fn with_obs_capacity(mut self, capacity: usize) -> Self {
-        self.obs_capacity = capacity;
-        self
-    }
-
     /// Enable the §VIII input-size extrapolation extension.
     pub fn with_extrapolation(mut self) -> Self {
         self.extrapolate = Some(ExtrapolationConfig::default());

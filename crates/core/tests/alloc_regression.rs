@@ -109,9 +109,8 @@ fn pre_sized_recorder_removes_growth_allocations() {
     // even the buffer-growth allocations disappear from the steady state.
     let iters = 1_024u64;
     let machine = MachineModel::test_exact(1).shared();
-    let cfg = CritterConfig::new(ExecutionPolicy::Full, 0.1)
-        .with_obs()
-        .with_obs_capacity(3 * (iters as usize) + 64);
+    let mut cfg = CritterConfig::new(ExecutionPolicy::Full, 0.1).with_obs();
+    cfg.obs_capacity = 3 * (iters as usize) + 64;
     let report = run_simulation(SimConfig::new(1), machine, move |ctx: &mut RankCtx| {
         let mut env = CritterEnv::new(ctx, cfg.clone(), KernelStore::new());
         for _ in 0..16 {

@@ -1,12 +1,12 @@
 //! The one JSON reader and the one canonical-text writer.
 //!
 //! Everything the system persists — checkpoints, profiles, store blobs and
-//! index generations, reports, the session log, perf trajectories — is
-//! canonical JSON, and every decoder of it is a function on a [`Reader`]: a
-//! borrowed value plus the path that led to it. A decoder that calls a
-//! nested decoder hands it a child reader, so the path continues across
-//! type and crate boundaries, and any failure is one [`JsonError`] naming
-//! the document, the exact path, what was expected there and what was found.
+//! index generations, reports, the session log — is canonical JSON, and
+//! every decoder of it is a function on a [`Reader`]: a borrowed value plus
+//! the path that led to it. A decoder that calls a nested decoder hands it a
+//! child reader, so the path continues across type and crate boundaries, and
+//! any failure is one [`JsonError`] naming the document, the exact path,
+//! what was expected there and what was found.
 //!
 //! The path is a chain of parents borrowed on the stack and is rendered only
 //! when an error is built: a successful decode allocates nothing for it.

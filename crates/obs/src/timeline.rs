@@ -96,7 +96,7 @@ impl Timeline {
     /// envelope). Each run becomes one process (`pid` = run id, named by a
     /// `process_name` metadata event), each rank one thread; events are
     /// complete (`"X"`) spans with microsecond virtual timestamps.
-    pub fn to_chrome(&self) -> Value {
+    fn to_chrome(&self) -> Value {
         let mut events: Vec<Value> = Vec::new();
         for run in self.ordered() {
             let name_args = serde_json::json!({ "name": run.label.as_str() });

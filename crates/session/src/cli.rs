@@ -87,7 +87,7 @@ impl Cli {
                 return Err(format!("flag `{arg}` given more than once"));
             }
             // A declared flag is never taken for a value: `--out --quick` is
-            // a missing value (and `cargo bench` appends `--bench`).
+            // a missing value.
             let value = match flag.takes_value().then(|| argv.next()) {
                 None => None,
                 Some(Some(v)) if find(&v).is_none() => Some(v),

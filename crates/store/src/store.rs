@@ -166,7 +166,7 @@ impl Store {
     }
 
     /// 52-bit content hash of a blob payload (its name in `blobs/`).
-    pub fn blob_hash(payload: &Value) -> u64 {
+    fn blob_hash(payload: &Value) -> u64 {
         fnv_hash(&serde_json::to_string(payload).expect("json writer is total")) & HASH_MASK
     }
 

@@ -9,8 +9,8 @@
 //!   (default 6 GiB).
 //!
 //! `#[ignore]`d in tier-1; the nightly deep-verify job's `--include-ignored`
-//! picks them up. The same 10240-rank shape is tracked over time as the
-//! `sim/backend_tasks_10k` case of the hot-paths bench trajectory.
+//! picks them up. These budgets are where the 10240-rank shape's host cost is
+//! tracked over time; `benchmark/` has no metric at this rank count.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

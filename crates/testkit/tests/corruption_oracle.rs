@@ -6,8 +6,8 @@
 //! panic, never a silently wrong value. This suite checks that contract
 //! against *real* instances of each kind — tuning report, observed and
 //! fault-armed checkpoint head, a line of its `timeline.jsonl` sidecar,
-//! profile, store index generation, perf trajectory, one `session.log` line,
-//! and the envelope that seals three of them — by walking every node of the
+//! profile, store index generation, one `session.log` line, and the
+//! envelope that seals three of them — by walking every node of the
 //! document and, one node at a time:
 //!
 //! * replacing it with a value of another JSON type: the decode must fail
@@ -26,8 +26,6 @@ use std::sync::Arc;
 
 use critter_algs::{Workload, WorkloadOutput};
 use critter_autotune::{Autotuner, ProgressVerdict, SessionConfig, TuningOptions, TuningReport};
-use critter_bench::harness::Timing;
-use critter_bench::trajectory::Trajectory;
 use critter_core::fnv::FnvHasher;
 use critter_core::json::JsonError;
 use critter_core::{snapshot, CritterEnv, CritterError, ExecutionPolicy, KernelStore};
@@ -469,20 +467,8 @@ fn store_index_generation_damage_is_located() {
 }
 
 #[test]
-fn trajectory_and_session_log_damage_is_located() {
+fn session_log_damage_is_located() {
     let text = |e: JsonError| e.to_string();
-    let timing = |ns| Timing {
-        min: std::time::Duration::from_nanos(ns),
-        median: std::time::Duration::from_nanos(ns + 7),
-        iters: 12,
-    };
-    let mut trajectory = Trajectory::capture();
-    trajectory.record("sim", "allreduce", timing(3_000_000));
-    trajectory.record("json", "report_canonical", timing(78_000));
-    assert_every_damage_is_located("trajectory", &trajectory.to_json(), &[], &|doc| {
-        Trajectory::from_json(doc).map(drop).map_err(text)
-    });
-
     let dir = scratch("log");
     let log = SessionLog::open(dir.join("session.log")).unwrap();
     log.record(EventKind::Checkpoint, "unit 3", 3.0).unwrap();

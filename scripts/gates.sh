@@ -68,4 +68,15 @@ no_wall_clock_in_matching_core() {
 gate "no wall clock in the matching core (deadlock detection is exact)" \
     no_wall_clock_in_matching_core
 
+# Host performance is measured by one stack, `benchmark/` (the contract in
+# BENCHMARK.json, compared with `benchmark/run.sh --compare`): no crate
+# outside it declares a `[[bench]]` target and no perf ledger is committed
+# under `results/`.
+one_benchmark_stack() {
+    test -z "$(git ls-files -co --exclude-standard '*Cargo.toml' ':!:benchmark/**' | xargs -r grep -l '^\[\[bench\]\]')" &&
+        test -z "$(git ls-files 'results/BENCH_*')"
+}
+gate "one benchmark stack (no [[bench]] outside benchmark/, no committed results/BENCH_*)" \
+    one_benchmark_stack
+
 exit "$failed"
