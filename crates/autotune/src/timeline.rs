@@ -4,9 +4,12 @@
 //! they only ever grow at the end. They therefore live outside the
 //! rewritten-whole `checkpoint.json`, in `timeline.jsonl`: one compact
 //! canonical-JSON line per [`TimelineRun`], appended once when the run's
-//! unit is checkpointed and never rewritten. The sealed head carries a
-//! `timeline` reference `{bytes, hash, runs}` — [`Committed`] — saying how
-//! much of the file it vouches for:
+//! unit is checkpointed and never rewritten. A line is rendered straight to
+//! text ([`TimelineRun::write_line`]), never through a `Value` tree; the
+//! tree form ([`TimelineRun::to_json`]) is the reference it is tested
+//! against. The sealed head carries a `timeline` reference
+//! `{bytes, hash, runs}` — [`Committed`] — saying how much of the file it
+//! vouches for:
 //!
 //! * a checkpoint **appends** the new runs' lines and only then **publishes**
 //!   the head that counts them (atomic rename);
@@ -73,13 +76,14 @@ impl Committed {
         if runs.is_empty() {
             return Ok(());
         }
-        let mut lines = Vec::new();
+        let mut lines = String::new();
         for run in runs {
-            serde_json::to_writer(&mut lines, &run.to_json()).expect("a Vec accepts every byte");
-            lines.push(b'\n');
+            run.write_line(&mut lines);
+            lines.push('\n');
         }
-        durable::append(path, &lines)?;
-        self.hasher.write(&lines);
+        let lines = lines.as_bytes();
+        durable::append(path, lines)?;
+        self.hasher.write(lines);
         self.bytes += lines.len() as u64;
         self.runs += runs.len();
         Ok(())

@@ -6,10 +6,13 @@
 //! serialized output is a pure function of the recorded virtual events —
 //! never of the schedule that produced them.
 
+use std::fmt;
+
+use crate::event::Event;
 use crate::json::{canonical_text, JsonError, Reader};
 use crate::metrics::MetricsRegistry;
 use crate::sink::RankTrace;
-use serde_json::Value;
+use serde_json::{escape_into, write_number, Value};
 
 /// One simulated run's traces: an id (the autotuner's deterministic run
 /// index), a human-readable label, and the per-rank traces.
@@ -34,6 +37,54 @@ impl TimelineRun {
             "label": self.label.as_str(),
             "ranks": ranks,
         })
+    }
+
+    /// Append the compact text of [`TimelineRun::to_json`] to `out` — the
+    /// bytes of `serde_json::to_string(&self.to_json())`, rendered without
+    /// building the tree. This is one line of a checkpoint's `timeline.jsonl`
+    /// sidecar (the caller adds the newline); `to_json` is the reference it
+    /// is tested against. Leaves go through the shim's own renderers, and
+    /// each rank's small `metrics` object still goes through its `Value`.
+    pub fn write_line(&self, out: &mut String) {
+        self.write_compact(out).expect("a String sink never fails");
+    }
+
+    fn write_compact(&self, out: &mut String) -> fmt::Result {
+        out.push_str("{\"id\":");
+        write_number(out, self.id as f64)?;
+        out.push_str(",\"label\":");
+        escape_into(out, &self.label)?;
+        out.push_str(",\"ranks\":[");
+        for (i, trace) in self.ranks.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"events\":[");
+            for (j, e) in trace.events.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"arg\":");
+                write_number(out, e.arg)?;
+                out.push_str(",\"dur\":");
+                write_number(out, e.dur)?;
+                out.push_str(",\"kind\":");
+                escape_into(out, e.kind.name())?;
+                out.push_str(",\"label\":");
+                escape_into(out, &e.label)?;
+                out.push_str(",\"start\":");
+                write_number(out, e.start)?;
+                out.push('}');
+            }
+            out.push_str("],\"metrics\":");
+            let metrics = serde_json::to_string(&trace.metrics.to_json());
+            out.push_str(&metrics.expect("json writer is total"));
+            out.push_str(",\"rank\":");
+            write_number(out, trace.rank as f64)?;
+            out.push('}');
+        }
+        out.push_str("]}");
+        Ok(())
     }
 
     /// Inverse of [`TimelineRun::to_json`]: decode the run at `r`.
@@ -93,57 +144,40 @@ impl Timeline {
     }
 
     /// Chrome/Perfetto trace-event JSON (the `{"traceEvents": [...]}`
-    /// envelope). Each run becomes one process (`pid` = run id, named by a
-    /// `process_name` metadata event), each rank one thread; events are
-    /// complete (`"X"`) spans with microsecond virtual timestamps.
-    fn to_chrome(&self) -> Value {
-        let mut events: Vec<Value> = Vec::new();
+    /// envelope) as canonical pretty-printed text, trailing newline included
+    /// — the byte surface the determinism oracles and the golden trace
+    /// fixture compare. Each run becomes one process (`pid` = run id, named
+    /// by a `process_name` metadata event), each rank one thread; events are
+    /// complete (`"X"`) spans with microsecond virtual timestamps. The text
+    /// is written straight out, event by event, in exactly the layout
+    /// [`canonical_text`] gives the equivalent tree.
+    pub fn to_chrome_string(&self) -> String {
+        let mut out = String::new();
+        self.write_chrome(&mut out).expect("a String sink never fails");
+        out
+    }
+
+    fn write_chrome(&self, out: &mut String) -> fmt::Result {
+        out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [");
+        let mut first = true;
+        let mut element = |out: &mut String, event: ChromeEvent<'_>| {
+            if !std::mem::take(&mut first) {
+                out.push(',');
+            }
+            event.write(out)
+        };
         for run in self.ordered() {
-            let name_args = serde_json::json!({ "name": run.label.as_str() });
-            events.push(serde_json::json!({
-                "args": name_args,
-                "cat": "__metadata",
-                "name": "process_name",
-                "ph": "M",
-                "pid": run.id,
-                "tid": 0u64,
-                "ts": 0.0,
-            }));
+            element(out, ChromeEvent::metadata("process_name", &run.label, run.id, 0))?;
             for trace in &run.ranks {
-                let rank_args = serde_json::json!({ "name": format!("rank {}", trace.rank) });
-                events.push(serde_json::json!({
-                    "args": rank_args,
-                    "cat": "__metadata",
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": run.id,
-                    "tid": trace.rank,
-                    "ts": 0.0,
-                }));
+                let rank = format!("rank {}", trace.rank);
+                element(out, ChromeEvent::metadata("thread_name", &rank, run.id, trace.rank))?;
                 for e in &trace.events {
-                    let args = serde_json::json!({ "arg": e.arg });
-                    events.push(serde_json::json!({
-                        "args": args,
-                        "cat": e.kind.name(),
-                        "dur": e.dur * 1e6,
-                        "name": &*e.label,
-                        "ph": "X",
-                        "pid": run.id,
-                        "tid": trace.rank,
-                        "ts": e.start * 1e6,
-                    }));
+                    element(out, ChromeEvent::span(e, run.id, trace.rank))?;
                 }
             }
         }
-        let events = Value::Array(events);
-        serde_json::json!({ "displayTimeUnit": "ms", "traceEvents": events })
-    }
-
-    /// The Chrome trace as canonical pretty-printed text (trailing
-    /// newline included) — the byte surface the determinism oracles and
-    /// the golden trace fixture compare.
-    pub fn to_chrome_string(&self) -> String {
-        canonical_text(&self.to_chrome())
+        out.push_str(if first { "]\n}\n" } else { "\n  ]\n}\n" });
+        Ok(())
     }
 
     /// Folded-stack output for flamegraph tools: one line per distinct
@@ -179,6 +213,83 @@ impl Timeline {
             out.push('\n');
         }
         out
+    }
+}
+
+/// The one entry of a Chrome event's `args` object.
+enum ChromeArg<'a> {
+    /// `{"name": …}` on the metadata events naming a process or thread.
+    Name(&'a str),
+    /// `{"arg": …}` on a span: the event's kind-specific scalar.
+    Arg(f64),
+}
+
+/// One element of the Chrome export's `traceEvents`, in its key order.
+struct ChromeEvent<'a> {
+    arg: ChromeArg<'a>,
+    cat: &'a str,
+    /// Absent on metadata events.
+    dur: Option<f64>,
+    name: &'a str,
+    ph: &'static str,
+    pid: u64,
+    tid: usize,
+    ts: f64,
+}
+
+impl<'a> ChromeEvent<'a> {
+    /// The event naming process `pid` (`tid` 0) or thread `tid` of it.
+    fn metadata(name: &'static str, label: &'a str, pid: u64, tid: usize) -> Self {
+        let arg = ChromeArg::Name(label);
+        ChromeEvent { arg, cat: "__metadata", dur: None, name, ph: "M", pid, tid, ts: 0.0 }
+    }
+
+    /// The complete span of one recorded event, in microseconds.
+    fn span(e: &'a Event, pid: u64, tid: usize) -> Self {
+        ChromeEvent {
+            arg: ChromeArg::Arg(e.arg),
+            cat: e.kind.name(),
+            dur: Some(e.dur * 1e6),
+            name: &e.label,
+            ph: "X",
+            pid,
+            tid,
+            ts: e.start * 1e6,
+        }
+    }
+
+    /// Write the event at its depth in the pretty document (an element of
+    /// an array two levels down), after the `[` or `,` that precedes it.
+    fn write(&self, out: &mut String) -> fmt::Result {
+        out.push_str("\n    {\n      \"args\": {\n        ");
+        match self.arg {
+            ChromeArg::Name(name) => {
+                out.push_str("\"name\": ");
+                escape_into(out, name)?;
+            }
+            ChromeArg::Arg(arg) => {
+                out.push_str("\"arg\": ");
+                write_number(out, arg)?;
+            }
+        }
+        out.push_str("\n      },\n      \"cat\": ");
+        escape_into(out, self.cat)?;
+        if let Some(dur) = self.dur {
+            out.push_str(",\n      \"dur\": ");
+            write_number(out, dur)?;
+        }
+        out.push_str(",\n      \"name\": ");
+        escape_into(out, self.name)?;
+        out.push_str(",\n      \"ph\": ");
+        escape_into(out, self.ph)?;
+        out.push_str(",\n      \"pid\": ");
+        write_number(out, self.pid as f64)?;
+        out.push_str(",\n      \"tid\": ");
+        write_number(out, self.tid as f64)?;
+        out.push_str(",\n      \"ts\": ");
+        write_number(out, self.ts)?;
+        out.push_str("\n    }");
+        Ok(())
     }
 }
 
@@ -236,7 +347,7 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventKind};
+    use crate::event::EventKind;
     use crate::sink::RankRecorder;
 
     fn trace(rank: usize, label: &str, start: f64, arg: f64) -> RankTrace {
@@ -330,6 +441,8 @@ mod tests {
         let t = Timeline::new();
         assert!(t.is_empty());
         assert_eq!(t.to_folded(), "");
+        let envelope = serde_json::json!({ "displayTimeUnit": "ms", "traceEvents": [] });
+        assert_eq!(t.to_chrome_string(), canonical_text(&envelope));
         assert!(t.to_chrome_string().contains("\"traceEvents\": []"));
     }
 }

@@ -243,3 +243,30 @@ fn report_answers_200_the_moment_the_done_event_is_visible() {
     server.shutdown();
     std::fs::remove_dir_all(&data_dir).unwrap();
 }
+
+/// Regression: the JSON parser recursed once per nesting level with no
+/// limit, so a 20 KB body of `[` overflowed an HTTP worker's stack and
+/// aborted the whole daemon. It is now a typed 400, and the daemon keeps
+/// answering.
+#[test]
+fn a_deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
+    let data_dir = temp_dir("nested");
+    let mut config = ServerConfig::new(&data_dir);
+    config.addr = "127.0.0.1:0".into();
+    let server = Server::start(config).expect("server starts");
+    let addr = server.addr();
+
+    let hostile = "[".repeat(20_000);
+    let (s, doc) = client::request_json(addr, "POST", "/v1/jobs", Some(&hostile)).unwrap();
+    assert_eq!(s, 400, "{doc:?}");
+    let error = doc.get("error").unwrap();
+    assert_eq!(error.get("code").unwrap().as_str(), Some("bad_request"));
+    let detail = error.get("detail").unwrap().as_str().unwrap();
+    assert!(detail.ends_with("invalid JSON at byte 128: nesting deeper than 128"), "{detail}");
+
+    let (s, _) = client::request_json(addr, "GET", "/v1/healthz", None).unwrap();
+    assert_eq!(s, 200);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&data_dir).unwrap();
+}
