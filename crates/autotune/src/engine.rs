@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use critter_algs::Workload;
-use critter_core::json::Reader;
+use critter_core::json::{Node, Reader};
 use critter_core::{snapshot, CritterConfig, CritterEnv, CritterError, KernelStore};
 use critter_machine::MachineModel;
 use critter_obs::{Event, EventKind, ObsReport, RankTrace, TimelineRun};
@@ -136,7 +136,7 @@ impl SweepState {
     /// An observed head resumed unobserved drops its timeline. The converse
     /// is refused: the runs before the resume were never recorded, so the
     /// finished report would silently cover only the units after it.
-    fn restore(head: &Value, sidecar: &Path, observe: bool) -> critter_core::Result<Self> {
+    fn restore(head: Node<'_>, sidecar: &Path, observe: bool) -> critter_core::Result<Self> {
         let r = Reader::root("checkpoint", head);
         let mut state = SweepState {
             units_done: r.at("units_done").int()?,
@@ -487,9 +487,9 @@ impl Autotuner {
         let fresh = || (0..ranks).map(|_| KernelStore::new()).collect::<Vec<_>>();
         let mut state = SweepState::fresh(fresh());
         if let Some((head, sidecar)) = files.as_ref().filter(|(head, _)| head.exists()) {
-            let doc = durable::read_value(head)?;
-            let payload = envelope::open(&doc, "checkpoint", Some(fingerprint))?;
-            state = SweepState::restore(payload, sidecar, self.opts.observe)?;
+            state = envelope::load(head, "checkpoint", Some(fingerprint), |payload| {
+                SweepState::restore(payload.into(), sidecar, self.opts.observe)
+            })?;
             if state.stores.len() != ranks || state.entry_state.len() != ranks {
                 return Err(CritterError::mismatch(format!(
                     "checkpoint holds {} rank stores but the sweep uses {ranks} ranks",
@@ -546,10 +546,8 @@ impl Autotuner {
             if let Some(committed) = &mut state.timeline {
                 committed.append(sidecar, &state.obs_runs[committed.runs()..])?;
             }
-            durable::write_value(
-                head,
-                &envelope::seal("checkpoint", fingerprint, state.to_json()),
-            )?;
+            let text = envelope::seal("checkpoint", fingerprint, &state.to_json());
+            durable::write_atomic(head, text.as_bytes())?;
             record(EventKind::Checkpoint, name, state.units_done as f64)
         };
         // Ask the progress hook whether the sweep may proceed past a
@@ -704,7 +702,7 @@ impl Autotuner {
         }
         if let Some(dir) = &session.store {
             // Publish the final models to the shared store as one atomic
-            // batch commit; concurrent sweeps sharing the directory
+            // commit; concurrent sweeps sharing the directory
             // serialize through the store's generation CAS, not here.
             let store = critter_store::Store::open(dir)?;
             let machine =
@@ -926,18 +924,24 @@ mod tests {
             _ => ProgressVerdict::Preempt,
         });
         tuner.tune_session(&w, &session).expect_err("preempted mid-sweep");
-        let doc = durable::read_value(&session.checkpoint_path().unwrap()).unwrap();
-        let payload = envelope::open(&doc, "checkpoint", Some(tuner.fingerprint(&w))).unwrap();
+        let head = std::fs::read_to_string(session.checkpoint_path().unwrap()).unwrap();
+        let tape = serde_json::Tape::parse(&head).unwrap();
+        let sealed = envelope::open(&tape, "checkpoint", Some(tuner.fingerprint(&w))).unwrap();
+        let payload = &serde_json::from_str(sealed.text()).unwrap();
 
         let sidecar = session.timeline_path().unwrap();
-        let read = |v: &Value| SweepState::restore(v, &sidecar, true);
+        let read = |v: &Value| SweepState::restore(v.into(), &sidecar, true);
         let state = read(payload).unwrap();
+        // The tape the engine restores from decodes to the same state.
+        let taped = SweepState::restore(sealed.into(), &sidecar, true).unwrap();
         assert!(state.units_done >= 5 && !state.obs_runs.is_empty());
         assert_eq!(state.timeline.as_ref().map(Committed::runs), Some(state.obs_runs.len()));
         assert!(state.configs.iter().any(|c| !c.offline.is_empty()));
         assert!(!state.session_events.is_empty(), "the pinned fault plan must fire");
         let text = |v: &Value| serde_json::to_string(v).unwrap();
         assert_eq!(text(&state.to_json()), text(payload), "decode → encode must be the identity");
+        assert_eq!(text(&taped.to_json()), text(payload));
+        assert_eq!(taped.obs_runs.len(), state.obs_runs.len());
         // The sidecar is the observed runs, one compact line each, once.
         let lines: String = state.obs_runs.iter().map(|r| text(&r.to_json()) + "\n").collect();
         assert_eq!(std::fs::read_to_string(&sidecar).unwrap(), lines);
@@ -963,16 +967,18 @@ mod tests {
             }
         }
         // An unobserved resume never opens the sidecar and drops the timeline.
-        let dropped = SweepState::restore(payload, Path::new("/nonexistent"), false).unwrap();
+        let dropped =
+            SweepState::restore(payload.into(), Path::new("/nonexistent"), false).unwrap();
         assert!(dropped.timeline.is_none() && dropped.obs_runs.is_empty());
         // A head from before the sidecar: empty inline runs restore, others
         // are refused at `obs_runs`, never dropped.
         let Value::Object(mut old) = payload.clone() else { panic!("payload is an object") };
         old.remove("timeline");
         old.insert("obs_runs".into(), serde_json::json!([]));
-        assert!(SweepState::restore(&Value::Object(old.clone()), &sidecar, false).is_ok());
+        assert!(SweepState::restore((&Value::Object(old.clone())).into(), &sidecar, false).is_ok());
         old.insert("obs_runs".into(), Value::Array(vec![state.obs_runs[0].to_json()]));
-        let inline = SweepState::restore(&Value::Object(old), &sidecar, false).err().unwrap();
+        let inline =
+            SweepState::restore((&Value::Object(old)).into(), &sidecar, false).err().unwrap();
         assert!(
             inline.to_string().starts_with("schema error in checkpoint: obs_runs: observed runs"),
             "got: {inline}"

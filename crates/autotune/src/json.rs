@@ -121,7 +121,11 @@ impl TuningReport {
     /// `configs[2].pairs[0].full.elapsed: expected a number, got a string`
     /// rather than a bare field name.
     pub fn from_json(v: &Value) -> critter_core::Result<TuningReport> {
-        let r = Reader::root("tuning report", v);
+        Ok(TuningReport::read(Reader::root("tuning report", v))?)
+    }
+
+    /// [`TuningReport::from_json`] at a reader, of either backing.
+    pub fn read(r: Reader<'_, '_>) -> Result<TuningReport, JsonError> {
         Ok(TuningReport {
             policy: r.at("policy").named("policy", ExecutionPolicy::from_name)?,
             epsilon: r.at("epsilon").f64()?,

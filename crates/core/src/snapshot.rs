@@ -23,7 +23,7 @@
 //! [`OnlineStats::new`].
 
 use critter_machine::CommOp;
-use critter_obs::json::{JsonError, Reader};
+use critter_obs::json::{JsonError, Node, Reader};
 use critter_stats::OnlineStats;
 use serde_json::{json, Map, Value};
 
@@ -281,8 +281,8 @@ pub fn read_stores(r: Reader<'_, '_>) -> Result<Vec<KernelStore>, JsonError> {
 }
 
 /// Restore a fleet of per-rank stores from a whole [`stores_to_json`]
-/// document (a profile or store-blob payload).
-pub fn stores_from_json(v: &Value) -> crate::Result<Vec<KernelStore>> {
+/// document (a profile or store-blob payload), tree or tape.
+pub fn stores_from_json<'v>(v: impl Into<Node<'v>>) -> crate::Result<Vec<KernelStore>> {
     Ok(read_stores(Reader::root("kernel stores", v))?)
 }
 

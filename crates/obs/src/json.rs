@@ -8,6 +8,11 @@
 //! any failure is one [`JsonError`] naming the document, the exact path,
 //! what was expected there and what was found.
 //!
+//! The value is a [`Node`]: a `serde_json::Value` tree (in-memory values,
+//! line logs, HTTP bodies) or a node of a `serde_json::Tape` (the sealed
+//! documents, parsed once into a flat token vector). A decoder cannot tell
+//! them apart: both backings give the same values, paths and errors.
+//!
 //! The path is a chain of parents borrowed on the stack and is rendered only
 //! when an error is built: a successful decode allocates nothing for it.
 //!
@@ -27,7 +32,7 @@
 
 use std::fmt;
 
-use serde_json::Value;
+use serde_json::{Children, TapeNode, Value};
 
 /// Canonical pretty-printed text of `doc` (sorted keys, two-space indent,
 /// shortest-round-trip floats) with the trailing newline every persisted
@@ -62,6 +67,136 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The value a [`Reader`] reads: a node of a `Value` tree or of a tape.
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'v> {
+    /// A node of a parsed or built `Value` tree.
+    Tree(&'v Value),
+    /// A node of a parsed `Tape`.
+    Tape(TapeNode<'v>),
+}
+
+impl<'v> From<&'v Value> for Node<'v> {
+    fn from(value: &'v Value) -> Self {
+        Node::Tree(value)
+    }
+}
+
+impl<'v> From<TapeNode<'v>> for Node<'v> {
+    fn from(node: TapeNode<'v>) -> Self {
+        Node::Tape(node)
+    }
+}
+
+impl<'v> Node<'v> {
+    fn get(self, key: &str) -> Option<Node<'v>> {
+        match self {
+            Node::Tree(v) => v.get(key).map(Node::Tree),
+            Node::Tape(t) => t.get(key).map(Node::Tape),
+        }
+    }
+
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            Node::Tree(v) => v.as_f64(),
+            Node::Tape(t) => t.as_f64(),
+        }
+    }
+
+    fn as_i64(self) -> Option<i64> {
+        match self {
+            Node::Tree(v) => v.as_i64(),
+            Node::Tape(t) => t.as_i64(),
+        }
+    }
+
+    fn as_bool(self) -> Option<bool> {
+        match self {
+            Node::Tree(v) => v.as_bool(),
+            Node::Tape(t) => t.as_bool(),
+        }
+    }
+
+    fn as_str(self) -> Option<&'v str> {
+        match self {
+            Node::Tree(v) => v.as_str(),
+            Node::Tape(t) => t.as_str(),
+        }
+    }
+
+    fn elements(self) -> Option<Elements<'v>> {
+        match self {
+            Node::Tree(v) => v.as_array().map(|items| Elements::Tree(items.iter())),
+            Node::Tape(t) => t.elements().map(Elements::Tape),
+        }
+    }
+
+    /// The members in sorted key order, the last of duplicates winning.
+    fn members(self) -> Option<Vec<(&'v str, Node<'v>)>> {
+        match self {
+            Node::Tree(v) => {
+                let map = v.as_object()?;
+                Some(map.iter().map(|(k, v)| (k.as_str(), Node::Tree(v))).collect())
+            }
+            Node::Tape(t) => {
+                Some(t.members()?.into_iter().map(|(k, v)| (k, Node::Tape(v))).collect())
+            }
+        }
+    }
+
+    fn is_object(self) -> bool {
+        match self {
+            Node::Tree(v) => v.as_object().is_some(),
+            Node::Tape(t) => t.is_object(),
+        }
+    }
+
+    /// What this value is, as an error reports it.
+    fn describe(self) -> String {
+        if let Some(x) = self.as_f64() {
+            return format!("the number {x}");
+        }
+        let what = if self.as_bool().is_some() {
+            "a bool"
+        } else if self.as_str().is_some() {
+            "a string"
+        } else if self.elements().is_some() {
+            "an array"
+        } else if self.is_object() {
+            "an object"
+        } else {
+            "null"
+        };
+        what.to_string()
+    }
+}
+
+/// The elements of an array, from either backing.
+enum Elements<'v> {
+    Tree(std::slice::Iter<'v, Value>),
+    Tape(Children<'v>),
+}
+
+impl<'v> Iterator for Elements<'v> {
+    type Item = Node<'v>;
+
+    fn next(&mut self) -> Option<Node<'v>> {
+        match self {
+            Elements::Tree(items) => items.next().map(Node::Tree),
+            Elements::Tape(items) => items.next().map(Node::Tape),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Elements::Tree(items) => items.size_hint(),
+            Elements::Tape(items) => items.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Elements<'_> {}
+
 /// How a reader was reached from its parent.
 #[derive(Debug, Clone, Copy)]
 enum Step<'p> {
@@ -77,21 +212,21 @@ enum Step<'p> {
 /// `'v` is the document's lifetime, `'p` that of the path chain.
 #[derive(Debug, Clone, Copy)]
 pub struct Reader<'v, 'p> {
-    value: Option<&'v Value>,
+    value: Option<Node<'v>>,
     parent: Option<&'p Reader<'v, 'p>>,
     step: Step<'p>,
 }
 
 impl<'v, 'p> Reader<'v, 'p> {
     /// A reader at the root of `value`; `document` names it in errors.
-    pub fn root(document: &'p str, value: &'v Value) -> Self {
-        Reader { value: Some(value), parent: None, step: Step::Root(document) }
+    pub fn root(document: &'p str, value: impl Into<Node<'v>>) -> Self {
+        Reader { value: Some(value.into()), parent: None, step: Step::Root(document) }
     }
 
     /// A reader at the root of line `index` (from 0) of the JSON-lines
     /// document `document`: paths below it start with `[index]`.
-    pub fn line(document: &'p str, index: usize, value: &'v Value) -> Self {
-        Reader { value: Some(value), parent: None, step: Step::Line(document, index) }
+    pub fn line(document: &'p str, index: usize, value: impl Into<Node<'v>>) -> Self {
+        Reader { value: Some(value.into()), parent: None, step: Step::Line(document, index) }
     }
 
     /// The member `key` of this object. Never fails: a missing key (or a
@@ -100,7 +235,7 @@ impl<'v, 'p> Reader<'v, 'p> {
         self.child(self.value.and_then(|v| v.get(key)), Step::Key(key))
     }
 
-    fn child<'q>(&'q self, value: Option<&'v Value>, step: Step<'q>) -> Reader<'v, 'q> {
+    fn child<'q>(&'q self, value: Option<Node<'v>>, step: Step<'q>) -> Reader<'v, 'q> {
         Reader { value, parent: Some(self), step }
     }
 
@@ -136,34 +271,21 @@ impl<'v, 'p> Reader<'v, 'p> {
     /// unless the parent is itself absent or not an object: then the parent
     /// is what is wrong, and the error is located there.
     fn expected(&self, what: &str) -> JsonError {
-        let found = match (self.value, self.parent) {
-            (None, Some(p)) if !matches!(p.value, Some(Value::Object(_))) => {
-                return p.expected("an object");
-            }
-            (None, _) => return self.error(format!("missing (expected {what})")),
-            (Some(Value::Null), _) => "null".to_string(),
-            (Some(Value::Bool(_)), _) => "a bool".to_string(),
-            (Some(Value::Number(x)), _) => format!("the number {x}"),
-            (Some(Value::String(_)), _) => "a string".to_string(),
-            (Some(Value::Array(_)), _) => "an array".to_string(),
-            (Some(Value::Object(_)), _) => "an object".to_string(),
-        };
-        self.error(format!("expected {what}, got {found}"))
-    }
-
-    /// The raw value here (for payloads decoded elsewhere).
-    pub fn value(&self) -> Result<&'v Value, JsonError> {
-        self.value.ok_or_else(|| self.expected("a value"))
+        match (self.value, self.parent) {
+            (None, Some(p)) if !p.value.is_some_and(Node::is_object) => p.expected("an object"),
+            (None, _) => self.error(format!("missing (expected {what})")),
+            (Some(v), _) => self.error(format!("expected {what}, got {}", v.describe())),
+        }
     }
 
     /// The number here.
     pub fn f64(&self) -> Result<f64, JsonError> {
-        self.value.and_then(Value::as_f64).ok_or_else(|| self.expected("a number"))
+        self.value.and_then(Node::as_f64).ok_or_else(|| self.expected("a number"))
     }
 
     /// The integer here, range-checked into `T` — never a wrapping cast.
     pub fn int<T: TryFrom<i64>>(&self) -> Result<T, JsonError> {
-        let fits = self.value.and_then(Value::as_i64).and_then(|i| T::try_from(i).ok());
+        let fits = self.value.and_then(Node::as_i64).and_then(|i| T::try_from(i).ok());
         fits.ok_or_else(|| self.expected(&format!("an integer ({})", std::any::type_name::<T>())))
     }
 
@@ -174,12 +296,12 @@ impl<'v, 'p> Reader<'v, 'p> {
 
     /// The bool here.
     pub fn bool(&self) -> Result<bool, JsonError> {
-        self.value.and_then(Value::as_bool).ok_or_else(|| self.expected("a bool"))
+        self.value.and_then(Node::as_bool).ok_or_else(|| self.expected("a bool"))
     }
 
     /// The string here.
     pub fn str(&self) -> Result<&'v str, JsonError> {
-        self.value.and_then(Value::as_str).ok_or_else(|| self.expected("a string"))
+        self.value.and_then(Node::as_str).ok_or_else(|| self.expected("a string"))
     }
 
     /// The string here, resolved through `lookup` (a `from_name`); a name
@@ -193,13 +315,13 @@ impl<'v, 'p> Reader<'v, 'p> {
         lookup(name).ok_or_else(|| self.error(format!("unknown {what} `{name}`")))
     }
 
-    fn elements(&self) -> Result<&'v [Value], JsonError> {
-        Ok(self.value.and_then(Value::as_array).ok_or_else(|| self.expected("an array"))?)
+    fn elements(&self) -> Result<Elements<'v>, JsonError> {
+        self.value.and_then(Node::elements).ok_or_else(|| self.expected("an array"))
     }
 
     /// The elements of the array here, each with its index on the path.
     pub fn items<'q>(&'q self) -> Result<impl Iterator<Item = Reader<'v, 'q>>, JsonError> {
-        let items = self.elements()?.iter().enumerate();
+        let items = self.elements()?.enumerate();
         Ok(items.map(move |(i, v)| self.child(Some(v), Step::Index(i))))
     }
 
@@ -213,20 +335,21 @@ impl<'v, 'p> Reader<'v, 'p> {
 
     /// The elements of the array here, which must number exactly `N`.
     pub fn fixed<'q, const N: usize>(&'q self) -> Result<[Reader<'v, 'q>; N], JsonError> {
-        let items = self.elements()?;
+        let mut items = self.elements()?;
         if items.len() != N {
             return Err(self.error(format!("expected {N} elements, got {}", items.len())));
         }
-        Ok(std::array::from_fn(|i| self.child(Some(&items[i]), Step::Index(i))))
+        Ok(std::array::from_fn(|i| self.child(items.next(), Step::Index(i))))
     }
 
-    /// The members of the object here, each with its key on the path.
+    /// The members of the object here in sorted key order (the last of
+    /// duplicate keys wins), each with its key on the path.
     pub fn members<'q>(
         &'q self,
     ) -> Result<impl Iterator<Item = (&'v str, Reader<'v, 'q>)>, JsonError> {
-        let map =
-            self.value.and_then(Value::as_object).ok_or_else(|| self.expected("an object"))?;
-        Ok(map.iter().map(move |(k, v)| (k.as_str(), self.child(Some(v), Step::Key(k)))))
+        let members =
+            self.value.and_then(Node::members).ok_or_else(|| self.expected("an object"))?;
+        Ok(members.into_iter().map(move |(k, v)| (k, self.child(Some(v), Step::Key(k)))))
     }
 }
 
@@ -238,10 +361,19 @@ mod tests {
         serde_json::from_str(text).unwrap()
     }
 
+    /// Run `check` on the root of `text` through both backings.
+    fn both(text: &str, check: impl Fn(Node<'_>)) {
+        check(Node::Tree(&parse(text)));
+        check(Node::Tape(serde_json::Tape::parse(text).unwrap().root()));
+    }
+
     #[test]
     fn errors_name_document_path_expected_and_found() {
-        let doc = parse(r#"{"a": {"b": [1.0, "x"]}, "n": -3, "big": 1099511627776}"#);
-        let r = Reader::root("doc", &doc);
+        both(r#"{"a": {"b": [1.0, "x"]}, "n": -3, "big": 1099511627776}"#, errors_of);
+    }
+
+    fn errors_of(doc: Node<'_>) {
+        let r = Reader::root("doc", doc);
         let e = r.at("a").at("b").list(|x| x.f64()).unwrap_err();
         assert_eq!((e.document.as_str(), e.path.as_str()), ("doc", "a.b[1]"));
         assert_eq!(e.to_string(), "a.b[1]: expected a number, got a string");
@@ -264,24 +396,35 @@ mod tests {
         assert_eq!(r.items().err().unwrap().to_string(), "expected an array, got an object");
         assert!(r.at("a").exists() && !r.at("z").exists());
         // A line of a JSON-lines document carries its index.
-        let e = Reader::line("log", 3, &doc).at("n").u64().unwrap_err();
+        let e = Reader::line("log", 3, doc).at("n").u64().unwrap_err();
         assert_eq!((e.document.as_str(), e.path.as_str()), ("log", "[3].n"));
-        assert_eq!(Reader::line("log", 0, &doc).items().err().unwrap().path, "[0]");
+        assert_eq!(Reader::line("log", 0, doc).items().err().unwrap().path, "[0]");
     }
 
     #[test]
     fn fixed_and_members_extend_the_path() {
-        let doc = parse(r#"{"row": [1, 2], "m": {"k": true}}"#);
-        let r = Reader::root("doc", &doc);
-        let row = r.at("row");
-        let [a, b] = row.fixed().unwrap();
-        assert_eq!((a.u64().unwrap(), b.u64().unwrap()), (1, 2));
-        let e = row.fixed::<3>().unwrap_err();
-        assert_eq!(e.to_string(), "row: expected 3 elements, got 2");
-        let m = r.at("m");
-        let (k, v) = m.members().unwrap().next().unwrap();
-        assert_eq!(k, "k");
-        assert_eq!(v.f64().unwrap_err().path, "m.k");
+        both(r#"{"row": [1, 2], "m": {"k": true, "j": null, "k": false}}"#, |doc| {
+            let r = Reader::root("doc", doc);
+            let row = r.at("row");
+            let [a, b] = row.fixed().unwrap();
+            assert_eq!((a.u64().unwrap(), b.u64().unwrap()), (1, 2));
+            let e = row.fixed::<3>().unwrap_err();
+            assert_eq!(e.to_string(), "row: expected 3 elements, got 2");
+            // Members come sorted, and of duplicates the last one counts.
+            let m = r.at("m");
+            let members: Vec<_> = m.members().unwrap().collect();
+            assert_eq!(members.iter().map(|(k, _)| *k).collect::<Vec<_>>(), ["j", "k"]);
+            assert_eq!(members[1].1.bool(), Ok(false));
+            assert_eq!(m.at("k").bool(), Ok(false));
+            assert_eq!(
+                members[1].1.f64().unwrap_err().to_string(),
+                "m.k: expected a number, got a bool"
+            );
+            assert_eq!(
+                members[0].1.str().unwrap_err().to_string(),
+                "m.j: expected a string, got null"
+            );
+        });
     }
 
     #[test]

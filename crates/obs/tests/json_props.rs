@@ -9,12 +9,22 @@
 //!   single-byte mutation of a canonical document, give `Ok` or `Err` and
 //!   never a panic; every `Ok` value re-renders to text that parses back
 //!   equal.
+//! * Its two sinks agree: on all of those inputs, and on arbitrary documents
+//!   (unsorted and duplicate keys, escapes, every number spelling, nesting
+//!   around the 128-level limit), the tape and the `Value` tree accept the
+//!   same texts and refuse the rest with the same error text.
+//! * The reader's two backings agree: everything a [`Reader`] says about an
+//!   accepted document — every accessor's value or exact error, `at` on
+//!   duplicate keys, the order of `members` — is the same over the tape as
+//!   over the tree.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
+use critter_obs::json::{JsonError, Reader};
 use critter_obs::{Event, EventKind, MetricsRegistry, RankTrace, Timeline, TimelineRun};
 use proptest::prelude::*;
-use serde_json::Value;
+use serde_json::{Tape, Value};
 
 const KINDS: [EventKind; 15] = [
     EventKind::KernelExec,
@@ -108,10 +118,17 @@ fn run(ranks: usize, events: usize) -> impl Strategy<Value = TimelineRun> {
 /// the parser than uniform noise does.
 const ALPHABET: &[u8] = b"[]{}\",: \\-+.019eEtrulnu";
 
-/// The parser's contract on any input: no panic, and an accepted document
-/// survives a render/parse round trip unchanged.
+/// The parser's contract on any input: no panic, the tape sink accepts and
+/// refuses what the tree sink does (with the same error), and an accepted
+/// document survives a render/parse round trip unchanged.
 fn check_parse(text: &str) -> Result<(), TestCaseError> {
-    if let Ok(value) = serde_json::from_str(text) {
+    let (tree, tape) = (serde_json::from_str(text), Tape::parse(text));
+    match (&tree, &tape) {
+        (Ok(_), Ok(_)) => {}
+        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+        _ => prop_assert!(false, "the sinks disagree on {text:?}: {tree:?} vs {tape:?}"),
+    }
+    if let Ok(value) = tree {
         for rendered in
             [serde_json::to_string(&value).unwrap(), serde_json::to_string_pretty(&value).unwrap()]
         {
@@ -132,6 +149,176 @@ fn canonical_document(run: &TimelineRun) -> String {
         "text": "é\u{1}\"\\/😀",
     });
     serde_json::to_string_pretty(&doc).unwrap()
+}
+
+/// [`check_parse`], and when `text` is accepted, the reader says the same
+/// about it over either backing, at a document root and at a line root.
+fn check_reader(text: &str) -> Result<(), TestCaseError> {
+    check_parse(text)?;
+    if let (Ok(value), Ok(tape)) = (serde_json::from_str(text), Tape::parse(text)) {
+        prop_assert_eq!(
+            transcript(Reader::root("doc", &value)),
+            transcript(Reader::root("doc", tape.root()))
+        );
+        let (line, taped) = (Reader::line("log", 4, &value), Reader::line("log", 4, tape.root()));
+        prop_assert_eq!(transcript(line), transcript(taped));
+    }
+    Ok(())
+}
+
+/// Everything the reader says about the value at `r`, recursively: each
+/// accessor's value or its error (document, path and detail).
+fn transcript(r: Reader<'_, '_>) -> String {
+    let mut out = String::new();
+    describe(r, &mut out);
+    out
+}
+
+fn describe(r: Reader<'_, '_>, out: &mut String) {
+    fn show<T: std::fmt::Debug>(out: &mut String, what: &str, result: Result<T, JsonError>) {
+        let _ = match result {
+            Ok(v) => writeln!(out, "{what} = {v:?}"),
+            Err(e) => writeln!(out, "{what} ! {} @ {} : {}", e.document, e.path, e.detail),
+        };
+    }
+    show(out, "f64", r.f64().map(f64::to_bits));
+    show(out, "u64", r.u64());
+    show(out, "i32", r.int::<i32>());
+    show(out, "bool", r.bool());
+    show(out, "str", r.str());
+    show(out, "fixed", r.fixed::<2>().map(drop));
+    let _ = writeln!(out, "exists {}", r.exists());
+    for key in ["a", "b", "missing"] {
+        show(out, key, r.at(key).at("deeper").u64());
+        show(out, key, r.at(key).str());
+    }
+    match r.items() {
+        Ok(items) => items.for_each(|item| describe(item, out)),
+        Err(e) => show(out, "items", Err::<(), _>(e)),
+    }
+    match r.members() {
+        Ok(members) => members.for_each(|(key, value)| {
+            let _ = writeln!(out, "member {key:?}");
+            describe(value, out);
+        }),
+        Err(e) => show(out, "members", Err::<(), _>(e)),
+    }
+}
+
+/// A document's text drawn from `seed`: objects with unsorted and duplicate
+/// keys, escaped strings, numbers in every spelling, whitespace anywhere,
+/// and, one time in eight, arrays and objects nested around the parser's
+/// 128-level limit.
+fn random_document(seed: u64) -> String {
+    let mut draw = Draw(seed);
+    let mut out = String::new();
+    if draw.below(8) == 0 {
+        let depth = 125 + draw.below(6) as usize;
+        let open: Vec<bool> = (0..depth).map(|_| draw.below(2) == 0).collect();
+        for &object in &open {
+            out.push_str(if object { "{\"k\": " } else { "[" });
+        }
+        draw.value(&mut out, 6);
+        for &object in open.iter().rev() {
+            out.push(if object { '}' } else { ']' });
+        }
+    } else {
+        draw.value(&mut out, 0);
+    }
+    out
+}
+
+/// A splitmix64 stream.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+        from[self.below(from.len() as u64) as usize]
+    }
+
+    fn space(&mut self, out: &mut String) {
+        for _ in 0..self.below(3) {
+            out.push_str(self.pick(&[" ", "\n", "\t", "\r", "  "]));
+        }
+    }
+
+    fn value(&mut self, out: &mut String, depth: usize) {
+        self.space(out);
+        let leaf = depth >= 6 || self.below(3) > 0;
+        match if leaf { self.below(3) } else { 3 + self.below(2) } {
+            0 => out.push_str(self.pick(&["null", "true", "false"])),
+            1 => out.push_str(self.pick(&[
+                "0",
+                "-0",
+                "7",
+                "-3",
+                "1.5",
+                "1.50",
+                "0.1",
+                "1e3",
+                "1E-7",
+                "-2.5e+300",
+                "9007199254740993",
+                "1099511627776",
+                "3.0",
+                "2147483648",
+                "-2147483649",
+                "1e999",
+            ])),
+            2 => out.push_str(self.pick(&[
+                "\"\"",
+                "\"a\"",
+                "\"a b\"",
+                "\"q\\\"b\\\\\"",
+                "\"\\u00e9\\ud83d\\ude00\"",
+                "\"é😀\"",
+                "\"tab\\t\\n\"",
+                "\"\\u0000\"",
+            ])),
+            3 => {
+                out.push('[');
+                for i in 0..self.below(4) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    self.value(out, depth + 1);
+                }
+                self.space(out);
+                out.push(']');
+            }
+            _ => {
+                out.push('{');
+                for i in 0..self.below(5) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    self.space(out);
+                    out.push_str(self.pick(&[
+                        "\"a\"",
+                        "\"b\"",
+                        "\"k\"",
+                        "\"\\u0061\"",
+                        "\"é\"",
+                        "\"\"",
+                    ]));
+                    self.space(out);
+                    out.push(':');
+                    self.value(out, depth + 1);
+                }
+                self.space(out);
+                out.push('}');
+            }
+        }
+        self.space(out);
+    }
 }
 
 proptest! {
@@ -157,14 +344,31 @@ proptest! {
     }
 
     #[test]
+    fn tape_and_tree_agree_on_arbitrary_documents(seed in 0u64..u64::MAX) {
+        let text = random_document(seed);
+        check_reader(&text)?;
+        // Damaged: cut short, or one byte replaced.
+        let cut = (seed as usize >> 8) % (text.len() + 1);
+        if let Some(prefix) = text.get(..cut) {
+            check_reader(prefix)?;
+        }
+        let mut damaged = text.clone().into_bytes();
+        let at = (seed as usize >> 16) % damaged.len().max(1);
+        if let Some(b) = damaged.get_mut(at) {
+            *b = ALPHABET[(seed >> 40) as usize % ALPHABET.len()];
+        }
+        check_reader(&String::from_utf8_lossy(&damaged))?;
+    }
+
+    #[test]
     fn parser_is_total_on_arbitrary_bytes(bytes in collection::vec(byte(), 0..64)) {
-        check_parse(&String::from_utf8_lossy(&bytes))?;
+        check_reader(&String::from_utf8_lossy(&bytes))?;
     }
 
     #[test]
     fn parser_is_total_on_json_shaped_bytes(picks in collection::vec(0..ALPHABET.len(), 0..64)) {
         let bytes: Vec<u8> = picks.iter().map(|&i| ALPHABET[i]).collect();
-        check_parse(std::str::from_utf8(&bytes).unwrap())?;
+        check_reader(std::str::from_utf8(&bytes).unwrap())?;
     }
 }
 
@@ -176,7 +380,7 @@ proptest! {
     #[test]
     fn parser_is_total_on_damaged_canonical_documents(run in run(2, 3), byte in byte()) {
         let text = canonical_document(&run);
-        check_parse(&text)?;
+        check_reader(&text)?;
         let bytes = text.as_bytes();
         for cut in 0..bytes.len() {
             if let Ok(prefix) = std::str::from_utf8(&bytes[..cut]) {
@@ -188,6 +392,24 @@ proptest! {
             let original = std::mem::replace(&mut damaged[at], byte);
             check_parse(&String::from_utf8_lossy(&damaged))?;
             damaged[at] = original;
+        }
+    }
+}
+
+/// The nesting limit is one constant of the one grammar: both sinks accept
+/// 128 levels of arrays and objects mixed, and refuse 129 with the same
+/// error at the same byte.
+#[test]
+fn both_sinks_stop_at_the_same_nesting_depth() {
+    for (depth, ok) in [(127, true), (128, true), (129, false)] {
+        let open: String = (0..depth).map(|i| if i % 3 == 0 { "{\"k\":" } else { "[" }).collect();
+        let close: String = (0..depth).rev().map(|i| if i % 3 == 0 { "}" } else { "]" }).collect();
+        let text = format!("{open}1{close}");
+        let (tree, tape) = (serde_json::from_str(&text), Tape::parse(&text));
+        assert_eq!((tree.is_ok(), tape.is_ok()), (ok, ok), "depth {depth}");
+        if let (Err(a), Err(b)) = (tree, tape) {
+            assert_eq!(a.to_string(), b.to_string());
+            assert!(a.to_string().ends_with("nesting deeper than 128"), "{a}");
         }
     }
 }

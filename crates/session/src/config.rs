@@ -170,7 +170,7 @@ impl SessionConfig {
     /// Attach a shared profile-store directory: seed kernel models from
     /// it (when no explicit `warm_start` file takes precedence) and
     /// publish the session's final models back into it as one atomic
-    /// batch commit.
+    /// commit.
     pub fn with_store(mut self, dir: impl Into<PathBuf>) -> Self {
         self.store = Some(dir.into());
         self

@@ -1,5 +1,5 @@
-//! The durable-write primitives: atomic on-disk persistence of canonical
-//! JSON documents and raw artifacts, and the append of the append-only files.
+//! The durable-write primitives: atomic on-disk persistence of documents,
+//! and the append of the append-only files.
 //!
 //! Checkpoints are overwritten in place many times per sweep; a kill in
 //! the middle of a write must never leave a half-written file where the
@@ -13,9 +13,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use critter_core::json::canonical_text;
 use critter_core::{CritterError, Result};
-use serde_json::Value;
 
 /// Distinguishes the temp files of concurrent writers within one process;
 /// the pid distinguishes processes.
@@ -29,11 +27,13 @@ fn unique_sibling(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// `fs::write`, removing the partial file when the write fails.
-fn write_or_remove(path: &Path, bytes: &[u8]) -> Result<()> {
-    fs::write(path, bytes).map_err(|e| {
-        let _ = fs::remove_file(path);
-        CritterError::io(path, e)
+/// Write `bytes` to a staging path the caller already made unique and will
+/// publish itself (`rename`/`hard_link`): one plain write, no second temp
+/// file. The staging file is removed when the write fails.
+pub fn stage(staging: &Path, bytes: &[u8]) -> Result<()> {
+    fs::write(staging, bytes).map_err(|e| {
+        let _ = fs::remove_file(staging);
+        CritterError::io(staging, e)
     })
 }
 
@@ -42,7 +42,7 @@ fn write_or_remove(path: &Path, bytes: &[u8]) -> Result<()> {
 /// rename wins.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     let tmp = unique_sibling(path);
-    write_or_remove(&tmp, bytes)?;
+    stage(&tmp, bytes)?;
     fs::rename(&tmp, path).map_err(|e| {
         let _ = fs::remove_file(&tmp);
         CritterError::io(path, e)
@@ -90,26 +90,6 @@ pub fn cut(path: &Path, len: u64) -> Result<()> {
     shrink().map_err(|e| CritterError::io(path, e))
 }
 
-/// Serialize `doc` as canonical pretty-printed JSON (trailing newline
-/// included) and write it atomically.
-pub fn write_value(path: &Path, doc: &Value) -> Result<()> {
-    write_atomic(path, canonical_text(doc).as_bytes())
-}
-
-/// Write `doc` to a staging path the caller already made unique and will
-/// publish itself (`rename`/`hard_link`): one plain write, no second temp
-/// file. The staging file is removed when the write fails.
-pub fn stage_value(staging: &Path, doc: &Value) -> Result<()> {
-    write_or_remove(staging, canonical_text(doc).as_bytes())
-}
-
-/// Read and parse a canonical JSON document.
-pub fn read_value(path: &Path) -> Result<Value> {
-    let text = fs::read_to_string(path).map_err(|e| CritterError::io(path, e))?;
-    serde_json::from_str(&text)
-        .map_err(|e| CritterError::parse(path.display().to_string(), e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,14 +103,11 @@ mod tests {
     #[test]
     fn write_read_round_trip() {
         let path = scratch("roundtrip.json");
-        let doc = serde_json::json!({"a": 0.1, "b": [1.0, 2.0, 3.0]});
-        write_value(&path, &doc).unwrap();
-        let back = read_value(&path).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&doc).unwrap());
+        write_atomic(&path, b"{\"a\": 0.1}\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"{\"a\": 0.1}\n");
         // Overwrite goes through the same atomic path.
-        write_value(&path, &serde_json::json!({"a": 2})).unwrap();
-        let back = read_value(&path).unwrap();
-        assert_eq!(back, serde_json::json!({"a": 2}));
+        write_atomic(&path, b"{}\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"{}\n");
         fs::remove_file(&path).unwrap();
     }
 
@@ -141,23 +118,22 @@ mod tests {
     #[test]
     fn concurrent_writers_of_one_path_never_publish_a_torn_file() {
         let path = scratch("contended.json");
-        let docs: Vec<Value> = (0..4u32)
-            .map(|w| serde_json::json!({ "writer": w, "pad": vec![f64::from(w); 20_000] }))
-            .collect();
-        write_value(&path, &docs[0]).unwrap();
+        let docs: Vec<Vec<u8>> =
+            (0..4u8).map(|w| [vec![b'{'], vec![b'0' + w; 100_000], vec![b'}']].concat()).collect();
+        write_atomic(&path, &docs[0]).unwrap();
         let start = std::sync::Barrier::new(docs.len() + 1);
         std::thread::scope(|s| {
             for doc in &docs {
                 s.spawn(|| {
                     start.wait();
                     for _ in 0..50 {
-                        write_value(&path, doc).expect("every writer publishes");
+                        write_atomic(&path, doc).expect("every writer publishes");
                     }
                 });
             }
             start.wait();
             for _ in 0..200 {
-                let seen = read_value(&path).expect("readers only ever see complete documents");
+                let seen = fs::read(&path).expect("the path always holds a file");
                 assert!(docs.contains(&seen), "published file matches no writer's document");
             }
         });
@@ -179,7 +155,7 @@ mod tests {
         assert!(matches!(err, CritterError::Io { .. }), "got: {err}");
         assert!(!dir.exists());
         // The staging form cleans up after itself too.
-        assert!(stage_value(&dir.join("stage.json"), &serde_json::json!({})).is_err());
+        assert!(stage(&dir.join("stage.json"), b"{}").is_err());
     }
 
     #[test]
@@ -210,21 +186,6 @@ mod tests {
         assert_eq!(fs::read_to_string(&path).unwrap(), "one\r\ntwo\n");
         cut(&path, 100).unwrap();
         assert_eq!(fs::metadata(&path).unwrap().len(), 9, "cut never extends a file");
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn missing_file_is_an_io_error() {
-        let err = read_value(Path::new("/definitely/not/here.json")).unwrap_err();
-        assert!(matches!(err, CritterError::Io { .. }), "got: {err}");
-    }
-
-    #[test]
-    fn malformed_file_is_a_parse_error() {
-        let path = scratch("malformed.json");
-        fs::write(&path, "{not json").unwrap();
-        let err = read_value(&path).unwrap_err();
-        assert!(matches!(err, CritterError::Parse { .. }), "got: {err}");
         fs::remove_file(&path).unwrap();
     }
 }

@@ -16,8 +16,8 @@ use crate::{durable, envelope};
 
 /// Persist `stores` as a profile at `path` (atomic write).
 pub fn save(path: &Path, fingerprint: u64, stores: &[KernelStore]) -> Result<()> {
-    let doc = envelope::seal("profile", fingerprint, snapshot::stores_to_json(stores));
-    durable::write_value(path, &doc)
+    let text = envelope::seal("profile", fingerprint, &snapshot::stores_to_json(stores));
+    durable::write_atomic(path, text.as_bytes())
 }
 
 /// Load a profile. `fingerprint` is optional: profiles are deliberately
@@ -25,9 +25,7 @@ pub fn save(path: &Path, fingerprint: u64, stores: &[KernelStore]) -> Result<()>
 /// of warm-starting), so most callers pass `None` and rely on the content
 /// hash plus the rank-count check in [`warm_start`].
 pub fn load(path: &Path, fingerprint: Option<u64>) -> Result<Vec<KernelStore>> {
-    let doc = durable::read_value(path)?;
-    let payload = envelope::open(&doc, "profile", fingerprint)?;
-    snapshot::stores_from_json(payload)
+    envelope::load(path, "profile", fingerprint, |payload| snapshot::stores_from_json(payload))
 }
 
 /// Load a profile, verify it matches the sweep's rank count, and apply the

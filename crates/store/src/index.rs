@@ -7,7 +7,7 @@
 //! generation whose envelope validates always sees a consistent store,
 //! no matter how many writers died mid-commit.
 
-use critter_core::json::{JsonError, Reader};
+use critter_core::json::{JsonError, Node, Reader};
 use serde_json::Value;
 
 use crate::machine::MachineSpec;
@@ -49,14 +49,19 @@ impl StoreEntry {
     }
 
     /// Parse and validate one entry; the cached fingerprint must match the
-    /// machine spec it claims to summarize.
-    pub fn read(r: Reader<'_, '_>) -> Result<StoreEntry, JsonError> {
+    /// machine spec it claims to summarize. `prev` is the entry before it,
+    /// already validated: when the two specs are equal, `prev`'s fingerprint
+    /// is the spec's, and the spec is not rendered again to check it.
+    fn read(r: Reader<'_, '_>, prev: Option<&StoreEntry>) -> Result<StoreEntry, JsonError> {
         let machine = MachineSpec::read(r.at("machine"))?;
         let machine_fp = r.at("machine_fp").u64()?;
-        if machine_fp != machine.fingerprint() {
+        let expected = match prev {
+            Some(prev) if prev.machine == machine => prev.machine_fp,
+            _ => machine.fingerprint(),
+        };
+        if machine_fp != expected {
             return Err(r.at("machine_fp").error(format!(
-                "cached machine fingerprint {machine_fp} does not match the spec ({})",
-                machine.fingerprint()
+                "cached machine fingerprint {machine_fp} does not match the spec ({expected})"
             )));
         }
         Ok(StoreEntry {
@@ -89,9 +94,10 @@ impl Index {
         })
     }
 
-    /// Parse a generation payload; `generation` must match the number the
-    /// file name (and envelope fingerprint) claims.
-    pub fn from_json(v: &Value, generation: u64) -> critter_core::Result<Index> {
+    /// Parse a generation payload (tree or tape); `generation` must match
+    /// the number the file name (and envelope fingerprint) claims. A run of
+    /// entries from one machine renders its spec once.
+    pub fn from_json<'v>(v: impl Into<Node<'v>>, generation: u64) -> critter_core::Result<Index> {
         let r = Reader::root("store index", v);
         let found = r.at("generation").u64()?;
         if found != generation {
@@ -99,7 +105,11 @@ impl Index {
                 format!("payload generation {found} does not match file generation {generation}");
             return Err(r.at("generation").error(detail).into());
         }
-        Ok(Index { generation, entries: r.at("entries").list(StoreEntry::read)? })
+        let mut entries: Vec<StoreEntry> = Vec::new();
+        for entry in r.at("entries").items()? {
+            entries.push(StoreEntry::read(entry, entries.last())?);
+        }
+        Ok(Index { generation, entries })
     }
 
     /// The highest publication sequence number in this generation.
@@ -129,13 +139,27 @@ mod tests {
         assert!(Index::from_json(&idx.to_json(), 4).is_err(), "generation binding");
     }
 
+    /// The fingerprint an entry reuses from the one before is still
+    /// checked: a tampered one fails at its path, whatever precedes it.
+    #[test]
+    fn every_entry_fingerprint_is_checked() {
+        for tampered in 0..3 {
+            let mut entries: Vec<Value> = (1..4).map(|seq| entry(seq).to_json()).collect();
+            *entries[tampered].get_mut("machine_fp").unwrap() = serde_json::json!(7u64);
+            let doc = serde_json::json!({"entries": entries, "generation": 1u64});
+            let err = Index::from_json(&doc, 1).unwrap_err().to_string();
+            let at = format!("entries[{tampered}].machine_fp: cached machine fingerprint 7");
+            assert!(err.contains(&at), "got: {err}");
+        }
+    }
+
     #[test]
     fn tampered_machine_fingerprint_is_rejected() {
         let mut doc = entry(1).to_json();
         if let Value::Object(m) = &mut doc {
             m.insert("machine_fp".into(), serde_json::json!(1u64));
         }
-        let err = StoreEntry::read(Reader::root("entry", &doc)).unwrap_err();
+        let err = StoreEntry::read(Reader::root("entry", &doc), None).unwrap_err();
         assert_eq!(err.path, "machine_fp");
         assert!(err.detail.contains("does not match the spec"), "got: {err}");
     }

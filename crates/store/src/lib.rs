@@ -42,4 +42,4 @@ mod store;
 pub use index::{Index, StoreEntry, INDEX_KIND};
 pub use machine::MachineSpec;
 pub use merge::WarmStartSource;
-pub use store::{Census, GcReport, StagedEntry, Store, VerifyReport, BLOB_KIND};
+pub use store::{Census, GcReport, Store, VerifyReport, BLOB_KIND};

@@ -1,5 +1,5 @@
 //! The store itself: content-addressed blobs, generation-numbered index
-//! files, and the lock-free atomic batch-commit protocol.
+//! files, and the lock-free atomic commit protocol.
 //!
 //! # On-disk layout
 //!
@@ -12,13 +12,13 @@
 //!
 //! # Commit protocol
 //!
-//! 1. **Stage** every blob: write it fully under `tmp/`, then `rename`
+//! 1. **Stage** the blob: write it fully under `tmp/`, then `rename`
 //!    it to its content-addressed name under `blobs/`. Blobs are
 //!    immutable and named by their hash, so two writers staging the same
 //!    content race harmlessly.
 //! 2. **Commit** the index under optimistic concurrency control: re-list
 //!    `index/`, take the highest *valid* generation `N` as the base,
-//!    append the staged entries with fresh sequence numbers, write the
+//!    append the staged entry with the next sequence number, write the
 //!    new index fully under `tmp/`, and publish it with
 //!    `hard_link(tmp, index/gen-(N+1))`. `hard_link` fails atomically
 //!    with `AlreadyExists` when another writer claimed the number first —
@@ -35,13 +35,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use critter_core::fnv::fnv_hash;
 use critter_core::{snapshot, CritterError, KernelStore, Result};
-use critter_session::envelope;
-use serde_json::Value;
+use critter_session::{durable, envelope};
 
 use crate::index::{Index, StoreEntry, INDEX_KIND};
-use crate::machine::{MachineSpec, HASH_MASK};
+use crate::machine::MachineSpec;
 
 /// Envelope kind of a profile blob. The payload is exactly the
 /// `snapshot::stores_to_json` document a profile file carries, so a blob
@@ -62,20 +60,6 @@ type Listing = (Vec<(u64, PathBuf)>, Vec<PathBuf>);
 /// Process-global staging counter; combined with the pid it makes every
 /// temp file name unique across the threads and processes sharing a store.
 static STAGE_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// A staged entry awaiting [`Store::commit`]: the key it will be filed
-/// under plus the content hash [`Store::stage`] returned.
-#[derive(Debug, Clone)]
-pub struct StagedEntry {
-    /// The machine the profile was measured on.
-    pub machine: MachineSpec,
-    /// Algorithm identity (workload names joined with `;`).
-    pub algo: String,
-    /// Rank count of the staged store vector.
-    pub ranks: u64,
-    /// Content hash of the staged blob.
-    pub blob: u64,
-}
 
 /// Store census: the numbers `/v1/healthz` and `critter-store ls` report.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,11 +149,6 @@ impl Store {
         self.root.join("tmp").join(format!("stage-{}-{n}.json", std::process::id()))
     }
 
-    /// 52-bit content hash of a blob payload (its name in `blobs/`).
-    fn blob_hash(payload: &Value) -> u64 {
-        fnv_hash(&serde_json::to_string(payload).expect("json writer is total")) & HASH_MASK
-    }
-
     fn blob_path(&self, hash: u64) -> PathBuf {
         self.blobs_dir().join(format!("{hash:013x}.json"))
     }
@@ -177,16 +156,16 @@ impl Store {
     /// Stage a profile blob: write the sealed envelope under `tmp/`, then
     /// `rename` it to its content-addressed name. Idempotent — staging
     /// content that is already present is a no-op returning the same hash.
+    /// The blob's name is the 52-bit [`envelope::text_hash`] of its payload.
     pub fn stage(&self, stores: &[KernelStore]) -> Result<u64> {
-        let payload = snapshot::stores_to_json(stores);
-        let hash = Self::blob_hash(&payload);
+        let payload = envelope::payload_text(&snapshot::stores_to_json(stores));
+        let hash = envelope::text_hash([payload.as_str()]);
         let dst = self.blob_path(hash);
         if dst.is_file() {
             return Ok(hash); // content-addressed: same name ⇒ same bytes
         }
-        let doc = envelope::seal(BLOB_KIND, hash, payload);
         let tmp = self.tmp_path();
-        critter_session::durable::stage_value(&tmp, &doc)?;
+        durable::stage(&tmp, envelope::seal_text(BLOB_KIND, hash, &payload).as_bytes())?;
         fs::rename(&tmp, &dst).map_err(|e| CritterError::io(&dst, e))?;
         Ok(hash)
     }
@@ -194,10 +173,9 @@ impl Store {
     /// Load a blob's kernel stores back by content hash, verifying the
     /// envelope and the name binding on the way.
     pub fn load_blob(&self, hash: u64) -> Result<Vec<KernelStore>> {
-        let path = self.blob_path(hash);
-        let doc = critter_session::durable::read_value(&path)?;
-        let payload = envelope::open(&doc, BLOB_KIND, Some(hash))?;
-        snapshot::stores_from_json(payload)
+        envelope::load(&self.blob_path(hash), BLOB_KIND, Some(hash), |payload| {
+            snapshot::stores_from_json(payload)
+        })
     }
 
     /// List `(generation, path)` for every parseable index file name,
@@ -229,9 +207,9 @@ impl Store {
     /// Read one index generation, validating the envelope against the
     /// generation number its file name claims.
     fn read_index(&self, generation: u64, path: &Path) -> Result<Index> {
-        let doc = critter_session::durable::read_value(path)?;
-        let payload = envelope::open(&doc, INDEX_KIND, Some(generation))?;
-        Index::from_json(payload, generation)
+        envelope::load(path, INDEX_KIND, Some(generation), |payload| {
+            Index::from_json(payload, generation)
+        })
     }
 
     /// The latest complete generation, or `None` for an empty store.
@@ -247,13 +225,16 @@ impl Store {
         Ok(None)
     }
 
-    /// Commit staged entries as one new index generation (the atomic
-    /// batch commit). Returns the generation published. An empty batch
-    /// publishes nothing and returns the current generation.
-    pub fn commit(&self, staged: &[StagedEntry]) -> Result<u64> {
-        if staged.is_empty() {
-            return Ok(self.latest()?.map(|i| i.generation).unwrap_or(0));
-        }
+    /// Stage one profile and commit it: the whole publication path a
+    /// session runs at sweep end. Returns the generation published.
+    pub fn publish(
+        &self,
+        machine: &MachineSpec,
+        algo: &str,
+        stores: &[KernelStore],
+    ) -> Result<u64> {
+        let blob = self.stage(stores)?;
+        let (machine_fp, ranks) = (machine.fingerprint(), stores.len() as u64);
         for _ in 0..MAX_COMMIT_RETRIES {
             let (gens, _) = self.list_index()?;
             // Base = highest valid generation; next number = one past the
@@ -265,22 +246,14 @@ impl Store {
                 Some(idx) => (idx.generation, idx.entries),
                 None => (0, Vec::new()),
             };
-            let last_seq = entries.iter().map(|e| e.seq).max().unwrap_or(0);
-            for (i, s) in staged.iter().enumerate() {
-                entries.push(StoreEntry {
-                    machine: s.machine.clone(),
-                    machine_fp: s.machine.fingerprint(),
-                    algo: s.algo.clone(),
-                    ranks: s.ranks,
-                    blob: s.blob,
-                    seq: last_seq + 1 + i as u64,
-                });
-            }
+            let seq = entries.iter().map(|e| e.seq).max().unwrap_or(0) + 1;
+            let (machine, algo) = (machine.clone(), algo.to_string());
+            entries.push(StoreEntry { machine, machine_fp, algo, ranks, blob, seq });
             let next = max_listed.max(base_gen) + 1;
-            let doc =
-                envelope::seal(INDEX_KIND, next, Index { generation: next, entries }.to_json());
+            let text =
+                envelope::seal(INDEX_KIND, next, &Index { generation: next, entries }.to_json());
             let tmp = self.tmp_path();
-            critter_session::durable::stage_value(&tmp, &doc)?;
+            durable::stage(&tmp, text.as_bytes())?;
             let dst = self.index_dir().join(format!("gen-{next:020}.json"));
             let linked = fs::hard_link(&tmp, &dst);
             let _ = fs::remove_file(&tmp);
@@ -295,23 +268,6 @@ impl Store {
              the filesystem is not honoring atomic hard_link semantics",
             self.root.display()
         )))
-    }
-
-    /// Stage one profile and commit it as a batch of one: the whole
-    /// publication path a session runs at sweep end.
-    pub fn publish(
-        &self,
-        machine: &MachineSpec,
-        algo: &str,
-        stores: &[KernelStore],
-    ) -> Result<u64> {
-        let blob = self.stage(stores)?;
-        self.commit(&[StagedEntry {
-            machine: machine.clone(),
-            algo: algo.to_string(),
-            ranks: stores.len() as u64,
-            blob,
-        }])
     }
 
     /// List `(hash, path)` for every parseable blob file name; foreign
@@ -384,16 +340,15 @@ impl Store {
             }
         }
         for (hash, path) in &blobs {
-            match critter_session::durable::read_value(path)
-                .and_then(|doc| envelope::open(&doc, BLOB_KIND, Some(*hash)).cloned())
-            {
-                Ok(payload) => {
+            let rehashed = envelope::load(path, BLOB_KIND, Some(*hash), |payload| {
+                Ok(envelope::text_hash([payload.text()]))
+            });
+            match rehashed {
+                Ok(rehashed) => {
                     report.blobs += 1;
-                    if Self::blob_hash(&payload) != *hash {
+                    if rehashed != *hash {
                         report.problems.push(format!(
-                            "blob {:013x}: payload re-hashes to {:013x}",
-                            hash,
-                            Self::blob_hash(&payload)
+                            "blob {hash:013x}: payload re-hashes to {rehashed:013x}"
                         ));
                     }
                 }

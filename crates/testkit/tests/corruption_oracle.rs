@@ -27,14 +27,14 @@ use std::sync::Arc;
 use critter_algs::{Workload, WorkloadOutput};
 use critter_autotune::{Autotuner, ProgressVerdict, SessionConfig, TuningOptions, TuningReport};
 use critter_core::fnv::FnvHasher;
-use critter_core::json::JsonError;
+use critter_core::json::{canonical_text, JsonError};
 use critter_core::{snapshot, CritterEnv, CritterError, ExecutionPolicy, KernelStore};
 use critter_machine::{MachineParams, NoiseParams};
 use critter_obs::{Event, EventKind};
 use critter_session::{durable, envelope, profile, SessionLog};
 use critter_sim::{FaultPlan, ReduceOp};
 use critter_store::{Index, MachineSpec, Store, INDEX_KIND};
-use serde_json::Value;
+use serde_json::{Tape, Value};
 
 // ---------------------------------------------------------------------------
 // The walker.
@@ -223,6 +223,29 @@ fn located(e: CritterError) -> String {
     }
 }
 
+/// The payload of the sealed document at `path`, verified, as a tree.
+fn sealed_payload(path: &std::path::Path, kind: &str, fingerprint: u64) -> Value {
+    let text = std::fs::read_to_string(path).unwrap();
+    let tape = Tape::parse(&text).unwrap();
+    let payload = envelope::open(&tape, kind, Some(fingerprint)).unwrap();
+    serde_json::from_str(payload.text()).unwrap()
+}
+
+/// Decode `doc` through both backings of the reader — its tree, and the tape
+/// of its canonical text, which is what a sealed load decodes — and require
+/// the same outcome of both.
+fn both_backings<T>(
+    doc: &Value,
+    decode: impl Fn(critter_core::json::Node<'_>) -> critter_core::Result<T>,
+) -> Result<(), String> {
+    let text = canonical_text(doc);
+    let tape = Tape::parse(&text).unwrap();
+    let (tree, taped) = (decode(doc.into()).map(drop), decode(tape.root().into()).map(drop));
+    let (tree, taped) = (tree.map_err(located), taped.map_err(located));
+    assert_eq!(tree, taped, "the tape and the tree must decode alike");
+    tree
+}
+
 /// A two-rank workload small enough that every node of its observed
 /// checkpoint can be damaged in turn: one BLAS kernel whose size varies by
 /// configuration, one user-annotated region and one collective.
@@ -298,8 +321,7 @@ fn stopped_tiny_session(name: &str) -> (SessionConfig, u64, Value) {
     let stopped = stopper.tune_session(&workloads, &session).expect_err("preempted mid-sweep");
     assert!(stopped.is_preempted(), "got: {stopped}");
     let fingerprint = stopper.fingerprint(&workloads);
-    let sealed = durable::read_value(&session.checkpoint_path().unwrap()).unwrap();
-    let payload = envelope::open(&sealed, "checkpoint", Some(fingerprint)).unwrap().clone();
+    let payload = sealed_payload(&session.checkpoint_path().unwrap(), "checkpoint", fingerprint);
     for key in ["session_events", "configs"] {
         let filled = payload.get(key).and_then(Value::as_array).is_some_and(|a| !a.is_empty());
         assert!(filled, "the checkpoint must carry `{key}`");
@@ -321,7 +343,7 @@ fn resume_sealed(
     document: &str,
 ) -> Result<(), String> {
     let head = session.checkpoint_path().unwrap();
-    durable::write_value(&head, &envelope::seal("checkpoint", fingerprint, payload.clone()))
+    durable::write_atomic(&head, envelope::seal("checkpoint", fingerprint, payload).as_bytes())
         .unwrap();
     let resumer = Autotuner::new(tiny_options()).with_progress(|_| ProgressVerdict::Cancel);
     match resumer.tune_session(&tiny_workloads(), session) {
@@ -426,8 +448,8 @@ fn profile_and_envelope_damage_is_located() {
     let stores = tiny_stores(&dir);
     let path = dir.join("saved.json");
     profile::save(&path, 7, &stores).unwrap();
-    let sealed = durable::read_value(&path).unwrap();
-    let payload = envelope::open(&sealed, "profile", Some(7)).unwrap();
+    let sealed: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let payload = &sealed_payload(&path, "profile", 7);
     let store0 = &payload.as_array().unwrap()[0];
     for table in ["apriori", "local", "path"] {
         assert!(!store0.get(table).unwrap().as_array().unwrap().is_empty(), "`{table}` is empty");
@@ -436,7 +458,7 @@ fn profile_and_envelope_damage_is_located() {
     assert!(!fits.get("compute").unwrap().as_array().unwrap().is_empty(), "no compute fits");
 
     assert_every_damage_is_located("profile", payload, &[], &|doc| {
-        snapshot::stores_from_json(doc).map(drop).map_err(located)
+        both_backings(doc, |node| snapshot::stores_from_json(node))
     });
     // The envelope around it: its own fields are located; the payload is
     // guarded by the content hash, so damage there is a hash mismatch.
@@ -444,7 +466,11 @@ fn profile_and_envelope_damage_is_located() {
         "envelope",
         &sealed,
         &[("payload", Except::ReportedAt("hash"))],
-        &|doc| envelope::open(doc, "profile", Some(7)).map(drop).map_err(located),
+        &|doc| {
+            let text = canonical_text(doc);
+            let tape = Tape::parse(&text).unwrap();
+            envelope::open(&tape, "profile", Some(7)).map(drop).map_err(located)
+        },
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -458,10 +484,9 @@ fn store_index_generation_damage_is_located() {
     store.publish(&machine, "tiny1;tiny2;tiny3", &stores).unwrap();
     store.publish(&machine, "tiny1;tiny2;tiny3", &stores[..1]).unwrap();
     let file = dir.join("store").join("index").join(format!("gen-{:020}.json", 2));
-    let sealed = durable::read_value(&file).unwrap();
-    let payload = envelope::open(&sealed, INDEX_KIND, Some(2)).unwrap();
+    let payload = &sealed_payload(&file, INDEX_KIND, 2);
     assert_every_damage_is_located("store index", payload, &[], &|doc| {
-        Index::from_json(doc, 2).map(drop).map_err(located)
+        both_backings(doc, |node| Index::from_json(node, 2))
     });
     std::fs::remove_dir_all(&dir).unwrap();
 }
