@@ -542,9 +542,9 @@ impl Autotuner {
         // head, not of the sweep so far; a kill in between leaves a tail no
         // head counts, which the restore cuts off.
         let checkpoint = |state: &mut SweepState, name: &str| -> critter_core::Result<()> {
-            let Some((head, sidecar)) = &files else { return Ok(()) };
+            let Some((head, _)) = &files else { return Ok(()) };
             if let Some(committed) = &mut state.timeline {
-                committed.append(sidecar, &state.obs_runs[committed.runs()..])?;
+                committed.append(&state.obs_runs[committed.runs()..])?;
             }
             let text = envelope::seal("checkpoint", fingerprint, &state.to_json());
             durable::write_atomic(head, text.as_bytes())?;

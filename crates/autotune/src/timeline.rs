@@ -1,28 +1,12 @@
-//! The observed-timeline sidecar of a checkpoint directory.
-//!
-//! An observed sweep's runs are by far the largest part of its state, and
-//! they only ever grow at the end. They therefore live outside the
-//! rewritten-whole `checkpoint.json`, in `timeline.jsonl`: one compact
-//! canonical-JSON line per [`TimelineRun`], appended once when the run's
-//! unit is checkpointed and never rewritten. A line is rendered straight to
-//! text ([`TimelineRun::write_line`]), never through a `Value` tree; the
-//! tree form ([`TimelineRun::to_json`]) is the reference it is tested
-//! against. The sealed head carries a `timeline` reference
-//! `{bytes, hash, runs}` — [`Committed`] — saying how much of the file it
-//! vouches for:
-//!
-//! * a checkpoint **appends** the new runs' lines and only then **publishes**
-//!   the head that counts them (atomic rename);
-//! * a kill between the two leaves bytes past `bytes` that no head ever
-//!   vouched for — a whole line or a torn one. [`Committed::restore`] cuts
-//!   them off, and the resumed sweep re-runs and re-appends those units;
-//! * the bytes up to `bytes` must hash to `hash`. The head's own envelope
-//!   hash covers the reference, so every byte a resume trusts is still
-//!   covered by a content hash.
-//!
-//! The running FNV state rides along in [`Committed`], so a checkpoint
-//! touches only the bytes it appends: the prefix is hashed once per session
-//! (while it is written, or once on restore).
+//! The observed-timeline sidecar of a checkpoint directory, `timeline.jsonl`:
+//! one compact canonical-JSON line per [`TimelineRun`], rendered straight to
+//! text ([`TimelineRun::write_line`]; [`TimelineRun::to_json`] is the
+//! reference it is tested against) and appended once, when its unit is
+//! checkpointed. The sealed head counts the committed prefix as
+//! `{bytes, hash, runs}` — [`Committed`] — and a checkpoint appends before it
+//! publishes that head. DESIGN.md §6.2 ("Checkpoint layout") states the
+//! protocol and its crash windows; the running FNV state rides along, so a
+//! checkpoint hashes only the bytes it appends.
 
 use std::hash::Hasher;
 use std::path::Path;
@@ -31,16 +15,16 @@ use critter_core::fnv::FnvHasher;
 use critter_core::json::Reader;
 use critter_core::{CritterError, Result};
 use critter_obs::TimelineRun;
-use critter_session::durable;
+use critter_session::durable::Log;
 use critter_session::envelope::HASH_MASK;
 use serde_json::Value;
 
 /// The committed prefix of `timeline.jsonl`: what the head's `timeline`
 /// reference states, plus the hasher state to extend it from.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Committed {
-    /// Length of the prefix in bytes.
-    bytes: u64,
+    /// The sidecar; its committed length is the prefix's length in bytes.
+    log: Log,
     /// Observed runs in it, one line each.
     runs: usize,
     /// FNV-1a over exactly those bytes.
@@ -51,8 +35,7 @@ impl Committed {
     /// An empty sidecar at `path`, discarding whatever a previous session
     /// left there (no head vouches for it).
     pub(crate) fn start(path: &Path) -> Result<Self> {
-        std::fs::write(path, b"").map_err(|e| CritterError::io(path, e))?;
-        Ok(Committed::default())
+        Ok(Committed { log: Log::create(path)?, runs: 0, hasher: FnvHasher::default() })
     }
 
     /// Observed runs the sidecar holds.
@@ -63,16 +46,16 @@ impl Committed {
     /// The head's `timeline` reference.
     pub(crate) fn to_json(&self) -> Value {
         serde_json::json!({
-            "bytes": self.bytes,
+            "bytes": self.log.committed(),
             "hash": self.hasher.finish() & HASH_MASK,
             "runs": self.runs as u64,
         })
     }
 
-    /// Render `runs` one line each, append them to the sidecar at `path` in
-    /// one write, and count them as committed. The caller publishes the head
-    /// that says so next.
-    pub(crate) fn append(&mut self, path: &Path, runs: &[TimelineRun]) -> Result<()> {
+    /// Render `runs` one line each, append them to the sidecar in one write,
+    /// and count them as committed. The caller publishes the head that says
+    /// so next.
+    pub(crate) fn append(&mut self, runs: &[TimelineRun]) -> Result<()> {
         if runs.is_empty() {
             return Ok(());
         }
@@ -81,10 +64,8 @@ impl Committed {
             run.write_line(&mut lines);
             lines.push('\n');
         }
-        let lines = lines.as_bytes();
-        durable::append(path, lines)?;
-        self.hasher.write(lines);
-        self.bytes += lines.len() as u64;
+        self.log.append(lines.as_bytes())?;
+        self.hasher.write(lines.as_bytes());
         self.runs += runs.len();
         Ok(())
     }
@@ -95,51 +76,50 @@ impl Committed {
     pub(crate) fn restore(head: Reader<'_, '_>, path: &Path) -> Result<(Self, Vec<TimelineRun>)> {
         let (bytes, runs) = (head.at("bytes").u64()?, head.at("runs").int::<usize>()?);
         let hash = head.at("hash").u64()?;
-        let file = match std::fs::read(path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(CritterError::io(path, e)),
-        };
         let document = path.display().to_string();
         let damaged = |detail: String| CritterError::schema(document.as_str(), detail);
-        let Some(prefix) = usize::try_from(bytes).ok().and_then(|n| file.get(..n)) else {
-            return Err(damaged(format!(
-                "holds {} bytes but the checkpoint committed {bytes} (truncated)",
-                file.len()
-            )));
-        };
         let mut hasher = FnvHasher::default();
-        hasher.write(prefix);
-        if hasher.finish() & HASH_MASK != hash {
-            return Err(damaged(format!(
-                "the first {bytes} bytes do not hash to the checkpoint's `timeline.hash` \
-                 (corrupt file)"
-            )));
-        }
-        let lines: Vec<&[u8]> = prefix.split_inclusive(|&b| b == b'\n').collect();
-        if lines.len() != runs {
-            return Err(damaged(format!(
-                "the committed prefix holds {} lines but the checkpoint committed {runs} runs",
-                lines.len()
-            )));
-        }
-        let decoded = lines
-            .iter()
-            .enumerate()
-            .map(|(i, line)| {
-                let parsed = std::str::from_utf8(line)
+        let mut decoded = Vec::new();
+        let log = Log::open(path, |file| {
+            let Some(prefix) = usize::try_from(bytes).ok().and_then(|n| file.bytes().get(..n))
+            else {
+                return Err(damaged(format!(
+                    "holds {} bytes but the checkpoint committed {bytes} (truncated)",
+                    file.bytes().len()
+                )));
+            };
+            hasher.write(prefix);
+            if hasher.finish() & HASH_MASK != hash {
+                return Err(damaged(format!(
+                    "the first {bytes} bytes do not hash to the checkpoint's `timeline.hash` \
+                     (corrupt file)"
+                )));
+            }
+            if !prefix.is_empty() && !prefix.ends_with(b"\n") {
+                return Err(damaged("the committed prefix ends inside a line".into()));
+            }
+            let held = prefix.iter().filter(|&&b| b == b'\n').count();
+            if held != runs {
+                return Err(damaged(format!(
+                    "the committed prefix holds {held} lines but the checkpoint committed \
+                     {runs} runs"
+                )));
+            }
+            for (i, line) in file.lines().take(runs).enumerate() {
+                let parsed = line
                     .map_err(|e| e.to_string())
                     .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()));
-                match parsed {
+                let run = match parsed {
                     Ok(value) => TimelineRun::read(Reader::line(&document, i, &value)),
                     Err(e) => Err(Reader::line(&document, i, &Value::Null)
                         .error(format!("malformed line: {e}"))),
-                }
-            })
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        // Bytes past the prefix were appended by a checkpoint that died
-        // before publishing its head.
-        durable::cut(path, bytes)?;
-        Ok((Committed { bytes, runs, hasher }, decoded))
+                };
+                decoded.push(run?);
+            }
+            // Bytes past the prefix were appended by a checkpoint that died
+            // before publishing its head: the log cuts them.
+            Ok(runs)
+        })?;
+        Ok((Committed { log, runs, hasher }, decoded))
     }
 }

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use critter_core::json::canonical_text;
+use critter_core::json::{canonical_text, Reader};
 use critter_session::durable;
 use parking_lot::{Condvar, Mutex};
 use serde_json::Value;
@@ -89,114 +89,72 @@ impl JobState {
 /// append under the lock and notify the condvar, which is what makes the
 /// long-poll `GET /v1/jobs/{id}/events` endpoint cheap: waiters block on
 /// the condvar instead of spinning on the file.
+#[derive(Debug)]
 pub struct JobEvents {
-    lines: Mutex<Vec<String>>,
+    /// The served lines and the file they are mirrored to, appended together.
+    lines: Mutex<(Vec<String>, durable::Log)>,
     cv: Condvar,
 }
 
 impl JobEvents {
-    /// An empty log.
-    pub fn new() -> JobEvents {
-        JobEvents { lines: Mutex::new(Vec::new()), cv: Condvar::new() }
-    }
-
-    /// Reload a log from `events.jsonl`, tolerating a torn tail: loading
-    /// stops at the first line that is not whole, valid JSON with the
-    /// expected `seq` (a daemon killed mid-append leaves at most one such
-    /// line), and the file is cut to the lines kept, so the next append
-    /// continues the log the clients were served.
-    pub fn load(path: &Path) -> JobEvents {
+    /// Open the log at `path` (a fresh job's is missing), keeping the longest
+    /// prefix of lines that decode with consecutive `seq` values, so the next
+    /// append continues the log clients were served. A failed read cuts
+    /// nothing.
+    pub fn load(path: &Path) -> critter_core::Result<JobEvents> {
         let mut lines = Vec::new();
-        for line in durable::read_lines(path).unwrap_or_default() {
-            let Ok(doc) = serde_json::from_str(&line) else { break };
-            if doc.get("seq").and_then(Value::as_u64) != Some(lines.len() as u64 + 1) {
-                break;
+        let log = durable::Log::open(path, |found| {
+            for line in found.lines() {
+                let Ok(line) = line else { break };
+                let Ok(doc) = serde_json::from_str(line) else { break };
+                let seq = Reader::root("events.jsonl", &doc).at("seq").u64();
+                if seq.ok() != Some(lines.len() as u64 + 1) {
+                    break;
+                }
+                lines.push(line.to_string());
             }
-            lines.push(line);
-        }
-        let kept = lines.iter().map(|l| l.len() as u64 + 1).sum();
-        if let Err(e) = durable::cut(path, kept) {
-            eprintln!("critter-serve: {e}");
-        }
-        JobEvents { lines: Mutex::new(lines), cv: Condvar::new() }
+            Ok(lines.len())
+        })?;
+        Ok(JobEvents { lines: Mutex::new((lines, log)), cv: Condvar::new() })
     }
 
-    /// Append an event (the `seq` field is assigned here), mirroring it to
-    /// `file` when given. File errors are swallowed: the in-memory log and
-    /// the waiters' wakeup must not depend on the disk.
-    fn append(&self, file: Option<&Path>, doc: &mut Value) {
-        let mut lines = self.lines.lock();
+    /// Append an event (the `seq` field is assigned here) and mirror it to
+    /// `events.jsonl`. File errors are swallowed: the in-memory log and the
+    /// waiters' wakeup must not depend on the disk.
+    fn append(&self, mut doc: Value) {
+        let mut guard = self.lines.lock();
+        let (lines, log) = &mut *guard;
         let seq = lines.len() as u64 + 1;
         doc.as_object_mut()
             .expect("events are objects")
             .insert("seq".into(), serde_json::json!(seq));
-        let line = serde_json::to_string(doc).expect("json writer is total");
-        if let Some(path) = file {
-            if let Err(e) = durable::append(path, format!("{line}\n").as_bytes()) {
-                eprintln!("critter-serve: {e}");
-            }
+        let line = serde_json::to_string(&doc).expect("json writer is total");
+        if let Err(e) = log.append(format!("{line}\n").as_bytes()) {
+            eprintln!("critter-serve: {e}");
         }
         lines.push(line);
         self.cv.notify_all();
     }
 
     /// Events with `seq > since`, plus the highest `seq` in the log (the
-    /// client's next `since`).
-    pub fn since(&self, since: u64) -> (Vec<Value>, u64) {
-        let lines = self.lines.lock();
-        let next = lines.len() as u64;
-        let skip = (since.min(next)) as usize;
-        let events = lines[skip..]
-            .iter()
-            .map(|l| serde_json::from_str(l).expect("log lines are valid JSON"))
-            .collect();
-        (events, next)
-    }
-
-    /// Like [`JobEvents::since`], but blocks up to `timeout` for an event
-    /// with `seq > since` to arrive.
-    pub fn wait_since(&self, since: u64, timeout: Duration) -> (Vec<Value>, u64) {
-        let deadline = Instant::now() + timeout;
-        let mut lines = self.lines.lock();
-        while lines.len() as u64 <= since {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let timed_out = self.cv.wait_for(&mut lines, deadline - now);
-            if timed_out.timed_out() {
+    /// client's next `since`). When there are none, blocks up to `wait` for
+    /// one to arrive; a zero `wait` never blocks.
+    pub fn since(&self, since: u64, wait: Duration) -> (Vec<Value>, u64) {
+        let deadline = Instant::now() + wait;
+        let mut guard = self.lines.lock();
+        while guard.0.len() as u64 <= since {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.cv.wait_for(&mut guard, left).timed_out() {
                 break;
             }
         }
+        let lines = &guard.0;
         let next = lines.len() as u64;
-        let skip = (since.min(next)) as usize;
-        let events = lines[skip..]
+        let events = lines[since.min(next) as usize..]
             .iter()
             .map(|l| serde_json::from_str(l).expect("log lines are valid JSON"))
             .collect();
         (events, next)
-    }
-
-    /// Number of events in the log.
-    pub fn len(&self) -> u64 {
-        self.lines.lock().len() as u64
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lines.lock().is_empty()
-    }
-}
-
-impl Default for JobEvents {
-    fn default() -> Self {
-        JobEvents::new()
-    }
-}
-
-impl std::fmt::Debug for JobEvents {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobEvents").field("len", &self.len()).finish()
     }
 }
 
@@ -258,6 +216,9 @@ impl Registry {
                 Ok(s) => s,
                 Err(_) => continue,
             };
+            // An unreadable event log is left as it is, like an unreadable
+            // spec: cutting it would reissue the `seq`s clients were served.
+            let Ok(events) = JobEvents::load(&dir.join("events.jsonl")) else { continue };
             let units_total = spec.units_total();
             let (state, units_done, error) = if dir.join("report.json").is_file() {
                 (JobState::Done, units_total, None)
@@ -267,14 +228,16 @@ impl Registry {
                 let detail = std::fs::read_to_string(dir.join("error.json"))
                     .ok()
                     .and_then(|t| serde_json::from_str(&t).ok())
-                    .and_then(|v| v.get("error")?.get("detail")?.as_str().map(str::to_string))
+                    .and_then(|v| {
+                        let record = Reader::root("error.json", &v);
+                        record.at("error").at("detail").str().ok().map(str::to_string)
+                    })
                     .unwrap_or_else(|| "unreadable error record".into());
                 (JobState::Failed, 0, Some(detail))
             } else {
                 pending.push(id.clone());
                 (JobState::Queued, 0, None)
             };
-            let events = Arc::new(JobEvents::load(&dir.join("events.jsonl")));
             jobs.insert(
                 id,
                 JobEntry {
@@ -284,7 +247,7 @@ impl Registry {
                     units_total,
                     error,
                     cancel: Arc::new(AtomicBool::new(false)),
-                    events,
+                    events: Arc::new(events),
                 },
             );
         }
@@ -318,6 +281,8 @@ impl Registry {
         };
         std::fs::create_dir_all(&dir)
             .map_err(|e| ServeError::Internal(format!("creating job dir for {id}: {e}")))?;
+        let events = JobEvents::load(&dir.join("events.jsonl"))
+            .map_err(|e| ServeError::Internal(format!("opening the event log of {id}: {e}")))?;
         if let Some(w) = &spec.warm_start {
             write("warm-start.json", &canonical_text(w))?;
         }
@@ -332,7 +297,7 @@ impl Registry {
                 units_total,
                 error: None,
                 cancel: Arc::new(AtomicBool::new(false)),
-                events: Arc::new(JobEvents::new()),
+                events: Arc::new(events),
             },
         );
         self.emit_state(&id, JobState::Queued);
@@ -404,7 +369,7 @@ impl Registry {
             entry.units_done = entry.units_total;
         }
         entry.error = error;
-        self.append_state(id, entry, state);
+        Self::append_state(entry, state);
     }
 
     /// Record committed progress for `id` and append a `progress` event.
@@ -415,27 +380,25 @@ impl Registry {
             entry.units_done = units_done;
             (entry.events.clone(), entry.units_total)
         };
-        let mut doc = serde_json::json!({
+        events.append(serde_json::json!({
             "kind": "progress",
             "units_done": units_done,
             "units_total": units_total,
-        });
-        events.append(Some(&self.job_dir(id).join("events.jsonl")), &mut doc);
+        }));
     }
 
     /// Append a `state` event to `id`'s log (no state mutation).
     fn emit_state(&self, id: &str, state: JobState) {
         if let Some(entry) = self.jobs.lock().get(id) {
-            self.append_state(id, entry, state);
+            Self::append_state(entry, state);
         }
     }
 
     /// The one writer of `state` events. Callers hold the registry lock
     /// (`entry` borrows from it); the event log's own lock nests inside it
     /// and is never held while taking the registry lock.
-    fn append_state(&self, id: &str, entry: &JobEntry, state: JobState) {
-        let mut doc = serde_json::json!({ "kind": "state", "state": state.name() });
-        entry.events.append(Some(&self.job_dir(id).join("events.jsonl")), &mut doc);
+    fn append_state(entry: &JobEntry, state: JobState) {
+        entry.events.append(serde_json::json!({ "kind": "state", "state": state.name() }));
     }
 
     /// Request cancellation of a queued or running job. The flag is
@@ -594,12 +557,13 @@ mod tests {
 
         let status = registry.status_json(&id).unwrap();
         let doc: Value = serde_json::from_str(&status).unwrap();
-        assert_eq!(doc.get("state").unwrap().as_str(), Some("done"));
-        assert_eq!(doc.get("spec").unwrap().get("space").unwrap().as_str(), Some("slate-cholesky"));
-        let progress = doc.get("progress").unwrap();
+        let status = Reader::root("status", &doc);
+        assert_eq!(status.at("state").str().unwrap(), "done");
+        assert_eq!(status.at("spec").at("space").str().unwrap(), "slate-cholesky");
+        let progress = status.at("progress");
         assert_eq!(
-            progress.get("units_done").unwrap().as_u64(),
-            progress.get("units_total").unwrap().as_u64()
+            progress.at("units_done").u64().unwrap(),
+            progress.at("units_total").u64().unwrap()
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -614,17 +578,17 @@ mod tests {
         registry.set_state(&id, JobState::Preempted, None);
 
         let entry = registry.get(&id).unwrap();
-        let (events, next) = entry.events.since(0);
+        let (events, next) = entry.events.since(0, Duration::ZERO);
         assert_eq!(next, 4);
         let kinds: Vec<&str> =
             events.iter().map(|e| e.get("kind").unwrap().as_str().unwrap()).collect();
         assert_eq!(kinds, ["state", "state", "progress", "state"]);
         assert_eq!(events[3].get("state").unwrap().as_str(), Some("preempted"));
         for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.get("seq").unwrap().as_u64(), Some(i as u64 + 1));
+            assert_eq!(Reader::root("event", e).at("seq").u64().unwrap(), i as u64 + 1);
         }
         // `since` returns only the suffix.
-        let (tail, _) = entry.events.since(3);
+        let (tail, _) = entry.events.since(3, Duration::ZERO);
         assert_eq!(tail.len(), 1);
 
         // Simulate a daemon killed mid-append: a torn final line must be
@@ -637,35 +601,72 @@ mod tests {
         let (reopened, _) = Registry::open(&dir).unwrap();
         let entry = reopened.get(&id).unwrap();
         // 4 surviving events + the recovery re-queue event appended by open.
-        let (events, next) = entry.events.since(0);
+        let (events, next) = entry.events.since(0, Duration::ZERO);
         assert_eq!(next, 5);
         assert_eq!(events[4].get("state").unwrap().as_str(), Some("queued"));
-        assert_eq!(events[4].get("seq").unwrap().as_u64(), Some(5));
+        assert_eq!(Reader::root("event", &events[4]).at("seq").u64().unwrap(), 5);
 
         // The torn bytes were cut on reload, so a second restart keeps
         // every event served so far and never reissues a `seq`.
         reopened.set_state(&id, JobState::Running, None);
-        let (served, _) = reopened.get(&id).unwrap().events.since(0);
+        let (served, _) = reopened.get(&id).unwrap().events.since(0, Duration::ZERO);
         drop(reopened);
         let (again, _) = Registry::open(&dir).unwrap();
-        let (history, next) = again.get(&id).unwrap().events.since(0);
+        let (history, next) = again.get(&id).unwrap().events.since(0, Duration::ZERO);
         assert_eq!(next, 7, "6 served events + the second re-queue");
         assert_eq!(history[..served.len()], served[..]);
+
+        // Regression: one invalid UTF-8 byte used to fail the whole read, so
+        // the log loaded empty, the file was cut to nothing and `seq` 1 was
+        // handed out again. It damages only its own line: the five before it
+        // survive, and the next event continues at `seq` 6.
+        drop(again);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let sixth = bytes.iter().enumerate().filter(|(_, &b)| b == b'\n').nth(4).unwrap().0 + 2;
+        bytes[sixth] = 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let (damaged, _) = Registry::open(&dir).unwrap();
+        let (history, next) = damaged.get(&id).unwrap().events.since(0, Duration::ZERO);
+        assert_eq!(next, 6, "5 undamaged events + the third re-queue");
+        assert_eq!(history[..5], served[..5]);
+        assert_eq!(history[5].get("state").unwrap().as_str(), Some("queued"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An event log that cannot be read is not cut: its job is skipped like
+    /// one with an unreadable spec, and its id is never reused.
+    #[test]
+    fn an_unreadable_event_log_skips_its_job_and_keeps_its_id() {
+        let dir = temp_dir("unreadable-events");
+        let (registry, _) = Registry::open(&dir).unwrap();
+        let id = registry.create(spec()).unwrap();
+        drop(registry);
+        let events = dir.join(&id).join("events.jsonl");
+        std::fs::remove_file(&events).unwrap();
+        std::fs::create_dir(&events).unwrap();
+        let (reopened, pending) = Registry::open(&dir).unwrap();
+        assert!(pending.is_empty() && reopened.get(&id).is_err());
+        assert_eq!(reopened.create(spec()).unwrap(), "job-000002");
+        assert!(events.is_dir(), "the unreadable log is left as it was");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn wait_since_returns_immediately_when_events_exist() {
-        let ev = JobEvents::new();
-        let mut doc = serde_json::json!({ "kind": "state", "state": "queued" });
-        ev.append(None, &mut doc);
-        let (events, next) = ev.wait_since(0, Duration::from_secs(5));
+    fn since_returns_immediately_when_events_exist() {
+        let dir = temp_dir("since");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ev = JobEvents::load(&dir.join("events.jsonl")).unwrap();
+        ev.append(serde_json::json!({ "kind": "state", "state": "queued" }));
+        let (events, next) = ev.since(0, Duration::from_secs(5));
         assert_eq!((events.len(), next), (1, 1));
         // And times out quickly when there is nothing new.
         let started = Instant::now();
-        let (events, next) = ev.wait_since(1, Duration::from_millis(50));
+        let (events, next) = ev.since(1, Duration::from_millis(50));
         assert!(events.is_empty() && next == 1);
         assert!(started.elapsed() < Duration::from_secs(2));
+        // A zero wait never blocks.
+        assert_eq!(ev.since(1, Duration::ZERO), (Vec::new(), 1));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -366,12 +366,8 @@ fn events(registry: &Arc<Registry>, id: &str, request: &Request) -> Result<Respo
     let since = request.query_u64("since", 0)?;
     let wait = Duration::from_millis(request.query_u64("wait_ms", 0)?).min(MAX_EVENT_WAIT);
     let entry = registry.get(id)?;
-    let (events, next) = entry.events.since(since);
-    let (events, next) = if events.is_empty() && !wait.is_zero() && !entry.state.is_terminal() {
-        entry.events.wait_since(since, wait)
-    } else {
-        (events, next)
-    };
+    let wait = if entry.state.is_terminal() { Duration::ZERO } else { wait };
+    let (events, next) = entry.events.since(since, wait);
     let doc = serde_json::json!({
         "events": serde_json::Value::Array(events),
         "next": next,

@@ -1,5 +1,5 @@
 //! The durable-write primitives: atomic on-disk persistence of documents,
-//! and the append of the append-only files.
+//! and the append-only [`Log`].
 //!
 //! Checkpoints are overwritten in place many times per sweep; a kill in
 //! the middle of a write must never leave a half-written file where the
@@ -11,6 +11,7 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::str::Utf8Error;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use critter_core::{CritterError, Result};
@@ -49,45 +50,99 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     })
 }
 
-/// Append `bytes` to the end of `path` (created when missing) — the
-/// primitive of the append-only files `session.log`, `timeline.jsonl` and
-/// `events.jsonl`. An append is not atomic: a kill may leave a torn tail.
-/// The tail rule of all three: a line is committed once its newline is
-/// written ([`read_lines`]), and a writer that reopens a file [`cut`]s what
-/// it does not keep before it appends again.
-pub fn append(path: &Path, bytes: &[u8]) -> Result<()> {
-    let mut file = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| CritterError::io(path, e))?;
-    file.write_all(bytes).map_err(|e| CritterError::io(path, e))
+/// An append-only JSON-lines file — `session.log`, `timeline.jsonl`,
+/// `events.jsonl` — and the one owner of their rule (DESIGN.md §6.2): a line
+/// is committed once its newline is written and is UTF-8-checked on its
+/// own; the owner keeps a prefix of the committed lines, and the rest is cut
+/// before the next append. It holds a path and a length, not an open file.
+#[derive(Debug)]
+pub struct Log {
+    path: PathBuf,
+    len: u64,
 }
 
-/// The committed lines of the append-only file at `path`, without their
-/// newlines. Bytes after the last newline are a torn tail and are left
-/// out; a missing file has no lines.
-pub fn read_lines(path: &Path) -> Result<Vec<String>> {
-    let bytes = match fs::read(path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        read => read.map_err(|e| CritterError::io(path, e))?,
-    };
-    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |end| end + 1);
-    let text = std::str::from_utf8(&bytes[..whole])
-        .map_err(|e| CritterError::parse(path.display().to_string(), e.to_string()))?;
-    Ok(text.split_terminator('\n').map(str::to_string).collect())
+/// What a log's file holds, as [`Log::open`] and [`Log::read`] show it.
+#[derive(Debug, Clone, Copy)]
+pub struct Found<'a> {
+    bytes: &'a [u8],
+    /// Up to and including the last newline.
+    committed: usize,
 }
 
-/// Cut the file at `path` to its first `len` bytes when it is longer: how a
-/// writer that reopens an append-only file drops a torn or uncommitted tail
-/// before it appends. A missing file stays missing.
-pub fn cut(path: &Path, len: u64) -> Result<()> {
-    let shrink = || match fs::metadata(path) {
-        Ok(meta) if meta.len() > len => fs::OpenOptions::new().write(true).open(path)?.set_len(len),
-        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-        _ => Ok(()),
-    };
-    shrink().map_err(|e| CritterError::io(path, e))
+impl<'a> Found<'a> {
+    /// Every byte of the file, a torn tail included; none for a missing file.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The committed lines without their newlines; one that is not UTF-8
+    /// is an `Err` of its own.
+    pub fn lines(&self) -> impl Iterator<Item = std::result::Result<&'a str, Utf8Error>> + 'a {
+        self.with_newlines().map(|line| std::str::from_utf8(&line[..line.len() - 1]))
+    }
+
+    fn with_newlines(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        self.bytes[..self.committed].split_inclusive(|&b| b == b'\n')
+    }
+}
+
+impl Log {
+    /// An empty log at `path`: the file is created, or emptied.
+    pub fn create(path: impl Into<PathBuf>) -> Result<Log> {
+        let path = path.into();
+        fs::write(&path, b"").map_err(|e| CritterError::io(&path, e))?;
+        Ok(Log { path, len: 0 })
+    }
+
+    /// Reopen the log at `path` (a missing file is empty until the first
+    /// append), keeping the first `keep(found)` committed lines: the file is
+    /// cut after them. An error from `keep` or the read cuts nothing.
+    pub fn open(
+        path: impl Into<PathBuf>,
+        keep: impl FnOnce(Found<'_>) -> Result<usize>,
+    ) -> Result<Log> {
+        let path = path.into();
+        let (len, found) = Log::read(&path, |found| {
+            let kept = found.with_newlines().take(keep(found)?);
+            Ok((kept.map(|line| line.len() as u64).sum(), found.bytes.len() as u64))
+        })?;
+        if found > len {
+            let cut = fs::OpenOptions::new().write(true).open(&path).and_then(|f| f.set_len(len));
+            cut.map_err(|e| CritterError::io(&path, e))?;
+        }
+        Ok(Log { path, len })
+    }
+
+    /// Show what the file at `path` holds to `read`, changing nothing.
+    pub fn read<T>(path: &Path, read: impl FnOnce(Found<'_>) -> Result<T>) -> Result<T> {
+        let bytes = match fs::read(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read.map_err(|e| CritterError::io(path, e))?,
+        };
+        let committed = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |end| end + 1);
+        read(Found { bytes: &bytes, committed })
+    }
+
+    /// The log's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// The committed length in bytes.
+    pub fn committed(&self) -> u64 {
+        self.len
+    }
+
+    /// Append `lines`, each ending in its newline, in one write and count
+    /// them as committed; a failed append counts nothing.
+    pub fn append(&mut self, lines: &[u8]) -> Result<()> {
+        debug_assert!(lines.ends_with(b"\n"), "a log appends whole lines");
+        let append =
+            || fs::OpenOptions::new().create(true).append(true).open(&self.path)?.write_all(lines);
+        append().map_err(|e| CritterError::io(&self.path, e))?;
+        self.len += lines.len() as u64;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -159,33 +214,95 @@ mod tests {
     }
 
     #[test]
-    fn append_creates_then_extends() {
+    fn a_log_creates_appends_and_reopens() {
         let path = scratch("appended.jsonl");
         let _ = fs::remove_file(&path);
-        append(&path, b"one\n").unwrap();
-        append(&path, b"two\n").unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "one\ntwo\n");
+        let mut log = Log::open(&path, |found| Ok(found.lines().count())).unwrap();
+        assert!(!path.exists(), "opening a missing log creates nothing");
+        log.append(b"one\n").unwrap();
+        log.append(b"two\nthree\n").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "one\ntwo\nthree\n");
+        assert_eq!(log.committed(), 14);
+        let log = Log::create(&path).unwrap();
+        assert_eq!((log.committed(), fs::read(&path).unwrap().len()), (0, 0));
         fs::remove_file(&path).unwrap();
-        let err = append(&scratch("no-such-dir").join("x"), b"x").unwrap_err();
+        let err = Log::create(scratch("no-such-dir").join("x")).unwrap_err();
         assert!(matches!(err, CritterError::Io { .. }), "got: {err}");
     }
 
     #[test]
-    fn lines_are_committed_by_their_newline_and_cut_drops_the_rest() {
+    fn lines_are_committed_by_their_newline_and_checked_one_by_one() {
         let path = scratch("torn.jsonl");
-        let _ = fs::remove_file(&path);
-        assert!(read_lines(&path).unwrap().is_empty(), "a missing file has no lines");
-        cut(&path, 0).unwrap();
-        assert!(!path.exists(), "cutting a missing file creates nothing");
-        fs::write(&path, "one\r\ntwo\nthr").unwrap();
-        // A line keeps every byte but its newline, so lengths add up to
-        // the committed prefix.
-        let lines = read_lines(&path).unwrap();
-        assert_eq!(lines, ["one\r", "two"]);
-        cut(&path, lines.iter().map(|l| l.len() as u64 + 1).sum()).unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "one\r\ntwo\n");
-        cut(&path, 100).unwrap();
-        assert_eq!(fs::metadata(&path).unwrap().len(), 9, "cut never extends a file");
+        fs::write(&path, b"one\r\n\xfftwo\nthree\nfou").unwrap();
+        // A line keeps every byte but its newline; the torn tail is no line.
+        let lines = Log::read(&path, |found| {
+            assert_eq!(found.bytes().len(), 19);
+            Ok(found.lines().map(|l| l.map(str::to_string).map_err(drop)).collect::<Vec<_>>())
+        })
+        .unwrap();
+        assert_eq!(lines, [Ok("one\r".into()), Err(()), Ok("three".into())]);
+        assert_eq!(fs::read(&path).unwrap().len(), 19, "a read changes nothing");
+        // An owner that refuses the file leaves it as it was.
+        let refused = Log::open(&path, |_| Err(CritterError::mismatch("no")));
+        assert!(refused.is_err());
+        assert_eq!(fs::read(&path).unwrap().len(), 19);
+        // Keeping more lines than the file commits keeps them all.
+        let log = Log::open(&path, |_| Ok(usize::MAX)).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"one\r\n\xfftwo\nthree\n");
+        assert_eq!(log.committed(), 16);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Every way one byte can tear or damage a log of `K` lines: cut it at
+    /// each offset, or flip each byte (into invalid UTF-8, or into a nearby
+    /// character: a newline, a digit). Under two keep rules — every committed
+    /// line, and the longest prefix numbered `1, 2, …` — open keeps exactly
+    /// the expected prefix and cuts the file to it, the next append starts a
+    /// line of its own, and a reopen reads the prefix plus that line.
+    #[test]
+    fn open_keeps_the_accepted_prefix_of_every_torn_or_damaged_log() {
+        const K: usize = 5;
+        let path = scratch("property.jsonl");
+        let original: String = (1..=K).map(|i| format!("line {i}\n")).collect();
+        let numbered = |found: Found<'_>| -> Result<usize> {
+            let expected = (1..).map(|i| format!("line {i}"));
+            Ok(found.lines().zip(expected).take_while(|(line, want)| *line == Ok(want)).count())
+        };
+        let everything = |found: Found<'_>| -> Result<usize> { Ok(found.lines().count()) };
+        let mut damaged: Vec<Vec<u8>> =
+            (0..=original.len()).map(|cut| original.as_bytes()[..cut].to_vec()).collect();
+        for at in 0..original.len() {
+            for mask in [0x80, 0x01] {
+                let mut bytes = original.clone().into_bytes();
+                bytes[at] ^= mask;
+                damaged.push(bytes);
+            }
+        }
+        for bytes in &damaged {
+            // The reference: committed lines end at the last newline; the
+            // numbered rule stops at the first line that differs from the
+            // original.
+            let committed = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |end| end + 1);
+            let same = original.as_bytes().iter().zip(bytes).take_while(|(a, b)| a == b).count();
+            let whole = original.as_bytes()[..same.min(committed)].iter();
+            let numbered_len = whole.clone().rposition(|&b| b == b'\n').map_or(0, |end| end + 1);
+            for (rule, kept) in [
+                (&numbered as &dyn Fn(Found<'_>) -> Result<usize>, numbered_len),
+                (&everything, committed),
+            ] {
+                fs::write(&path, bytes).unwrap();
+                let mut log = Log::open(&path, rule).unwrap();
+                let prefix = &bytes[..kept];
+                assert_eq!(fs::read(&path).unwrap(), prefix, "damaged {bytes:?}");
+                assert_eq!(log.committed(), kept as u64);
+                log.append(b"line new\n").unwrap();
+                let reopened = Log::read(&path, |found| {
+                    assert_eq!(found.bytes(), [prefix, b"line new\n"].concat());
+                    Ok(found.lines().last().and_then(|line| line.ok()).map(str::to_string))
+                });
+                assert_eq!(reopened.unwrap().as_deref(), Some("line new"), "damaged {bytes:?}");
+            }
+        }
         fs::remove_file(&path).unwrap();
     }
 }

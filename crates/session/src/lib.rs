@@ -16,7 +16,7 @@
 //!   session artifact is sealed in ([`envelope::seal`]/[`envelope::open`]);
 //! * [`durable`] — the durable-write primitives every on-disk artifact of the
 //!   workspace goes through (unique temp file + atomic rename for whole
-//!   documents, one `append` for the append-only files);
+//!   documents, one [`durable::Log`] for the append-only files);
 //! * [`profile`] — persistent kernel-model profiles: save a sweep's
 //!   [`critter_core::KernelStore`]s, reload them later, and apply a
 //!   [`StalenessPolicy`] before seeding a new sweep.

@@ -10,34 +10,30 @@
 //!
 //! [`TuningReport`]: https://docs.rs/critter-autotune
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 use critter_core::json::Reader;
 use critter_core::{CritterError, Result};
 use critter_obs::{Event, EventKind};
 
-use crate::durable;
+use crate::durable::Log;
 
 /// An append-only session event log at a fixed path.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SessionLog {
-    path: PathBuf,
+    /// Locked so that [`SessionLog::record`] takes `&self`: the sweep engine
+    /// records from several of its closures.
+    log: Mutex<Log>,
 }
 
 impl SessionLog {
-    /// Open the log at `path` (created on first record) for appending: a
-    /// torn tail left by a killed writer is cut first, so the next record
-    /// starts a line of its own.
+    /// Open the log at `path` (created on first record) for appending. It
+    /// keeps every committed line; a torn tail left by a killed writer is
+    /// cut, so the next record starts a line of its own.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
-        let path = path.into();
-        let committed = durable::read_lines(&path)?.iter().map(|l| l.len() as u64 + 1).sum();
-        durable::cut(&path, committed)?;
-        Ok(SessionLog { path })
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        let log = Log::open(path, |found| Ok(found.lines().count()))?;
+        Ok(SessionLog { log: Mutex::new(log) })
     }
 
     /// Append one lifecycle event (`start`/`dur` are 0: lifecycle events
@@ -46,22 +42,25 @@ impl SessionLog {
         let event = Event { kind, label: label.into(), start: 0.0, dur: 0.0, arg };
         let mut line = serde_json::to_string(&event.to_json()).expect("json writer is total");
         line.push('\n');
-        durable::append(&self.path, line.as_bytes())
+        self.log.lock().unwrap_or_else(PoisonError::into_inner).append(line.as_bytes())
     }
 
     /// Read the log's committed lines back as events (for tests and
     /// tooling). A damaged whole line is an error naming the file.
     pub fn read(&self) -> Result<Vec<Event>> {
-        let document = self.path.display().to_string();
-        durable::read_lines(&self.path)?
-            .iter()
-            .enumerate()
-            .map(|(i, line)| {
-                let v = serde_json::from_str(line)
-                    .map_err(|e| CritterError::parse(&document, e.to_string()))?;
-                Ok(Event::read(Reader::line(&document, i, &v))?)
-            })
-            .collect()
+        let log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
+        let document = log.path().display().to_string();
+        let parse = |e: String| CritterError::parse(&document, e);
+        Log::read(log.path(), |found| {
+            let lines = found.lines().enumerate();
+            lines
+                .map(|(i, line)| {
+                    let line = line.map_err(|e| parse(e.to_string()))?;
+                    let v = serde_json::from_str(line).map_err(|e| parse(e.to_string()))?;
+                    Ok(Event::read(Reader::line(&document, i, &v))?)
+                })
+                .collect()
+        })
     }
 }
 
@@ -95,7 +94,9 @@ mod tests {
         let path = dir.join("torn-session.log");
         let _ = std::fs::remove_file(&path);
         SessionLog::open(&path).unwrap().record(EventKind::Checkpoint, "unit 1", 1.0).unwrap();
-        durable::append(&path, b"{\"kind\": \"chec").unwrap();
+        let mut torn = std::fs::read(&path).unwrap();
+        torn.extend_from_slice(b"{\"kind\": \"chec");
+        std::fs::write(&path, torn).unwrap();
         let log = SessionLog::open(&path).unwrap();
         log.record(EventKind::Restore, "resume", 1.0).unwrap();
         let kinds: Vec<EventKind> = log.read().unwrap().iter().map(|e| e.kind).collect();

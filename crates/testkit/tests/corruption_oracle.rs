@@ -495,15 +495,16 @@ fn store_index_generation_damage_is_located() {
 fn session_log_damage_is_located() {
     let text = |e: JsonError| e.to_string();
     let dir = scratch("log");
-    let log = SessionLog::open(dir.join("session.log")).unwrap();
+    let path = dir.join("session.log");
+    let log = SessionLog::open(&path).unwrap();
     log.record(EventKind::Checkpoint, "unit 3", 3.0).unwrap();
-    let line = std::fs::read_to_string(log.path()).unwrap();
+    let line = std::fs::read_to_string(&path).unwrap();
     let event = serde_json::from_str(line.lines().next().expect("one line")).unwrap();
     assert_every_damage_is_located("session.log line", &event, &[], &|doc| {
         Event::from_json(doc).map(drop).map_err(text)
     });
     // Through the log's own reader the error also names the file.
-    std::fs::write(log.path(), line.replace("\"arg\":3", "\"arg\":\"three\"")).unwrap();
+    std::fs::write(&path, line.replace("\"arg\":3", "\"arg\":\"three\"")).unwrap();
     let err = log.read().unwrap_err().to_string();
     assert!(
         err.contains("session.log") && err.contains("arg: expected a number, got a string"),

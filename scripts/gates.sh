@@ -21,14 +21,24 @@ gate() {
 
 # Persisted documents are decoded only through `critter_obs::json`
 # (DESIGN.md §6.2), so `serde_json::Value`'s typed accessors may appear in
-# that module and in critter-serve's request codec and tolerant probes —
-# nowhere else under `crates/*/src`. `as_str` is left out of the pattern
-# because it is `String`'s method too.
+# that module and in critter-serve's request codec — nowhere else under
+# `crates/*/src`. `as_str` is left out of the pattern because it is
+# `String`'s method too.
 one_json_reader() {
     ! grep -rnE '\.as_(u64|i64|f64|bool|array|object)\(\)|Value::as_[a-z0-9]+' crates/*/src \
-        | grep -vE '^crates/(obs/src/json|serve/src/(api|job))\.rs:'
+        | grep -vE '^crates/(obs/src/json|serve/src/api)\.rs:'
 }
 gate "one JSON reader (no hand-rolled decoder outside critter_obs::json)" one_json_reader
+
+# `session.log`, `timeline.jsonl` and `events.jsonl` open, cut and append
+# through `critter_session::durable::Log` (DESIGN.md §6.2), the one owner of
+# their tail rule: no file under `crates/*/src` but `durable.rs` opens a file
+# for appending, cuts one, or sums line lengths into a committed length.
+one_append_only_log() {
+    ! grep -rnE 'append\(true\)|set_len\(|len\(\)[^;]*\+ 1\)[[:space:]]*\.sum' crates/*/src \
+        | grep -v '^crates/session/src/durable\.rs:'
+}
+gate "one append-only log (durable::Log owns open, cut and append)" one_append_only_log
 
 # critter-dla's `avx2` and baseline instantiations of the microkernel must
 # stay bit-identical and be chosen by one run-time check (DESIGN.md §2.1):
