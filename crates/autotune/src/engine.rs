@@ -76,17 +76,17 @@ fn session_event(kind: EventKind, label: &str, arg: f64) -> Event {
 /// therefore exactly what a checkpoint persists: `to_json` is the
 /// `checkpoint.json` payload (the *head*), the observed runs go to the
 /// `timeline.jsonl` sidecar the head counts, and `restore` reads both back.
+#[derive(Default)]
 pub(crate) struct SweepState {
     /// Completed `(config, rep)` units, counting a quarantined
     /// configuration's abandoned repetitions as done.
     units_done: usize,
     /// Results so far; the last entry may be a configuration in progress.
     configs: Vec<ConfigResult>,
-    /// The tuning stores threaded through the chain.
+    /// The tuning stores the next unit starts from: inside a configuration
+    /// the fleet it was entered with, which every repetition restarts from;
+    /// at a configuration boundary what the last repetition left.
     stores: Vec<KernelStore>,
-    /// `stores` as they were on entry to the current configuration (what
-    /// every repetition after the first, and a quarantine, start from).
-    entry_state: Vec<KernelStore>,
     /// Every observed run so far, in commit order.
     obs_runs: Vec<TimelineRun>,
     /// How many of `obs_runs` the sidecar already holds, in an observed and
@@ -100,15 +100,7 @@ pub(crate) struct SweepState {
 impl SweepState {
     /// The state of a sweep that has run nothing, seeded with `stores`.
     fn fresh(stores: Vec<KernelStore>) -> Self {
-        SweepState {
-            units_done: 0,
-            configs: Vec::new(),
-            entry_state: stores.clone(),
-            stores,
-            obs_runs: Vec::new(),
-            timeline: None,
-            session_events: Vec::new(),
-        }
+        SweepState { stores, ..Default::default() }
     }
 
     /// The checkpoint head: everything but the observed runs, of which it
@@ -117,7 +109,6 @@ impl SweepState {
         let mut head = serde_json::Map::new();
         let mut put = |key: &str, value: Value| head.insert(key.into(), value);
         put("configs", Value::Array(self.configs.iter().map(ConfigResult::to_json).collect()));
-        put("entry_stores", snapshot::stores_to_json(&self.entry_state));
         put(
             "session_events",
             Value::Array(self.session_events.iter().map(Event::to_json).collect()),
@@ -130,23 +121,55 @@ impl SweepState {
         Value::Object(head)
     }
 
-    /// Inverse of a checkpoint: decode the head `head` and, for a sweep that
+    /// Inverse of a checkpoint: decode the head `head` of a sweep of
+    /// `units_total` units, `reps` per configuration, and, for a sweep that
     /// observes, the runs its `timeline` reference commits in `sidecar`.
     ///
-    /// An observed head resumed unobserved drops its timeline. The converse
-    /// is refused: the runs before the resume were never recorded, so the
-    /// finished report would silently cover only the units after it.
-    fn restore(head: Node<'_>, sidecar: &Path, observe: bool) -> critter_core::Result<Self> {
+    /// A head whose progress does not fit the sweep is refused where it
+    /// disagrees, never resumed to a short report. An observed head resumed
+    /// unobserved drops its timeline. The converse is refused: the runs
+    /// before the resume were never recorded, so the finished report would
+    /// silently cover only the units after it.
+    fn restore(
+        head: Node<'_>,
+        sidecar: &Path,
+        observe: bool,
+        reps: usize,
+        units_total: usize,
+    ) -> critter_core::Result<Self> {
         let r = Reader::root("checkpoint", head);
+        let units_done: usize = r.at("units_done").int()?;
+        let configs = r.at("configs");
+        // Older heads also hold `entry_stores`, the live fleet inside a configuration.
+        let legacy = r.at("entry_stores");
+        let inside = !units_done.is_multiple_of(reps);
+        let live = if legacy.exists() && inside { legacy } else { r.at("stores") };
         let mut state = SweepState {
-            units_done: r.at("units_done").int()?,
-            configs: r.at("configs").list(ConfigResult::read)?,
-            stores: snapshot::read_stores(r.at("stores"))?,
-            entry_state: snapshot::read_stores(r.at("entry_stores"))?,
+            units_done,
+            configs: configs.list(ConfigResult::read)?,
+            stores: snapshot::read_stores(live)?,
             obs_runs: Vec::new(),
             timeline: None,
             session_events: r.at("session_events").list(Event::read)?,
         };
+        if units_done > units_total {
+            let past = format!("{units_done} units done, but the sweep has {units_total}");
+            return Err(r.at("units_done").error(past).into());
+        }
+        // One result per configuration begun, each with one pair per
+        // committed repetition unless a quarantine abandoned the rest.
+        let (begun, n) = (units_done.div_ceil(reps), state.configs.len());
+        if n != begun {
+            let detail = format!("{n} configurations for {units_done} units, expected {begun}");
+            return Err(configs.error(detail).into());
+        }
+        for ((i, item), config) in configs.items()?.enumerate().zip(&state.configs) {
+            let (committed, n) = ((units_done - i * reps).min(reps), config.pairs.len());
+            if !config.quarantined && n != committed {
+                let detail = format!("{n} repetitions for {committed} committed");
+                return Err(item.at("pairs").error(detail).into());
+            }
+        }
         // Heads written before the sidecar existed kept their runs inline.
         let inline = r.at("obs_runs");
         if inline.exists() && inline.items()?.next().is_some() {
@@ -488,9 +511,9 @@ impl Autotuner {
         let mut state = SweepState::fresh(fresh());
         if let Some((head, sidecar)) = files.as_ref().filter(|(head, _)| head.exists()) {
             state = envelope::load(head, "checkpoint", Some(fingerprint), |payload| {
-                SweepState::restore(payload.into(), sidecar, self.opts.observe)
+                SweepState::restore(payload.into(), sidecar, self.opts.observe, reps, units_total)
             })?;
-            if state.stores.len() != ranks || state.entry_state.len() != ranks {
+            if state.stores.len() != ranks {
                 return Err(CritterError::mismatch(format!(
                     "checkpoint holds {} rank stores but the sweep uses {ranks} ranks",
                     state.stores.len()
@@ -617,24 +640,21 @@ impl Autotuner {
                     for s in state.stores.iter_mut() {
                         s.start_config(keep);
                     }
-                    state.entry_state = state.stores.clone();
                     state.configs.push(ConfigResult { name: name.clone(), ..Default::default() });
                 }
                 for rep in first_rep..reps {
                     let u = cfg_idx * reps + rep;
-                    if rep > 0 {
-                        state.stores = state.entry_state.clone();
-                    }
-                    // The chain: a-priori propagation's offline pass, then
-                    // the selectively-executed tuning run. `None` once
-                    // either spends its retry budget.
+                    // The chain, on its own copy of the stores: a-priori
+                    // propagation's offline pass, then the selective run.
+                    // `None` once either spends its retry budget.
+                    let mut stores = state.stores.clone();
                     let mut chain_events = Vec::new();
                     let (reference, chain) = refs.unit(u, || {
                         let mut run = |cfg: &CritterConfig, kind: usize| {
                             self.run_with_retry(
                                 w,
                                 cfg,
-                                &mut state.stores,
+                                &mut stores,
                                 run_index(u, kind),
                                 kind == 1,
                                 &label(u, kind),
@@ -673,15 +693,17 @@ impl Autotuner {
                         result.offline.extend(offline.map(|run| commit(1, run)));
                         result.pairs.push((full, commit(2, tuned)));
                         state.units_done = u + 1;
+                        if rep + 1 == reps {
+                            state.stores = stores; // the next configuration's entry
+                        }
                     } else {
                         // Abandon the configuration: drop the partial
-                        // repetition, restore the chain state the next
-                        // configuration expects, and record the decision.
+                        // repetition (the next configuration starts from
+                        // this one's entry stores) and record the decision.
                         result.quarantined = true;
                         let attempts = self.attempts() as f64;
                         let decision = session_event(EventKind::Quarantine, &name, attempts);
                         state.session_events.push(decision);
-                        state.stores = state.entry_state.clone();
                         state.units_done = (cfg_idx + 1) * reps;
                         refs.skip_to(state.units_done);
                     }
@@ -930,10 +952,11 @@ mod tests {
         let payload = &serde_json::from_str(sealed.text()).unwrap();
 
         let sidecar = session.timeline_path().unwrap();
-        let read = |v: &Value| SweepState::restore(v.into(), &sidecar, true);
+        let (reps, total) = (2, 2 * w.len());
+        let read = |v: &Value| SweepState::restore(v.into(), &sidecar, true, reps, total);
         let state = read(payload).unwrap();
         // The tape the engine restores from decodes to the same state.
-        let taped = SweepState::restore(sealed.into(), &sidecar, true).unwrap();
+        let taped = SweepState::restore(sealed.into(), &sidecar, true, reps, total).unwrap();
         assert!(state.units_done >= 5 && !state.obs_runs.is_empty());
         assert_eq!(state.timeline.as_ref().map(Committed::runs), Some(state.obs_runs.len()));
         assert!(state.configs.iter().any(|c| !c.offline.is_empty()));
@@ -950,8 +973,7 @@ mod tests {
         // located at it, never a panic. (Every deeper path is covered by
         // the corruption oracle in `critter-testkit`.)
         let refusal = |v: Value| read(&v).err().expect("a damaged head is refused").to_string();
-        for key in ["configs", "entry_stores", "session_events", "stores", "timeline", "units_done"]
-        {
+        for key in ["configs", "session_events", "stores", "timeline", "units_done"] {
             let Value::Object(mut broken) = payload.clone() else { panic!("payload is an object") };
             broken.insert(key.into(), serde_json::json!("nope"));
             let wrong_type = refusal(Value::Object(broken.clone()));
@@ -968,17 +990,18 @@ mod tests {
         }
         // An unobserved resume never opens the sidecar and drops the timeline.
         let dropped =
-            SweepState::restore(payload.into(), Path::new("/nonexistent"), false).unwrap();
+            SweepState::restore(payload.into(), Path::new("/nonexistent"), false, reps, total)
+                .unwrap();
         assert!(dropped.timeline.is_none() && dropped.obs_runs.is_empty());
         // A head from before the sidecar: empty inline runs restore, others
         // are refused at `obs_runs`, never dropped.
         let Value::Object(mut old) = payload.clone() else { panic!("payload is an object") };
         old.remove("timeline");
         old.insert("obs_runs".into(), serde_json::json!([]));
-        assert!(SweepState::restore((&Value::Object(old.clone())).into(), &sidecar, false).is_ok());
+        let restore = |old: &Value| SweepState::restore(old.into(), &sidecar, false, reps, total);
+        assert!(restore(&Value::Object(old.clone())).is_ok());
         old.insert("obs_runs".into(), Value::Array(vec![state.obs_runs[0].to_json()]));
-        let inline =
-            SweepState::restore((&Value::Object(old)).into(), &sidecar, false).err().unwrap();
+        let inline = restore(&Value::Object(old)).err().unwrap();
         assert!(
             inline.to_string().starts_with("schema error in checkpoint: obs_runs: observed runs"),
             "got: {inline}"

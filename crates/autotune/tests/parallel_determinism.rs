@@ -403,9 +403,11 @@ fn a_checkpoint_writes_each_observed_run_once_and_a_head_that_does_not_grow_with
     }
 
     // The head carries per-unit results (a few hundred bytes each) and the
-    // stores, never the runs: from the first unit to the last it grows by far
-    // less than one unit's timeline.
-    let (first, last) = (trail[0].0.len(), trail[7].0.len());
+    // stores, never the runs: from the first configuration boundary to the
+    // last it grows by far less than one unit's timeline. (A head inside a
+    // configuration holds the stores it was entered with, which on this
+    // resetting space are nearly empty.)
+    let (first, last) = (trail[1].0.len(), trail[7].0.len());
     let unit_timeline = lines[0].len() + lines[1].len();
     assert!(
         last < first + unit_timeline / 2 && last < 2 * first,
@@ -413,22 +415,45 @@ fn a_checkpoint_writes_each_observed_run_once_and_a_head_that_does_not_grow_with
     );
 }
 
-/// The checkpoint format is owned by one codec now; a checkpoint written by
-/// the commit before that refactor (PR 11, preempted at unit 3 of 8) must
-/// still restore — at either worker count — and finish to the bytes of an
-/// uninterrupted sweep.
+/// Checkpoints written by older commits must still restore — at either
+/// worker count — and finish to the bytes of an uninterrupted sweep:
+///
+/// * `checkpoint-pr11.json`, written before the checkpoint format got one
+///   codec, preempted at unit 3 of 8 on a resetting space;
+/// * the last commit whose heads held two store fleets, `stores` beside
+///   `entry_stores`, on an a-priori sweep that keeps its kernel models,
+///   preempted inside a configuration (unit 3, where `entry_stores` is live)
+///   and at a configuration boundary (unit 4, where `stores` is). Restoring
+///   either from the other fleet changes the finished report.
 #[test]
 fn checkpoint_written_by_the_parent_commit_restores() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint-pr11.json");
+    use ExecutionPolicy::{APrioriPropagation, LocalPropagation};
+    for (fixture, policy, persist, stopped) in [
+        ("checkpoint-pr11.json", LocalPropagation, false, 3),
+        ("checkpoint-two-fleets-unit3.json", APrioriPropagation, true, 3),
+        ("checkpoint-two-fleets-unit4.json", APrioriPropagation, true, 4),
+    ] {
+        restores_to_the_uninterrupted_bytes(fixture, policy, persist, stopped);
+    }
+}
+
+fn restores_to_the_uninterrupted_bytes(
+    fixture: &str,
+    policy: ExecutionPolicy,
+    persist: bool,
+    stopped: usize,
+) {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture);
     let options = |workers: usize| {
-        TuningOptions::new(ExecutionPolicy::LocalPropagation, 0.25)
+        TuningOptions::new(policy, 0.25)
             .with_test_machine()
             .with_reps(2)
+            .with_persist_models(persist)
             .with_workers(workers)
     };
     let clean = Autotuner::new(options(1)).tune(&smoke()).to_json_string();
     for workers in [1, 4] {
-        let dir = scratch(&format!("parent-ckpt-w{workers}"));
+        let dir = scratch(&format!("parent-ckpt-{stopped}-{persist}-w{workers}"));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::copy(&fixture, dir.join("checkpoint.json")).unwrap();
         let first: Arc<Mutex<Option<usize>>> = Arc::default();
@@ -440,8 +465,9 @@ fn checkpoint_written_by_the_parent_commit_restores() {
             })
             .tune_session(&smoke(), &SessionConfig::new().with_checkpoint_dir(&dir))
             .expect("the parent commit's checkpoint restores");
-        assert_eq!(*first.lock().unwrap(), Some(3), "resume must start at the stored boundary");
-        assert_eq!(report.to_json_string(), clean, "workers = {workers}");
+        let at = *first.lock().unwrap();
+        assert_eq!(at, Some(stopped), "{fixture:?}: resume must start at the stored boundary");
+        assert_eq!(report.to_json_string(), clean, "{fixture:?}: workers = {workers}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,7 +14,9 @@
 //!   at exactly that node's path (leaves *and* interior nodes);
 //! * deleting it: for an object member the decode must fail at that
 //!   member's path; for a scalar array element the result is either a
-//!   well-formed shorter list or an error at the array (a fixed-arity row).
+//!   well-formed shorter list or an error at the array (a fixed-arity row);
+//!   a whole record leaves a well-formed shorter list, unless another field
+//!   counts the list's records: then the decode must fail at the list.
 //!
 //! The few nodes that legitimately behave otherwise are listed per document
 //! as [`Except`]ions. The bit-exact round-trip tests stay where they are,
@@ -61,6 +63,12 @@ enum Except {
     /// The subtree is guarded by another field: damage anywhere under this
     /// key is reported at that field's path instead.
     ReportedAt(&'static str),
+    /// Another field fixes how many records the list under this key holds:
+    /// deleting one of them is refused at the list.
+    Counted,
+    /// The key is a flag that excuses its counted sibling list from the
+    /// count: deleting it is refused at that sibling.
+    Excuses(&'static str),
 }
 
 /// Every node below the root of `v` with its path, parents before children.
@@ -124,8 +132,8 @@ fn assert_every_damage_is_located(
         let here = render(path);
         let (last, parent) = path.split_last().expect("paths are non-empty");
         let except = exceptions.iter().find(|(key, ex)| match ex {
-            Except::Optional | Except::Needed => is_key(last, key),
-            Except::Entries => parent.last().is_some_and(|p| is_key(p, key)),
+            Except::Optional | Except::Needed | Except::Excuses(_) => is_key(last, key),
+            Except::Entries | Except::Counted => parent.last().is_some_and(|p| is_key(p, key)),
             Except::Unread | Except::ReportedAt(_) => path.iter().any(|s| is_key(s, key)),
         });
 
@@ -160,6 +168,10 @@ fn assert_every_damage_is_located(
                     Some((_, Except::Needed)) => {
                         drop(refused_at(decode(&damaged), "mismatch", &what))
                     }
+                    Some((_, Except::Excuses(sibling))) => {
+                        let sibling = render(&[parent, &[Step::Key(sibling.to_string())]].concat());
+                        refused_at(decode(&damaged), &sibling, &what);
+                    }
                     // Below the guarded key the guard fires; the guarded
                     // key itself is simply missing.
                     Some((key, Except::ReportedAt(guard))) if !is_key(last, key) => {
@@ -172,8 +184,15 @@ fn assert_every_damage_is_located(
                 }
             }
             // A whole record removed from a list leaves a well-formed
-            // shorter list; only a scalar element can break a row, and then
-            // the row (or its guard) is what is reported.
+            // shorter list, unless the list is counted; only a scalar element
+            // can break a row, and then the row (or its guard) is what is
+            // reported.
+            (Step::Index(i), Value::Array(items))
+                if matches!(except, Some((_, Except::Counted))) =>
+            {
+                items.remove(*i);
+                refused_at(decode(&damaged), &render(parent), &what);
+            }
             (Step::Index(_), Value::Array(_)) if !is_scalar(original) => {}
             (Step::Index(i), Value::Array(items)) => {
                 items.remove(*i);
@@ -198,7 +217,12 @@ fn is_scalar(v: &Value) -> bool {
 // Real documents.
 
 const CHECKPOINT_EXCEPTIONS: &[(&str, Except)] = &[
-    ("quarantined", Except::Optional),
+    // `units_done` fixes how many configurations were begun and how many
+    // repetitions each committed; an abandoned one (only ever written
+    // `quarantined: true`) committed fewer.
+    ("configs", Except::Counted),
+    ("pairs", Except::Counted),
+    ("quarantined", Except::Excuses("pairs")),
     // An unobserved head has none; the oracle's sweep observes.
     ("timeline", Except::Needed),
     ("counters", Except::Entries),
@@ -308,7 +332,7 @@ fn tuning_report_damage_is_located() {
 }
 
 /// An observed, fault-armed session of the tiny sweep stopped after its
-/// second unit: the checkpoint then holds results, both store fleets, session
+/// second unit: the checkpoint then holds results, the kernel stores, session
 /// events and, in the sidecar, observed runs. Returns the session, the sweep's
 /// fingerprint and the head's payload.
 fn stopped_tiny_session(name: &str) -> (SessionConfig, u64, Value) {
@@ -364,6 +388,11 @@ fn checkpoint_damage_is_located_by_the_real_restore_path() {
     assert_every_damage_is_located("checkpoint", &payload, CHECKPOINT_EXCEPTIONS, &|doc| {
         resume_sealed(&session, fingerprint, doc, "checkpoint")
     });
+    // A count past the sweep's units is refused at the count.
+    let mut past = payload.clone();
+    *past.get_mut("units_done").unwrap() = Value::Number(99.0);
+    let e = resume_sealed(&session, fingerprint, &past, "checkpoint").unwrap_err();
+    assert!(e.starts_with("units_done: "), "got: {e}");
     std::fs::remove_dir_all(session.checkpoint_dir.unwrap()).unwrap();
 }
 

@@ -49,17 +49,20 @@ fn report(node: Node<'_>) -> Result<String, String> {
     Ok(report.map_err(|e| e.to_string())?.to_json_string())
 }
 
-/// The checkpoint head's decoders, in the order the restore runs them.
+/// The checkpoint head's decoders, in the order the restore runs them, for a
+/// sweep of two repetitions per configuration (the committed head's). A head
+/// that still holds `entry_stores` reads that fleet inside a configuration.
 fn head(node: Node<'_>) -> Result<String, String> {
     let read = |r: Reader<'_, '_>| -> Result<String, JsonError> {
         let units_done: usize = r.at("units_done").int()?;
         let configs = r.at("configs").list(ConfigResult::read)?;
-        let stores = snapshot::read_stores(r.at("stores"))?;
-        let entry = snapshot::read_stores(r.at("entry_stores"))?;
+        let legacy = r.at("entry_stores");
+        let live =
+            if legacy.exists() && !units_done.is_multiple_of(2) { legacy } else { r.at("stores") };
+        let stores = snapshot::read_stores(live)?;
         let events = r.at("session_events").list(Event::read)?;
         let doc = serde_json::json!({
             "configs": Value::Array(configs.iter().map(ConfigResult::to_json).collect()),
-            "entry_stores": snapshot::stores_to_json(&entry),
             "session_events": Value::Array(events.iter().map(Event::to_json).collect()),
             "stores": snapshot::stores_to_json(&stores),
             "units_done": units_done,

@@ -40,6 +40,17 @@ one_append_only_log() {
 }
 gate "one append-only log (durable::Log owns open, cut and append)" one_append_only_log
 
+# A sweep carries one kernel-store fleet, the one its next unit starts from
+# (DESIGN.md §6.2): no second copy of it under `crates/*/src`, and the key of
+# the copy older checkpoint heads held is read in one place, the restore's
+# compatibility rule in `engine.rs`.
+one_chain_state() {
+    ! grep -rn 'entry_state' crates/*/src &&
+        ! grep -rn 'entry_stores' crates/*/src | grep -v '^crates/autotune/src/engine\.rs:'
+}
+gate "one chain state (one store fleet; entry_stores only in the compatibility read)" \
+    one_chain_state
+
 # critter-dla's `avx2` and baseline instantiations of the microkernel must
 # stay bit-identical and be chosen by one run-time check (DESIGN.md §2.1):
 # exactly one `unsafe` block (the guarded call into the `avx2`
