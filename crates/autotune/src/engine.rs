@@ -47,14 +47,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use critter_algs::Workload;
-use critter_core::json::{Node, Reader};
+use critter_core::json::Reader;
 use critter_core::{snapshot, CritterConfig, CritterEnv, CritterError, KernelStore};
 use critter_machine::MachineModel;
 use critter_obs::{Event, EventKind, ObsReport, RankTrace, TimelineRun};
 use critter_session::{durable, envelope, SessionConfig, SessionLog};
 use critter_sim::{run_simulation, FaultPlan, PerturbParams, SimConfig};
 use parking_lot::Mutex;
-use serde_json::Value;
+use serde_json::{TapeNode, Value};
 
 use crate::options::TuningOptions;
 use crate::records::{
@@ -131,7 +131,7 @@ impl SweepState {
     /// before the resume were never recorded, so the finished report would
     /// silently cover only the units after it.
     fn restore(
-        head: Node<'_>,
+        head: TapeNode<'_>,
         sidecar: &Path,
         observe: bool,
         reps: usize,
@@ -505,13 +505,12 @@ impl Autotuner {
             Some(log) => log.record(kind, label, arg),
             None => Ok(()),
         };
-        let cadence = session.cadence() as usize;
 
         let fresh = || (0..ranks).map(|_| KernelStore::new()).collect::<Vec<_>>();
         let mut state = SweepState::fresh(fresh());
         if let Some((head, sidecar)) = files.as_ref().filter(|(head, _)| head.exists()) {
             state = envelope::load(head, "checkpoint", Some(fingerprint), |payload| {
-                SweepState::restore(payload.into(), sidecar, self.opts.observe, reps, units_total)
+                SweepState::restore(payload, sidecar, self.opts.observe, reps, units_total)
             })?;
             if state.stores.len() != ranks {
                 return Err(CritterError::mismatch(format!(
@@ -591,23 +590,16 @@ impl Autotuner {
                 ))),
             }
         };
-        // End a unit: checkpoint its boundary when `due`, then ask the hook.
-        // A stop verdict persists the boundary even off-cadence — the
-        // resumed session must re-enter exactly here.
-        let boundary =
-            |state: &mut SweepState, name: &str, due: bool| -> critter_core::Result<()> {
-                if due {
-                    checkpoint(state, name)?;
-                }
-                let Err(stopped) = ask(state.units_done) else { return Ok(()) };
-                if !due {
-                    checkpoint(state, name)?;
-                }
-                if stopped.is_preempted() {
-                    record(EventKind::Preempt, name, state.units_done as f64)?;
-                }
-                Err(stopped)
-            };
+        // End a unit: checkpoint its boundary, then ask the hook. A stopped
+        // session resumes exactly here.
+        let boundary = |state: &mut SweepState, name: &str| -> critter_core::Result<()> {
+            checkpoint(state, name)?;
+            let Err(stopped) = ask(state.units_done) else { return Ok(()) };
+            if stopped.is_preempted() {
+                record(EventKind::Preempt, name, state.units_done as f64)?;
+            }
+            Err(stopped)
+        };
         // The pre-sweep boundary is already durable (either the restored
         // checkpoint or no work at all), so no extra checkpoint is needed.
         ask(state.units_done)?;
@@ -707,9 +699,7 @@ impl Autotuner {
                         state.units_done = (cfg_idx + 1) * reps;
                         refs.skip_to(state.units_done);
                     }
-                    let due =
-                        !committed || rep + 1 == reps || state.units_done.is_multiple_of(cadence);
-                    boundary(&mut state, &name, due)?;
+                    boundary(&mut state, &name)?;
                     if !committed {
                         break;
                     }
@@ -864,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn preempt_checkpoints_off_cadence_and_resumes_byte_identically() {
+    fn preempt_checkpoints_its_boundary_and_resumes_byte_identically() {
         let w = crate::TuningSpace::SlateCholesky.smoke();
         let opts = TuningOptions::new(ExecutionPolicy::LocalPropagation, 0.25)
             .with_test_machine()
@@ -872,9 +862,7 @@ mod tests {
         let total = w.len() * 2;
         let dir = std::env::temp_dir().join(format!("critter-preempt-ckpt-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        // Cadence far beyond the sweep: the only mid-sweep checkpoint can
-        // come from the checkpoint-on-preempt path.
-        let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1000);
+        let session = SessionConfig::new().with_checkpoint_dir(&dir);
         let err = Autotuner::new(opts.clone())
             .with_progress(|p| {
                 if p.units_done < 3 {
@@ -953,10 +941,17 @@ mod tests {
 
         let sidecar = session.timeline_path().unwrap();
         let (reps, total) = (2, 2 * w.len());
-        let read = |v: &Value| SweepState::restore(v.into(), &sidecar, true, reps, total);
+        // A head held as a tree restores by way of its text.
+        let restore = |v: &Value, sidecar: &Path, observe: bool| {
+            let text = serde_json::to_string(v).unwrap();
+            let tape = serde_json::Tape::parse(&text).unwrap();
+            SweepState::restore(tape.root(), sidecar, observe, reps, total)
+        };
+        let read = |v: &Value| restore(v, &sidecar, true);
         let state = read(payload).unwrap();
-        // The tape the engine restores from decodes to the same state.
-        let taped = SweepState::restore(sealed.into(), &sidecar, true, reps, total).unwrap();
+        // The file's own tape, which the engine restores from, decodes to
+        // the same state.
+        let taped = SweepState::restore(sealed, &sidecar, true, reps, total).unwrap();
         assert!(state.units_done >= 5 && !state.obs_runs.is_empty());
         assert_eq!(state.timeline.as_ref().map(Committed::runs), Some(state.obs_runs.len()));
         assert!(state.configs.iter().any(|c| !c.offline.is_empty()));
@@ -989,16 +984,14 @@ mod tests {
             }
         }
         // An unobserved resume never opens the sidecar and drops the timeline.
-        let dropped =
-            SweepState::restore(payload.into(), Path::new("/nonexistent"), false, reps, total)
-                .unwrap();
+        let dropped = restore(payload, Path::new("/nonexistent"), false).unwrap();
         assert!(dropped.timeline.is_none() && dropped.obs_runs.is_empty());
         // A head from before the sidecar: empty inline runs restore, others
         // are refused at `obs_runs`, never dropped.
         let Value::Object(mut old) = payload.clone() else { panic!("payload is an object") };
         old.remove("timeline");
         old.insert("obs_runs".into(), serde_json::json!([]));
-        let restore = |old: &Value| SweepState::restore(old.into(), &sidecar, false, reps, total);
+        let restore = |old: &Value| restore(old, &sidecar, false);
         assert!(restore(&Value::Object(old.clone())).is_ok());
         old.insert("obs_runs".into(), Value::Array(vec![state.obs_runs[0].to_json()]));
         let inline = restore(&Value::Object(old)).err().unwrap();

@@ -8,7 +8,7 @@
 //! diff of a committed fixture.
 
 use crate::records::{ConfigResult, RunRecord, TuningReport};
-use critter_core::json::{canonical_text, JsonError, Reader};
+use critter_core::json::{canonical_text, read_value, JsonError, Reader};
 use critter_core::{ExecutionPolicy, PathMetrics};
 use serde_json::Value;
 
@@ -119,12 +119,13 @@ impl TuningReport {
     /// Errors name the failing field by its full JSON path — a truncated or
     /// hand-edited document fails with e.g.
     /// `configs[2].pairs[0].full.elapsed: expected a number, got a string`
-    /// rather than a bare field name.
+    /// rather than a bare field name. The tree is decoded by way of its
+    /// text, as every document is.
     pub fn from_json(v: &Value) -> critter_core::Result<TuningReport> {
-        Ok(TuningReport::read(Reader::root("tuning report", v))?)
+        Ok(read_value("tuning report", v, TuningReport::read)?)
     }
 
-    /// [`TuningReport::from_json`] at a reader, of either backing.
+    /// [`TuningReport::from_json`] at a reader.
     pub fn read(r: Reader<'_, '_>) -> Result<TuningReport, JsonError> {
         Ok(TuningReport {
             policy: r.at("policy").named("policy", ExecutionPolicy::from_name)?,

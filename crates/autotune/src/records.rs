@@ -80,8 +80,7 @@ pub struct SweepProgress {
 /// current committed-unit boundary (see [`Autotuner::with_progress`](crate::Autotuner::with_progress)).
 ///
 /// Both stop verdicts are checkpoint-consistent: the boundary they fire at
-/// is persisted (even off the configured checkpoint cadence) before
-/// `tune_session` returns, so a later session resumes exactly there and
+/// is persisted before `tune_session` returns, so a later session resumes exactly there and
 /// produces a byte-identical report. The difference is intent —
 /// [`Cancel`](ProgressVerdict::Cancel) finalizes the job,
 /// [`Preempt`](ProgressVerdict::Preempt) pauses it to yield resources and

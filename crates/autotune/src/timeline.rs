@@ -12,12 +12,12 @@ use std::hash::Hasher;
 use std::path::Path;
 
 use critter_core::fnv::FnvHasher;
-use critter_core::json::Reader;
+use critter_core::json::{JsonError, Reader};
 use critter_core::{CritterError, Result};
 use critter_obs::TimelineRun;
 use critter_session::durable::Log;
 use critter_session::envelope::HASH_MASK;
-use serde_json::Value;
+use serde_json::{Tape, Value};
 
 /// The committed prefix of `timeline.jsonl`: what the head's `timeline`
 /// reference states, plus the hasher state to extend it from.
@@ -108,11 +108,10 @@ impl Committed {
             for (i, line) in file.lines().take(runs).enumerate() {
                 let parsed = line
                     .map_err(|e| e.to_string())
-                    .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()));
+                    .and_then(|text| Tape::parse(text).map_err(|e| e.to_string()));
                 let run = match parsed {
-                    Ok(value) => TimelineRun::read(Reader::line(&document, i, &value)),
-                    Err(e) => Err(Reader::line(&document, i, &Value::Null)
-                        .error(format!("malformed line: {e}"))),
+                    Ok(tape) => TimelineRun::read(Reader::line(&document, i, tape.root())),
+                    Err(e) => Err(JsonError::line(&document, i, format!("malformed line: {e}"))),
                 };
                 decoded.push(run?);
             }

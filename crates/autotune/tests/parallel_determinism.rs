@@ -167,7 +167,7 @@ type Swept = ((String, String, (String, String)), Vec<(String, String)>);
 /// checkpoint files the hook finds at every unit boundary.
 fn checkpointed_sweep(opts: TuningOptions, tag: &str) -> Swept {
     let dir = scratch(tag);
-    let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1);
+    let session = SessionConfig::new().with_checkpoint_dir(&dir);
     let trail: Arc<Mutex<Vec<(String, String)>>> = Arc::default();
     let (sink, ckpt) = (Arc::clone(&trail), dir.clone());
     let report = Autotuner::new(opts)
@@ -287,7 +287,7 @@ fn kill_and_resume(
     resumed_workers: usize,
 ) -> (String, String, (String, String)) {
     let dir = scratch(&format!("kill-{kill_after}-w{killed_workers}"));
-    let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1);
+    let session = SessionConfig::new().with_checkpoint_dir(&dir);
     let runs = Arc::new(AtomicUsize::new(0));
     let killers: Vec<Arc<dyn Workload>> = smoke()
         .into_iter()
@@ -345,9 +345,7 @@ fn preempted_parallel_sweep_resumes_byte_identically_and_reports_units_in_order(
         checkpointed_sweep(session_options(ExecutionPolicy::APrioriPropagation, 1), "preempt-base");
 
     let dir = scratch("preempt-w4");
-    // A cadence beyond the sweep: mid-configuration boundaries are durable
-    // only through checkpoint-on-stop.
-    let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1000);
+    let session = SessionConfig::new().with_checkpoint_dir(&dir);
     let seen: Arc<Mutex<Vec<usize>>> = Arc::default();
     let preempted_once = Arc::new(AtomicBool::new(false));
     let tuner = {

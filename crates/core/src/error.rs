@@ -26,10 +26,10 @@ pub type Result<T> = std::result::Result<T, CritterError>;
 /// use critter_core::{CritterError, Result};
 ///
 /// fn load(text: &str) -> Result<f64> {
-///     let v = serde_json::from_str(text)
+///     let tape = serde_json::Tape::parse(text)
 ///         .map_err(|e| CritterError::parse("profile", e.to_string()))?;
 ///     // A decode failure (`critter_core::json::JsonError`) converts to `Schema`.
-///     Ok(critter_core::json::Reader::root("profile", &v).f64()?)
+///     Ok(critter_core::json::Reader::root("profile", tape.root()).f64()?)
 /// }
 ///
 /// assert_eq!(load("2.5").unwrap(), 2.5);

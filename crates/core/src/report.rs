@@ -138,6 +138,7 @@ impl CritterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use critter_obs::json::read_value;
 
     #[test]
     fn metrics_roundtrip_array() {
@@ -156,9 +157,9 @@ mod tests {
             comm_time: 1.0 / 3.0,
         };
         let text = serde_json::to_string(&m.to_json()).unwrap();
-        let doc = serde_json::from_str(&text).unwrap();
-        assert_eq!(PathMetrics::read(Reader::root("path", &doc)).unwrap(), m);
-        let err = PathMetrics::read(Reader::root("path", &serde_json::json!({ "syncs": 1.0 })));
+        let tape = serde_json::Tape::parse(&text).unwrap();
+        assert_eq!(PathMetrics::read(Reader::root("path", tape.root())).unwrap(), m);
+        let err = read_value("path", &serde_json::json!({ "syncs": 1.0 }), PathMetrics::read);
         assert_eq!(err.unwrap_err().to_string(), "comm_words: missing (expected a number)");
     }
 

@@ -23,9 +23,9 @@
 //! [`OnlineStats::new`].
 
 use critter_machine::CommOp;
-use critter_obs::json::{JsonError, Node, Reader};
+use critter_obs::json::{JsonError, Reader};
 use critter_stats::OnlineStats;
-use serde_json::{json, Map, Value};
+use serde_json::{json, Map, TapeNode, Value};
 
 use crate::extrapolate::{ExtrapolationTable, LineFit};
 use crate::profile::{KernelModel, KernelStore};
@@ -281,8 +281,8 @@ pub fn read_stores(r: Reader<'_, '_>) -> Result<Vec<KernelStore>, JsonError> {
 }
 
 /// Restore a fleet of per-rank stores from a whole [`stores_to_json`]
-/// document (a profile or store-blob payload), tree or tape.
-pub fn stores_from_json<'v>(v: impl Into<Node<'v>>) -> crate::Result<Vec<KernelStore>> {
+/// document (a profile or store-blob payload).
+pub fn stores_from_json(v: TapeNode<'_>) -> crate::Result<Vec<KernelStore>> {
     Ok(read_stores(Reader::root("kernel stores", v))?)
 }
 
@@ -290,6 +290,8 @@ pub fn stores_from_json<'v>(v: impl Into<Node<'v>>) -> crate::Result<Vec<KernelS
 mod tests {
     use super::*;
     use crate::signature::SizeGranularity;
+    use critter_obs::json::read_value;
+    use serde_json::Tape;
 
     fn busy_store() -> KernelStore {
         let mut s = KernelStore::new();
@@ -316,11 +318,11 @@ mod tests {
     }
 
     fn store_from_json(v: &Value) -> Result<KernelStore, JsonError> {
-        read_store(Reader::root("kernel store", v))
+        read_value("kernel store", v, read_store)
     }
 
     fn sig_from_json(v: &Value) -> Result<KernelSig, JsonError> {
-        read_sig(Reader::root("kernel signature", v))
+        read_value("kernel signature", v, read_sig)
     }
 
     fn store_eq(a: &KernelStore, b: &KernelStore) -> bool {
@@ -359,7 +361,8 @@ mod tests {
     #[test]
     fn fleet_round_trips() {
         let fleet = vec![busy_store(), KernelStore::new()];
-        let back = stores_from_json(&stores_to_json(&fleet)).unwrap();
+        let text = serde_json::to_string(&stores_to_json(&fleet)).unwrap();
+        let back = stores_from_json(Tape::parse(&text).unwrap().root()).unwrap();
         assert_eq!(back.len(), 2);
         assert!(store_eq(&fleet[0], &back[0]));
         assert!(store_eq(&fleet[1], &back[1]));
@@ -384,7 +387,7 @@ mod tests {
         let s = OnlineStats::new();
         let v = stats_to_json(&s);
         assert_eq!(serde_json::to_string(&v).unwrap(), r#"{"count":0}"#);
-        assert_eq!(read_stats(Reader::root("stats", &v)).unwrap(), s);
+        assert_eq!(read_value("stats", &v, read_stats).unwrap(), s);
     }
 
     #[test]
@@ -406,7 +409,7 @@ mod tests {
         let err = store_from_json(&json!({ "local": 3.0 })).unwrap_err();
         assert_eq!(err.to_string(), "local: expected an array, got the number 3");
         // The root wrapper turns it into a `Schema` error naming the document.
-        let err = stores_from_json(&json!({})).unwrap_err();
+        let err = stores_from_json(Tape::parse("{}").unwrap().root()).unwrap_err();
         assert!(matches!(err, crate::CritterError::Schema { .. }), "got: {err}");
         assert_eq!(
             err.to_string(),

@@ -154,12 +154,6 @@ impl Event {
         })
     }
 
-    /// Inverse of [`Event::to_json`] for a bare value (one `session.log`
-    /// line).
-    pub fn from_json(v: &serde_json::Value) -> Result<Event, JsonError> {
-        Event::read(Reader::root("event", v))
-    }
-
     /// Decode the event at `r`.
     pub fn read(r: Reader<'_, '_>) -> Result<Event, JsonError> {
         Ok(Event {
@@ -175,6 +169,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::read_value;
 
     #[test]
     fn names_are_distinct_and_stable() {
@@ -232,10 +227,11 @@ mod tests {
             arg: 7.0,
         };
         let text = serde_json::to_string(&e.to_json()).unwrap();
-        let back = Event::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
+        let tape = serde_json::Tape::parse(&text).unwrap();
+        let back = Event::read(Reader::root("event", tape.root())).unwrap();
         assert_eq!(back, e);
         assert_eq!(back.start.to_bits(), e.start.to_bits());
-        assert!(Event::from_json(&serde_json::json!({"kind": "bogus"})).is_err());
+        assert!(read_value("event", &serde_json::json!({"kind": "bogus"}), Event::read).is_err());
     }
 
     #[test]

@@ -1,30 +1,29 @@
 //! The one JSON reader and the one canonical-text writer.
 //!
 //! Everything the system persists — checkpoints, profiles, store blobs and
-//! index generations, reports, the session log — is canonical JSON, and
-//! every decoder of it is a function on a [`Reader`]: a borrowed value plus
-//! the path that led to it. A decoder that calls a nested decoder hands it a
-//! child reader, so the path continues across type and crate boundaries, and
-//! any failure is one [`JsonError`] naming the document, the exact path,
-//! what was expected there and what was found.
-//!
-//! The value is a [`Node`]: a `serde_json::Value` tree (in-memory values,
-//! line logs, HTTP bodies) or a node of a `serde_json::Tape` (the sealed
-//! documents, parsed once into a flat token vector). A decoder cannot tell
-//! them apart: both backings give the same values, paths and errors.
+//! index generations, reports, the line logs — and every request body is
+//! JSON text, and every decoder of it is a function on a [`Reader`]: a node
+//! of the text's `serde_json::Tape` (the document parsed once into a flat
+//! token vector) plus the path that led to it. A decoder that calls a
+//! nested decoder hands it a child reader, so the path continues across type
+//! and crate boundaries, and any failure is one [`JsonError`] naming the
+//! document, the exact path, what was expected there and what was found.
+//! An in-memory `serde_json::Value` is decoded the same way, by way of its
+//! text ([`read_value`]).
 //!
 //! The path is a chain of parents borrowed on the stack and is rendered only
 //! when an error is built: a successful decode allocates nothing for it.
 //!
 //! ```
 //! use critter_obs::json::{JsonError, Reader};
+//! use serde_json::Tape;
 //!
 //! fn point(r: Reader<'_, '_>) -> Result<(f64, u64), JsonError> {
 //!     Ok((r.at("x").f64()?, r.at("n").u64()?))
 //! }
 //!
-//! let doc = serde_json::from_str(r#"{"points": [{"n": 1, "x": 0.5}, {"n": "two", "x": 1.5}]}"#)?;
-//! let err = Reader::root("demo", &doc).at("points").list(point).unwrap_err();
+//! let tape = Tape::parse(r#"{"points": [{"n": 1, "x": 0.5}, {"n": "two", "x": 1.5}]}"#)?;
+//! let err = Reader::root("demo", tape.root()).at("points").list(point).unwrap_err();
 //! assert_eq!(err.to_string(), "points[1].n: expected an integer (u64), got a string");
 //! assert_eq!(err.document, "demo");
 //! # Ok::<(), serde_json::Error>(())
@@ -32,7 +31,7 @@
 
 use std::fmt;
 
-use serde_json::{Children, TapeNode, Value};
+use serde_json::{Children, Tape, TapeNode, Value};
 
 /// Canonical pretty-printed text of `doc` (sorted keys, two-space indent,
 /// shortest-round-trip floats) with the trailing newline every persisted
@@ -67,135 +66,46 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// The value a [`Reader`] reads: a node of a `Value` tree or of a tape.
-#[derive(Debug, Clone, Copy)]
-pub enum Node<'v> {
-    /// A node of a parsed or built `Value` tree.
-    Tree(&'v Value),
-    /// A node of a parsed `Tape`.
-    Tape(TapeNode<'v>),
-}
-
-impl<'v> From<&'v Value> for Node<'v> {
-    fn from(value: &'v Value) -> Self {
-        Node::Tree(value)
+impl JsonError {
+    /// An error about line `index` (from 0) of the JSON-lines document
+    /// `document` as a whole, such as a line that does not parse: located
+    /// at `[index]`, where a [`Reader::line`] would be.
+    pub fn line(document: &str, index: usize, detail: impl Into<String>) -> JsonError {
+        JsonError { document: document.into(), path: format!("[{index}]"), detail: detail.into() }
     }
 }
 
-impl<'v> From<TapeNode<'v>> for Node<'v> {
-    fn from(node: TapeNode<'v>) -> Self {
-        Node::Tape(node)
-    }
+/// Decode the in-memory value `doc` with `read`, the way every document is
+/// decoded: its text is parsed onto a tape and read from the root, which
+/// `document` names in errors.
+pub fn read_value<T>(
+    document: &str,
+    doc: &Value,
+    read: impl FnOnce(Reader<'_, '_>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    let text = serde_json::to_string(doc).expect("json writer is total");
+    let tape = Tape::parse(&text).expect("rendered JSON parses");
+    read(Reader::root(document, tape.root()))
 }
 
-impl<'v> Node<'v> {
-    fn get(self, key: &str) -> Option<Node<'v>> {
-        match self {
-            Node::Tree(v) => v.get(key).map(Node::Tree),
-            Node::Tape(t) => t.get(key).map(Node::Tape),
-        }
+/// What the value `node` is, as an error reports it.
+fn describe(node: TapeNode<'_>) -> String {
+    if let Some(x) = node.as_f64() {
+        return format!("the number {x}");
     }
-
-    fn as_f64(self) -> Option<f64> {
-        match self {
-            Node::Tree(v) => v.as_f64(),
-            Node::Tape(t) => t.as_f64(),
-        }
-    }
-
-    fn as_i64(self) -> Option<i64> {
-        match self {
-            Node::Tree(v) => v.as_i64(),
-            Node::Tape(t) => t.as_i64(),
-        }
-    }
-
-    fn as_bool(self) -> Option<bool> {
-        match self {
-            Node::Tree(v) => v.as_bool(),
-            Node::Tape(t) => t.as_bool(),
-        }
-    }
-
-    fn as_str(self) -> Option<&'v str> {
-        match self {
-            Node::Tree(v) => v.as_str(),
-            Node::Tape(t) => t.as_str(),
-        }
-    }
-
-    fn elements(self) -> Option<Elements<'v>> {
-        match self {
-            Node::Tree(v) => v.as_array().map(|items| Elements::Tree(items.iter())),
-            Node::Tape(t) => t.elements().map(Elements::Tape),
-        }
-    }
-
-    /// The members in sorted key order, the last of duplicates winning.
-    fn members(self) -> Option<Vec<(&'v str, Node<'v>)>> {
-        match self {
-            Node::Tree(v) => {
-                let map = v.as_object()?;
-                Some(map.iter().map(|(k, v)| (k.as_str(), Node::Tree(v))).collect())
-            }
-            Node::Tape(t) => {
-                Some(t.members()?.into_iter().map(|(k, v)| (k, Node::Tape(v))).collect())
-            }
-        }
-    }
-
-    fn is_object(self) -> bool {
-        match self {
-            Node::Tree(v) => v.as_object().is_some(),
-            Node::Tape(t) => t.is_object(),
-        }
-    }
-
-    /// What this value is, as an error reports it.
-    fn describe(self) -> String {
-        if let Some(x) = self.as_f64() {
-            return format!("the number {x}");
-        }
-        let what = if self.as_bool().is_some() {
-            "a bool"
-        } else if self.as_str().is_some() {
-            "a string"
-        } else if self.elements().is_some() {
-            "an array"
-        } else if self.is_object() {
-            "an object"
-        } else {
-            "null"
-        };
-        what.to_string()
-    }
+    let what = if node.as_bool().is_some() {
+        "a bool"
+    } else if node.as_str().is_some() {
+        "a string"
+    } else if node.elements().is_some() {
+        "an array"
+    } else if node.is_object() {
+        "an object"
+    } else {
+        "null"
+    };
+    what.to_string()
 }
-
-/// The elements of an array, from either backing.
-enum Elements<'v> {
-    Tree(std::slice::Iter<'v, Value>),
-    Tape(Children<'v>),
-}
-
-impl<'v> Iterator for Elements<'v> {
-    type Item = Node<'v>;
-
-    fn next(&mut self) -> Option<Node<'v>> {
-        match self {
-            Elements::Tree(items) => items.next().map(Node::Tree),
-            Elements::Tape(items) => items.next().map(Node::Tape),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Elements::Tree(items) => items.size_hint(),
-            Elements::Tape(items) => items.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for Elements<'_> {}
 
 /// How a reader was reached from its parent.
 #[derive(Debug, Clone, Copy)]
@@ -212,21 +122,21 @@ enum Step<'p> {
 /// `'v` is the document's lifetime, `'p` that of the path chain.
 #[derive(Debug, Clone, Copy)]
 pub struct Reader<'v, 'p> {
-    value: Option<Node<'v>>,
+    value: Option<TapeNode<'v>>,
     parent: Option<&'p Reader<'v, 'p>>,
     step: Step<'p>,
 }
 
 impl<'v, 'p> Reader<'v, 'p> {
     /// A reader at the root of `value`; `document` names it in errors.
-    pub fn root(document: &'p str, value: impl Into<Node<'v>>) -> Self {
-        Reader { value: Some(value.into()), parent: None, step: Step::Root(document) }
+    pub fn root(document: &'p str, value: TapeNode<'v>) -> Self {
+        Reader { value: Some(value), parent: None, step: Step::Root(document) }
     }
 
     /// A reader at the root of line `index` (from 0) of the JSON-lines
     /// document `document`: paths below it start with `[index]`.
-    pub fn line(document: &'p str, index: usize, value: impl Into<Node<'v>>) -> Self {
-        Reader { value: Some(value.into()), parent: None, step: Step::Line(document, index) }
+    pub fn line(document: &'p str, index: usize, value: TapeNode<'v>) -> Self {
+        Reader { value: Some(value), parent: None, step: Step::Line(document, index) }
     }
 
     /// The member `key` of this object. Never fails: a missing key (or a
@@ -235,13 +145,18 @@ impl<'v, 'p> Reader<'v, 'p> {
         self.child(self.value.and_then(|v| v.get(key)), Step::Key(key))
     }
 
-    fn child<'q>(&'q self, value: Option<Node<'v>>, step: Step<'q>) -> Reader<'v, 'q> {
+    fn child<'q>(&'q self, value: Option<TapeNode<'v>>, step: Step<'q>) -> Reader<'v, 'q> {
         Reader { value, parent: Some(self), step }
     }
 
     /// Whether a value is present here (for legitimately optional keys).
     pub fn exists(&self) -> bool {
         self.value.is_some()
+    }
+
+    /// The value here, if any: its text is [`TapeNode::text`].
+    pub fn node(&self) -> Option<TapeNode<'v>> {
+        self.value
     }
 
     /// An error located at this reader's path.
@@ -272,20 +187,20 @@ impl<'v, 'p> Reader<'v, 'p> {
     /// is what is wrong, and the error is located there.
     fn expected(&self, what: &str) -> JsonError {
         match (self.value, self.parent) {
-            (None, Some(p)) if !p.value.is_some_and(Node::is_object) => p.expected("an object"),
+            (None, Some(p)) if !p.value.is_some_and(TapeNode::is_object) => p.expected("an object"),
             (None, _) => self.error(format!("missing (expected {what})")),
-            (Some(v), _) => self.error(format!("expected {what}, got {}", v.describe())),
+            (Some(v), _) => self.error(format!("expected {what}, got {}", describe(v))),
         }
     }
 
     /// The number here.
     pub fn f64(&self) -> Result<f64, JsonError> {
-        self.value.and_then(Node::as_f64).ok_or_else(|| self.expected("a number"))
+        self.value.and_then(TapeNode::as_f64).ok_or_else(|| self.expected("a number"))
     }
 
     /// The integer here, range-checked into `T` — never a wrapping cast.
     pub fn int<T: TryFrom<i64>>(&self) -> Result<T, JsonError> {
-        let fits = self.value.and_then(Node::as_i64).and_then(|i| T::try_from(i).ok());
+        let fits = self.value.and_then(TapeNode::as_i64).and_then(|i| T::try_from(i).ok());
         fits.ok_or_else(|| self.expected(&format!("an integer ({})", std::any::type_name::<T>())))
     }
 
@@ -296,12 +211,12 @@ impl<'v, 'p> Reader<'v, 'p> {
 
     /// The bool here.
     pub fn bool(&self) -> Result<bool, JsonError> {
-        self.value.and_then(Node::as_bool).ok_or_else(|| self.expected("a bool"))
+        self.value.and_then(TapeNode::as_bool).ok_or_else(|| self.expected("a bool"))
     }
 
     /// The string here.
     pub fn str(&self) -> Result<&'v str, JsonError> {
-        self.value.and_then(Node::as_str).ok_or_else(|| self.expected("a string"))
+        self.value.and_then(TapeNode::as_str).ok_or_else(|| self.expected("a string"))
     }
 
     /// The string here, resolved through `lookup` (a `from_name`); a name
@@ -315,8 +230,8 @@ impl<'v, 'p> Reader<'v, 'p> {
         lookup(name).ok_or_else(|| self.error(format!("unknown {what} `{name}`")))
     }
 
-    fn elements(&self) -> Result<Elements<'v>, JsonError> {
-        self.value.and_then(Node::elements).ok_or_else(|| self.expected("an array"))
+    fn elements(&self) -> Result<Children<'v>, JsonError> {
+        self.value.and_then(TapeNode::elements).ok_or_else(|| self.expected("an array"))
     }
 
     /// The elements of the array here, each with its index on the path.
@@ -348,7 +263,7 @@ impl<'v, 'p> Reader<'v, 'p> {
         &'q self,
     ) -> Result<impl Iterator<Item = (&'v str, Reader<'v, 'q>)>, JsonError> {
         let members =
-            self.value.and_then(Node::members).ok_or_else(|| self.expected("an object"))?;
+            self.value.and_then(TapeNode::members).ok_or_else(|| self.expected("an object"))?;
         Ok(members.into_iter().map(move |(k, v)| (k, self.child(Some(v), Step::Key(k)))))
     }
 }
@@ -357,22 +272,13 @@ impl<'v, 'p> Reader<'v, 'p> {
 mod tests {
     use super::*;
 
-    fn parse(text: &str) -> Value {
-        serde_json::from_str(text).unwrap()
-    }
-
-    /// Run `check` on the root of `text` through both backings.
-    fn both(text: &str, check: impl Fn(Node<'_>)) {
-        check(Node::Tree(&parse(text)));
-        check(Node::Tape(serde_json::Tape::parse(text).unwrap().root()));
-    }
-
     #[test]
     fn errors_name_document_path_expected_and_found() {
-        both(r#"{"a": {"b": [1.0, "x"]}, "n": -3, "big": 1099511627776}"#, errors_of);
+        let tape = Tape::parse(r#"{"a": {"b": [1.0, "x"]}, "n": -3, "big": 1099511627776}"#);
+        errors_of(tape.unwrap().root());
     }
 
-    fn errors_of(doc: Node<'_>) {
+    fn errors_of(doc: TapeNode<'_>) {
         let r = Reader::root("doc", doc);
         let e = r.at("a").at("b").list(|x| x.f64()).unwrap_err();
         assert_eq!((e.document.as_str(), e.path.as_str()), ("doc", "a.b[1]"));
@@ -399,39 +305,40 @@ mod tests {
         let e = Reader::line("log", 3, doc).at("n").u64().unwrap_err();
         assert_eq!((e.document.as_str(), e.path.as_str()), ("log", "[3].n"));
         assert_eq!(Reader::line("log", 0, doc).items().err().unwrap().path, "[0]");
+        // So does a line that does not parse.
+        assert_eq!(JsonError::line("log", 3, "malformed line").to_string(), "[3]: malformed line");
     }
 
     #[test]
     fn fixed_and_members_extend_the_path() {
-        both(r#"{"row": [1, 2], "m": {"k": true, "j": null, "k": false}}"#, |doc| {
-            let r = Reader::root("doc", doc);
-            let row = r.at("row");
-            let [a, b] = row.fixed().unwrap();
-            assert_eq!((a.u64().unwrap(), b.u64().unwrap()), (1, 2));
-            let e = row.fixed::<3>().unwrap_err();
-            assert_eq!(e.to_string(), "row: expected 3 elements, got 2");
-            // Members come sorted, and of duplicates the last one counts.
-            let m = r.at("m");
-            let members: Vec<_> = m.members().unwrap().collect();
-            assert_eq!(members.iter().map(|(k, _)| *k).collect::<Vec<_>>(), ["j", "k"]);
-            assert_eq!(members[1].1.bool(), Ok(false));
-            assert_eq!(m.at("k").bool(), Ok(false));
-            assert_eq!(
-                members[1].1.f64().unwrap_err().to_string(),
-                "m.k: expected a number, got a bool"
-            );
-            assert_eq!(
-                members[0].1.str().unwrap_err().to_string(),
-                "m.j: expected a string, got null"
-            );
-        });
+        let tape = Tape::parse(r#"{"row": [1, 2], "m": {"k": true, "j": null, "k": false}}"#);
+        let tape = tape.unwrap();
+        let r = Reader::root("doc", tape.root());
+        let row = r.at("row");
+        let [a, b] = row.fixed().unwrap();
+        assert_eq!((a.u64().unwrap(), b.u64().unwrap()), (1, 2));
+        let e = row.fixed::<3>().unwrap_err();
+        assert_eq!(e.to_string(), "row: expected 3 elements, got 2");
+        // Members come sorted, and of duplicates the last one counts.
+        let m = r.at("m");
+        let members: Vec<_> = m.members().unwrap().collect();
+        assert_eq!(members.iter().map(|(k, _)| *k).collect::<Vec<_>>(), ["j", "k"]);
+        assert_eq!(members[1].1.bool(), Ok(false));
+        assert_eq!(m.at("k").bool(), Ok(false));
+        assert_eq!(
+            members[1].1.f64().unwrap_err().to_string(),
+            "m.k: expected a number, got a bool"
+        );
+        assert_eq!(members[0].1.str().unwrap_err().to_string(), "m.j: expected a string, got null");
     }
 
     #[test]
     fn canonical_text_ends_in_one_newline() {
-        assert_eq!(
-            canonical_text(&parse(r#"{"b": 1, "a": []}"#)),
-            "{\n  \"a\": [],\n  \"b\": 1\n}\n"
-        );
+        let doc = serde_json::json!({"b": 1, "a": []});
+        assert_eq!(canonical_text(&doc), "{\n  \"a\": [],\n  \"b\": 1\n}\n");
+        // An in-memory value decodes by way of that text.
+        assert_eq!(read_value("doc", &doc, |r| r.at("b").u64()), Ok(1));
+        let e = read_value("doc", &doc, |r| r.at("a").str().map(drop)).unwrap_err();
+        assert_eq!(e.to_string(), "a: expected a string, got an array");
     }
 }

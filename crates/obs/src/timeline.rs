@@ -348,7 +348,9 @@ impl ObsReport {
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::json::read_value;
     use crate::sink::RankRecorder;
+    use serde_json::Tape;
 
     fn trace(rank: usize, label: &str, start: f64, arg: f64) -> RankTrace {
         let mut r = RankRecorder::new(rank);
@@ -422,8 +424,9 @@ mod tests {
             label: "pr4pc4nb16/rep0/full".into(),
             ranks: vec![trace(0, "gemm", 0.1 + 0.2, 1.0 / 3.0), trace(1, "trsm", 0.5, 0.25)],
         };
-        let doc = serde_json::from_str(&canonical_text(&run.to_json())).unwrap();
-        let back = TimelineRun::read(Reader::root("run", &doc)).unwrap();
+        let text = canonical_text(&run.to_json());
+        let back = TimelineRun::read(Reader::root("run", Tape::parse(&text).unwrap().root()));
+        let back = back.unwrap();
         assert_eq!(back, run);
         // Bit-exactness carries through to the export surface.
         let mut a = Timeline::new();
@@ -431,8 +434,7 @@ mod tests {
         let mut b = Timeline::new();
         b.add_run(back.id, back.label.clone(), back.ranks.clone());
         assert_eq!(a.to_chrome_string(), b.to_chrome_string());
-        let err =
-            TimelineRun::read(Reader::root("run", &serde_json::json!({"id": 1}))).unwrap_err();
+        let err = read_value("run", &serde_json::json!({"id": 1}), TimelineRun::read).unwrap_err();
         assert_eq!(err.to_string(), "label: missing (expected a string)");
     }
 

@@ -13,10 +13,11 @@
 //!   (unsorted and duplicate keys, escapes, every number spelling, nesting
 //!   around the 128-level limit), the tape and the `Value` tree accept the
 //!   same texts and refuse the rest with the same error text.
-//! * The reader's two backings agree: everything a [`Reader`] says about an
-//!   accepted document — every accessor's value or exact error, `at` on
-//!   duplicate keys, the order of `members` — is the same over the tape as
-//!   over the tree.
+//! * The reader says what `Value`'s own accessors say: everything a
+//!   [`Reader`] over the tape says about an accepted document — every
+//!   accessor's value or exact error, `at` on duplicate keys, the order of
+//!   `members` — is what the same walk over the tree, done with `Value`'s
+//!   accessors and the reader's error rules restated, says.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -151,19 +152,25 @@ fn canonical_document(run: &TimelineRun) -> String {
     serde_json::to_string_pretty(&doc).unwrap()
 }
 
-/// [`check_parse`], and when `text` is accepted, the reader says the same
-/// about it over either backing, at a document root and at a line root.
+/// [`check_parse`], and when `text` is accepted, the reader over its tape
+/// says what the reference walk over its tree says, at a document root and
+/// at a line root.
 fn check_reader(text: &str) -> Result<(), TestCaseError> {
     check_parse(text)?;
     if let (Ok(value), Ok(tape)) = (serde_json::from_str(text), Tape::parse(text)) {
-        prop_assert_eq!(
-            transcript(Reader::root("doc", &value)),
-            transcript(Reader::root("doc", tape.root()))
-        );
-        let (line, taped) = (Reader::line("log", 4, &value), Reader::line("log", 4, tape.root()));
-        prop_assert_eq!(transcript(line), transcript(taped));
+        let root = Ref { value: Some(&value), document: "doc", path: String::new(), parent: None };
+        prop_assert_eq!(transcript(Reader::root("doc", tape.root())), reference(&root));
+        let line = Ref { document: "log", path: "[4]".into(), ..root };
+        prop_assert_eq!(transcript(Reader::line("log", 4, tape.root())), reference(&line));
     }
     Ok(())
+}
+
+fn show<T: std::fmt::Debug>(out: &mut String, what: &str, result: Result<T, JsonError>) {
+    let _ = match result {
+        Ok(v) => writeln!(out, "{what} = {v:?}"),
+        Err(e) => writeln!(out, "{what} ! {} @ {} : {}", e.document, e.path, e.detail),
+    };
 }
 
 /// Everything the reader says about the value at `r`, recursively: each
@@ -175,12 +182,6 @@ fn transcript(r: Reader<'_, '_>) -> String {
 }
 
 fn describe(r: Reader<'_, '_>, out: &mut String) {
-    fn show<T: std::fmt::Debug>(out: &mut String, what: &str, result: Result<T, JsonError>) {
-        let _ = match result {
-            Ok(v) => writeln!(out, "{what} = {v:?}"),
-            Err(e) => writeln!(out, "{what} ! {} @ {} : {}", e.document, e.path, e.detail),
-        };
-    }
     show(out, "f64", r.f64().map(f64::to_bits));
     show(out, "u64", r.u64());
     show(out, "i32", r.int::<i32>());
@@ -201,6 +202,111 @@ fn describe(r: Reader<'_, '_>, out: &mut String) {
             let _ = writeln!(out, "member {key:?}");
             describe(value, out);
         }),
+        Err(e) => show(out, "members", Err::<(), _>(e)),
+    }
+}
+
+/// A position in a `Value` tree for the reference walk: the value there (if
+/// any), the rendered path to it, and its parent.
+struct Ref<'a> {
+    value: Option<&'a Value>,
+    document: &'a str,
+    path: String,
+    parent: Option<&'a Ref<'a>>,
+}
+
+impl<'a> Ref<'a> {
+    fn child<'b>(&'b self, value: Option<&'b Value>, path: String) -> Ref<'b> {
+        Ref { value, document: self.document, path, parent: Some(self) }
+    }
+
+    /// The member `key` of the value here, if any.
+    fn key<'b>(&'b self, key: &str, value: Option<&'b Value>) -> Ref<'b> {
+        match self.path.is_empty() {
+            true => self.child(value, key.to_string()),
+            false => self.child(value, format!("{}.{key}", self.path)),
+        }
+    }
+
+    fn at<'b>(&'b self, key: &str) -> Ref<'b> {
+        self.key(key, self.value.and_then(|v| v.get(key)))
+    }
+
+    fn error(&self, detail: String) -> JsonError {
+        JsonError { document: self.document.into(), path: self.path.clone(), detail }
+    }
+
+    /// The reader's rule: a missing value under a non-object blames the
+    /// parent; otherwise "missing", or "expected …, got …".
+    fn expected(&self, what: &str) -> JsonError {
+        match (self.value, self.parent) {
+            (None, Some(p)) if p.value.is_none_or(|v| v.as_object().is_none()) => {
+                p.expected("an object")
+            }
+            (None, _) => self.error(format!("missing (expected {what})")),
+            (Some(v), _) => {
+                let found = match v {
+                    Value::Number(x) => format!("the number {x}"),
+                    Value::Bool(_) => "a bool".into(),
+                    Value::String(_) => "a string".into(),
+                    Value::Array(_) => "an array".into(),
+                    Value::Object(_) => "an object".into(),
+                    Value::Null => "null".into(),
+                };
+                self.error(format!("expected {what}, got {found}"))
+            }
+        }
+    }
+
+    fn get<T>(&self, what: &str, read: impl Fn(&'a Value) -> Option<T>) -> Result<T, JsonError> {
+        self.value.and_then(read).ok_or_else(|| self.expected(what))
+    }
+
+    fn array(&self) -> Result<&'a Vec<Value>, JsonError> {
+        self.get("an array", Value::as_array)
+    }
+}
+
+/// What [`transcript`] says, derived from the tree with `Value`'s accessors.
+fn reference(r: &Ref<'_>) -> String {
+    let mut out = String::new();
+    walk(r, &mut out);
+    out
+}
+
+fn walk(r: &Ref<'_>, out: &mut String) {
+    show(out, "f64", r.get("a number", Value::as_f64).map(f64::to_bits));
+    show(out, "u64", r.get("an integer (u64)", Value::as_u64));
+    let i32 = |v: &Value| v.as_i64().and_then(|i| i32::try_from(i).ok());
+    show(out, "i32", r.get("an integer (i32)", i32));
+    show(out, "bool", r.get("a bool", Value::as_bool));
+    show(out, "str", r.get("a string", Value::as_str));
+    let fixed = r.array().and_then(|items| match items.len() {
+        2 => Ok(()),
+        n => Err(r.error(format!("expected 2 elements, got {n}"))),
+    });
+    show(out, "fixed", fixed);
+    let _ = writeln!(out, "exists {}", r.value.is_some());
+    for key in ["a", "b", "missing"] {
+        let child = r.at(key);
+        show(out, key, child.at("deeper").get("an integer (u64)", Value::as_u64));
+        show(out, key, child.get("a string", Value::as_str));
+    }
+    match r.array() {
+        Ok(items) => {
+            for (i, item) in items.iter().enumerate() {
+                walk(&r.child(Some(item), format!("{}[{i}]", r.path)), out);
+            }
+        }
+        Err(e) => show(out, "items", Err::<(), _>(e)),
+    }
+    match r.get("an object", Value::as_object) {
+        Ok(members) => {
+            for (key, value) in members.iter() {
+                let _ = writeln!(out, "member {key:?}");
+                walk(&r.key(key, Some(value)), out);
+            }
+        }
         Err(e) => show(out, "members", Err::<(), _>(e)),
     }
 }

@@ -13,11 +13,11 @@
 //! job directory and reload it verbatim after a restart.
 
 use critter_autotune::{TuningOptions, TuningSpace};
-use critter_core::json::canonical_text;
+use critter_core::json::{canonical_text, Reader};
 use critter_core::ExecutionPolicy;
 use critter_session::StalenessPolicy;
 use critter_sim::{BackendKind, FaultPlan};
-use serde_json::Value;
+use serde_json::{Tape, Value};
 
 use crate::error::ServeError;
 
@@ -134,12 +134,10 @@ pub struct JobSpec {
 impl JobSpec {
     /// Parse and validate a spec from a JSON document.
     pub fn from_json(text: &str) -> Result<JobSpec, ServeError> {
-        let doc: Value = serde_json::from_str(text)
+        let tape = Tape::parse(text)
             .map_err(|e| ServeError::BadRequest(format!("body is not valid JSON: {e}")))?;
-        let map = doc
-            .as_object()
-            .ok_or_else(|| ServeError::BadRequest("job spec must be a JSON object".into()))?;
-        check_fields(map, &SPEC_FIELDS, "job spec")?;
+        let map = &Reader::root("job spec", tape.root());
+        check_fields(map, &SPEC_FIELDS, "job spec", "job spec must be a JSON object")?;
 
         // Names and their "unknown … (one of: …)" errors live next to the
         // enums (`FromStr`), shared with `critter-tune`.
@@ -174,23 +172,19 @@ impl JobSpec {
             .parse()
             .map_err(ServeError::BadRequest)?;
 
-        let faults = match map.get("faults") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(parse_faults(v)?),
-        };
-        let staleness = match map.get("staleness") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(parse_staleness(v)?),
-        };
-        let warm_start = match map.get("warm_start") {
-            None | Some(Value::Null) => None,
+        let faults = field(map, "faults").map(|v| parse_faults(&v)).transpose()?;
+        let staleness = field(map, "staleness").map(|v| parse_staleness(&v)).transpose()?;
+        let warm_start = match field(map, "warm_start") {
+            None => None,
             Some(v) => {
-                if v.as_object().is_none() {
+                if v.members().is_err() {
                     return Err(ServeError::BadRequest(
                         "field `warm_start` must be a profile JSON object".into(),
                     ));
                 }
-                Some(v.clone())
+                // Kept as a tree: it is written back out verbatim.
+                let text = v.node().expect("a set field has a value").text();
+                Some(serde_json::from_str(text).expect("a parsed value's text parses"))
             }
         };
         if staleness.is_some() && warm_start.is_none() {
@@ -406,11 +400,8 @@ impl JobSpec {
     }
 }
 
-fn parse_faults(v: &Value) -> Result<FaultPlan, ServeError> {
-    let map = v
-        .as_object()
-        .ok_or_else(|| ServeError::BadRequest("field `faults` must be a JSON object".into()))?;
-    check_fields(map, &FAULT_FIELDS, "faults")?;
+fn parse_faults(map: &Reader<'_, '_>) -> Result<FaultPlan, ServeError> {
+    check_fields(map, &FAULT_FIELDS, "faults", "field `faults` must be a JSON object")?;
     let mut plan = FaultPlan::new(opt_u64(map, "seed")?.unwrap_or(0xFA17));
     plan.panic_prob = opt_f64(map, "panic_prob")?.unwrap_or(0.0);
     plan.delay_prob = opt_f64(map, "delay_prob")?.unwrap_or(0.0);
@@ -440,11 +431,8 @@ fn parse_faults(v: &Value) -> Result<FaultPlan, ServeError> {
     Ok(plan)
 }
 
-fn parse_staleness(v: &Value) -> Result<StalenessSpec, ServeError> {
-    let map = v
-        .as_object()
-        .ok_or_else(|| ServeError::BadRequest("field `staleness` must be a JSON object".into()))?;
-    check_fields(map, &STALENESS_FIELDS, "staleness")?;
+fn parse_staleness(map: &Reader<'_, '_>) -> Result<StalenessSpec, ServeError> {
+    check_fields(map, &STALENESS_FIELDS, "staleness", "field `staleness` must be a JSON object")?;
     let spec = StalenessSpec {
         decay: opt_f64(map, "decay")?.unwrap_or(1.0),
         variance_inflation: opt_f64(map, "variance_inflation")?.unwrap_or(1.0),
@@ -464,64 +452,62 @@ fn parse_staleness(v: &Value) -> Result<StalenessSpec, ServeError> {
     Ok(spec)
 }
 
-fn check_fields(map: &serde_json::Map, allowed: &[&str], what: &str) -> Result<(), ServeError> {
-    for (key, _) in map.iter() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(ServeError::BadRequest(format!(
-                "unknown {what} field `{key}` (allowed: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn require_str<'m>(map: &'m serde_json::Map, key: &str) -> Result<&'m str, ServeError> {
-    match map.get(key) {
-        None | Some(Value::Null) => {
-            Err(ServeError::BadRequest(format!("missing required field `{key}`")))
-        }
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| ServeError::BadRequest(format!("field `{key}` must be a string"))),
+/// The object at `map` has only `allowed` fields: the first other one in
+/// sorted order is the error. A non-object is the error `not_object`.
+fn check_fields(
+    map: &Reader<'_, '_>,
+    allowed: &[&str],
+    what: &str,
+    not_object: &str,
+) -> Result<(), ServeError> {
+    let mut keys = map.members().map_err(|_| ServeError::BadRequest(not_object.into()))?;
+    match keys.find(|(key, _)| !allowed.contains(key)) {
+        Some((key, _)) => Err(ServeError::BadRequest(format!(
+            "unknown {what} field `{key}` (allowed: {})",
+            allowed.join(", ")
+        ))),
+        None => Ok(()),
     }
 }
 
-fn opt_str<'m>(map: &'m serde_json::Map, key: &str) -> Result<Option<&'m str>, ServeError> {
-    match map.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| ServeError::BadRequest(format!("field `{key}` must be a string"))),
-    }
+/// The field `key` of the object at `map`, unless it is absent or `null`.
+fn field<'v, 'q>(map: &'q Reader<'v, '_>, key: &'q str) -> Option<Reader<'v, 'q>> {
+    let value = map.at(key);
+    value.node().is_some_and(|v| v.text() != "null").then_some(value)
 }
 
-fn opt_bool(map: &serde_json::Map, key: &str) -> Result<Option<bool>, ServeError> {
-    match map.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| ServeError::BadRequest(format!("field `{key}` must be a boolean"))),
-    }
+fn mistyped(key: &str, what: &str) -> ServeError {
+    ServeError::BadRequest(format!("field `{key}` must be {what}"))
 }
 
-fn opt_u64(map: &serde_json::Map, key: &str) -> Result<Option<u64>, ServeError> {
-    match map.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
+fn require_str<'v>(map: &Reader<'v, '_>, key: &str) -> Result<&'v str, ServeError> {
+    opt_str(map, key)?
+        .ok_or_else(|| ServeError::BadRequest(format!("missing required field `{key}`")))
+}
+
+fn opt_str<'v>(map: &Reader<'v, '_>, key: &str) -> Result<Option<&'v str>, ServeError> {
+    field(map, key).map(|v| v.str().map_err(|_| mistyped(key, "a string"))).transpose()
+}
+
+fn opt_bool(map: &Reader<'_, '_>, key: &str) -> Result<Option<bool>, ServeError> {
+    field(map, key).map(|v| v.bool().map_err(|_| mistyped(key, "a boolean"))).transpose()
+}
+
+fn opt_u64(map: &Reader<'_, '_>, key: &str) -> Result<Option<u64>, ServeError> {
+    let read = |v: Reader<'_, '_>| {
+        v.u64().map_err(|_| {
             // A whole number past the exactly readable range is too large,
             // not mistyped.
-            if v.as_f64().is_some_and(|x| x >= 0.0 && x.fract() == 0.0) {
+            if v.f64().is_ok_and(|x| x >= 0.0 && x.fract() == 0.0) {
                 return too_large(key);
             }
-            ServeError::BadRequest(format!("field `{key}` must be an unsigned integer"))
-        }),
-    }
+            mistyped(key, "an unsigned integer")
+        })
+    };
+    field(map, key).map(read).transpose()
 }
 
-fn opt_usize(map: &serde_json::Map, key: &str) -> Result<Option<usize>, ServeError> {
+fn opt_usize(map: &Reader<'_, '_>, key: &str) -> Result<Option<usize>, ServeError> {
     opt_u64(map, key)?.map(|n| usize::try_from(n).map_err(|_| too_large(key))).transpose()
 }
 
@@ -529,14 +515,8 @@ fn too_large(key: &str) -> ServeError {
     ServeError::BadRequest(format!("field `{key}` is too large"))
 }
 
-fn opt_f64(map: &serde_json::Map, key: &str) -> Result<Option<f64>, ServeError> {
-    match map.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ServeError::BadRequest(format!("field `{key}` must be a number"))),
-    }
+fn opt_f64(map: &Reader<'_, '_>, key: &str) -> Result<Option<f64>, ServeError> {
+    field(map, key).map(|v| v.f64().map_err(|_| mistyped(key, "a number"))).transpose()
 }
 
 #[cfg(test)]

@@ -112,10 +112,12 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Read and parse one request from `stream`. Malformed input maps to typed
-/// 4xx errors; the caller renders them and closes the connection.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
-    stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
+/// Read and parse one request from `stream` (a socket, with its read
+/// timeout set by the caller). Malformed input maps to typed 4xx errors; the
+/// caller renders them and closes the connection.
+pub fn read_request(stream: &mut impl Read) -> Result<Request, ServeError> {
+    let too_large =
+        || ServeError::PayloadTooLarge(format!("request head exceeds {MAX_HEAD_BYTES} bytes"));
     // Read until the blank line ending the head, keeping any body bytes
     // that arrived in the same read.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
@@ -123,10 +125,9 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
         if let Some(pos) = find_head_end(&buf) {
             break pos;
         }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ServeError::PayloadTooLarge(format!(
-                "request head exceeds {MAX_HEAD_BYTES} bytes"
-            )));
+        // Without its terminator the head runs at least to the last 3 bytes.
+        if buf.len() > MAX_HEAD_BYTES + 3 {
+            return Err(too_large());
         }
         let mut chunk = [0u8; 4096];
         let n = stream
@@ -137,6 +138,10 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
         }
         buf.extend_from_slice(&chunk[..n]);
     };
+    // The terminator may arrive in the read that crosses the cap.
+    if head_end > MAX_HEAD_BYTES {
+        return Err(too_large());
+    }
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| ServeError::BadRequest("request head is not valid UTF-8".into()))?;
     let mut lines = head.split("\r\n");

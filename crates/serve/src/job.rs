@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use critter_core::json::{canonical_text, Reader};
 use critter_session::durable;
 use parking_lot::{Condvar, Mutex};
-use serde_json::Value;
+use serde_json::{Tape, Value};
 
 use crate::api::JobSpec;
 use crate::error::ServeError;
@@ -106,8 +106,8 @@ impl JobEvents {
         let log = durable::Log::open(path, |found| {
             for line in found.lines() {
                 let Ok(line) = line else { break };
-                let Ok(doc) = serde_json::from_str(line) else { break };
-                let seq = Reader::root("events.jsonl", &doc).at("seq").u64();
+                let Ok(tape) = Tape::parse(line) else { break };
+                let seq = Reader::root("events.jsonl", tape.root()).at("seq").u64();
                 if seq.ok() != Some(lines.len() as u64 + 1) {
                     break;
                 }
@@ -227,9 +227,9 @@ impl Registry {
             } else if dir.join("error.json").is_file() {
                 let detail = std::fs::read_to_string(dir.join("error.json"))
                     .ok()
-                    .and_then(|t| serde_json::from_str(&t).ok())
-                    .and_then(|v| {
-                        let record = Reader::root("error.json", &v);
+                    .and_then(|text| {
+                        let tape = Tape::parse(&text).ok()?;
+                        let record = Reader::root("error.json", tape.root());
                         record.at("error").at("detail").str().ok().map(str::to_string)
                     })
                     .unwrap_or_else(|| "unreadable error record".into());
@@ -556,8 +556,8 @@ mod tests {
         assert_eq!(registry.cancel("job-999999").unwrap_err().status(), 404);
 
         let status = registry.status_json(&id).unwrap();
-        let doc: Value = serde_json::from_str(&status).unwrap();
-        let status = Reader::root("status", &doc);
+        let tape = Tape::parse(&status).unwrap();
+        let status = Reader::root("status", tape.root());
         assert_eq!(status.at("state").str().unwrap(), "done");
         assert_eq!(status.at("spec").at("space").str().unwrap(), "slate-cholesky");
         let progress = status.at("progress");
@@ -585,7 +585,7 @@ mod tests {
         assert_eq!(kinds, ["state", "state", "progress", "state"]);
         assert_eq!(events[3].get("state").unwrap().as_str(), Some("preempted"));
         for (i, e) in events.iter().enumerate() {
-            assert_eq!(Reader::root("event", e).at("seq").u64().unwrap(), i as u64 + 1);
+            assert_eq!(e.get("seq"), Some(&serde_json::json!(i as u64 + 1)));
         }
         // `since` returns only the suffix.
         let (tail, _) = entry.events.since(3, Duration::ZERO);
@@ -604,7 +604,7 @@ mod tests {
         let (events, next) = entry.events.since(0, Duration::ZERO);
         assert_eq!(next, 5);
         assert_eq!(events[4].get("state").unwrap().as_str(), Some("queued"));
-        assert_eq!(Reader::root("event", &events[4]).at("seq").u64().unwrap(), 5);
+        assert_eq!(events[4].get("seq"), Some(&serde_json::json!(5)));
 
         // The torn bytes were cut on reload, so a second restart keeps
         // every event served so far and never reissues a `seq`.

@@ -36,7 +36,7 @@ use critter_store::Store;
 
 use crate::api::JobSpec;
 use crate::error::ServeError;
-use crate::http::{read_request, write_response, Request, Response};
+use crate::http::{read_request, write_response, Request, Response, READ_TIMEOUT};
 use crate::job::{JobState, Registry};
 use crate::scheduler::{JobTicket, QuotaConfig, Scheduler};
 use crate::API_VERSION;
@@ -226,6 +226,7 @@ fn http_loop(
             Ok(s) => s,
             Err(_) => return,
         };
+        stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
         let response = match read_request(&mut stream) {
             Ok(request) => {
                 // Handler panics become 500s, never a dead worker.

@@ -105,20 +105,17 @@ impl StalenessPolicy {
 ///
 /// let cfg = SessionConfig::new()
 ///     .with_checkpoint_dir("/tmp/sweep-ckpt")
-///     .with_checkpoint_every(4)
 ///     .with_staleness(StalenessPolicy::fresh().with_decay(0.5));
-/// assert_eq!(cfg.checkpoint_every, 4);
+/// assert_eq!(cfg.log_path().unwrap().file_name().unwrap(), "session.log");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 #[non_exhaustive]
 pub struct SessionConfig {
     /// Directory checkpoints are written to (`checkpoint.json`, the
     /// `timeline.jsonl` sidecar of an observed sweep and the `session.log`
-    /// event log). `None` disables checkpointing.
+    /// event log), one checkpoint per committed `(config, rep)` unit.
+    /// `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Write a checkpoint every this many completed `(config, rep)` units
-    /// (0 and 1 both mean every unit). Config boundaries always checkpoint.
-    pub checkpoint_every: u64,
     /// Profile to seed kernel models from before the sweep starts.
     pub warm_start: Option<PathBuf>,
     /// Where to persist the final kernel-model profile of this session.
@@ -140,12 +137,6 @@ impl SessionConfig {
     /// Enable checkpointing into `dir`.
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Set the checkpoint cadence in completed `(config, rep)` units.
-    pub fn with_checkpoint_every(mut self, units: u64) -> Self {
-        self.checkpoint_every = units;
         self
     }
 
@@ -192,11 +183,6 @@ impl SessionConfig {
     pub fn log_path(&self) -> Option<PathBuf> {
         self.checkpoint_dir.as_ref().map(|d| d.join("session.log"))
     }
-
-    /// The effective checkpoint cadence (`checkpoint_every` with 0 meaning 1).
-    pub fn cadence(&self) -> u64 {
-        self.checkpoint_every.max(1)
-    }
 }
 
 #[cfg(test)]
@@ -208,14 +194,11 @@ mod tests {
     fn builder_chains() {
         let cfg = SessionConfig::new()
             .with_checkpoint_dir("ck")
-            .with_checkpoint_every(3)
             .with_warm_start("profile.json")
             .with_profile_out("out.json");
         assert_eq!(cfg.checkpoint_path().unwrap(), PathBuf::from("ck/checkpoint.json"));
         assert_eq!(cfg.log_path().unwrap(), PathBuf::from("ck/session.log"));
         assert_eq!(cfg.timeline_path().unwrap(), PathBuf::from("ck/timeline.jsonl"));
-        assert_eq!(cfg.cadence(), 3);
-        assert_eq!(SessionConfig::new().cadence(), 1);
         assert_eq!(SessionConfig::new().checkpoint_path(), None);
         let store_only = SessionConfig::new().with_store("store-dir");
         assert_eq!(store_only.store.as_deref(), Some(std::path::Path::new("store-dir")));

@@ -16,6 +16,7 @@ use std::sync::{Mutex, PoisonError};
 use critter_core::json::Reader;
 use critter_core::{CritterError, Result};
 use critter_obs::{Event, EventKind};
+use serde_json::Tape;
 
 use crate::durable::Log;
 
@@ -56,8 +57,8 @@ impl SessionLog {
             lines
                 .map(|(i, line)| {
                     let line = line.map_err(|e| parse(e.to_string()))?;
-                    let v = serde_json::from_str(line).map_err(|e| parse(e.to_string()))?;
-                    Ok(Event::read(Reader::line(&document, i, &v))?)
+                    let tape = Tape::parse(line).map_err(|e| parse(e.to_string()))?;
+                    Ok(Event::read(Reader::line(&document, i, tape.root()))?)
                 })
                 .collect()
         })

@@ -25,7 +25,7 @@ pub fn save(path: &Path, fingerprint: u64, stores: &[KernelStore]) -> Result<()>
 /// of warm-starting), so most callers pass `None` and rely on the content
 /// hash plus the rank-count check in [`warm_start`].
 pub fn load(path: &Path, fingerprint: Option<u64>) -> Result<Vec<KernelStore>> {
-    envelope::load(path, "profile", fingerprint, |payload| snapshot::stores_from_json(payload))
+    envelope::load(path, "profile", fingerprint, snapshot::stores_from_json)
 }
 
 /// Load a profile, verify it matches the sweep's rank count, and apply the

@@ -7,8 +7,8 @@
 //! generation whose envelope validates always sees a consistent store,
 //! no matter how many writers died mid-commit.
 
-use critter_core::json::{JsonError, Node, Reader};
-use serde_json::Value;
+use critter_core::json::{JsonError, Reader};
+use serde_json::{TapeNode, Value};
 
 use crate::machine::MachineSpec;
 
@@ -94,10 +94,10 @@ impl Index {
         })
     }
 
-    /// Parse a generation payload (tree or tape); `generation` must match
-    /// the number the file name (and envelope fingerprint) claims. A run of
-    /// entries from one machine renders its spec once.
-    pub fn from_json<'v>(v: impl Into<Node<'v>>, generation: u64) -> critter_core::Result<Index> {
+    /// Parse a generation payload; `generation` must match the number the
+    /// file name (and envelope fingerprint) claims. A run of entries from
+    /// one machine renders its spec once.
+    pub fn from_json(v: TapeNode<'_>, generation: u64) -> critter_core::Result<Index> {
         let r = Reader::root("store index", v);
         let found = r.at("generation").u64()?;
         if found != generation {
@@ -121,7 +121,15 @@ impl Index {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use critter_core::json::read_value;
     use critter_machine::{MachineParams, NoiseParams};
+    use serde_json::Tape;
+
+    /// [`Index::from_json`] of an in-memory payload, by way of its text.
+    fn decode(doc: &Value, generation: u64) -> critter_core::Result<Index> {
+        let text = serde_json::to_string(doc).unwrap();
+        Index::from_json(Tape::parse(&text).unwrap().root(), generation)
+    }
 
     fn entry(seq: u64) -> StoreEntry {
         let machine =
@@ -133,10 +141,10 @@ mod tests {
     #[test]
     fn index_round_trips() {
         let idx = Index { generation: 3, entries: vec![entry(1), entry(2)] };
-        let back = Index::from_json(&idx.to_json(), 3).unwrap();
+        let back = decode(&idx.to_json(), 3).unwrap();
         assert_eq!(idx, back);
         assert_eq!(back.max_seq(), 2);
-        assert!(Index::from_json(&idx.to_json(), 4).is_err(), "generation binding");
+        assert!(decode(&idx.to_json(), 4).is_err(), "generation binding");
     }
 
     /// The fingerprint an entry reuses from the one before is still
@@ -147,7 +155,7 @@ mod tests {
             let mut entries: Vec<Value> = (1..4).map(|seq| entry(seq).to_json()).collect();
             *entries[tampered].get_mut("machine_fp").unwrap() = serde_json::json!(7u64);
             let doc = serde_json::json!({"entries": entries, "generation": 1u64});
-            let err = Index::from_json(&doc, 1).unwrap_err().to_string();
+            let err = decode(&doc, 1).unwrap_err().to_string();
             let at = format!("entries[{tampered}].machine_fp: cached machine fingerprint 7");
             assert!(err.contains(&at), "got: {err}");
         }
@@ -159,7 +167,7 @@ mod tests {
         if let Value::Object(m) = &mut doc {
             m.insert("machine_fp".into(), serde_json::json!(1u64));
         }
-        let err = StoreEntry::read(Reader::root("entry", &doc), None).unwrap_err();
+        let err = read_value("entry", &doc, |r| StoreEntry::read(r, None)).unwrap_err();
         assert_eq!(err.path, "machine_fp");
         assert!(err.detail.contains("does not match the spec"), "got: {err}");
     }

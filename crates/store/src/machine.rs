@@ -114,6 +114,7 @@ impl MachineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use critter_core::json::read_value;
 
     #[test]
     fn fingerprint_is_stable_and_spec_sensitive() {
@@ -130,10 +131,10 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let a = MachineSpec::from_models(&MachineParams::stampede2_knl(), &NoiseParams::cluster());
-        let back = MachineSpec::read(Reader::root("spec", &a.to_json())).unwrap();
+        let back = read_value("spec", &a.to_json(), MachineSpec::read).unwrap();
         assert_eq!(a, back);
         assert_eq!(a.fingerprint(), back.fingerprint());
-        let err = MachineSpec::read(Reader::root("spec", &serde_json::json!({"alpha": 1.0})));
+        let err = read_value("spec", &serde_json::json!({"alpha": 1.0}), MachineSpec::read);
         assert_eq!(err.unwrap_err().to_string(), "beta: missing (expected a number)");
     }
 

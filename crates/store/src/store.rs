@@ -173,9 +173,7 @@ impl Store {
     /// Load a blob's kernel stores back by content hash, verifying the
     /// envelope and the name binding on the way.
     pub fn load_blob(&self, hash: u64) -> Result<Vec<KernelStore>> {
-        envelope::load(&self.blob_path(hash), BLOB_KIND, Some(hash), |payload| {
-            snapshot::stores_from_json(payload)
-        })
+        envelope::load(&self.blob_path(hash), BLOB_KIND, Some(hash), snapshot::stores_from_json)
     }
 
     /// List `(generation, path)` for every parseable index file name,

@@ -191,7 +191,7 @@ fn kill_and_resume(
     let space = TuningSpace::SlateCholesky;
     let opts =
         |backend| observed(space, ExecutionPolicy::LocalPropagation, 0.25, 0).with_backend(backend);
-    let session = SessionConfig::new().with_checkpoint_dir(dir).with_checkpoint_every(1);
+    let session = SessionConfig::new().with_checkpoint_dir(dir);
     let runs = Arc::new(AtomicUsize::new(0));
     let killers: Vec<Arc<dyn Workload>> = space
         .smoke()

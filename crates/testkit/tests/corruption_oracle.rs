@@ -29,14 +29,14 @@ use std::sync::Arc;
 use critter_algs::{Workload, WorkloadOutput};
 use critter_autotune::{Autotuner, ProgressVerdict, SessionConfig, TuningOptions, TuningReport};
 use critter_core::fnv::FnvHasher;
-use critter_core::json::{canonical_text, JsonError};
+use critter_core::json::{canonical_text, read_value};
 use critter_core::{snapshot, CritterEnv, CritterError, ExecutionPolicy, KernelStore};
 use critter_machine::{MachineParams, NoiseParams};
 use critter_obs::{Event, EventKind};
 use critter_session::{durable, envelope, profile, SessionLog};
 use critter_sim::{FaultPlan, ReduceOp};
 use critter_store::{Index, MachineSpec, Store, INDEX_KIND};
-use serde_json::{Tape, Value};
+use serde_json::{Tape, TapeNode, Value};
 
 // ---------------------------------------------------------------------------
 // The walker.
@@ -255,19 +255,14 @@ fn sealed_payload(path: &std::path::Path, kind: &str, fingerprint: u64) -> Value
     serde_json::from_str(payload.text()).unwrap()
 }
 
-/// Decode `doc` through both backings of the reader — its tree, and the tape
-/// of its canonical text, which is what a sealed load decodes — and require
-/// the same outcome of both.
-fn both_backings<T>(
+/// Decode `doc` the way a sealed load does: from the tape of its canonical
+/// text.
+fn taped<T>(
     doc: &Value,
-    decode: impl Fn(critter_core::json::Node<'_>) -> critter_core::Result<T>,
+    decode: impl Fn(TapeNode<'_>) -> critter_core::Result<T>,
 ) -> Result<(), String> {
     let text = canonical_text(doc);
-    let tape = Tape::parse(&text).unwrap();
-    let (tree, taped) = (decode(doc.into()).map(drop), decode(tape.root().into()).map(drop));
-    let (tree, taped) = (tree.map_err(located), taped.map_err(located));
-    assert_eq!(tree, taped, "the tape and the tree must decode alike");
-    tree
+    decode(Tape::parse(&text).unwrap().root()).map(drop).map_err(located)
 }
 
 /// A two-rank workload small enough that every node of its observed
@@ -487,7 +482,7 @@ fn profile_and_envelope_damage_is_located() {
     assert!(!fits.get("compute").unwrap().as_array().unwrap().is_empty(), "no compute fits");
 
     assert_every_damage_is_located("profile", payload, &[], &|doc| {
-        both_backings(doc, |node| snapshot::stores_from_json(node))
+        taped(doc, snapshot::stores_from_json)
     });
     // The envelope around it: its own fields are located; the payload is
     // guarded by the content hash, so damage there is a hash mismatch.
@@ -515,14 +510,13 @@ fn store_index_generation_damage_is_located() {
     let file = dir.join("store").join("index").join(format!("gen-{:020}.json", 2));
     let payload = &sealed_payload(&file, INDEX_KIND, 2);
     assert_every_damage_is_located("store index", payload, &[], &|doc| {
-        both_backings(doc, |node| Index::from_json(node, 2))
+        taped(doc, |node| Index::from_json(node, 2))
     });
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn session_log_damage_is_located() {
-    let text = |e: JsonError| e.to_string();
     let dir = scratch("log");
     let path = dir.join("session.log");
     let log = SessionLog::open(&path).unwrap();
@@ -530,7 +524,7 @@ fn session_log_damage_is_located() {
     let line = std::fs::read_to_string(&path).unwrap();
     let event = serde_json::from_str(line.lines().next().expect("one line")).unwrap();
     assert_every_damage_is_located("session.log line", &event, &[], &|doc| {
-        Event::from_json(doc).map(drop).map_err(text)
+        read_value("event", doc, Event::read).map(drop).map_err(|e| e.to_string())
     });
     // Through the log's own reader the error also names the file.
     std::fs::write(&path, line.replace("\"arg\":3", "\"arg\":\"three\"")).unwrap();

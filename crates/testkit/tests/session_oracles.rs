@@ -24,6 +24,7 @@ use critter_algs::{Workload, WorkloadOutput};
 use critter_autotune::{
     Autotuner, ProgressVerdict, SessionConfig, StalenessPolicy, TuningOptions, TuningSpace,
 };
+use critter_core::json::Reader;
 use critter_core::{CritterEnv, ExecutionPolicy};
 use critter_obs::EventKind;
 use critter_sim::FaultPlan;
@@ -108,7 +109,7 @@ fn kill_and_resume(
     kill_after: usize,
     workers: usize,
 ) -> ((String, String), Vec<EventKind>) {
-    let session = SessionConfig::new().with_checkpoint_dir(dir).with_checkpoint_every(1);
+    let session = SessionConfig::new().with_checkpoint_dir(dir);
     let tuner = Autotuner::new(options().with_workers(workers));
     let runs = Arc::new(AtomicUsize::new(0));
     let killers: Vec<Arc<dyn Workload>> = workloads()
@@ -134,8 +135,8 @@ fn critter_session_log_kinds(session: &SessionConfig) -> Vec<EventKind> {
     let text = std::fs::read_to_string(path).expect("session log exists");
     text.lines()
         .map(|line| {
-            let v: serde_json::Value = serde_json::from_str(line).unwrap();
-            critter_obs::Event::from_json(&v).unwrap().kind
+            let tape = serde_json::Tape::parse(line).unwrap();
+            critter_obs::Event::read(Reader::root("session.log", tape.root())).unwrap().kind
         })
         .collect()
 }
@@ -168,7 +169,7 @@ proptest! {
 /// Run a checkpoint-every-unit session of `opts` in `dir` until the progress
 /// hook preempts it at `units` committed units.
 fn stop_at(dir: &std::path::Path, opts: TuningOptions, units: usize) -> SessionConfig {
-    let session = SessionConfig::new().with_checkpoint_dir(dir).with_checkpoint_every(1);
+    let session = SessionConfig::new().with_checkpoint_dir(dir);
     let stopped = Autotuner::new(opts)
         .with_progress(move |p| match p.units_done < units {
             true => ProgressVerdict::Continue,
@@ -259,7 +260,7 @@ fn an_unobserved_checkpoint_refuses_an_observed_resume() {
 #[test]
 fn checkpoint_refuses_a_different_sweep() {
     let dir = scratch("fingerprint-mismatch");
-    let session = SessionConfig::new().with_checkpoint_dir(&dir).with_checkpoint_every(1);
+    let session = SessionConfig::new().with_checkpoint_dir(&dir);
     Autotuner::new(options()).tune_session(&workloads(), &session).unwrap();
     let err = Autotuner::new(options().with_seed(0xBAD5EED))
         .tune_session(&workloads(), &session)

@@ -19,16 +19,25 @@ gate() {
     fi
 }
 
-# Persisted documents are decoded only through `critter_obs::json`
-# (DESIGN.md §6.2), so `serde_json::Value`'s typed accessors may appear in
-# that module and in critter-serve's request codec — nowhere else under
-# `crates/*/src`. `as_str` is left out of the pattern because it is
+# Persisted documents and request bodies are decoded only through
+# `critter_obs::json` (DESIGN.md §6.2), so typed accessors of a JSON value
+# (`Value`'s or a tape node's) may appear in that module and nowhere else
+# under `crates/*/src`. `as_str` is left out of the pattern because it is
 # `String`'s method too.
 one_json_reader() {
     ! grep -rnE '\.as_(u64|i64|f64|bool|array|object)\(\)|Value::as_[a-z0-9]+' crates/*/src \
-        | grep -vE '^crates/(obs/src/json|serve/src/api)\.rs:'
+        | grep -v '^crates/obs/src/json\.rs:'
 }
 gate "one JSON reader (no hand-rolled decoder outside critter_obs::json)" one_json_reader
+
+# The reader has one backing, a node of a `serde_json::Tape` (DESIGN.md
+# §6.2): no second kind of node it dispatches over, and no way to build a
+# reader over a `Value` tree, which is decoded by way of its text instead.
+one_reader_backing() {
+    ! grep -rnE 'enum Node\b|Node::Tree|impl<.v> From<&.v Value>' crates/*/src
+}
+gate "one reader backing (the JSON reader reads a tape node, never a Value tree)" \
+    one_reader_backing
 
 # `session.log`, `timeline.jsonl` and `events.jsonl` open, cut and append
 # through `critter_session::durable::Log` (DESIGN.md §6.2), the one owner of
