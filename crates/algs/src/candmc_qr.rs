@@ -79,6 +79,10 @@ impl Workload for CandmcQr {
         self.pr * self.pc
     }
 
+    fn bsp(&self) -> Option<crate::bsp::BspCost> {
+        Some(crate::bsp::candmc_qr(self.m, self.n, self.pr, self.pc, self.block))
+    }
+
     fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
         self.validate();
         let b = self.block;

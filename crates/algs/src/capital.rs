@@ -243,6 +243,10 @@ impl Workload for CapitalCholesky {
         self.ranks
     }
 
+    fn bsp(&self) -> Option<crate::bsp::BspCost> {
+        Some(crate::bsp::capital_cholesky(self.n, self.ranks, self.block))
+    }
+
     fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
         let grid = Grid3D::new(env);
         let n = self.n;

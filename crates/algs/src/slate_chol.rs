@@ -207,6 +207,10 @@ impl Workload for SlateCholesky {
         self.pr * self.pc
     }
 
+    fn bsp(&self) -> Option<crate::bsp::BspCost> {
+        Some(crate::bsp::slate_cholesky(self.n, self.pr, self.pc, self.tile, self.lookahead))
+    }
+
     fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
         let nt = self.nt();
         let rank = env.rank();

@@ -169,6 +169,10 @@ impl Workload for SlateQr {
         self.pr * self.pc
     }
 
+    fn bsp(&self) -> Option<crate::bsp::BspCost> {
+        Some(crate::bsp::slate_qr(self.m, self.n, self.pr, self.pc, self.nb, self.inner))
+    }
+
     fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
         self.validate();
         let (mt, nt) = (self.mt(), self.nt());

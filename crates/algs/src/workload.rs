@@ -25,4 +25,10 @@ pub trait Workload: Send + Sync {
     /// Execute the algorithm through the interception layer. `verify`
     /// requests numerical residual computation (full-execution runs only).
     fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput;
+
+    /// The analytic BSP cost of this configuration, where the paper gives a
+    /// closed form for its schedule (see [`crate::bsp`]).
+    fn bsp(&self) -> Option<crate::bsp::BspCost> {
+        None
+    }
 }

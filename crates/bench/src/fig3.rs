@@ -1,15 +1,14 @@
 //! Figure 3 (panels a–l): per-configuration critical-path costs for the four
 //! workloads — BSP communication vs synchronization (a–d), BSP computation vs
 //! synchronization (e–h), and critical-path execution time (i–l) — measured
-//! on full executions, with the analytic BSP models of `critter_algs::bsp`
-//! printed alongside for the two algorithms the paper gives closed forms for.
+//! on full executions, with each configuration's analytic BSP model
+//! (`Workload::bsp`) printed alongside where its schedule has one.
 //!
 //! Lives in the library (rather than only in the `fig3` binary) so the
 //! testkit can drive the full pipeline — including `--trace-out` exports —
 //! through [`run_with`] and assert byte-identical artifacts across `--jobs`
 //! levels.
 
-use critter_algs::bsp;
 use critter_autotune::TuningSpace;
 use critter_core::ExecutionPolicy;
 use critter_obs::ObsReport;
@@ -37,6 +36,8 @@ pub fn run_with(opts: &FigOpts, spaces: &[TuningSpace], smoke: bool) {
         sweep(opts, space, ExecutionPolicy::Full, 0.0, 0, workers, observe, smoke)
     });
     for (&space, report) in spaces.iter().zip(&reports) {
+        // The analytic models are printed for the full grid only.
+        let models = if smoke { Vec::new() } else { space.bench() };
         let mut table = Table::new(
             &format!("fig3-{}", space.name()),
             &[
@@ -56,7 +57,7 @@ pub fn run_with(opts: &FigOpts, spaces: &[TuningSpace], smoke: bool) {
         let mut rows_json = Vec::new();
         for (v, cfg) in report.configs.iter().enumerate() {
             let (full, _) = &cfg.pairs[0];
-            let bsp = if smoke { None } else { analytic(space, v) };
+            let bsp = models.get(v).and_then(|w| w.bsp());
             let (bs, bw, bf) =
                 bsp.map(|b| (f(b.supersteps), f(b.words), f(b.flops))).unwrap_or_default();
             table.row(vec![
@@ -96,33 +97,5 @@ pub fn run_with(opts: &FigOpts, spaces: &[TuningSpace], smoke: bool) {
             }
         }
         emit_obs(opts, &combined);
-    }
-}
-
-/// Analytic BSP cost of configuration `v`, where the paper provides a model.
-/// The `v` decoding mirrors each space's `bench()` grid, so it only applies
-/// to the full (non-smoke) configuration spaces.
-fn analytic(space: TuningSpace, v: usize) -> Option<bsp::BspCost> {
-    match space {
-        TuningSpace::CapitalCholesky => Some(bsp::capital_cholesky(512, 64, 16 << (v % 5))),
-        TuningSpace::CandmcQr => {
-            let pr = 4 << (v / 5);
-            let pc = 16 / pr;
-            let (m, n) = (512, 128);
-            let mut b = 2 << (v % 5);
-            while b > 1 && (m % (b * pr) != 0 || n % (b * pc) != 0) {
-                b /= 2;
-            }
-            Some(bsp::candmc_qr(m, n, pr, pc, b))
-        }
-        TuningSpace::SlateCholesky => Some(bsp::slate_cholesky(384, 4, 4, 16 + 8 * (v / 2), v % 2)),
-        TuningSpace::SlateQr => {
-            let nb = 8 + 4 * ((v / 3) % 7);
-            let w = (2 << (v % 3)).min(nb);
-            let pr: usize = (4 / (1 << (v / 21))).max(1);
-            let pc = 16 / pr;
-            Some(bsp::slate_qr(512, 64, pr, pc, nb, w))
-        }
-        _ => None, // extension spaces have no paper-provided closed form
     }
 }

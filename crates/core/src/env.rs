@@ -29,11 +29,10 @@ use critter_sim::{Communicator, RankCtx, ReduceOp, Request};
 
 use crate::channels::ChannelRegistry;
 use crate::message::{combine_internal, EagerEntry, InternalMsg};
-use crate::policy::{CritterConfig, ExecutionPolicy, CONFIDENCE, INTERNAL_WORDS_CAP, MIN_SAMPLES};
+use crate::policy::{CritterConfig, ExecutionPolicy, INTERNAL_WORDS_CAP, MIN_SAMPLES};
 use crate::profile::KernelStore;
 use crate::report::{CritterReport, PathMetrics};
 use crate::signature::{ComputeOp, KernelSig};
-use critter_stats::ConfidenceLevel;
 
 /// Combine for the finalization busy-time reduction: `[sum, max, count]`.
 fn combine_busy(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -58,7 +57,6 @@ pub struct CritterRequest {
 pub struct CritterEnv<'a> {
     ctx: &'a mut RankCtx,
     cfg: CritterConfig,
-    level: ConfidenceLevel,
     store: KernelStore,
     registry: ChannelRegistry,
     /// `P.exec_time`: the predicted execution time along this rank's current
@@ -86,12 +84,10 @@ impl<'a> CritterEnv<'a> {
     /// channel) with a fresh or persisted kernel store.
     pub fn new(ctx: &'a mut RankCtx, cfg: CritterConfig, store: KernelStore) -> Self {
         let registry = ChannelRegistry::new(ctx.size());
-        let level = ConfidenceLevel::new(CONFIDENCE);
         let obs = cfg.obs.then(|| RankRecorder::with_capacity(ctx.rank(), cfg.obs_capacity));
         CritterEnv {
             ctx,
             cfg,
-            level,
             store,
             registry,
             exec_time: 0.0,
@@ -201,21 +197,18 @@ impl<'a> CritterEnv<'a> {
             return true;
         }
         let k = self.effective_count(sig.key());
-        let policy = self.cfg.policy;
-        let epsilon = self.cfg.epsilon;
-        let level = &self.level;
         let m = self.store.model_mut(sig);
-        if policy == ExecutionPolicy::EagerPropagation && m.eager_off {
+        if self.cfg.policy == ExecutionPolicy::EagerPropagation && m.eager_off {
             return false;
         }
-        if policy.executes_once_per_config() && m.executed_this_config == 0 {
+        if self.cfg.policy.executes_once_per_config() && m.executed_this_config == 0 {
             return true;
         }
         if m.stats.count() < MIN_SAMPLES {
             return true;
         }
-        let ci = m.interval(level);
-        let predictable = ci.predictable(epsilon, k);
+        let ci = m.interval();
+        let predictable = ci.predictable(self.cfg.epsilon, k);
         if self.observing() {
             let rel = ci.relative_scaled(k);
             let now = self.ctx.now();
@@ -276,7 +269,6 @@ impl<'a> CritterEnv<'a> {
         let mut eager = Vec::new();
         if self.cfg.policy == ExecutionPolicy::EagerPropagation {
             if let Some(meta) = eager_meta {
-                let epsilon = self.cfg.epsilon;
                 for (key, m) in self.store.local.iter() {
                     if m.eager_off || m.stats.count() < MIN_SAMPLES {
                         continue;
@@ -290,7 +282,7 @@ impl<'a> CritterEnv<'a> {
                     {
                         continue;
                     }
-                    if m.interval(&self.level).predictable(epsilon, 1) {
+                    if m.interval().predictable(self.cfg.epsilon, 1) {
                         eager.push(EagerEntry::from_stats(*key, &m.stats, m.eager_coverage));
                     }
                 }
@@ -348,11 +340,8 @@ impl<'a> CritterEnv<'a> {
                     m.stats = e.to_stats();
                     m.eager_strides = strides;
                     m.eager_coverage = cov;
-                    if m.eager_coverage >= world {
-                        let ci = m.interval(&self.level);
-                        if ci.predictable(self.cfg.epsilon, 1) {
-                            m.eager_off = true;
-                        }
+                    if m.eager_coverage >= world && m.interval().predictable(self.cfg.epsilon, 1) {
+                        m.eager_off = true;
                     }
                 }
             }

@@ -1,10 +1,17 @@
 //! Selective-execution policies and framework configuration (§IV-B).
 
+use std::sync::LazyLock;
+
+use critter_stats::ConfidenceLevel;
+
 use crate::extrapolate::ExtrapolationConfig;
 use crate::signature::SizeGranularity;
 
-/// Confidence level of the per-kernel intervals (the paper uses 95%).
-pub(crate) const CONFIDENCE: f64 = 0.95;
+/// Confidence level of the per-kernel intervals (the paper uses 95%): one
+/// per process, so every rank of every run reads one table of critical
+/// values.
+pub(crate) static CONFIDENCE: LazyLock<ConfidenceLevel> =
+    LazyLock::new(|| ConfidenceLevel::new(0.95));
 
 /// Samples a kernel needs before it may be considered predictable.
 pub(crate) const MIN_SAMPLES: u64 = 2;

@@ -1,10 +1,11 @@
 //! Per-rank kernel performance state: the paper's `K̄` (local statistics) and
 //! `K̃` (current sub-critical-path execution counts).
 
-use critter_stats::{ConfidenceInterval, ConfidenceLevel, OnlineStats};
+use critter_stats::{ConfidenceInterval, OnlineStats};
 
 use crate::extrapolate::ExtrapolationTable;
 use crate::fnv::FnvMap;
+use crate::policy::CONFIDENCE;
 use crate::signature::KernelSig;
 
 /// Local performance model of one kernel signature (an entry of `K̄`).
@@ -45,13 +46,9 @@ impl KernelModel {
         }
     }
 
-    fn new(sig: KernelSig) -> Self {
-        Self::from_sig(sig)
-    }
-
-    /// Confidence interval on the mean under `level`.
-    pub fn interval(&self, level: &ConfidenceLevel) -> ConfidenceInterval {
-        ConfidenceInterval::from_stats(&self.stats, level)
+    /// Confidence interval on the mean at the process's confidence level.
+    pub fn interval(&self) -> ConfidenceInterval {
+        ConfidenceInterval::from_stats(&self.stats, &CONFIDENCE)
     }
 }
 
@@ -79,7 +76,7 @@ impl KernelStore {
 
     /// Get or create the local model for `sig`.
     pub fn model_mut(&mut self, sig: &KernelSig) -> &mut KernelModel {
-        self.local.entry(sig.key()).or_insert_with(|| KernelModel::new(sig.clone()))
+        self.local.entry(sig.key()).or_insert_with(|| KernelModel::from_sig(sig.clone()))
     }
 
     /// Look up the local model by key.

@@ -6,9 +6,9 @@
 //! <data-dir>/job-000001/
 //!   spec.json        canonical JobSpec (written at submit, reloaded on restart)
 //!   warm-start.json  inline warm-start profile, when the spec carries one
-//!   checkpoint.json  session-engine checkpoint head (while running)
+//!   checkpoint.json  session-engine checkpoint head (until terminal)
 //!   timeline.jsonl   observed runs the head counts, appended once per unit
-//!                    (when the spec observes)
+//!                    (when the spec observes; until terminal)
 //!   session.log      session-engine unit log
 //!   events.jsonl     append-only state/progress event log (streamed via
 //!                    GET /v1/jobs/{id}/events; reloaded on restart)
@@ -26,7 +26,7 @@
 //! is why a killed daemon can rebuild its registry by re-listing the job
 //! directories: jobs with no terminal artifact (including jobs killed
 //! while preempted) re-enter the queue and the session engine resumes them
-//! from their checkpoint.
+//! from their checkpoint, which a terminal job no longer keeps.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -57,8 +57,7 @@ pub enum JobState {
     /// The sweep returned an error; see `error.json`.
     Failed,
     /// Cancelled via `DELETE /v1/jobs/{id}` at a checkpointed unit
-    /// boundary — resubmitting the same spec would resume, but the daemon
-    /// keeps the directory as a record instead.
+    /// boundary; the directory stays as a record.
     Cancelled,
 }
 
@@ -177,6 +176,20 @@ pub struct JobEntry {
     pub events: Arc<JobEvents>,
 }
 
+/// Remove the files a job resumes from (checkpoint head, observed-run
+/// timeline), which a terminal job never reads again. A file already gone is
+/// fine; any other failure is logged and never fails the job.
+pub(crate) fn remove_resume_state(dir: &Path) {
+    for path in [dir.join("checkpoint.json"), dir.join("timeline.jsonl")] {
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                eprintln!("critter-serve: removing {}: {e}", path.display())
+            }
+            _ => {}
+        }
+    }
+}
+
 /// The daemon's job table, backed by the data directory.
 pub struct Registry {
     data_dir: PathBuf,
@@ -238,6 +251,9 @@ impl Registry {
                 pending.push(id.clone());
                 (JobState::Queued, 0, None)
             };
+            if state.is_terminal() {
+                remove_resume_state(&dir);
+            }
             jobs.insert(
                 id,
                 JobEntry {
@@ -666,6 +682,41 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(2));
         // A zero wait never blocks.
         assert_eq!(ev.since(1, Duration::ZERO), (Vec::new(), 1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A daemon that dies between a job's terminal artifact and the removal
+    /// of its resume state (or a data dir written before terminal jobs
+    /// dropped it) leaves both files behind; the restart removes them from
+    /// every terminal job and keeps them for the one that still resumes.
+    #[test]
+    fn reopen_removes_the_resume_state_of_terminal_jobs() {
+        let dir = temp_dir("leftovers");
+        let (registry, _) = Registry::open(&dir).unwrap();
+        let ids: Vec<String> = (0..4).map(|_| registry.create(spec()).unwrap()).collect();
+        let artifacts = ["report.json", "error.json", "cancelled.json"];
+        for (id, artifact) in ids.iter().zip(artifacts) {
+            write_atomic(&registry.job_dir(id).join(artifact), b"{}\n").unwrap();
+        }
+        let resume_state = ["checkpoint.json", "timeline.jsonl"];
+        for id in &ids {
+            for name in resume_state {
+                write_atomic(&registry.job_dir(id).join(name), b"{}\n").unwrap();
+            }
+        }
+        drop(registry);
+
+        let (reopened, pending) = Registry::open(&dir).unwrap();
+        assert_eq!(pending, [ids[3].clone()]);
+        for (i, id) in ids.iter().enumerate() {
+            let job_dir = reopened.job_dir(id);
+            for name in resume_state {
+                assert_eq!(job_dir.join(name).exists(), i == 3, "{id}/{name}");
+            }
+            for kept in ["spec.json", "events.jsonl"] {
+                assert!(job_dir.join(kept).is_file(), "{id}/{kept}");
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -38,7 +38,7 @@ use critter_session::durable::write_atomic;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::ServeError;
-use crate::job::{JobState, Registry};
+use crate::job::{remove_resume_state, JobState, Registry};
 
 /// Per-tenant admission limits; `0` means unlimited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -519,13 +519,14 @@ fn run_job(
     let workloads = spec.workloads();
     match tuner.tune_session(&workloads, &session) {
         Ok(report) => {
+            // `report.json` is the terminal artifact, so it goes last: a job
+            // recovered as done has every artifact it serves.
             let write = || -> critter_core::Result<()> {
-                write_atomic(&dir.join("report.json"), report.to_json_string().as_bytes())?;
                 if spec.observe {
                     let obs = report.obs.as_ref().expect("observed sweeps carry a trace");
                     write_atomic(&dir.join("metrics.txt"), obs.metrics_string().as_bytes())?;
                 }
-                Ok(())
+                write_atomic(&dir.join("report.json"), report.to_json_string().as_bytes())
             };
             match write() {
                 Ok(()) => finish(registry, id, JobState::Done, None),
@@ -552,9 +553,10 @@ fn run_job(
     }
 }
 
-/// Write the terminal artifact for `state` and update the registry. The
-/// artifact is written first: if the daemon dies in between, restart
-/// recovery reads the state back from the artifact.
+/// Write the terminal artifact for `state`, remove the job's resume state,
+/// and update the registry. The artifact is written first: if the daemon
+/// dies in between, restart recovery reads the state back from it (and
+/// removes the resume state then); a job whose artifact failed keeps both.
 fn finish(registry: &Arc<Registry>, id: &str, state: JobState, error: Option<String>) {
     let dir = registry.job_dir(id);
     let write_result = match state {
@@ -569,8 +571,9 @@ fn finish(registry: &Arc<Registry>, id: &str, state: JobState, error: Option<Str
         }
         _ => Ok(()),
     };
-    if let Err(e) = write_result {
-        eprintln!("critter-serve: recording terminal state of {id}: {e}");
+    match write_result {
+        Ok(()) => remove_resume_state(&dir),
+        Err(e) => eprintln!("critter-serve: recording terminal state of {id}: {e}"),
     }
     registry.set_state(id, state, error);
 }

@@ -15,23 +15,24 @@
 //! estimator — so the effective criterion divides the relative half-width by
 //! `√k`. [`ConfidenceInterval::relative_scaled`] implements exactly that.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::special::{normal_critical, student_t_critical};
 use crate::welford::OnlineStats;
 
-/// A two-sided confidence level, with cached Student-t critical values.
+/// A two-sided confidence level and its table of critical values.
 ///
 /// Tuning runs evaluate the same `(level, dof)` pairs millions of times; the
-/// bisection-based t quantile is exact but not free, so critical values are
-/// memoized per integer dof behind a small mutex-protected map (uncontended in
-/// practice: each rank thread hits the cache read path).
-#[derive(Debug)]
+/// bisection-based t quantile is exact but not free, so each dof below 200
+/// has one slot in a table, filled by the first lookup and read without a
+/// lock after that; from 200 dof on, the normal value stands in. Share one
+/// level rather than building one per use: a fresh level starts empty.
+#[derive(Debug, Clone)]
 pub struct ConfidenceLevel {
     level: f64,
     z: f64,
-    cache: Mutex<HashMap<u64, f64>>,
+    /// `t*(level, dof)` at index `dof - 1`, for `dof` in `1..200`.
+    table: [OnceLock<f64>; 199],
 }
 
 impl ConfidenceLevel {
@@ -41,7 +42,8 @@ impl ConfidenceLevel {
             level > 0.0 && level < 1.0,
             "confidence level must be in the open interval (0,1), got {level}"
         );
-        ConfidenceLevel { level, z: normal_critical(level), cache: Mutex::new(HashMap::new()) }
+        let table = std::array::from_fn(|_| OnceLock::new());
+        ConfidenceLevel { level, z: normal_critical(level), table }
     }
 
     /// The level itself (e.g. 0.95).
@@ -59,21 +61,7 @@ impl ConfidenceLevel {
         if dof >= 200 {
             return self.z;
         }
-        // One guard for the whole lookup-or-compute: taking the lock twice
-        // would both recompute the bisection under contention (TOCTOU) and
-        // pay two acquisitions on every miss.
-        let mut cache = self.cache.lock();
-        *cache.entry(dof).or_insert_with(|| student_t_critical(self.level, dof as f64))
-    }
-}
-
-impl Clone for ConfidenceLevel {
-    fn clone(&self) -> Self {
-        ConfidenceLevel {
-            level: self.level,
-            z: self.z,
-            cache: Mutex::new(self.cache.lock().clone()),
-        }
+        *self.table[dof as usize - 1].get_or_init(|| student_t_critical(self.level, dof as f64))
     }
 }
 
@@ -253,8 +241,8 @@ mod tests {
 
     #[test]
     fn critical_cache_is_race_free_under_contention() {
-        // The cache must produce one consistent value per dof when hammered
-        // from many threads at once (single-guard entry API, no TOCTOU).
+        // Threads sharing one level, all filling the table at once, must
+        // see one value per dof.
         let level = std::sync::Arc::new(ConfidenceLevel::new(0.95));
         let handles: Vec<_> = (0..8)
             .map(|_| {
@@ -267,6 +255,23 @@ mod tests {
         let results: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for other in &results[1..] {
             assert_eq!(&results[0], other);
+        }
+    }
+
+    #[test]
+    fn the_table_is_the_function() {
+        for level in [0.95, 0.90] {
+            let table = ConfidenceLevel::new(level);
+            let z = normal_critical(level);
+            for n in 0..=300u64 {
+                let got = table.critical(n);
+                let want = match n {
+                    0 | 1 => f64::INFINITY,
+                    2..=200 => student_t_critical(level, (n - 1) as f64),
+                    _ => z,
+                };
+                assert_eq!(got.to_bits(), want.to_bits(), "level {level}, n {n}");
+            }
         }
     }
 

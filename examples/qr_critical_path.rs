@@ -38,7 +38,7 @@ fn main() {
             .iter()
             .fold(critter::core::PathMetrics::default(), |acc, r| acc.max(r.path));
         let elapsed = report.rank_times.iter().copied().fold(0.0, f64::max);
-        let bsp = critter::bsp::candmc_qr(m, n, pr, pc, b);
+        let bsp = w.bsp().expect("CANDMC QR has a BSP model");
         println!(
             "{:<10} {:>10.0} {:>12.0} {:>12.3e} {:>12.6} | {:>10.0} {:>12.0} {:>12.3e}",
             format!("{pr}x{pc}"),

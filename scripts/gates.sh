@@ -60,6 +60,20 @@ one_chain_state() {
 gate "one chain state (one store fleet; entry_stores only in the compatibility read)" \
     one_chain_state
 
+# Every skip decision reads one table of Student-t critical values per
+# process, `critter_core`'s `CONFIDENCE`: the table takes no lock, no
+# library code outside critter-stats builds a second level, and a rank's
+# `CritterEnv` holds none of its own (each rank-run used to redo the
+# bisection for every dof it met).
+one_critical_value_table() {
+    ! grep -nE 'Mutex|HashMap' crates/stats/src/confidence.rs &&
+        ! grep -rn 'ConfidenceLevel::new' crates/*/src src examples \
+            | grep -vE '^crates/(stats/src/|core/src/policy\.rs:)' &&
+        ! grep -nE '^[[:space:]]+[a-z_]+: &?[^ ]*ConfidenceLevel' crates/core/src/env.rs
+}
+gate "one critical-value table (one process-wide level, no lock, none per rank)" \
+    one_critical_value_table
+
 # critter-dla's `avx2` and baseline instantiations of the microkernel must
 # stay bit-identical and be chosen by one run-time check (DESIGN.md §2.1):
 # exactly one `unsafe` block (the guarded call into the `avx2`
