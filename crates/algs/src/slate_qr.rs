@@ -98,12 +98,14 @@ impl<'w> QrRun<'w> {
 
     /// Charge the inner-blocked panel kernels (`geqrf` + `larft` per `w`-wide
     /// sub-panel); the first sub-kernel's body performs the whole real
-    /// factorization.
+    /// factorization. The taus are shape-sized up front, so the V block that
+    /// [`route_v`](Self::route_v) sends has the same word count whether or
+    /// not that body ran.
     fn geqrt(&mut self, env: &mut CritterEnv, k: usize) -> Vec<f64> {
         let (rows0, cols) = (self.w.tr(k), self.w.tc(k));
         let wid = self.w.inner;
         let tile = self.tiles.get_mut(&(k, k)).expect("diag tile");
-        let mut tau = Vec::new();
+        let mut tau = vec![0.0; rows0.min(cols)];
         for s in 0..cols.div_ceil(wid) {
             let sw = wid.min(cols - s * wid);
             let rows = rows0 - s * wid.min(rows0.saturating_sub(1));
@@ -501,6 +503,49 @@ mod tests {
             rep.outputs.iter().map(|r| r.kernels_executed).sum::<u64>()
         };
         assert!(count(2) > count(8), "smaller w must produce more kernels");
+    }
+
+    #[test]
+    fn a_skipped_geqrf_still_routes_a_shape_sized_v_block() {
+        // One grid row: rank 0 owns the diagonal tile (0,0), rank 1 the
+        // trailing tile (0,1) that consumes V(0,0) and its taus.
+        let wl = SlateQr { m: 8, n: 16, nb: 8, inner: 8, pr: 1, pc: 2 };
+        let (vr, vc) = (wl.tr(0), wl.tc(0));
+        let machine = MachineModel::test_exact(2).shared();
+        let out = run_simulation(SimConfig::new(2), machine, move |ctx| {
+            let cfg = CritterConfig::new(ExecutionPolicy::ConditionalExecution, 1.0);
+            let mut env = CritterEnv::new(ctx, cfg, KernelStore::new());
+            let (world, (mt, nt)) = (env.world(), (wl.mt(), wl.nt()));
+            if env.rank() == 1 {
+                let v = env.recv(&world, 0, tag(0, 0, 0, 3, mt, nt), vr * vc + vc);
+                let _ = env.finish();
+                return (v.len(), 0);
+            }
+            let tiles = HashMap::from([((0, 0), Matrix::zeros(vr, vc))]);
+            let mut run = QrRun {
+                w: &wl,
+                rank: 0,
+                world,
+                tiles,
+                vcache: HashMap::new(),
+                pending: Vec::new(),
+            };
+            // On a noise-free machine two samples pin `geqrf`'s time, so
+            // the third factorization is skipped.
+            let mut tau = Vec::new();
+            for _ in 0..3 {
+                tau = run.geqrt(&mut env, 0);
+            }
+            run.vcache.insert(0, (run.tiles[&(0, 0)].clone(), tau));
+            run.route_v(&mut env, 0, 0, 3);
+            for r in run.pending.drain(..) {
+                env.wait(r);
+            }
+            (0, env.finish().0.kernels_skipped)
+        })
+        .outputs;
+        assert!(out[0].1 > 0, "the third geqrt must skip its kernels");
+        assert_eq!(out[1].0, vr * vc + vc, "V(0,0) must carry vr·vc + vc words");
     }
 
     #[test]

@@ -15,6 +15,9 @@ fn main() {
         let path = critter_testkit::golden::bless(tune.name, &text);
         println!("blessed {}", path.display());
     }
+    let digests = critter_testkit::shape_digests(critter_sim::BackendKind::Threads);
+    let path = critter_testkit::golden::bless(critter_testkit::SHAPE_DIGESTS_NAME, &digests);
+    println!("blessed {}", path.display());
     let trace = critter_testkit::golden_trace();
     let path = critter_testkit::golden::bless(critter_testkit::GOLDEN_TRACE_NAME, &trace);
     println!("blessed {}", path.display());

@@ -33,7 +33,7 @@ use critter_algs::Workload;
 use critter_autotune::{Autotuner, TuningOptions, TuningReport, TuningSpace};
 use critter_core::{ComputeOp, CritterConfig, CritterEnv, ExecutionPolicy, KernelStore};
 use critter_machine::{KernelClass, MachineModel, MachineParams, NoiseParams};
-use critter_sim::{run_simulation, SimConfig};
+use critter_sim::{run_simulation, BackendKind, SimConfig};
 
 /// The probe kernel every sampling helper uses: a square GEMM tile.
 pub const PROBE_M: usize = 16;
@@ -125,6 +125,42 @@ pub fn golden_trace() -> String {
     opts.reset_between_configs = space.resets_between_configs();
     let report = Autotuner::new(opts).tune(&space.smoke());
     report.obs.expect("observed sweep").timeline.to_chrome_string()
+}
+
+/// Name of the committed shape-digest table (`fixtures/shape-digests.json`).
+pub const SHAPE_DIGESTS_NAME: &str = "shape-digests";
+
+/// The shape-digest table: one cell per smoke space × policy at ε = 0.25
+/// and the default seed and machine, plus online propagation with the
+/// §VIII extrapolation per space. A cell is one observed sweep on
+/// `backend`, digested with FNV-1a over its canonical report JSON followed
+/// by its observability metrics text. The result is the table's canonical
+/// JSON, one `"<space>/<policy>": "<hex digest>"` line per cell.
+///
+/// A sweep's schedule is a function of tile shapes alone, so no value a
+/// kernel body computes may move a cell: the table written while bodies
+/// still ran is the one every later build must reproduce, on every backend.
+pub fn shape_digests(backend: BackendKind) -> String {
+    use std::hash::Hasher;
+    let mut cells = serde_json::Map::new();
+    for space in TuningSpace::ALL {
+        let runs = ExecutionPolicy::SHORT_NAMES
+            .iter()
+            .map(|&(name, policy)| (name.to_string(), policy, false))
+            .chain([("online-extrapolate".to_string(), ExecutionPolicy::OnlinePropagation, true)]);
+        for (name, policy, extrapolate) in runs {
+            let mut opts = TuningOptions::new(policy, 0.25).with_backend(backend).with_observe();
+            opts.reset_between_configs = space.resets_between_configs();
+            opts.extrapolate = extrapolate;
+            let report = Autotuner::new(opts).tune(&space.smoke());
+            let mut digest = critter_core::fnv::FnvHasher::default();
+            digest.write(report.to_json_string().as_bytes());
+            digest.write(report.obs.expect("observed sweep").metrics_string().as_bytes());
+            let cell = format!("{}/{name}", space.name());
+            cells.insert(cell, serde_json::Value::String(format!("{:016x}", digest.finish())));
+        }
+    }
+    critter_core::json::canonical_text(&serde_json::Value::Object(cells))
 }
 
 /// The committed golden tunes: one small sweep per workload space, on
