@@ -18,7 +18,7 @@ use critter_core::{ComputeOp, CritterEnv};
 use critter_dla::{flops, gemm, geqrf, tpqrt, trtri, Matrix, Trans};
 use critter_sim::ReduceOp;
 
-use crate::workload::{Workload, WorkloadOutput};
+use crate::workload::{input, Workload, WorkloadOutput};
 
 /// One CANDMC QR configuration.
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ impl Workload for CandmcQr {
         Some(crate::bsp::candmc_qr(self.m, self.n, self.pr, self.pc, self.block))
     }
 
-    fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
+    fn run(&self, env: &mut CritterEnv) -> WorkloadOutput {
         self.validate();
         let b = self.block;
         let rank = env.rank();
@@ -99,16 +99,8 @@ impl Workload for CandmcQr {
         let my_cols = self.col_panels(pj);
         let el = Self::element();
         // Local matrix: owned row blocks × owned panels, stacked in order.
-        let mut a = Matrix::zeros(my_rows.len() * b, my_cols.len() * b);
-        for (lc, &cp) in my_cols.iter().enumerate() {
-            for (lr, &rb) in my_rows.iter().enumerate() {
-                for c in 0..b {
-                    for r in 0..b {
-                        a[(lr * b + r, lc * b + c)] = el(rb * b + r, cp * b + c);
-                    }
-                }
-            }
-        }
+        let at = |r: usize, c: usize| el(my_rows[r / b] * b + r % b, my_cols[c / b] * b + c % b);
+        let mut a = input(env, my_rows.len() * b, my_cols.len() * b, at);
 
         let npanels = self.n / b;
         // For verification: the R row-blocks this rank ends up holding.
@@ -288,7 +280,7 @@ impl Workload for CandmcQr {
             }
         }
 
-        if !verify {
+        if !env.verifies() {
             return WorkloadOutput::default();
         }
         // Local reference QR of the full matrix (test sizes only); R is
@@ -339,8 +331,9 @@ mod tests {
         let p = w.ranks();
         let machine = MachineModel::test_exact(p).shared();
         run_simulation(SimConfig::new(p), machine, move |ctx| {
-            let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-            let out = w.run(&mut env, true);
+            let mut env =
+                CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new()).verifying();
+            let out = w.run(&mut env);
             let _ = env.finish();
             out
         })
@@ -383,7 +376,7 @@ mod tests {
             let machine = MachineModel::test_exact(p).shared();
             run_simulation(SimConfig::new(p), machine, move |ctx| {
                 let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-                w.run(&mut env, false);
+                w.run(&mut env);
                 let (rep, _) = env.finish();
                 rep
             })
@@ -406,7 +399,7 @@ mod tests {
                 CritterConfig::new(ExecutionPolicy::ConditionalExecution, 1.0),
                 KernelStore::new(),
             );
-            w.run(&mut env, false);
+            w.run(&mut env);
             let (rep, _) = env.finish();
             rep
         });

@@ -247,18 +247,18 @@ impl Workload for CapitalCholesky {
         Some(crate::bsp::capital_cholesky(self.n, self.ranks, self.block))
     }
 
-    fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
+    fn run(&self, env: &mut CritterEnv) -> WorkloadOutput {
         let grid = Grid3D::new(env);
         let n = self.n;
         let words = (n / grid.c) * (n / grid.c);
         // Input generation / layout (the block-to-cyclic kernel Capital
         // intercepts via preprocessor directives).
         env.custom_kernel(KERNEL_LAYOUT, words, words as f64, || {});
-        let a = DistMat::from_fn(&grid, n, n, Self::element(n));
+        let a = DistMat::from_fn(env, &grid, n, n, Self::element(n));
 
         let (l, linv) = self.chol3d(env, &grid, &a);
 
-        if !verify {
+        if !env.verifies() {
             return WorkloadOutput::default();
         }
         // ‖L·Lᵀ − A‖_F / ‖A‖_F, computed distributed.
@@ -267,7 +267,7 @@ impl Workload for CapitalCholesky {
         gemm3d(env, &grid, ComputeOp::Gemm, 1.0, &l, &lt, -1.0, &mut resid);
         let r = resid.norm_fro(env, &grid) / a.norm_fro(env, &grid);
         // ‖L·L⁻¹ − I‖_F / √n.
-        let mut ident = DistMat::from_fn(&grid, n, n, |i, j| if i == j { -1.0 } else { 0.0 });
+        let mut ident = DistMat::from_fn(env, &grid, n, n, |i, j| if i == j { -1.0 } else { 0.0 });
         gemm3d(env, &grid, ComputeOp::Gemm, 1.0, &l, &linv, 1.0, &mut ident);
         let r2 = ident.norm_fro(env, &grid) / (n as f64).sqrt();
         WorkloadOutput { residual: Some(r), residual2: Some(r2) }
@@ -286,8 +286,9 @@ mod tests {
         let w = CapitalCholesky { n, block, strategy, ranks: p };
         let machine = MachineModel::test_exact(p).shared();
         run_simulation(SimConfig::new(p), machine, move |ctx| {
-            let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-            let out = w.run(&mut env, true);
+            let mut env =
+                CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new()).verifying();
+            let out = w.run(&mut env);
             let _ = env.finish();
             out
         })
@@ -342,7 +343,7 @@ mod tests {
             let w = CapitalCholesky { n: 32, block, strategy: 2, ranks: p };
             run_simulation(SimConfig::new(p), machine.clone(), move |ctx| {
                 let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-                w.run(&mut env, false);
+                w.run(&mut env);
                 let (rep, _) = env.finish();
                 rep
             })
@@ -368,7 +369,7 @@ mod tests {
                 CritterConfig::new(ExecutionPolicy::ConditionalExecution, 1.0),
                 KernelStore::new(),
             );
-            w.run(&mut env, false);
+            w.run(&mut env);
             let (rep, _) = env.finish();
             rep
         });

@@ -86,19 +86,23 @@ impl DistMat {
     }
 
     /// Build from a global element function (every rank fills its cyclic
-    /// part; no communication).
+    /// part; no communication). The elements are evaluated only when `env`
+    /// verifies; any other run gets the zero matrix of the same shape.
     pub fn from_fn(
+        env: &CritterEnv,
         grid: &Grid3D,
         rows: usize,
         cols: usize,
         f: impl Fn(usize, usize) -> f64,
     ) -> Self {
         let mut m = DistMat::zeros(grid, rows, cols);
-        let (i, j, _) = grid.coords;
-        let c = grid.c;
-        for lj in 0..cols / c {
-            for li in 0..rows / c {
-                m.local[(li, lj)] = f(i + c * li, j + c * lj);
+        if env.verifies() {
+            let (i, j, _) = grid.coords;
+            let c = grid.c;
+            for lj in 0..cols / c {
+                for li in 0..rows / c {
+                    m.local[(li, lj)] = f(i + c * li, j + c * lj);
+                }
             }
         }
         m
@@ -255,7 +259,8 @@ mod tests {
         let p = 8; // 2x2x2
         let machine = MachineModel::test_exact(p).shared();
         run_simulation(SimConfig::new(p), machine, move |ctx| {
-            let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
+            let mut env =
+                CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new()).verifying();
             let grid = Grid3D::new(&mut env);
             let out = f(&mut env, &grid);
             let _ = env.finish();
@@ -280,7 +285,7 @@ mod tests {
     #[test]
     fn from_fn_to_global_roundtrip() {
         let outs = with_grid(|env, grid| {
-            let a = DistMat::from_fn(grid, 4, 6, |i, j| (i * 10 + j) as f64);
+            let a = DistMat::from_fn(env, grid, 4, 6, |i, j| (i * 10 + j) as f64);
             let g = a.to_global(env, grid);
             let mut ok = true;
             for j in 0..6 {
@@ -296,8 +301,8 @@ mod tests {
     #[test]
     fn gemm3d_matches_reference() {
         let outs = with_grid(|env, grid| {
-            let a = DistMat::from_fn(grid, 4, 8, |i, j| ((i + 2 * j) % 5) as f64 - 2.0);
-            let b = DistMat::from_fn(grid, 8, 6, |i, j| ((3 * i + j) % 7) as f64 - 3.0);
+            let a = DistMat::from_fn(env, grid, 4, 8, |i, j| ((i + 2 * j) % 5) as f64 - 2.0);
+            let b = DistMat::from_fn(env, grid, 8, 6, |i, j| ((3 * i + j) % 7) as f64 - 3.0);
             let mut c = DistMat::zeros(grid, 4, 6);
             gemm3d(env, grid, ComputeOp::Gemm, 1.0, &a, &b, 0.0, &mut c);
             let (ga, gb, gc) =
@@ -312,9 +317,9 @@ mod tests {
     #[test]
     fn gemm3d_alpha_beta() {
         let outs = with_grid(|env, grid| {
-            let a = DistMat::from_fn(grid, 4, 4, |i, j| (i + j) as f64);
-            let b = DistMat::from_fn(grid, 4, 4, |i, j| (i as f64) - (j as f64));
-            let mut c = DistMat::from_fn(grid, 4, 4, |i, j| (i * j) as f64);
+            let a = DistMat::from_fn(env, grid, 4, 4, |i, j| (i + j) as f64);
+            let b = DistMat::from_fn(env, grid, 4, 4, |i, j| (i as f64) - (j as f64));
+            let mut c = DistMat::from_fn(env, grid, 4, 4, |i, j| (i * j) as f64);
             let c0 = c.to_global(env, grid);
             gemm3d(env, grid, ComputeOp::Gemm, 2.0, &a, &b, -1.0, &mut c);
             let (ga, gb, gc) =
@@ -335,7 +340,7 @@ mod tests {
     #[test]
     fn transpose3d_matches_reference() {
         let outs = with_grid(|env, grid| {
-            let a = DistMat::from_fn(grid, 6, 4, |i, j| (7 * i + j) as f64);
+            let a = DistMat::from_fn(env, grid, 6, 4, |i, j| (7 * i + j) as f64);
             let t = transpose3d(env, grid, &a, 3);
             let (ga, gt) = (a.to_global(env, grid), t.to_global(env, grid));
             gt.max_abs_diff(&ga.transposed())
@@ -348,7 +353,7 @@ mod tests {
     #[test]
     fn sub_set_sub_roundtrip() {
         let outs = with_grid(|env, grid| {
-            let a = DistMat::from_fn(grid, 8, 8, |i, j| (i * 8 + j) as f64);
+            let a = DistMat::from_fn(env, grid, 8, 8, |i, j| (i * 8 + j) as f64);
             let blk = a.sub(grid, 4, 2, 4, 4);
             let mut b = DistMat::zeros(grid, 8, 8);
             b.set_sub(grid, 4, 2, &blk);
@@ -367,7 +372,7 @@ mod tests {
     #[test]
     fn norm_matches_global() {
         let outs = with_grid(|env, grid| {
-            let a = DistMat::from_fn(grid, 4, 4, |i, j| (i + j) as f64);
+            let a = DistMat::from_fn(env, grid, 4, 4, |i, j| (i + j) as f64);
             let n1 = a.norm_fro(env, grid);
             let n2 = a.to_global(env, grid).norm_fro();
             (n1 - n2).abs()

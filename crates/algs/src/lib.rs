@@ -25,8 +25,12 @@
 //! schedules, next to the code whose critical path they describe.
 //!
 //! Every algorithm operates on real `f64` matrix data (`critter-dla`
-//! kernels), so full-execution runs are verified numerically; under selective
-//! execution the numerics are knowingly corrupted, exactly as in the paper.
+//! kernels) in a run that verifies (`CritterEnv::verifying`), so
+//! full-execution runs are checked numerically; under selective execution
+//! the numerics are knowingly corrupted, exactly as in the paper. A run that
+//! does not verify — every tuning sweep — moves shape-sized zero tiles
+//! through the same schedule and runs no kernel body: its kernel times come
+//! from the machine model either way.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -14,12 +14,13 @@
 //! Tunables (the §V-C configuration space): tile size `t` and lookahead depth.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use critter_core::{ComputeOp, CritterEnv};
 use critter_dla::{flops, gemm, potrf, syrk, trsm, Matrix, Side, Trans, Uplo};
 use critter_sim::{Communicator, ReduceOp};
 
-use crate::workload::{Workload, WorkloadOutput};
+use crate::workload::{input, Workload, WorkloadOutput};
 
 /// One SLATE Cholesky configuration.
 #[derive(Debug, Clone)]
@@ -62,8 +63,9 @@ struct TileRun<'w> {
     world: Communicator,
     /// Owned tiles (lower triangle only), factored in place into L.
     tiles: HashMap<(usize, usize), Matrix>,
-    /// Panel tiles received (or computed) this sweep, keyed `(i, k)`.
-    cache: HashMap<(usize, usize), Matrix>,
+    /// Step `k`'s panel tiles `L(i,k)`, owned or received, keyed `(i, k)`:
+    /// shared, so every update borrows them.
+    cache: HashMap<(usize, usize), Rc<Matrix>>,
     /// Deferred nonblocking-send completions (drained at the end; receivers
     /// match them on the fly, so deferring costs nothing and cannot deadlock).
     pending: Vec<critter_core::env::CritterRequest>,
@@ -150,21 +152,24 @@ impl<'w> TileRun<'w> {
         }
     }
 
-    /// Get panel tile `L(i,k)` (local, cached, or received from its owner).
-    fn panel_tile(&mut self, env: &mut CritterEnv, i: usize, k: usize) -> Matrix {
-        let w = self.w;
-        if self.own(i, k) {
-            return self.tiles[&(i, k)].clone();
-        }
+    /// Get panel tile `L(i,k)`. Its first use in step `k` copies it (owned,
+    /// final since the step's `trsm`) or receives it from its owner into the
+    /// step cache; every later use shares that copy.
+    fn panel_tile(&mut self, env: &mut CritterEnv, i: usize, k: usize) -> Rc<Matrix> {
         if let Some(t) = self.cache.get(&(i, k)) {
-            return t.clone();
+            return Rc::clone(t);
         }
-        let (ti, tk) = (w.tdim(i), w.tdim(k));
-        let nt = w.nt();
-        let data = env.recv(&self.world, w.owner(i, k), Self::tag(k, i, nt, 0), ti * tk);
-        let m = Matrix::from_column_major(ti, tk, data);
-        self.cache.insert((i, k), m.clone());
-        m
+        let w = self.w;
+        let tile = if self.own(i, k) {
+            self.tiles[&(i, k)].clone()
+        } else {
+            let (ti, tk) = (w.tdim(i), w.tdim(k));
+            let data = env.recv(&self.world, w.owner(i, k), Self::tag(k, i, w.nt(), 0), ti * tk);
+            Matrix::from_column_major(ti, tk, data)
+        };
+        let tile = Rc::new(tile);
+        self.cache.insert((i, k), Rc::clone(&tile));
+        tile
     }
 
     /// Apply the step-`k` update to owned trailing tiles in columns `cols`.
@@ -211,7 +216,7 @@ impl Workload for SlateCholesky {
         Some(crate::bsp::slate_cholesky(self.n, self.pr, self.pc, self.tile, self.lookahead))
     }
 
-    fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
+    fn run(&self, env: &mut CritterEnv) -> WorkloadOutput {
         let nt = self.nt();
         let rank = env.rank();
         assert_eq!(env.size(), self.ranks(), "rank count mismatch");
@@ -221,14 +226,8 @@ impl Workload for SlateCholesky {
         for j in 0..nt {
             for i in j..nt {
                 if self.owner(i, j) == rank {
-                    let (ti, tj) = (self.tdim(i), self.tdim(j));
-                    let mut t = Matrix::zeros(ti, tj);
-                    for c in 0..tj {
-                        for r in 0..ti {
-                            t[(r, c)] = el(i * self.tile + r, j * self.tile + c);
-                        }
-                    }
-                    tiles.insert((i, j), t);
+                    let at = |r, c| el(i * self.tile + r, j * self.tile + c);
+                    tiles.insert((i, j), input(env, self.tdim(i), self.tdim(j), at));
                 }
             }
         }
@@ -262,7 +261,7 @@ impl Workload for SlateCholesky {
             env.wait(r);
         }
 
-        if !verify {
+        if !env.verifies() {
             return WorkloadOutput::default();
         }
         // Reference factor computed locally from the shared element formula;
@@ -305,8 +304,9 @@ mod tests {
         let p = w.ranks();
         let machine = MachineModel::test_exact(p).shared();
         run_simulation(SimConfig::new(p), machine, move |ctx| {
-            let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-            let out = w.run(&mut env, true);
+            let mut env =
+                CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new()).verifying();
+            let out = w.run(&mut env);
             let _ = env.finish();
             out
         })
@@ -366,7 +366,7 @@ mod tests {
             let machine = MachineModel::test_exact(4).shared();
             run_simulation(SimConfig::new(4), machine, move |ctx| {
                 let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-                w.run(&mut env, false);
+                w.run(&mut env);
                 let _ = env.finish();
             })
             .elapsed()
@@ -386,7 +386,7 @@ mod tests {
                 CritterConfig::new(ExecutionPolicy::ConditionalExecution, 1.0),
                 KernelStore::new(),
             );
-            w.run(&mut env, false);
+            w.run(&mut env);
             let (rep, _) = env.finish();
             rep
         });

@@ -17,12 +17,13 @@
 //! Tunables (§V-C): panel width `nb`, inner blocking `w`, grid shape.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use critter_core::{ComputeOp, CritterEnv};
 use critter_dla::{flops, geqrf, ormqr, tp::TpTrans, tpmqrt, tpqrt, Matrix, Trans};
 use critter_sim::{Communicator, ReduceOp};
 
-use crate::workload::{Workload, WorkloadOutput};
+use crate::workload::{input, Workload, WorkloadOutput};
 
 /// One SLATE QR configuration.
 #[derive(Debug, Clone)]
@@ -86,8 +87,11 @@ struct QrRun<'w> {
     rank: usize,
     world: Communicator,
     tiles: HashMap<(usize, usize), Matrix>,
-    /// Householder blocks and taus received this step, keyed by row index.
-    vcache: HashMap<usize, (Matrix, Vec<f64>)>,
+    /// Householder blocks and taus of this step, computed or received,
+    /// keyed by row index: shared, so every update borrows them.
+    vcache: HashMap<usize, Rc<(Matrix, Vec<f64>)>>,
+    /// The running `R` of the panel chain when its next hop is this rank.
+    handoff: Option<Matrix>,
     pending: Vec<critter_core::env::CritterRequest>,
 }
 
@@ -141,9 +145,15 @@ impl<'w> QrRun<'w> {
 
     /// Fetch the Householder block for tile row `i` of step `k` (local or
     /// from the step cache after receiving it).
-    fn get_v(&mut self, env: &mut CritterEnv, k: usize, i: usize, kind: u64) -> (Matrix, Vec<f64>) {
+    fn get_v(
+        &mut self,
+        env: &mut CritterEnv,
+        k: usize,
+        i: usize,
+        kind: u64,
+    ) -> Rc<(Matrix, Vec<f64>)> {
         if let Some(v) = self.vcache.get(&i) {
-            return v.clone();
+            return Rc::clone(v);
         }
         let w = self.w;
         let (mt, nt) = (w.mt(), w.nt());
@@ -151,11 +161,12 @@ impl<'w> QrRun<'w> {
         // tpqrt taus always span the panel width; geqrt taus equal it too
         // because diagonal tiles are at least as tall as wide.
         let ntau = vc;
-        let data = env.recv(&self.world, w.owner(i, k), tag(k, i, 0, kind, mt, nt), vr * vc + ntau);
-        let v = Matrix::from_column_major(vr, vc, data[..vr * vc].to_vec());
-        let tau = data[vr * vc..].to_vec();
-        self.vcache.insert(i, (v.clone(), tau.clone()));
-        (v, tau)
+        let mut data =
+            env.recv(&self.world, w.owner(i, k), tag(k, i, 0, kind, mt, nt), vr * vc + ntau);
+        let tau = data.split_off(vr * vc);
+        let v = Rc::new((Matrix::from_column_major(vr, vc, data), tau));
+        self.vcache.insert(i, Rc::clone(&v));
+        v
     }
 }
 
@@ -175,7 +186,7 @@ impl Workload for SlateQr {
         Some(crate::bsp::slate_qr(self.m, self.n, self.pr, self.pc, self.nb, self.inner))
     }
 
-    fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
+    fn run(&self, env: &mut CritterEnv) -> WorkloadOutput {
         self.validate();
         let (mt, nt) = (self.mt(), self.nt());
         let rank = env.rank();
@@ -185,20 +196,21 @@ impl Workload for SlateQr {
         for j in 0..nt {
             for i in 0..mt {
                 if self.owner(i, j) == rank {
-                    let (ti, tj) = (self.tr(i), self.tc(j));
-                    let mut t = Matrix::zeros(ti, tj);
-                    for c in 0..tj {
-                        for r in 0..ti {
-                            t[(r, c)] = el(i * self.nb + r, j * self.nb + c);
-                        }
-                    }
-                    tiles.insert((i, j), t);
+                    let at = |r, c| el(i * self.nb + r, j * self.nb + c);
+                    tiles.insert((i, j), input(env, self.tr(i), self.tc(j), at));
                 }
             }
         }
         let world = env.world();
-        let mut run =
-            QrRun { w: self, rank, world, tiles, vcache: HashMap::new(), pending: Vec::new() };
+        let mut run = QrRun {
+            w: self,
+            rank,
+            world,
+            tiles,
+            vcache: HashMap::new(),
+            handoff: None,
+            pending: Vec::new(),
+        };
 
         for k in 0..nt {
             run.vcache.clear();
@@ -207,7 +219,7 @@ impl Workload for SlateQr {
             // ---- Panel: geqrt at (k,k), then the tpqrt chain down column k.
             if run.own(k, k) {
                 let tau = run.geqrt(env, k);
-                run.vcache.insert(k, (run.tiles[&(k, k)].clone(), tau));
+                run.vcache.insert(k, Rc::new((run.tiles[&(k, k)].clone(), tau)));
                 run.route_v(env, k, k, 3);
                 // Start the R chain: extract R (upper triangle of (k,k)).
                 if k + 1 < mt {
@@ -219,7 +231,7 @@ impl Workload for SlateQr {
                             env.isend(&run.world, nxt, tag(k, k + 1, 0, 1, mt, nt), r.into_data());
                         run.pending.push(req);
                     } else {
-                        run.vcache.insert(usize::MAX, (r, Vec::new())); // local handoff
+                        run.handoff = Some(r);
                     }
                 }
             }
@@ -230,7 +242,7 @@ impl Workload for SlateQr {
                 }
                 let prev = if i == k + 1 { self.owner(k, k) } else { self.owner(i - 1, k) };
                 let mut r = if prev == rank {
-                    run.vcache.remove(&usize::MAX).expect("local R handoff").0
+                    run.handoff.take().expect("local R handoff")
                 } else {
                     let data = env.recv(&run.world, prev, tag(k, i, 0, 1, mt, nt), wk * wk);
                     Matrix::from_column_major(wk, wk, data)
@@ -246,14 +258,14 @@ impl Workload for SlateQr {
                         tau_i = vec![0.0; wk]; // skipped body: placeholder taus
                     }
                 }
-                run.vcache.insert(i, (run.tiles[&(i, k)].clone(), tau_i));
+                run.vcache.insert(i, Rc::new((run.tiles[&(i, k)].clone(), tau_i)));
                 run.route_v(env, k, i, 0);
                 // Pass R on (or return it to the diagonal owner at the end).
                 let (nxt, hop) =
                     if i + 1 < mt { (self.owner(i + 1, k), i + 1) } else { (self.owner(k, k), mt) };
                 if nxt == rank {
                     if i + 1 < mt {
-                        run.vcache.insert(usize::MAX, (r, Vec::new()));
+                        run.handoff = Some(r);
                     } else {
                         run.tiles.get_mut(&(k, k)).unwrap().set_sub(0, 0, &r);
                     }
@@ -279,7 +291,7 @@ impl Workload for SlateQr {
                 let top_words = self.tr(k) * tj;
                 // larfb on the top tile A(k,j).
                 let mut akj = if run.own(k, j) {
-                    let (vkk, taukk) = run.get_v(env, k, k, 3);
+                    let vkk = run.get_v(env, k, k, 3);
                     let tile = run.tiles.get_mut(&(k, j)).expect("top tile");
                     let wid = self.inner;
                     for s in 0..wk.div_ceil(wid) {
@@ -293,7 +305,7 @@ impl Workload for SlateQr {
                             flops::ormqr(self.tr(k), tj, sw),
                             || {
                                 if first {
-                                    ormqr(Trans::Yes, &vkk, &taukk, tile);
+                                    ormqr(Trans::Yes, &vkk.0, &vkk.1, tile);
                                 }
                             },
                         );
@@ -332,7 +344,7 @@ impl Workload for SlateQr {
                             Matrix::from_column_major(self.tr(k), tj, data)
                         }
                     };
-                    let (vi, taui) = run.get_v(env, k, i, 0);
+                    let vi = run.get_v(env, k, i, 0);
                     let ti = self.tr(i);
                     {
                         let bot = run.tiles.get_mut(&(i, j)).expect("trailing tile");
@@ -348,7 +360,7 @@ impl Workload for SlateQr {
                                 flops::tpmqrt(ti, sw, tj),
                                 || {
                                     if first {
-                                        tpmqrt(TpTrans::Yes, &vi, &taui, &mut top, bot);
+                                        tpmqrt(TpTrans::Yes, &vi.0, &vi.1, &mut top, bot);
                                     }
                                 },
                             );
@@ -390,7 +402,7 @@ impl Workload for SlateQr {
             env.wait(r);
         }
 
-        if !verify {
+        if !env.verifies() {
             return WorkloadOutput::default();
         }
         // Compare the R blocks (upper triangle of tile rows 0..nt) against a
@@ -445,8 +457,9 @@ mod tests {
         let p = wl.ranks();
         let machine = MachineModel::test_exact(p).shared();
         run_simulation(SimConfig::new(p), machine, move |ctx| {
-            let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-            let out = wl.run(&mut env, true);
+            let mut env =
+                CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new()).verifying();
+            let out = wl.run(&mut env);
             let _ = env.finish();
             out
         })
@@ -496,7 +509,7 @@ mod tests {
             let machine = MachineModel::test_exact(4).shared();
             let rep = run_simulation(SimConfig::new(4), machine, move |ctx| {
                 let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-                wl.run(&mut env, false);
+                wl.run(&mut env);
                 let (rep, _) = env.finish();
                 rep
             });
@@ -528,6 +541,7 @@ mod tests {
                 world,
                 tiles,
                 vcache: HashMap::new(),
+                handoff: None,
                 pending: Vec::new(),
             };
             // On a noise-free machine two samples pin `geqrf`'s time, so
@@ -536,7 +550,7 @@ mod tests {
             for _ in 0..3 {
                 tau = run.geqrt(&mut env, 0);
             }
-            run.vcache.insert(0, (run.tiles[&(0, 0)].clone(), tau));
+            run.vcache.insert(0, Rc::new((run.tiles[&(0, 0)].clone(), tau)));
             run.route_v(&mut env, 0, 0, 3);
             for r in run.pending.drain(..) {
                 env.wait(r);
@@ -558,7 +572,7 @@ mod tests {
                 CritterConfig::new(ExecutionPolicy::ConditionalExecution, 1.0),
                 KernelStore::new(),
             );
-            wl.run(&mut env, false);
+            wl.run(&mut env);
             let (rep, _) = env.finish();
             rep
         });

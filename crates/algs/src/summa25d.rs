@@ -21,7 +21,7 @@ use critter_core::{ComputeOp, CritterEnv};
 use critter_dla::{flops, gemm, Matrix, Trans};
 use critter_sim::ReduceOp;
 
-use crate::workload::{Workload, WorkloadOutput};
+use crate::workload::{input, Workload, WorkloadOutput};
 
 /// One 2.5D SUMMA configuration.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ impl Workload for Summa25D {
         self.ranks
     }
 
-    fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
+    fn run(&self, env: &mut CritterEnv) -> WorkloadOutput {
         let r = self.r();
         let c = self.c;
         let n = self.n;
@@ -89,15 +89,8 @@ impl Workload for Summa25D {
         // memory/communication trade: this bcast is what buying `c` costs.
         let ea = Self::element_a();
         let eb = Self::element_b(n);
-        let fill = |f: &dyn Fn(usize, usize) -> f64| {
-            let mut loc = Matrix::zeros(m, m);
-            for lj in 0..m {
-                for li in 0..m {
-                    loc[(li, lj)] = f(i + r * li, j + r * lj);
-                }
-            }
-            loc
-        };
+        let fill =
+            |f: &dyn Fn(usize, usize) -> f64| input(env, m, m, |li, lj| f(i + r * li, j + r * lj));
         let mut a_data = if k == 0 { fill(&ea).into_data() } else { vec![0.0; m * m] };
         let mut b_data = if k == 0 { fill(&eb).into_data() } else { vec![0.0; m * m] };
         env.bcast(&comm_k, 0, &mut a_data);
@@ -137,7 +130,7 @@ impl Workload for Summa25D {
         let summed = env.allreduce(&comm_k, ReduceOp::Sum, c_local.data());
         let c_local = Matrix::from_column_major(m, m, summed);
 
-        if !verify {
+        if !env.verifies() {
             return WorkloadOutput::default();
         }
         // Reference: local entries of A·B from the element formulas.
@@ -170,8 +163,9 @@ mod tests {
         let w = Summa25D { n, c, ranks: p, inner };
         let machine = MachineModel::test_exact(p).shared();
         run_simulation(SimConfig::new(p), machine, move |ctx| {
-            let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-            let out = w.run(&mut env, true);
+            let mut env =
+                CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new()).verifying();
+            let out = w.run(&mut env);
             let _ = env.finish();
             out
         })
@@ -208,7 +202,7 @@ mod tests {
             let machine = MachineModel::test_exact(4).shared();
             let rep = run_simulation(SimConfig::new(4), machine, move |ctx| {
                 let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-                w.run(&mut env, false);
+                w.run(&mut env);
                 let (rep, _) = env.finish();
                 rep
             });
@@ -226,7 +220,7 @@ mod tests {
             let machine = MachineModel::test_exact(16).shared();
             let rep = run_simulation(SimConfig::new(16), machine, move |ctx| {
                 let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-                w.run(&mut env, false);
+                w.run(&mut env);
                 let (rep, _) = env.finish();
                 rep
             });
@@ -247,7 +241,7 @@ mod tests {
                 CritterConfig::new(ExecutionPolicy::ConditionalExecution, 1.0),
                 KernelStore::new(),
             );
-            w.run(&mut env, false);
+            w.run(&mut env);
             let (rep, _) = env.finish();
             rep
         });

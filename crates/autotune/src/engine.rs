@@ -287,7 +287,7 @@ impl Autotuner {
             run_simulation(sim_config, machine, move |ctx| {
                 let store = slots_in[ctx.rank()].lock().take().expect("store present");
                 let mut env = CritterEnv::new(ctx, cfg.clone(), store);
-                w.run(&mut env, false);
+                w.run(&mut env);
                 let (rep, mut store) = env.finish();
                 if capture_apriori {
                     store.capture_apriori();
@@ -769,7 +769,7 @@ mod tests {
             2
         }
 
-        fn run(&self, env: &mut CritterEnv, _verify: bool) -> WorkloadOutput {
+        fn run(&self, env: &mut CritterEnv) -> WorkloadOutput {
             if env.rank() == 0 {
                 panic!("injected tuning failure");
             }

@@ -223,7 +223,7 @@ fn p2p_semantics_ablation(opts: &FigOpts) {
             machine,
             move |ctx| {
                 let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-                wl.run(&mut env, false);
+                wl.run(&mut env);
                 let _ = env.finish();
             },
         );

@@ -18,10 +18,12 @@
 //! Every communication shares one private step for the path bookkeeping of
 //! 2–3 (`propagated`) and one for step 4 (`selectively`).
 //!
-//! Skipping is allowed to corrupt application numerics — exactly as in the
-//! paper, where input matrices are reset between runs because selective
-//! execution leaves wrong values behind. Correctness tests therefore run
-//! under [`ExecutionPolicy::Full`].
+//! Kernel bodies run only in a run that verifies ([`CritterEnv::verifying`]):
+//! kernel time comes from the machine model, so no other run reads a
+//! numerical result. Skipping is allowed to corrupt application numerics —
+//! exactly as in the paper, where input matrices are reset between runs
+//! because selective execution leaves wrong values behind. Correctness tests
+//! therefore verify under [`ExecutionPolicy::Full`].
 
 use critter_machine::CommOp;
 use critter_obs::{Event, EventKind, RankRecorder};
@@ -77,6 +79,9 @@ pub struct CritterEnv<'a> {
     propagate_counters: std::collections::HashMap<u64, String>,
     /// Shared label for path-adoption events.
     path_adopt_label: std::sync::Arc<str>,
+    /// Whether this run verifies its numerics ([`CritterEnv::verifying`]):
+    /// only then does an executed kernel run its body.
+    verify: bool,
 }
 
 impl<'a> CritterEnv<'a> {
@@ -97,7 +102,23 @@ impl<'a> CritterEnv<'a> {
             labels: std::collections::HashMap::new(),
             propagate_counters: std::collections::HashMap::new(),
             path_adopt_label: "path_adopt".into(),
+            verify: false,
         }
+    }
+
+    /// Mark this run as one that verifies its numerics: executed kernels run
+    /// their bodies, and a workload fills its inputs and checks its result.
+    /// Only correctness tests ask for this; a run that does not verify
+    /// charges the same modeled time and sends the same words, because its
+    /// schedule is a function of tile shapes alone.
+    pub fn verifying(mut self) -> Self {
+        self.verify = true;
+        self
+    }
+
+    /// Whether this run verifies its numerics (see [`CritterEnv::verifying`]).
+    pub fn verifies(&self) -> bool {
+        self.verify
     }
 
     /// This rank's world rank.
@@ -383,10 +404,12 @@ impl<'a> CritterEnv<'a> {
     // ------------------------------------------------------------------
 
     /// Intercept a computational kernel of signature `(op, m, n, k)` costing
-    /// `flops`. When executed, `body` performs the real numerical work and the
-    /// sampled time is recorded; when skipped, `body` does not run and the
-    /// kernel's modeled mean is charged to the prediction. Returns the time
-    /// contributed to the path (measured or predicted).
+    /// `flops`. When executed, the machine model's sampled time is charged
+    /// and recorded, and `body` performs the real numerical work only if the
+    /// run [verifies](CritterEnv::verifying): no other run reads a kernel's
+    /// result. When skipped, `body` never runs and the kernel's modeled mean
+    /// is charged to the prediction. Returns the time contributed to the path
+    /// (measured or predicted).
     pub fn kernel<F: FnOnce()>(
         &mut self,
         op: ComputeOp,
@@ -415,7 +438,9 @@ impl<'a> CritterEnv<'a> {
         let start = self.ctx.now();
         let charged = if execute {
             let t = self.ctx.compute(op.class(), flops);
-            body();
+            if self.verify {
+                body();
+            }
             self.store.record(&sig, t);
             self.store.extrapolation.record(op, flops, t);
             self.store.attribute_path_time(sig.key(), t);

@@ -67,6 +67,43 @@ fn conditional_skips_after_convergence_with_zero_noise() {
 }
 
 #[test]
+fn a_run_that_does_not_verify_never_calls_a_body() {
+    // Every kernel executes under full execution, and is charged and
+    // counted, but a run that does not verify reads no kernel result.
+    let out = run_env(1, MachineModel::test_exact(1), CritterConfig::full(), |env| {
+        assert!(!env.verifies());
+        for _ in 0..4 {
+            env.kernel(ComputeOp::Gemm, 16, 16, 16, 2.0 * 16f64.powi(3), || panic!("body ran"));
+        }
+        env.custom_kernel(1, 1000, 5e4, || panic!("body ran"));
+        env.exec_time()
+    });
+    let (predicted, rep, _) = &out[0];
+    assert_eq!(rep.kernels_executed, 5);
+    assert!(*predicted > 0.0, "executed kernels are still charged");
+}
+
+#[test]
+fn a_verifying_run_calls_each_executed_body_once_and_no_skipped_one() {
+    // Noise-free machine: two samples pin the variance at zero, so every
+    // later call is skipped and must not run its body.
+    let machine = MachineModel::test_exact(1).shared();
+    let cfg = CritterConfig::new(ExecutionPolicy::ConditionalExecution, 0.1);
+    let out = run_simulation(SimConfig::new(1), machine, move |ctx: &mut RankCtx| {
+        let mut env = CritterEnv::new(ctx, cfg.clone(), KernelStore::new()).verifying();
+        assert!(env.verifies());
+        let mut bodies = 0u64;
+        for _ in 0..20 {
+            env.kernel(ComputeOp::Gemm, 64, 64, 64, 2.0 * 64f64.powi(3), || bodies += 1);
+        }
+        (bodies, env.finish().0)
+    });
+    let (bodies, rep) = &out.outputs[0];
+    assert_eq!((rep.kernels_executed, rep.kernels_skipped), (2, 18));
+    assert_eq!(*bodies, rep.kernels_executed, "one body per executed kernel, none per skip");
+}
+
+#[test]
 fn prediction_accurate_when_skipping_zero_noise() {
     let reps = 50u64;
     let out = run_env(

@@ -18,7 +18,10 @@
 //!   grid-dimension permutation) under a noise-free machine;
 //! * **golden reports** (`tests/golden_reports.rs`) — one small tune per
 //!   workload space serialized against committed JSON fixtures, regenerated with
-//!   `CRITTER_BLESS=1` or `cargo run -p critter-testkit --bin bless`.
+//!   `CRITTER_BLESS=1` or `cargo run -p critter-testkit --bin bless`;
+//! * **shape determinism** (`tests/shape_determinism.rs`) — one digest per
+//!   smoke space × policy cell, blessed while kernel bodies still ran, that
+//!   sweeps running no body must reproduce on every backend.
 //!
 //! This library crate holds the shared machinery: kernel-sample collection
 //! through the real interception layer, the noise model's analytic truth,

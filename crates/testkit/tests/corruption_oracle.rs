@@ -279,7 +279,7 @@ impl Workload for Tiny {
         2
     }
 
-    fn run(&self, env: &mut CritterEnv, _verify: bool) -> WorkloadOutput {
+    fn run(&self, env: &mut CritterEnv) -> WorkloadOutput {
         let world = env.world();
         let n = 8 * self.0;
         env.kernel(critter_core::ComputeOp::Gemm, n, n, n, 2.0 * (n * n * n) as f64, || {});

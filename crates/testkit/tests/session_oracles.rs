@@ -59,11 +59,11 @@ impl Workload for KillSwitch {
         self.inner.ranks()
     }
 
-    fn run(&self, env: &mut CritterEnv, verify: bool) -> WorkloadOutput {
+    fn run(&self, env: &mut CritterEnv) -> WorkloadOutput {
         if env.rank() == 0 && self.runs.fetch_add(1, Ordering::SeqCst) >= self.kill_after {
             panic!("session oracle: injected kill");
         }
-        self.inner.run(env, verify)
+        self.inner.run(env)
     }
 }
 

@@ -30,7 +30,7 @@ fn main() {
         let report =
             run_simulation(SimConfig::new(w.ranks()), machine, move |ctx: &mut RankCtx| {
                 let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-                wl.run(&mut env, false);
+                wl.run(&mut env);
                 env.finish().0
             });
         let path = report

@@ -51,7 +51,7 @@ fn main() {
     let report = run_simulation(SimConfig::new(w.ranks()), machine, move |ctx| {
         let cfg = CritterConfig::new(ExecutionPolicy::OnlinePropagation, 0.125);
         let mut env = CritterEnv::new(ctx, cfg, KernelStore::new());
-        w.run(&mut env, false);
+        w.run(&mut env);
         env.finish().0
     });
     let r = &report.outputs[0];

@@ -96,6 +96,19 @@ one_interception_step() {
 gate "one interception step (every user communication timed and recorded in one place)" \
     one_interception_step
 
+# Kernel time comes from the machine model, so no sweep reads a kernel's
+# result (DESIGN.md §2.1): `CritterEnv::kernel` calls `body` only under its
+# verify check, and no sweep engine, daemon, figure driver, CLI or example
+# builds a verifying env. Only correctness tests verify.
+numerics_only_where_a_run_verifies() {
+    test "$(grep -c 'body()' crates/core/src/env.rs)" -eq 1 &&
+        grep -B1 'body()' crates/core/src/env.rs | head -1 | grep -q 'if self\.verify {$' &&
+        ! grep -rn 'verifying(' crates/autotune/src crates/serve/src crates/bench/src src/bin \
+            examples
+}
+gate "numerics only where a run verifies (kernel bodies run under the verify check)" \
+    numerics_only_where_a_run_verifies
+
 # critter-dla's guarded AVX2 call is the workspace's only `unsafe` block; the
 # compiler refuses one anywhere else.
 one_unsafe_crate() {

@@ -166,7 +166,7 @@ fn run(p: &Parsed) -> std::result::Result<(), Error> {
         let cfg = critter::sim::SimConfig::new(w.ranks()).with_backend(backend);
         let rep = critter::sim::run_simulation(cfg, machine, move |ctx| {
             let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-            w.run(&mut env, false);
+            w.run(&mut env);
             env.finish().0
         });
         let winner = rep

@@ -22,8 +22,9 @@ fn all_workloads_factor_correctly() {
         let machine = MachineModel::test_exact(w.ranks()).shared();
         let name = w.name();
         let outs = run_simulation(SimConfig::new(w.ranks()), machine, move |ctx| {
-            let mut env = CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new());
-            let out = w.run(&mut env, true);
+            let mut env =
+                CritterEnv::new(ctx, CritterConfig::full(), KernelStore::new()).verifying();
+            let out = w.run(&mut env);
             let _ = env.finish();
             out
         });
@@ -224,7 +225,7 @@ fn trace_and_path_profile_cover_a_full_run() {
     let machine = MachineModel::test_exact(w.ranks()).shared();
     let rep = run_simulation(SimConfig::new(w.ranks()), machine, move |ctx| {
         let mut env = CritterEnv::new(ctx, CritterConfig::full().with_obs(), KernelStore::new());
-        w.run(&mut env, false);
+        w.run(&mut env);
         env.finish().0
     });
     for r in &rep.outputs {
