@@ -248,16 +248,12 @@ impl Workload for SlateQr {
                     Matrix::from_column_major(wk, wk, data)
                 };
                 let ti = self.tr(i);
-                let mut tau_i = Vec::new();
-                {
-                    let b = run.tiles.get_mut(&(i, k)).expect("panel tile");
-                    env.kernel(ComputeOp::Tpqrt, ti, wk, 0, flops::tpqrt(ti, wk), || {
-                        tau_i = tpqrt(&mut r, b);
-                    });
-                    if tau_i.is_empty() {
-                        tau_i = vec![0.0; wk]; // skipped body: placeholder taus
-                    }
-                }
+                // Shape-sized like `geqrt`'s, whether or not the body runs.
+                let mut tau_i = vec![0.0; wk];
+                let b = run.tiles.get_mut(&(i, k)).expect("panel tile");
+                env.kernel(ComputeOp::Tpqrt, ti, wk, 0, flops::tpqrt(ti, wk), || {
+                    tau_i = tpqrt(&mut r, b);
+                });
                 run.vcache.insert(i, Rc::new((run.tiles[&(i, k)].clone(), tau_i)));
                 run.route_v(env, k, i, 0);
                 // Pass R on (or return it to the diagonal owner at the end).

@@ -149,8 +149,8 @@ pub fn shape_digests(backend: BackendKind) -> String {
     for space in TuningSpace::ALL {
         let runs = ExecutionPolicy::SHORT_NAMES
             .iter()
-            .map(|&(name, policy)| (name.to_string(), policy, false))
-            .chain([("online-extrapolate".to_string(), ExecutionPolicy::OnlinePropagation, true)]);
+            .map(|&(name, policy)| (name, policy, false))
+            .chain([("online-extrapolate", ExecutionPolicy::OnlinePropagation, true)]);
         for (name, policy, extrapolate) in runs {
             let mut opts = TuningOptions::new(policy, 0.25).with_backend(backend).with_observe();
             opts.reset_between_configs = space.resets_between_configs();
