@@ -97,6 +97,17 @@ impl<'w> TileRun<'w> {
         set.into_iter().collect()
     }
 
+    /// Send owned tile `ij` to each rank of `to`, in order, under `tag`: one
+    /// copy per destination, the last one moved in.
+    fn send_tile(&mut self, env: &mut CritterEnv, ij: (usize, usize), to: &[usize], tag: u64) {
+        let Some((&last, rest)) = to.split_last() else { return };
+        let data = self.tiles[&ij].data().to_vec();
+        for &d in rest {
+            self.pending.push(env.isend(&self.world, d, tag, data.clone()));
+        }
+        self.pending.push(env.isend(&self.world, last, tag, data));
+    }
+
     /// Factor panel `k`: potrf the diagonal tile, trsm the column below it,
     /// and distribute the resulting panel tiles to their consumers.
     fn factor_panel(&mut self, env: &mut CritterEnv, k: usize) {
@@ -111,27 +122,21 @@ impl<'w> TileRun<'w> {
                     *tile = Matrix::identity(tk);
                 }
             });
-            // Send L(k,k) to the trsm holders below.
-            let mut dests = std::collections::BTreeSet::new();
-            for i in (k + 1)..nt {
-                dests.insert(w.owner(i, k));
-            }
-            dests.remove(&self.rank);
-            let data = self.tiles[&(k, k)].data().to_vec();
-            for d in dests {
-                let r = env.isend(&self.world, d, Self::tag(k, k, nt, 1), data.clone());
-                self.pending.push(r);
-            }
+            // Send L(k,k) to the trsm holders below, in rank order.
+            let mut dests: Vec<usize> =
+                ((k + 1)..nt).map(|i| w.owner(i, k)).filter(|&d| d != self.rank).collect();
+            dests.sort_unstable();
+            dests.dedup();
+            self.send_tile(env, (k, k), &dests, Self::tag(k, k, nt, 1));
         }
-        // Column trsm.
+        // Column trsm. The owner of L(k,k) lends it out of its tiles for the
+        // step's solves.
         let my_panel: Vec<usize> = ((k + 1)..nt).filter(|&i| self.own(i, k)).collect();
         if !my_panel.is_empty() {
-            let kk = if self.own(k, k) {
-                self.tiles[&(k, k)].clone()
-            } else {
+            let kk = self.tiles.remove(&(k, k)).unwrap_or_else(|| {
                 let data = env.recv(&self.world, w.owner(k, k), Self::tag(k, k, nt, 1), tk * tk);
                 Matrix::from_column_major(tk, tk, data)
-            };
+            });
             for &i in &my_panel {
                 let ti = w.tdim(i);
                 let tile = self.tiles.get_mut(&(i, k)).expect("panel tile");
@@ -143,11 +148,11 @@ impl<'w> TileRun<'w> {
                     trsm(Side::Right, Uplo::Lower, Trans::Yes, false, 1.0, &kk, tile);
                 });
                 // Distribute to consumers.
-                let data = self.tiles[&(i, k)].data().to_vec();
-                for d in self.panel_receivers(i, k) {
-                    let r = env.isend(&self.world, d, Self::tag(k, i, nt, 0), data.clone());
-                    self.pending.push(r);
-                }
+                let dests = self.panel_receivers(i, k);
+                self.send_tile(env, (i, k), &dests, Self::tag(k, i, nt, 0));
+            }
+            if self.own(k, k) {
+                self.tiles.insert((k, k), kk);
             }
         }
     }
@@ -329,8 +334,8 @@ mod tests {
 
     #[test]
     fn tiles_wide_enough_for_the_blocked_kernels() {
-        // 64-wide tiles take potrf, trsm, syrk and gemm past their block
-        // edges and through the microkernel's full tiles.
+        // 64-wide tiles, the narrowest a `sweep-kernels` configuration uses:
+        // the dense kernels at a sweep's tile size, not only on toy shapes.
         for out in run_chol(256, 64, 1, 2, 2) {
             assert!(out.residual.unwrap() < 1e-10, "residual {:?}", out.residual);
         }

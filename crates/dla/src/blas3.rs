@@ -1,14 +1,15 @@
 //! Level-3 BLAS: `gemm`, `syrk`, `trsm`.
 //!
-//! `gemm`, `syrk` and `trsm` are blocked algorithms over the one GEMM core in
-//! the `kernel` module. What a kernel *costs in simulated time* still comes
-//! only from the machine model (`critter-machine`), never from how long this
-//! code runs; but how fast it runs on the host is what a numerics-bound sweep
-//! waits for — the benchmark's `sweep-kernels` workload spends nearly all of
-//! its wall time here — so the flops go through a tuned microkernel.
-//! DESIGN.md §2.1 describes the core.
+//! Plain loops over columns, written to be checked by eye: no sweep runs
+//! them (a kernel's simulated time comes from `critter-machine`), only runs
+//! that verify a factorization and the tests do. They keep the BLAS
+//! contracts the distributed algorithms rely on: `β = 0` assigns `C`
+//! without reading it, `trsm` with `α = 0` gives zero, no shortcut skips a
+//! zero of `B` (so a NaN in `A` always reaches `C`), and `syrk` leaves `C`
+//! exactly symmetric.
 
-use crate::kernel::{self, View, ViewMut};
+use std::borrow::Cow;
+
 use crate::matrix::Matrix;
 
 /// Transposition selector.
@@ -38,18 +39,43 @@ pub enum Side {
     Right,
 }
 
-/// Columns solved together by [`solve_right`]: the share of a solve's flops
-/// left to the axpy-form in-block solve is `TB / n`, the rest is GEMM.
-const TB: usize = 16;
+/// `op(a)`: `a` as stored, or a transposed copy of it.
+fn op(a: &Matrix, t: Trans) -> Cow<'_, Matrix> {
+    match t {
+        Trans::No => Cow::Borrowed(a),
+        Trans::Yes => Cow::Owned(a.transposed()),
+    }
+}
+
+/// `x ← f·x`, where `f = 0` assigns: whatever `x` held, NaN included, is
+/// not read (the BLAS convention).
+fn scale(x: &mut [f64], f: f64) {
+    if f == 0.0 {
+        x.fill(0.0);
+    } else if f != 1.0 {
+        x.iter_mut().for_each(|v| *v *= f);
+    }
+}
 
 /// General matrix multiply: `C ← α·op(A)·op(B) + β·C`. With `β = 0`, `C` is
 /// assigned, not scaled: what it held before (NaN included) is not read.
 pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    let (a, b) = (View::of(a, ta), View::of(b, tb));
-    assert_eq!(a.cols, b.rows, "gemm inner dimensions disagree: {} vs {}", a.cols, b.rows);
-    assert_eq!(c.rows(), a.rows, "gemm C rows");
-    assert_eq!(c.cols(), b.cols, "gemm C cols");
-    kernel::gemm(alpha, a, b, beta, &mut ViewMut::of(c), false);
+    let (a, b) = (op(a, ta), op(b, tb));
+    assert_eq!(a.cols(), b.rows(), "gemm inner dimensions disagree: {} vs {}", a.cols(), b.rows());
+    assert_eq!(c.rows(), a.rows(), "gemm C rows");
+    assert_eq!(c.cols(), b.cols(), "gemm C cols");
+    scale(c.data_mut(), beta);
+    if alpha == 0.0 {
+        return;
+    }
+    // The `jki` loop: column `j` of `C` gathers an axpy of each column of `A`.
+    for j in 0..c.cols() {
+        let cj = c.col_mut(j);
+        for p in 0..a.cols() {
+            let s = alpha * b[(p, j)];
+            cj.iter_mut().zip(a.col(p)).for_each(|(x, y)| *x += y * s);
+        }
+    }
 }
 
 /// Copy the strict `from` triangle of square `c` onto the other one.
@@ -68,22 +94,31 @@ fn mirror(c: &mut Matrix, from: Uplo) {
 /// `uplo` triangle of `C` and mirroring the result (C kept full-symmetric,
 /// which the distributed algorithms rely on). `β = 0` assigns, as in [`gemm`].
 pub fn syrk(uplo: Uplo, ta: Trans, alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
-    let a = View::of(a, ta);
-    assert_eq!(c.rows(), a.rows, "syrk C must be n×n");
-    assert_eq!(c.cols(), a.rows, "syrk C must be n×n");
-    // One computation, on the lower triangle: the tiles on or below the
-    // diagonal go through the core, the rest is their mirror image.
+    let a = op(a, ta);
+    let n = a.rows();
+    assert!(c.rows() == n && c.cols() == n, "syrk C must be n×n");
+    // One computation, on the lower triangle; the rest is its mirror image.
     if uplo == Uplo::Upper {
         mirror(c, Uplo::Upper);
     }
-    kernel::gemm(alpha, a, a.t(), beta, &mut ViewMut::of(c), true);
+    for j in 0..n {
+        let cj = &mut c.col_mut(j)[j..];
+        scale(cj, beta);
+        if alpha == 0.0 {
+            continue;
+        }
+        for p in 0..a.cols() {
+            let s = alpha * a[(j, p)];
+            cj.iter_mut().zip(&a.col(p)[j..]).for_each(|(x, y)| *x += y * s);
+        }
+    }
     mirror(c, Uplo::Lower);
 }
 
 /// Triangular solve with multiple right-hand sides:
 /// `op(A)·X = α·B` (Left) or `X·op(A) = α·B` (Right); `B` is overwritten by `X`.
 /// `unit` marks an implicit unit diagonal. `α = 0` gives `X = 0` whatever
-/// `B` held.
+/// `B` held. Only the `uplo` triangle of `A` is read.
 pub fn trsm(side: Side, uplo: Uplo, ta: Trans, unit: bool, alpha: f64, a: &Matrix, b: &mut Matrix) {
     assert_eq!(a.rows(), a.cols(), "triangular matrix must be square");
     let n = a.rows();
@@ -91,60 +126,44 @@ pub fn trsm(side: Side, uplo: Uplo, ta: Trans, unit: bool, alpha: f64, a: &Matri
         Side::Left => assert_eq!(b.rows(), n, "trsm left dimension"),
         Side::Right => assert_eq!(b.cols(), n, "trsm right dimension"),
     }
-    ViewMut::of(b).scale(alpha);
+    scale(b.data_mut(), alpha);
     if alpha == 0.0 {
         return;
     }
-    // Effective triangle after transposition.
-    let lower = matches!((uplo, ta), (Uplo::Lower, Trans::No) | (Uplo::Upper, Trans::Yes));
-    let t = View::of(a, ta);
+    let t = op(a, ta);
+    // The triangle of `op(A)` that holds `A`'s `uplo` triangle.
+    let lower = (uplo == Uplo::Lower) == (ta == Trans::No);
+    let diag = |k: usize| if unit { 1.0 } else { t[(k, k)] };
+    // Substitution order: first to last unknown for a lower `T·X = B` (and
+    // an upper `X·T = B`), last to first otherwise.
+    let order = |forward: bool| (0..n).map(move |s| if forward { s } else { n - 1 - s });
     match side {
-        Side::Right => solve_right(t, lower, unit, &mut ViewMut::of(b)),
-        // T·X = B is Xᵀ·Tᵀ = Bᵀ: the same solver on a transposed copy, whose
-        // O(mn) moves are noise beside the O(m²n) solve.
+        // Column by column of `X`: solve `xₖ`, then take `xₖ·T[·, k]` from the
+        // unknowns after it.
         Side::Left => {
-            let mut bt = b.transposed();
-            solve_right(t.t(), !lower, unit, &mut ViewMut::of(&mut bt));
-            *b = bt.transposed();
+            for j in 0..b.cols() {
+                let x = b.col_mut(j);
+                for k in order(lower) {
+                    x[k] /= diag(k);
+                    let rows = if lower { k + 1..n } else { 0..k };
+                    let xk = x[k];
+                    x[rows.clone()].iter_mut().zip(&t.col(k)[rows]).for_each(|(v, y)| *v -= xk * y);
+                }
+            }
         }
-    }
-}
-
-/// Solve `X·T = B` in place for triangular `T` (`lower` names the triangle
-/// read; the other is ignored): a forward substitution over block columns
-/// for upper `T`, a backward one for lower. Each block of `TB` columns first
-/// receives its GEMM update from all the columns solved before it, then the
-/// in-block solve.
-pub(crate) fn solve_right(t: View, lower: bool, unit: bool, b: &mut ViewMut) {
-    let n = b.cols;
-    for step in 0..n.div_ceil(TB) {
-        let j0 = if lower { n.div_ceil(TB) - 1 - step } else { step } * TB;
-        let j1 = n.min(j0 + TB);
-        let (mut head, mut tail) = b.split_cols(if lower { j1 } else { j0 });
-        let (solved, mut block, k0) = if lower {
-            (tail.view(), head.sub(0, j0, head.rows, j1 - j0), j1)
-        } else {
-            (head.view(), tail.sub(0, 0, tail.rows, j1 - j0), 0)
-        };
-        kernel::gemm(-1.0, solved, t.sub(k0, j0, solved.cols, j1 - j0), 1.0, &mut block, false);
-        solve_block(t.sub(j0, j0, j1 - j0, j1 - j0), lower, unit, &mut block);
-    }
-}
-
-/// [`solve_right`] within one block, in axpy form: column `j` of `X` is
-/// column `j` of `B` minus the solved columns times `T[·, j]`, over `T[j, j]`.
-fn solve_block(t: View, lower: bool, unit: bool, x: &mut ViewMut) {
-    let nb = x.cols;
-    for step in 0..nb {
-        let j = if lower { nb - 1 - step } else { step };
-        for k in if lower { j + 1..nb } else { 0..j } {
-            let f = t.at(k, j);
-            let (xj, xk) = x.col_and(j, k);
-            xj.iter_mut().zip(xk).for_each(|(x, y)| *x -= y * f);
-        }
-        if !unit {
-            let d = t.at(j, j);
-            x.col(j).iter_mut().for_each(|x| *x /= d);
+        // Column `j` of `X` is column `j` of `B`, minus the solved columns
+        // times `T[·, j]`, over `T[j, j]`.
+        Side::Right => {
+            for j in order(!lower) {
+                for k in if lower { j + 1..n } else { 0..j } {
+                    let f = t[(k, j)];
+                    for i in 0..b.rows() {
+                        b[(i, j)] -= b[(i, k)] * f;
+                    }
+                }
+                let d = diag(j);
+                b.col_mut(j).iter_mut().for_each(|x| *x /= d);
+            }
         }
     }
 }
@@ -261,6 +280,96 @@ mod tests {
         let mut x = b.clone();
         trsm(Side::Left, Uplo::Lower, Trans::No, true, 1.0, &l, &mut x);
         assert!(x.max_abs_diff(&x_true) < 1e-10);
+    }
+
+    fn nan(rows: usize, cols: usize) -> Matrix {
+        Matrix::from_column_major(rows, cols, vec![f64::NAN; rows * cols])
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn beta_zero_overwrites_a_nan_filled_c() {
+        let a = Matrix::random(5, 4, 30);
+        let b = Matrix::random(3, 4, 31);
+        let mut c = nan(5, 3);
+        gemm(Trans::No, Trans::Yes, 1.0, &a, &b, 0.0, &mut c);
+        assert!(c.max_abs_diff(&a.matmul_ref(&b.transposed())) < 1e-12);
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            let mut c = nan(5, 5);
+            syrk(uplo, Trans::No, -1.0, &a, 0.0, &mut c);
+            let mut want = a.matmul_ref(&a.transposed());
+            want.data_mut().iter_mut().for_each(|x| *x = -*x);
+            assert!(c.max_abs_diff(&want) < 1e-12, "syrk {uplo:?} read C under β = 0");
+        }
+    }
+
+    #[test]
+    fn a_nan_in_a_reaches_c() {
+        // The NaN meets only zeros of B: no shortcut may skip them.
+        let mut a = Matrix::random(4, 4, 32);
+        a[(1, 2)] = f64::NAN;
+        let mut c = Matrix::zeros(4, 4);
+        gemm(Trans::No, Trans::No, 1.0, &a, &Matrix::zeros(4, 4), 1.0, &mut c);
+        assert!((0..4).all(|j| c[(1, j)].is_nan()), "NaN·0 was swallowed");
+        assert!((0..4).all(|j| c[(0, j)] == 0.0));
+    }
+
+    #[test]
+    fn trsm_with_alpha_zero_zeroes_a_nan_filled_b() {
+        let l = lower_random(4, 33);
+        for side in [Side::Left, Side::Right] {
+            let mut x = nan(4, 4);
+            trsm(side, Uplo::Lower, Trans::Yes, false, 0.0, &l, &mut x);
+            assert_eq!(x, Matrix::zeros(4, 4), "{side:?}");
+        }
+    }
+
+    #[test]
+    fn syrk_is_bit_symmetric_for_both_uplo() {
+        for (uplo, ta) in [(Uplo::Lower, Trans::No), (Uplo::Upper, Trans::Yes)] {
+            let a = Matrix::random(9, 9, 34);
+            // Not symmetric on entry: only the `uplo` triangle may be read.
+            let mut c = Matrix::random(9, 9, 35);
+            syrk(uplo, ta, 0.5, &a, -1.0, &mut c);
+            assert_eq!(bits(&c), bits(&c.transposed()), "{uplo:?}");
+        }
+    }
+
+    #[test]
+    fn trsm_solves_every_variant_reading_one_triangle() {
+        let (n, m) = (6, 3);
+        for v in 0..16 {
+            let (side, uplo) =
+                ([Side::Left, Side::Right][v & 1], [Uplo::Lower, Uplo::Upper][(v >> 1) & 1]);
+            let (ta, unit) = ([Trans::No, Trans::Yes][(v >> 2) & 1], v >> 3 == 1);
+            let mut t = lower_random(n, 36);
+            if uplo == Uplo::Upper {
+                t = t.transposed();
+            }
+            if unit {
+                (0..n).for_each(|i| t[(i, i)] = 1.0);
+            }
+            let op_t = if ta == Trans::Yes { t.transposed() } else { t.clone() };
+            let x_true = Matrix::random(m, n, 37);
+            let (x_true, mut x) = match side {
+                Side::Left => (x_true.transposed(), op_t.matmul_ref(&x_true.transposed())),
+                Side::Right => (x_true.clone(), x_true.matmul_ref(&op_t)),
+            };
+            // The other triangle, and an implicit unit diagonal, are never read.
+            for j in 0..n {
+                for i in 0..n {
+                    let other = if uplo == Uplo::Lower { i < j } else { i > j };
+                    if other || unit && i == j {
+                        t[(i, j)] = f64::NAN;
+                    }
+                }
+            }
+            trsm(side, uplo, ta, unit, 1.0, &t, &mut x);
+            assert!(x.max_abs_diff(&x_true) < 1e-10, "{side:?} {uplo:?} {ta:?} unit={unit}");
+        }
     }
 
     #[test]

@@ -11,26 +11,20 @@
 //! simulator charges each kernel a modeled, noise-perturbed cost (see
 //! `critter-machine`), because laptop wall-clock would not reflect the
 //! paper's KNL nodes. The [`flops`] module provides the per-kernel flop counts
-//! the cost model consumes. How fast the kernels run **on the host** matters
-//! all the same: a sweep over large tiles is numerics-bound (the benchmark's
-//! `sweep-kernels` workload), and a skipped kernel saves exactly this time.
-//! `gemm`, `syrk`, `trsm`, `potrf` and `trtri` are therefore blocked
-//! algorithms over one register-blocked GEMM core (the private `kernel`
-//! module; DESIGN.md §2.1), whose `avx2` and baseline instantiations return
-//! bit-identical results. The Householder kernels are plain loops. There is
-//! no `trmm`: products charged as `ComputeOp::Trmm` compute through `gemm`.
+//! the cost model consumes. No sweep runs a kernel body, only a run that
+//! verifies does, so this crate is a correctness oracle: every routine is a
+//! plain loop, written to be read. There is no `trmm`: products charged as
+//! `ComputeOp::Trmm` compute through `gemm`.
 //!
 //! Matrices are column-major, matching the BLAS convention.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod blas3;
 pub mod chol;
 pub mod flops;
-mod kernel;
 pub mod matrix;
-#[cfg(test)]
-mod oracle;
 pub mod qr;
 pub mod tp;
 

@@ -1,7 +1,5 @@
 //! Column-major dense matrix.
 
-use crate::blas3::Trans;
-use crate::kernel::{View, ViewMut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -92,23 +90,50 @@ impl Matrix {
         &self.data[j * self.rows..(j + 1) * self.rows]
     }
 
+    /// Column `j`, mutably.
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [f64] {
+        &mut self.data[j * self.rows..(j + 1) * self.rows]
+    }
+
     /// Copy of the `r × c` submatrix starting at `(i0, j0)`.
     pub fn sub(&self, i0: usize, j0: usize, r: usize, c: usize) -> Matrix {
-        View::of(self, Trans::No).sub(i0, j0, r, c).to_matrix()
+        assert!(i0 + r <= self.rows && j0 + c <= self.cols, "submatrix out of bounds");
+        let mut data = Vec::with_capacity(r * c);
+        for j in j0..j0 + c {
+            data.extend_from_slice(&self.col(j)[i0..i0 + r]);
+        }
+        Matrix::from_column_major(r, c, data)
     }
 
     /// Write `block` into this matrix at `(i0, j0)`.
     pub fn set_sub(&mut self, i0: usize, j0: usize, block: &Matrix) {
-        let mut dst = ViewMut::of(self);
-        let mut dst = dst.sub(i0, j0, block.rows, block.cols);
+        assert!(
+            i0 + block.rows <= self.rows && j0 + block.cols <= self.cols,
+            "block out of bounds"
+        );
         for j in 0..block.cols {
-            dst.col(j).copy_from_slice(block.col(j));
+            self.col_mut(j0 + j)[i0..i0 + block.rows].copy_from_slice(block.col(j));
         }
     }
 
-    /// Transposed copy.
+    /// Transposed copy, moved in 8×8 tiles so that neither the strided reads
+    /// nor the contiguous writes miss the cache on every element. This is the
+    /// one copy a sweep runs on large blocks (Capital's 3D transpose).
     pub fn transposed(&self) -> Matrix {
-        View::of(self, Trans::Yes).to_matrix()
+        const T: usize = 8;
+        let (rows, cols) = (self.cols, self.rows);
+        let mut out = vec![0.0; rows * cols];
+        for j0 in (0..cols).step_by(T) {
+            for i0 in (0..rows).step_by(T) {
+                for j in j0..cols.min(j0 + T) {
+                    let col = &mut out[j * rows..][i0..rows.min(i0 + T)];
+                    for (i, x) in col.iter_mut().enumerate() {
+                        *x = self.data[(i0 + i) * cols + j];
+                    }
+                }
+            }
+        }
+        Matrix::from_column_major(rows, cols, out)
     }
 
     /// Zero the strictly upper triangle (keep lower + diagonal).
@@ -217,6 +242,28 @@ mod tests {
         assert_eq!(b[(1, 2)], a[(1, 2)]);
         assert_eq!(b[(3, 3)], a[(3, 3)]);
         assert_eq!(b[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn sub_set_sub_and_transposed_match_element_loops() {
+        for (rows, cols) in [(1, 1), (7, 9), (129, 65)] {
+            let a = Matrix::random(rows, cols, 6);
+            let t = a.transposed();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            assert!((0..rows).all(|i| (0..cols).all(|j| t[(j, i)] == a[(i, j)])));
+            let (i0, j0) = (rows / 3, cols / 2);
+            let (r, c) = (rows - i0 - rows / 4, cols - j0 - cols / 4);
+            let s = a.sub(i0, j0, r, c);
+            assert!((0..r).all(|i| (0..c).all(|j| s[(i, j)] == a[(i0 + i, j0 + j)])));
+            let mut b = Matrix::zeros(rows, cols);
+            b.set_sub(i0, j0, &s);
+            for j in 0..cols {
+                for i in 0..rows {
+                    let inside = (i0..i0 + r).contains(&i) && (j0..j0 + c).contains(&j);
+                    assert_eq!(b[(i, j)], if inside { a[(i, j)] } else { 0.0 }, "({i}, {j})");
+                }
+            }
+        }
     }
 
     #[test]
